@@ -39,11 +39,6 @@ from typing import Callable
 
 from cvlab.core import DomainError
 
-# Exactness vehicle for every identity in this module; numerator/denominator
-# are arbitrary-precision and kept normalized with positive denominator.
-ExactRational = Fraction
-
-
 def binom(n: int, k: int) -> int:
     """C(n, k) with the out-of-range convention: 0 for k < 0 or k > n."""
     if n < 0:

@@ -91,14 +91,6 @@ class StratifiedDataset:
         )
         return features, labels
 
-    def restratify(self, features: np.ndarray, labels: np.ndarray) -> "StratifiedDataset":
-        """Rebuild a stratified dataset from pooled rows (used by fold logic)."""
-        m1 = labels == 1
-        m2 = labels == 2
-        if not m1.any() or not m2.any():
-            raise DomainError("training subset lost one of the classes")
-        return StratifiedDataset(features[m1], features[m2])
-
 
 @dataclass(frozen=True, eq=False)
 class LabeledPoint:
@@ -233,9 +225,13 @@ def empirical_auc(scores1, scores2) -> float:
 
 
 def pairwise_kernel(scores1: np.ndarray, scores2: np.ndarray) -> np.ndarray:
-    """(n1, n2) matrix of kernel values for all score pairs."""
-    s1 = np.asarray(scores1, dtype=float).reshape(-1, 1)
-    s2 = np.asarray(scores2, dtype=float).reshape(1, -1)
+    """Kernel values for all score pairs: (n1, n2) for 1-D inputs.
+
+    Leading axes batch: inputs of shapes (..., n1) and (..., n2) give
+    (..., n1, n2), one pair matrix per leading index.
+    """
+    s1 = np.asarray(scores1, dtype=float)[..., :, None]
+    s2 = np.asarray(scores2, dtype=float)[..., None, :]
     return (s1 < s2).astype(float) + 0.5 * (s1 == s2)
 
 

@@ -26,34 +26,45 @@ equal-fold-size condition makes the nested averages collapse); for CVKM they
 agree only as the number of runs grows, and for LOOB they differ even in the
 limit.  The AUC estimator for CVK additionally has a reduced variant that
 pairs only same-index folds, trading the full n1*n2 pair coverage for K
-trainings.
+trainings.  Error-rate estimators pool both classes into one set of n =
+n1+n2 points before partitioning or resampling; AUC estimators resample the
+two classes independently.
 
-Error-rate estimators pool both classes into a single set of n = n1+n2
-labeled points before partitioning or resampling; AUC estimators always
-resample the two classes independently (stratification).
+One computation serves every version and variant.  A grid of training tasks
+(rows) meets a set of test units (columns): the pooled observations for
+error, the n1*n2 (class-1, class-2) pairs for AUC.  Task r trains on a weight
+vector over the observations (0/1 for a fold complement, counts for a
+bootstrap replicate) and tests exactly the observations it gave zero weight,
+or for AUC the pairs of two of them.  Every (task, unit) cell holds a loss:
+the zero-one loss, or the rank kernel.
 
-Zero test coverage (an observation never out-of-fold / out-of-bag, or a pair
-never jointly so) is handled by dropping the observation or pair and counting
-it in ``EstimatorReport.excluded_count``; with ``strict=True`` it raises
-:class:`CoverageError` instead.  A bootstrap replicate that lost one of the
-classes (pooled error resampling only) is redrawn from a derived seed, up to
-100 attempts.  An all-in-bag replicate contributes nothing to the partitioned
-bootstrap value and is counted as excluded.
+- *Pooled*: per unit, the tested losses summed over tasks over the number of
+  tasks testing it; then the mean over units.  Units never tested are dropped
+  and counted in ``EstimatorReport.excluded_count`` (``strict=True`` raises
+  :class:`CoverageError` instead).
+- *Partitioned*: per task, the tested losses summed over units over the
+  number of units it tests; then the mean over the tasks of each run (the K
+  folds or K1*K2 fold pairs of one repetition), then the mean over runs.
+  Tasks testing nothing (all-in-bag replicates) are skipped and counted.
 
-Every training task (a fold complement or a replicate multiset) is expressed
-as a weight vector over the original observations.  Trainers exposing the
-vectorized ``weighted_scores(X, labels, weights, X_eval)`` hook handle all
-tasks of an estimator in one batched call; other trainers are invoked task by
-task on the materialized subset.  Aggregation order is fixed
-(observation-major, then repetition/replicate) so results are reproducible
-bit-for-bit from (dataset, config, seed).
+The estimators differ only in their tasks: CVK has K (CVN is K = n), CVKR
+M*K, CVKM M each testing fold 1, LOOB one per replicate; AUC tasks pair a
+class-1 fold with a class-2 fold.  A pooled bootstrap replicate that lost a
+class is redrawn from a derived seed, up to 100 attempts.
+
+All tasks are scored in one :func:`task_scores` call: batched through a
+trainer's ``weighted_scores(X, labels, weights, X_eval)`` hook, or task by
+task on materialized subsets.  Cell losses are 0, 1/2 or 1, so all sums are
+exact, and the divisions and means see fixed orders (units observation- or
+pair-row-major, tasks run-major): results reproduce bit-for-bit from
+(dataset, config, seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -62,10 +73,8 @@ from cvlab.core import (
     StratifiedDataset,
     Trainer,
     pairwise_kernel,
-    zero_one_losses,
 )
 from cvlab.resampling import (
-    PartitionMap,
     SamplingModel,
     bootstrap_counts_matrix,
     derive_seed,
@@ -74,6 +83,10 @@ from cvlab.resampling import (
 )
 
 MAX_ONE_CLASS_RETRIES = 100
+
+# Upper bound on the (task, pair) cells of one AUC block: an estimator with
+# many tasks (CVN has n1*n2) is scored in blocks of about this size.
+AUC_BLOCK_CELLS = 1 << 20
 
 
 class EstimationError(RuntimeError):
@@ -101,25 +114,6 @@ class Variant(Enum):
 class Metric(Enum):
     ERROR = "error"
     AUC = "auc"
-
-
-@dataclass(frozen=True, eq=False)
-class CoverageLedger:
-    """Per-observation (or per-pair, flattened) test-appearance counts."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=int)
-        if counts.min(initial=0) < 0:
-            raise DomainError("coverage counts must be non-negative")
-        counts = counts.copy()
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def uncovered(self) -> int:
-        return int(np.count_nonzero(self.counts == 0))
 
 
 @dataclass(frozen=True)
@@ -176,26 +170,36 @@ def _train(trainer: Trainer, subset: StratifiedDataset, context: str):
         raise EstimationError(f"trainer failed on {context}: {exc}") from exc
 
 
+# ---------------------------------------------------------------------------
+# The kernel: tasks x units
+# ---------------------------------------------------------------------------
+
+
+def _one_class_rows(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``weights`` that give one class no weight."""
+    per_class = weights @ np.stack([labels == 1, labels == 2], axis=1)
+    return np.flatnonzero((per_class <= 0).any(axis=1))
+
+
 def task_scores(
     trainer: Trainer,
     features: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
-    contexts: Sequence[str],
+    context: Callable[[int], str],
 ) -> np.ndarray:
     """Scores of every original point under each training task's rule.
 
     ``weights`` is (tasks, n): row r gives the multiplicity of each pooled
     observation in task r's training set (0/1 for fold complements, counts
     for bootstrap replicates).  Tasks that would train on a one-class set
-    raise, naming the task.  Returns a (tasks, n) float matrix.
+    raise, naming the task through ``context(r)``.  Returns a (tasks, n)
+    float matrix.
     """
     weights = np.asarray(weights)
-    present1 = weights[:, labels == 1].sum(axis=1) > 0
-    present2 = weights[:, labels == 2].sum(axis=1) > 0
-    bad = np.flatnonzero(~(present1 & present2))
+    bad = _one_class_rows(weights, labels)
     if bad.size:
-        raise EstimationError(f"{contexts[bad[0]]} leaves a one-class training set")
+        raise EstimationError(f"{context(bad[0])} leaves a one-class training set")
     weighted = getattr(trainer, "weighted_scores", None)
     if weighted is not None:
         try:
@@ -214,15 +218,136 @@ def task_scores(
         subset = StratifiedDataset(
             features[reps][labels[reps] == 1], features[reps][labels[reps] == 2]
         )
-        rule = _train(trainer, subset, contexts[r])
+        rule = _train(trainer, subset, context(r))
         scores[r] = rule.score_many(features)
     return scores
 
 
-def _fold_weights(partition: PartitionMap) -> np.ndarray:
-    """(K, n) 0/1 matrix: row k-1 keeps everything outside fold k."""
-    folds = np.arange(1, partition.n_folds + 1)
-    return (partition.assign[None, :] != folds[:, None]).astype(int)
+@dataclass(frozen=True)
+class VariantValues:
+    """Both variants of one estimator run, with what each had to leave out.
+
+    ``pooled`` is None when no unit was ever tested, ``partitioned`` when no
+    task tested any unit; ``uncovered`` counts the units the pooled variant
+    dropped and ``skipped`` the tasks the partitioned variant skipped.
+    """
+
+    pooled: float | None
+    uncovered: int
+    partitioned: float | None
+    skipped: int
+    unit: str
+
+    def pick(self, variant: Variant, strict: bool = False) -> tuple[float, int]:
+        """(value, excluded count) of ``variant``; raises where it is undefined."""
+        if variant is Variant.POOLED:
+            if strict and self.uncovered:
+                raise CoverageError(f"{self.uncovered} {self.unit}(s) never tested")
+            if self.pooled is None:
+                raise EstimationError(f"no {self.unit} was ever tested")
+            return self.pooled, self.uncovered
+        if variant is Variant.PARTITIONED:
+            if self.partitioned is None:
+                raise EstimationError(f"no task tested any {self.unit}")
+            return self.partitioned, self.skipped
+        raise DomainError(f"variant {variant.value} not defined for this estimator")
+
+
+def _ratio_of_sums(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], tasks_per_run: int, unit: str
+) -> VariantValues:
+    """Pooled and partitioned values from (loss, test) blocks of consecutive tasks.
+
+    Each block holds two (tasks, units) arrays: the loss of every cell and
+    whether the task tests the unit.  Pooled is the mean over units of a
+    ratio of sums over tasks; partitioned is the mean over runs of the mean
+    over each run's ``tasks_per_run`` tasks of a ratio of sums over units.
+    """
+    unit_sums = unit_hits = 0
+    task_sums, task_hits = [], []
+    for loss, test in blocks:
+        tested = loss * test
+        unit_sums = unit_sums + tested.sum(axis=0)
+        unit_hits = unit_hits + test.sum(axis=0)
+        task_sums.append(tested.sum(axis=1))
+        task_hits.append(test.sum(axis=1))
+    task_sums, task_hits = np.concatenate(task_sums), np.concatenate(task_hits)
+    covered = unit_hits > 0
+    usable = task_hits > 0
+    pooled = partitioned = None
+    if covered.any():
+        pooled = float((unit_sums[covered] / unit_hits[covered]).mean())
+    if usable.any():
+        means = task_sums[usable] / task_hits[usable]
+        partitioned = float(means.reshape(-1, tasks_per_run).mean(axis=1).mean())
+    return VariantValues(
+        pooled, int(np.count_nonzero(~covered)), partitioned, int(np.count_nonzero(~usable)), unit
+    )
+
+
+def _pair_blocks(scores: np.ndarray, test: np.ndarray, n1: int):
+    """(kernel, pair test) blocks of at most about AUC_BLOCK_CELLS cells."""
+    n_pairs = n1 * (scores.shape[1] - n1)
+    step = max(1, AUC_BLOCK_CELLS // n_pairs)
+    for start in range(0, scores.shape[0], step):
+        s, t = scores[start : start + step], test[start : start + step]
+        kernel = pairwise_kernel(s[:, :n1], s[:, n1:]).reshape(len(s), n_pairs)
+        yield kernel, (t[:, :n1, None] & t[:, None, n1:]).reshape(len(s), n_pairs)
+
+
+def _estimate(
+    dataset: StratifiedDataset,
+    trainer: Trainer,
+    metric: Metric,
+    weights: np.ndarray,
+    context: Callable[[int], str],
+    tasks_per_run: int = 1,
+    th: float = 0.0,
+) -> VariantValues:
+    """Train every task of ``weights`` (tasks, n1+n2) once; both variants.
+
+    Columns follow ``dataset.pooled()``: class 1, then class 2.
+    """
+    features, labels = dataset.pooled()
+    scores = task_scores(trainer, features, labels, weights, context)
+    test = weights == 0  # built after training, so it is not alive during it
+    if metric is Metric.ERROR:
+        loss = (scores >= float(th)) != (labels == 2)
+        return _ratio_of_sums([(loss, test)], tasks_per_run, "observation")
+    return _ratio_of_sums(_pair_blocks(scores, test, dataset.n1), tasks_per_run, "pair")
+
+
+def _fold_weights(assign: np.ndarray, folds: np.ndarray) -> np.ndarray:
+    """(runs, len(folds), n) 0/1 weights: task (r, f) trains outside fold
+    ``folds[f]`` of run r.  ``assign`` is (runs, n) or one (n,) map."""
+    assign = np.asarray(assign).reshape(-1, np.shape(assign)[-1])
+    return (assign[:, None, :] != np.asarray(folds)[None, :, None]).astype(int)
+
+
+def _folds(n_folds: int) -> np.ndarray:
+    return np.arange(1, n_folds + 1)
+
+
+def _fold_tasks(dataset, trainer, metric, assigns, folds, th=0.0) -> VariantValues:
+    """Both variants over fold tasks, run-major.  Task t of a run leaves out
+    fold ``folds[c][t]`` of map ``assigns[c]`` (runs, n_c) for each part c:
+    the pooled observations for error, class 1 and class 2 for AUC."""
+    weights = np.concatenate([_fold_weights(a, f) for a, f in zip(assigns, folds)], axis=-1)
+    runs, per_run = weights.shape[:2]
+
+    def context(r):
+        held = ", ".join(str(f[r % per_run]) for f in folds)
+        name = f"fold {held}" if len(folds) == 1 else f"fold pair ({held})"
+        return f"run {r // per_run} {name}" if runs > 1 else name
+
+    return _estimate(
+        dataset, trainer, metric, weights.reshape(-1, dataset.n), context, per_run, th
+    )
+
+
+def _report(version, variant, metric, config, values: VariantValues, strict=False):
+    value, excluded = values.pick(variant, strict)
+    return EstimatorReport(value, version, variant, metric, config, excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -230,58 +355,16 @@ def _fold_weights(partition: PartitionMap) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _partition_losses(
-    features: np.ndarray,
-    labels: np.ndarray,
-    partitions: Sequence[PartitionMap],
-    trainer: Trainer,
-    th: float,
-    context: str = "fold",
-) -> np.ndarray:
-    """(runs, n) zero-one losses; observation i of run m is scored by the rule
-    trained on everything outside its fold of run m."""
-    weights = np.vstack([_fold_weights(pm) for pm in partitions])
-    contexts = [
-        f"run {m} {context} {k}" if len(partitions) > 1 else f"{context} {k}"
-        for m, pm in enumerate(partitions)
-        for k in range(1, pm.n_folds + 1)
-    ]
-    scores = task_scores(trainer, features, labels, weights, contexts)
-    n_folds = partitions[0].n_folds
-    losses = np.empty((len(partitions), features.shape[0]), dtype=float)
-    for m, pm in enumerate(partitions):
-        own_task = m * n_folds + (pm.assign - 1)
-        own_scores = scores[own_task, np.arange(pm.n)]
-        losses[m] = zero_one_losses(own_scores, labels, th)
-    return losses
-
-
 def err_cvn(dataset: StratifiedDataset, trainer: Trainer, th: float = 0.0) -> EstimatorReport:
     """Leave-one-out CV: train n times on n-1 points, test the held-out one."""
     if dataset.n < 2:
         raise DomainError("err_cvn requires n >= 2")
-    features, labels = dataset.pooled()
     partition = make_partition(dataset.n, dataset.n)
-    losses = _partition_losses(features, labels, [partition], trainer, th)[0]
-    return EstimatorReport(
-        value=float(losses.mean()),
-        version=Version.CVN,
-        variant=Variant.POOLED,
-        metric=Metric.ERROR,
-        config=_echo(dataset, trainer, th=th),
+    folds = [_folds(dataset.n)]
+    values = _fold_tasks(dataset, trainer, Metric.ERROR, [partition.assign], folds, th)
+    return _report(
+        Version.CVN, Variant.POOLED, Metric.ERROR, _echo(dataset, trainer, th=th), values
     )
-
-
-def _aggregate_fold_values(losses: np.ndarray, partition: PartitionMap, variant: Variant) -> float:
-    if variant is Variant.POOLED:
-        return float(losses.mean())
-    if variant is Variant.PARTITIONED:
-        fold_means = [
-            losses[partition.fold_members(k)].mean()
-            for k in range(1, partition.n_folds + 1)
-        ]
-        return float(np.mean(fold_means))
-    raise DomainError(f"variant {variant} not defined for this estimator")
 
 
 def err_cvk(
@@ -300,15 +383,11 @@ def err_cvk(
     """
     if n_folds < 2:
         raise DomainError("err_cvk requires K >= 2")
-    features, labels = dataset.pooled()
     partition = make_partition(dataset.n, n_folds, perm)
-    losses = _partition_losses(features, labels, [partition], trainer, th)[0]
-    return EstimatorReport(
-        value=_aggregate_fold_values(losses, partition, variant),
-        version=Version.CVK,
-        variant=variant,
-        metric=Metric.ERROR,
-        config=_echo(dataset, trainer, th=th, n_folds=n_folds),
+    values = _fold_tasks(dataset, trainer, Metric.ERROR, [partition.assign], [_folds(n_folds)], th)
+    return _report(
+        Version.CVK, variant, Metric.ERROR,
+        _echo(dataset, trainer, th=th, n_folds=n_folds), values,
     )
 
 
@@ -329,25 +408,12 @@ def err_cvkr(
     """
     if n_folds < 2:
         raise DomainError("err_cvkr requires K >= 2")
-    features, labels = dataset.pooled()
     repeated = repeated_partitions(dataset.n, n_folds, repetitions, seed)
-    per_run = _partition_losses(features, labels, repeated.maps, trainer, th)
-    if variant is Variant.POOLED:
-        value = float(per_run.mean(axis=0).mean())
-    elif variant is Variant.PARTITIONED:
-        run_values = [
-            _aggregate_fold_values(per_run[m], repeated.maps[m], Variant.PARTITIONED)
-            for m in range(repetitions)
-        ]
-        value = float(np.mean(run_values))
-    else:
-        raise DomainError(f"variant {variant} not defined for err_cvkr")
-    return EstimatorReport(
-        value=value,
-        version=Version.CVKR,
-        variant=variant,
-        metric=Metric.ERROR,
-        config=_echo(dataset, trainer, th=th, n_folds=n_folds, repetitions=repetitions, seed=seed),
+    values = _fold_tasks(dataset, trainer, Metric.ERROR, [repeated.assign], [_folds(n_folds)], th)
+    return _report(
+        Version.CVKR, variant, Metric.ERROR,
+        _echo(dataset, trainer, th=th, n_folds=n_folds, repetitions=repetitions, seed=seed),
+        values,
     )
 
 
@@ -371,44 +437,13 @@ def err_cvkm(
     """
     if n_folds < 2:
         raise DomainError("err_cvkm requires K >= 2")
-    features, labels = dataset.pooled()
     repeated = repeated_partitions(dataset.n, n_folds, repetitions, seed)
-    in_test = np.vstack([pm.assign == 1 for pm in repeated.maps])  # (M, n)
-    weights = (~in_test).astype(int)
-    contexts = [f"run {m} fold 1" for m in range(repetitions)]
-    scores = task_scores(trainer, features, labels, weights, contexts)
-    losses = (np.where(scores >= float(th), 2, 1) != labels[None, :]).astype(float)
-    hits = in_test.sum(axis=0)
-    ledger = CoverageLedger(hits)
-    if variant is Variant.POOLED:
-        if strict and ledger.uncovered:
-            raise CoverageError(
-                f"{ledger.uncovered} observation(s) never appeared in a test fold"
-            )
-        covered = hits > 0
-        if not covered.any():
-            raise EstimationError("no observation was ever tested")
-        sums = (losses * in_test).sum(axis=0)
-        value = float((sums[covered] / hits[covered]).mean())
-        excluded = ledger.uncovered
-    elif variant is Variant.PARTITIONED:
-        fold_size = dataset.n // n_folds
-        value = float(((losses * in_test).sum(axis=1) / fold_size).mean())
-        excluded = 0
-    else:
-        raise DomainError(f"variant {variant} not defined for err_cvkm")
-    return EstimatorReport(
-        value=value,
-        version=Version.CVKM,
-        variant=variant,
-        metric=Metric.ERROR,
-        config=_echo(dataset, trainer, th=th, n_folds=n_folds, repetitions=repetitions, seed=seed),
-        excluded_count=excluded,
+    values = _fold_tasks(dataset, trainer, Metric.ERROR, [repeated.assign], [_folds(1)], th)
+    return _report(
+        Version.CVKM, variant, Metric.ERROR,
+        _echo(dataset, trainer, th=th, n_folds=n_folds, repetitions=repetitions, seed=seed),
+        values, strict,
     )
-
-
-def _two_class_counts(counts: np.ndarray, labels: np.ndarray) -> bool:
-    return bool(counts[labels == 1].sum() > 0 and counts[labels == 2].sum() > 0)
 
 
 def _pooled_bootstrap_counts(
@@ -416,15 +451,11 @@ def _pooled_bootstrap_counts(
 ) -> np.ndarray:
     """Replicate counts for pooled-class resampling; one-class rows redrawn."""
     counts = bootstrap_counts_matrix(n, draws, model, seed)
-    for b in range(draws):
-        if _two_class_counts(counts[b], labels):
-            continue
+    for b in _one_class_rows(counts, labels):
         for attempt in range(1, MAX_ONE_CLASS_RETRIES + 1):
-            retry = bootstrap_counts_matrix(
-                n, 1, model, derive_seed(seed, f"retry-{b}", attempt)
-            )[0]
-            if _two_class_counts(retry, labels):
-                counts[b] = retry
+            retry = bootstrap_counts_matrix(n, 1, model, derive_seed(seed, f"retry-{b}", attempt))
+            if not _one_class_rows(retry, labels).size:
+                counts[b] = retry[0]
                 break
         else:
             raise EstimationError(
@@ -433,26 +464,24 @@ def _pooled_bootstrap_counts(
     return counts
 
 
-def _loob_values(
-    losses: np.ndarray, oob: np.ndarray
-) -> tuple[float | None, int, float | None, int]:
-    """(pooled value, uncovered count, partitioned value, skipped replicates).
-
-    ``losses`` and ``oob`` are (B, n); values are None when undefined.
-    """
-    hit_counts = oob.sum(axis=0)  # per observation
-    covered = hit_counts > 0
-    pooled = None
-    if covered.any():
-        sums = (losses * oob).sum(axis=0)
-        pooled = float((sums[covered] / hit_counts[covered]).mean())
-    unseen_per_rep = oob.sum(axis=1)
-    usable = unseen_per_rep > 0
-    partitioned = None
-    if usable.any():
-        rep_means = (losses * oob).sum(axis=1)[usable] / unseen_per_rep[usable]
-        partitioned = float(rep_means.mean())
-    return pooled, int(np.count_nonzero(~covered)), partitioned, int(np.count_nonzero(~usable))
+def bootstrap_error_variants(
+    dataset: StratifiedDataset,
+    trainer: Trainer,
+    th: float = 0.0,
+    n_bootstrap: int = 1,
+    seed: int = 0,
+    model: SamplingModel = SamplingModel.ORDERED,
+) -> VariantValues:
+    """Both leave-one-out bootstrap error variants from one set of replicates."""
+    if dataset.n < 2:
+        raise DomainError("err_loob requires n >= 2")
+    if n_bootstrap < 1:
+        raise DomainError("err_loob requires B >= 1")
+    _, labels = dataset.pooled()
+    counts = _pooled_bootstrap_counts(dataset.n, n_bootstrap, model, seed, labels)
+    return _estimate(
+        dataset, trainer, Metric.ERROR, counts, lambda b: f"replicate {b}", th=th
+    )
 
 
 def err_loob(
@@ -474,37 +503,11 @@ def err_loob(
     all-in-bag replicates are skipped and counted.  The two variants are not
     equal, even for many replicates.
     """
-    if dataset.n < 2:
-        raise DomainError("err_loob requires n >= 2")
-    if n_bootstrap < 1:
-        raise DomainError("err_loob requires B >= 1")
-    features, labels = dataset.pooled()
-    counts = _pooled_bootstrap_counts(dataset.n, n_bootstrap, model, seed, labels)
-    contexts = [f"replicate {b}" for b in range(n_bootstrap)]
-    scores = task_scores(trainer, features, labels, counts, contexts)
-    losses = (np.where(scores >= float(th), 2, 1) != labels[None, :]).astype(float)
-    pooled, uncovered, partitioned, skipped = _loob_values(losses, counts == 0)
-    if variant is Variant.POOLED:
-        if strict and uncovered:
-            raise CoverageError(f"{uncovered} observation(s) never out-of-bag")
-        if pooled is None:
-            raise EstimationError("no observation was ever out-of-bag")
-        value, excluded = pooled, uncovered
-    elif variant is Variant.PARTITIONED:
-        if partitioned is None:
-            raise EstimationError("every replicate contained all observations")
-        value, excluded = partitioned, skipped
-    else:
-        raise DomainError(f"variant {variant} not defined for err_loob")
-    return EstimatorReport(
-        value=value,
-        version=Version.LOOB,
-        variant=variant,
-        metric=Metric.ERROR,
-        config=_echo(
-            dataset, trainer, th=th, n_bootstrap=n_bootstrap, seed=seed, sampling=model
-        ),
-        excluded_count=excluded,
+    values = bootstrap_error_variants(dataset, trainer, th, n_bootstrap, seed, model)
+    return _report(
+        Version.LOOB, variant, Metric.ERROR,
+        _echo(dataset, trainer, th=th, n_bootstrap=n_bootstrap, seed=seed, sampling=model),
+        values, strict,
     )
 
 
@@ -518,68 +521,9 @@ def _check_auc_sizes(dataset: StratifiedDataset) -> None:
         raise DomainError("AUC estimators require n1 >= 2 and n2 >= 2")
 
 
-def _pair_task_scores(
-    dataset: StratifiedDataset,
-    trainer: Trainer,
-    weights1: np.ndarray,
-    weights2: np.ndarray,
-    contexts: Sequence[str],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Class-wise score matrices for stratified training tasks.
-
-    ``weights1``/``weights2`` are (tasks, n1) and (tasks, n2) multiplicities;
-    each task trains on the weighted union of the two classes and scores all
-    original points of both.
-    """
-    features = np.vstack([dataset.class1, dataset.class2])
-    labels = np.concatenate(
-        [np.ones(dataset.n1, dtype=int), np.full(dataset.n2, 2, dtype=int)]
-    )
-    scores = task_scores(
-        trainer, features, labels, np.hstack([weights1, weights2]), contexts
-    )
-    return scores[:, : dataset.n1], scores[:, dataset.n1 :]
-
-
-def _auc_fold_kernel(
-    dataset: StratifiedDataset,
-    part1: PartitionMap,
-    part2: PartitionMap,
-    trainer: Trainer,
-    run: int | None = None,
-) -> np.ndarray:
-    """(n1, n2) kernel values: pair (i, j) is scored by the rule trained
-    without fold K1(i) of class 1 and fold K2(j) of class 2."""
-    k1s, k2s = np.meshgrid(
-        np.arange(1, part1.n_folds + 1), np.arange(1, part2.n_folds + 1), indexing="ij"
-    )
-    k1s, k2s = k1s.ravel(), k2s.ravel()
-    weights1 = (part1.assign[None, :] != k1s[:, None]).astype(int)
-    weights2 = (part2.assign[None, :] != k2s[:, None]).astype(int)
-    prefix = f"run {run} " if run is not None else ""
-    contexts = [f"{prefix}fold pair ({a}, {b})" for a, b in zip(k1s, k2s)]
-    s1, s2 = _pair_task_scores(dataset, trainer, weights1, weights2, contexts)
-    psi = np.empty((dataset.n1, dataset.n2), dtype=float)
-    for t, (k1, k2) in enumerate(zip(k1s, k2s)):
-        rows = part1.fold_members(k1)
-        cols = part2.fold_members(k2)
-        psi[np.ix_(rows, cols)] = pairwise_kernel(s1[t, rows], s2[t, cols])
-    return psi
-
-
-def _aggregate_pair_values(
-    psi: np.ndarray, part1: PartitionMap, part2: PartitionMap, variant: Variant
-) -> float:
-    if variant is Variant.POOLED:
-        return float(psi.mean())
-    if variant is Variant.PARTITIONED:
-        cell_means = [
-            psi[np.ix_(part1.fold_members(k1), part2.fold_members(k2))].mean()
-            for k1 in range(1, part1.n_folds + 1)
-            for k2 in range(1, part2.n_folds + 1)
-        ]
-        return float(np.mean(cell_means))
-    raise DomainError(f"variant {variant} not defined for this estimator")
+def _fold_grid(n_folds1: int, n_folds2: int) -> list[np.ndarray]:
+    """All K1*K2 fold pairs, class-1 fold major."""
+    return [np.repeat(_folds(n_folds1), n_folds2), np.tile(_folds(n_folds2), n_folds1)]
 
 
 def auc_cvn(dataset: StratifiedDataset, trainer: Trainer) -> EstimatorReport:
@@ -587,14 +531,11 @@ def auc_cvn(dataset: StratifiedDataset, trainer: Trainer) -> EstimatorReport:
     _check_auc_sizes(dataset)
     part1 = make_partition(dataset.n1, dataset.n1)
     part2 = make_partition(dataset.n2, dataset.n2)
-    psi = _auc_fold_kernel(dataset, part1, part2, trainer)
-    return EstimatorReport(
-        value=float(psi.mean()),
-        version=Version.CVN,
-        variant=Variant.POOLED,
-        metric=Metric.AUC,
-        config=_echo(dataset, trainer),
+    values = _fold_tasks(
+        dataset, trainer, Metric.AUC, [part1.assign, part2.assign],
+        _fold_grid(dataset.n1, dataset.n2),
     )
+    return _report(Version.CVN, Variant.POOLED, Metric.AUC, _echo(dataset, trainer), values)
 
 
 def auc_cvk(
@@ -621,34 +562,19 @@ def auc_cvk(
     if variant is Variant.REDUCED:
         if n_folds1 != n_folds2:
             raise DomainError("reduced variant requires K1 == K2")
-        folds = np.arange(1, n_folds1 + 1)
-        weights1 = (part1.assign[None, :] != folds[:, None]).astype(int)
-        weights2 = (part2.assign[None, :] != folds[:, None]).astype(int)
-        contexts = [f"fold pair ({k}, {k})" for k in folds]
-        s1, s2 = _pair_task_scores(dataset, trainer, weights1, weights2, contexts)
-        cell_means = [
-            pairwise_kernel(
-                s1[t, part1.fold_members(k)], s2[t, part2.fold_members(k)]
-            ).mean()
-            for t, k in enumerate(folds)
-        ]
-        value = float(np.mean(cell_means))
+        folds = [_folds(n_folds1)] * 2
     else:
-        psi = _auc_fold_kernel(dataset, part1, part2, trainer)
-        value = _aggregate_pair_values(psi, part1, part2, variant)
-    return EstimatorReport(
-        value=value,
-        version=Version.CVK,
-        variant=variant,
-        metric=Metric.AUC,
-        config=_echo(dataset, trainer, n_folds1=n_folds1, n_folds2=n_folds2),
-    )
+        folds = _fold_grid(n_folds1, n_folds2)
+    values = _fold_tasks(dataset, trainer, Metric.AUC, [part1.assign, part2.assign], folds)
+    value, _ = values.pick(Variant.PARTITIONED if variant is Variant.REDUCED else variant)
+    config = _echo(dataset, trainer, n_folds1=n_folds1, n_folds2=n_folds2)
+    return EstimatorReport(value, Version.CVK, variant, Metric.AUC, config)
 
 
 def _stratified_repeats(dataset, n_folds1, n_folds2, repetitions, seed):
     rep1 = repeated_partitions(dataset.n1, n_folds1, repetitions, derive_seed(seed, "class1"))
     rep2 = repeated_partitions(dataset.n2, n_folds2, repetitions, derive_seed(seed, "class2"))
-    return rep1, rep2
+    return [rep1.assign, rep2.assign]
 
 
 def auc_cvkr(
@@ -664,30 +590,13 @@ def auc_cvkr(
     _check_auc_sizes(dataset)
     if n_folds1 < 2 or n_folds2 < 2:
         raise DomainError("auc_cvkr requires K1 >= 2 and K2 >= 2")
-    rep1, rep2 = _stratified_repeats(dataset, n_folds1, n_folds2, repetitions, seed)
-    kernels = [
-        _auc_fold_kernel(dataset, rep1.maps[m], rep2.maps[m], trainer, run=m)
-        for m in range(repetitions)
-    ]
-    if variant is Variant.POOLED:
-        value = float(np.mean(kernels, axis=0).mean())
-    elif variant is Variant.PARTITIONED:
-        run_values = [
-            _aggregate_pair_values(kernels[m], rep1.maps[m], rep2.maps[m], Variant.PARTITIONED)
-            for m in range(repetitions)
-        ]
-        value = float(np.mean(run_values))
-    else:
-        raise DomainError(f"variant {variant} not defined for auc_cvkr")
-    return EstimatorReport(
-        value=value,
-        version=Version.CVKR,
-        variant=variant,
-        metric=Metric.AUC,
-        config=_echo(
-            dataset, trainer, n_folds1=n_folds1, n_folds2=n_folds2,
-            repetitions=repetitions, seed=seed,
-        ),
+    assigns = _stratified_repeats(dataset, n_folds1, n_folds2, repetitions, seed)
+    values = _fold_tasks(dataset, trainer, Metric.AUC, assigns, _fold_grid(n_folds1, n_folds2))
+    return _report(
+        Version.CVKR, variant, Metric.AUC,
+        _echo(dataset, trainer, n_folds1=n_folds1, n_folds2=n_folds2,
+              repetitions=repetitions, seed=seed),
+        values,
     )
 
 
@@ -711,47 +620,13 @@ def auc_cvkm(
     _check_auc_sizes(dataset)
     if n_folds1 < 2 or n_folds2 < 2:
         raise DomainError("auc_cvkm requires K1 >= 2 and K2 >= 2")
-    rep1, rep2 = _stratified_repeats(dataset, n_folds1, n_folds2, repetitions, seed)
-    in_test1 = np.vstack([pm.assign == 1 for pm in rep1.maps])  # (M, n1)
-    in_test2 = np.vstack([pm.assign == 1 for pm in rep2.maps])  # (M, n2)
-    contexts = [f"run {m} fold pair (1, 1)" for m in range(repetitions)]
-    s1, s2 = _pair_task_scores(
-        dataset, trainer, (~in_test1).astype(int), (~in_test2).astype(int), contexts
-    )
-    pair_hits = np.zeros((dataset.n1, dataset.n2), dtype=int)
-    pair_sums = np.zeros((dataset.n1, dataset.n2), dtype=float)
-    run_means = np.empty(repetitions, dtype=float)
-    for m in range(repetitions):
-        rows = np.flatnonzero(in_test1[m])
-        cols = np.flatnonzero(in_test2[m])
-        psi = pairwise_kernel(s1[m, rows], s2[m, cols])
-        pair_hits[np.ix_(rows, cols)] += 1
-        pair_sums[np.ix_(rows, cols)] += psi
-        run_means[m] = psi.mean()
-    ledger = CoverageLedger(pair_hits.ravel())
-    if variant is Variant.POOLED:
-        if strict and ledger.uncovered:
-            raise CoverageError(f"{ledger.uncovered} pair(s) never jointly tested")
-        covered = pair_hits > 0
-        if not covered.any():
-            raise EstimationError("no pair was ever jointly tested")
-        value = float((pair_sums[covered] / pair_hits[covered]).mean())
-        excluded = ledger.uncovered
-    elif variant is Variant.PARTITIONED:
-        value = float(run_means.mean())
-        excluded = 0
-    else:
-        raise DomainError(f"variant {variant} not defined for auc_cvkm")
-    return EstimatorReport(
-        value=value,
-        version=Version.CVKM,
-        variant=variant,
-        metric=Metric.AUC,
-        config=_echo(
-            dataset, trainer, n_folds1=n_folds1, n_folds2=n_folds2,
-            repetitions=repetitions, seed=seed,
-        ),
-        excluded_count=excluded,
+    assigns = _stratified_repeats(dataset, n_folds1, n_folds2, repetitions, seed)
+    values = _fold_tasks(dataset, trainer, Metric.AUC, assigns, [_folds(1)] * 2)
+    return _report(
+        Version.CVKM, variant, Metric.AUC,
+        _echo(dataset, trainer, n_folds1=n_folds1, n_folds2=n_folds2,
+              repetitions=repetitions, seed=seed),
+        values, strict,
     )
 
 
@@ -778,49 +653,14 @@ def auc_lpobs(
         raise DomainError("auc_lpobs requires B >= 1")
     counts1 = bootstrap_counts_matrix(dataset.n1, n_bootstrap, model, derive_seed(seed, "class1"))
     counts2 = bootstrap_counts_matrix(dataset.n2, n_bootstrap, model, derive_seed(seed, "class2"))
-    contexts = [f"replicate {b}" for b in range(n_bootstrap)]
-    scores1, scores2 = _pair_task_scores(dataset, trainer, counts1, counts2, contexts)
-    oob1 = counts1 == 0
-    oob2 = counts2 == 0
-    pair_hits = np.zeros((dataset.n1, dataset.n2), dtype=int)
-    pair_sums = np.zeros((dataset.n1, dataset.n2), dtype=float)
-    rep_means: list[float] = []
-    skipped = 0
-    for b in range(n_bootstrap):
-        rows = np.flatnonzero(oob1[b])
-        cols = np.flatnonzero(oob2[b])
-        if rows.size == 0 or cols.size == 0:
-            skipped += 1
-            continue
-        psi = pairwise_kernel(scores1[b, rows], scores2[b, cols])
-        pair_hits[np.ix_(rows, cols)] += 1
-        pair_sums[np.ix_(rows, cols)] += psi
-        rep_means.append(float(psi.mean()))
-    ledger = CoverageLedger(pair_hits.ravel())
-    if variant is Variant.POOLED:
-        if strict and ledger.uncovered:
-            raise CoverageError(f"{ledger.uncovered} pair(s) never jointly out-of-bag")
-        covered = pair_hits > 0
-        if not covered.any():
-            raise EstimationError("no pair was ever jointly out-of-bag")
-        value = float((pair_sums[covered] / pair_hits[covered]).mean())
-        excluded = ledger.uncovered
-    elif variant is Variant.PARTITIONED:
-        if not rep_means:
-            raise EstimationError("every replicate had an empty out-of-bag set")
-        value = float(np.mean(rep_means))
-        excluded = skipped
-    else:
-        raise DomainError(f"variant {variant} not defined for auc_lpobs")
-    return EstimatorReport(
-        value=value,
-        version=Version.LOOB,
-        variant=variant,
-        metric=Metric.AUC,
-        config=_echo(
-            dataset, trainer, n_bootstrap=n_bootstrap, seed=seed, sampling=model
-        ),
-        excluded_count=excluded,
+    values = _estimate(
+        dataset, trainer, Metric.AUC, np.hstack([counts1, counts2]),
+        lambda b: f"replicate {b}",
+    )
+    return _report(
+        Version.LOOB, variant, Metric.AUC,
+        _echo(dataset, trainer, n_bootstrap=n_bootstrap, seed=seed, sampling=model),
+        values, strict,
     )
 
 
@@ -862,54 +702,31 @@ _CONFIG_KEYS = {
 }
 
 
+# (metric, version) -> (estimator name, the config fields it takes after the
+# trainer, in order).  Names are looked up at call time, so rebinding an estimator in
+# this module (as a tracer does) also reroutes ``run``.
+_DISPATCH = {
+    (Metric.ERROR, Version.CVN): ("err_cvn", "th"),
+    (Metric.ERROR, Version.CVK): ("err_cvk", "th n_folds variant"),
+    (Metric.ERROR, Version.CVKR): ("err_cvkr", "th n_folds repetitions seed variant"),
+    (Metric.ERROR, Version.CVKM): ("err_cvkm", "th n_folds repetitions seed variant strict"),
+    (Metric.ERROR, Version.LOOB): ("err_loob", "th n_bootstrap seed sampling variant strict"),
+    (Metric.AUC, Version.CVN): ("auc_cvn", ""),
+    (Metric.AUC, Version.CVK): ("auc_cvk", "n_folds1 n_folds2 variant"),
+    (Metric.AUC, Version.CVKR): ("auc_cvkr", "n_folds1 n_folds2 repetitions seed variant"),
+    (Metric.AUC, Version.CVKM): ("auc_cvkm", "n_folds1 n_folds2 repetitions seed variant strict"),
+    (Metric.AUC, Version.LOOB): ("auc_lpobs", "n_bootstrap seed sampling variant strict"),
+}
+
+
 def run(dataset: StratifiedDataset, trainer: Trainer, cfg: EstimatorConfig) -> EstimatorReport:
     """Run the estimator selected by ``cfg`` on ``dataset``."""
-    v, m = cfg.version, cfg.metric
-    if m is Metric.ERROR:
-        if v is Version.CVN:
-            return err_cvn(dataset, trainer, cfg.th)
-        if v is Version.CVK:
-            cfg.require("n_folds")
-            return err_cvk(dataset, trainer, cfg.th, cfg.n_folds, cfg.variant)
-        if v is Version.CVKR:
-            cfg.require("n_folds", "repetitions", "seed")
-            return err_cvkr(
-                dataset, trainer, cfg.th, cfg.n_folds, cfg.repetitions, cfg.seed, cfg.variant
-            )
-        if v is Version.CVKM:
-            cfg.require("n_folds", "repetitions", "seed")
-            return err_cvkm(
-                dataset, trainer, cfg.th, cfg.n_folds, cfg.repetitions, cfg.seed,
-                cfg.variant, cfg.strict,
-            )
-        if v is Version.LOOB:
-            cfg.require("n_bootstrap", "seed")
-            return err_loob(
-                dataset, trainer, cfg.th, cfg.n_bootstrap, cfg.seed, cfg.sampling,
-                cfg.variant, cfg.strict,
-            )
-    else:
-        if v is Version.CVN:
-            return auc_cvn(dataset, trainer)
-        if v is Version.CVK:
-            cfg.require("n_folds1", "n_folds2")
-            return auc_cvk(dataset, trainer, cfg.n_folds1, cfg.n_folds2, cfg.variant)
-        if v is Version.CVKR:
-            cfg.require("n_folds1", "n_folds2", "repetitions", "seed")
-            return auc_cvkr(
-                dataset, trainer, cfg.n_folds1, cfg.n_folds2, cfg.repetitions,
-                cfg.seed, cfg.variant,
-            )
-        if v is Version.CVKM:
-            cfg.require("n_folds1", "n_folds2", "repetitions", "seed")
-            return auc_cvkm(
-                dataset, trainer, cfg.n_folds1, cfg.n_folds2, cfg.repetitions,
-                cfg.seed, cfg.variant, cfg.strict,
-            )
-        if v is Version.LOOB:
-            cfg.require("n_bootstrap", "seed")
-            return auc_lpobs(
-                dataset, trainer, cfg.n_bootstrap, cfg.seed, cfg.sampling,
-                cfg.variant, cfg.strict,
-            )
-    raise DomainError(f"unsupported estimator {v.value}/{m.value}")
+    try:
+        name, fields = _DISPATCH[cfg.metric, cfg.version]
+    except KeyError:
+        raise DomainError(
+            f"unsupported estimator {cfg.version.value}/{cfg.metric.value}"
+        ) from None
+    fields = fields.split()
+    cfg.require(*(f for f in fields if f in _CONFIG_KEYS))
+    return globals()[name](dataset, trainer, *(getattr(cfg, f) for f in fields))

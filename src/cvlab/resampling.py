@@ -108,57 +108,15 @@ class RepeatedPartition:
         if self.repetitions != len(self.maps) or self.repetitions < 1:
             raise DomainError("repetitions must match the number of maps")
 
-
-@dataclass(frozen=True, eq=False)
-class StratifiedPartition:
-    """Per-class fold maps; the two classes may use different fold counts."""
-
-    part1: PartitionMap
-    part2: PartitionMap
+    @property
+    def assign(self) -> np.ndarray:
+        """(M, n) fold assignments, one row per repetition."""
+        return np.stack([pm.assign for pm in self.maps])
 
 
 class SamplingModel(Enum):
     ORDERED = "ordered"
     UNORDERED_MULTISET = "unordered-multiset"
-
-
-@dataclass(frozen=True, eq=False)
-class BootstrapReplicate:
-    """One bootstrap replicate over n indices.
-
-    ``counts[i]`` is the multiplicity of observation i in the replicate
-    (the counts sum to n); ``oob`` flags the unseen observations and
-    ``unseen_count`` is their number (the paper's a_b, between 0 and n-1).
-    """
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=int)
-        if counts.ndim != 1 or counts.size < 1:
-            raise DomainError("counts must be a non-empty 1-D integer array")
-        if counts.min() < 0 or counts.sum() != counts.size:
-            raise DomainError("counts must be non-negative and sum to n")
-        counts = counts.copy()
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def n(self) -> int:
-        return self.counts.size
-
-    @property
-    def oob(self) -> np.ndarray:
-        return self.counts == 0
-
-    @property
-    def unseen_count(self) -> int:
-        return int(np.count_nonzero(self.counts == 0))
-
-
-def canonical_fold(index1: int, fold_size: int) -> int:
-    """Fold of 1-based observation index under the contiguous-block map."""
-    return (index1 - 1) // fold_size + 1
 
 
 def make_partition(n: int, n_folds: int, perm: Sequence[int] | None = None) -> PartitionMap:
@@ -253,21 +211,3 @@ def bootstrap_counts_matrix(n: int, draws: int, model: SamplingModel, seed: int)
         return _counts_from_uniform_keys(keys, n)
     raise DomainError(f"unknown sampling model {model!r}")
 
-
-def bootstrap_replicate(n: int, model: SamplingModel, seed: int) -> BootstrapReplicate:
-    """One replicate; equals the first row of the batch for the same seed."""
-    return BootstrapReplicate(bootstrap_counts_matrix(n, 1, model, seed)[0])
-
-
-def bootstrap_replicates(n: int, draws: int, model: SamplingModel, seed: int) -> list[BootstrapReplicate]:
-    return [BootstrapReplicate(row) for row in bootstrap_counts_matrix(n, draws, model, seed)]
-
-
-def pair_oob_indicators(rep1: BootstrapReplicate, rep2: BootstrapReplicate) -> np.ndarray:
-    """Outer product of the two out-of-bag indicator vectors (n1 x n2 ints).
-
-    Entry (i, j) is 1 exactly when observation i of class 1 and observation j
-    of class 2 are both unseen by their class's replicate; the classes are
-    always resampled independently.
-    """
-    return np.outer(rep1.oob.astype(int), rep2.oob.astype(int))

@@ -426,9 +426,10 @@ def run_ratio_curve(
 ) -> list[RatioPoint]:
     """Bootstrap-variant error ratio vs class size, averaged over the seeds.
 
-    For each n1 (with n2 = n1), every seed draws a fresh dataset; the ratio
-    is the seed-mean of the partitioned variant over the seed-mean of the
-    pooled variant.  ``ratio_theory`` is the published closed form
+    For each n1 (with n2 = n1), every seed draws a fresh dataset and one set
+    of B replicates, trained once, which serves both variants; the ratio is
+    the seed-mean of the partitioned variant over the seed-mean of the pooled
+    variant.  ``ratio_theory`` is the published closed form
     (2n-2)/(2n-1) with n = 2*n1, reported for comparison; it is not the
     B -> infinity limit of ``ratio_empirical``, which lies above it.
     """
@@ -445,12 +446,11 @@ def run_ratio_curve(
         for idx, seed in enumerate(seeds):
             dataset = ratio_curve_dataset(n1, seed)
             est_seed = derive_seed(seed, "ratio-est")
-            pooled_values[idx] = estimators.err_loob(
-                dataset, trainer, 0.0, n_bootstrap, est_seed, model, Variant.POOLED
-            ).value
-            partitioned_values[idx] = estimators.err_loob(
-                dataset, trainer, 0.0, n_bootstrap, est_seed, model, Variant.PARTITIONED
-            ).value
+            values = estimators.bootstrap_error_variants(
+                dataset, trainer, 0.0, n_bootstrap, est_seed, model
+            )
+            pooled_values[idx] = values.pick(Variant.POOLED)[0]
+            partitioned_values[idx] = values.pick(Variant.PARTITIONED)[0]
         pooled_mean = float(pooled_values.mean())
         partitioned_mean = float(partitioned_values.mean())
         if pooled_mean == 0.0:

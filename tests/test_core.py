@@ -95,6 +95,32 @@ class TestEmpiricalAuc:
         assert empirical_auc([v] * n1, [v] * n2) == 0.5
 
 
+class TestPairwiseKernel:
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.data(),
+    )
+    def test_batched_call_equals_stacked_single_calls(self, tasks, n1, n2, data):
+        # integer grids force plenty of ties
+        ints = st.integers(min_value=-5, max_value=5)
+        s1 = np.array(data.draw(st.lists(ints, min_size=tasks * n1, max_size=tasks * n1)), float)
+        s2 = np.array(data.draw(st.lists(ints, min_size=tasks * n2, max_size=tasks * n2)), float)
+        s1, s2 = s1.reshape(tasks, n1), s2.reshape(tasks, n2)
+        batched = pairwise_kernel(s1, s2)
+        assert batched.shape == (tasks, n1, n2)
+        np.testing.assert_array_equal(
+            batched, np.stack([pairwise_kernel(a, b) for a, b in zip(s1, s2)])
+        )
+
+    def test_one_dimensional_shape_and_values(self):
+        np.testing.assert_array_equal(
+            pairwise_kernel(np.array([0.0, 2.0]), np.array([1.0, 2.0, 3.0])),
+            [[1.0, 1.0, 1.0], [0.0, 0.5, 1.0]],
+        )
+
+
 class TestZeroOneLoss:
     rule = LinearScoringRule(weights=np.array([1.0]), offset=0.0)
 

@@ -15,6 +15,7 @@ from cvlab.core import (
     Trainer,
     mw_kernel,
 )
+from cvlab import estimators
 from cvlab.estimators import (
     CoverageError,
     EstimationError,
@@ -376,6 +377,29 @@ class TestAucLpobs:
         a = auc_lpobs(FOUR_BY_FOUR, trainer, 40, 5).value
         b = auc_lpobs(FOUR_BY_FOUR, trainer, 40, 5).value
         assert a == b
+
+
+class TestPairBlocks:
+    def test_one_task_per_block_gives_identical_values(self, monkeypatch):
+        trainer = LdaTrainer(1e-6)
+        calls = [
+            lambda: auc_cvn(FOUR_BY_FOUR, trainer),
+            lambda: auc_cvk(FOUR_BY_FOUR, trainer, 2, 4, Variant.POOLED),
+            lambda: auc_cvk(FOUR_BY_FOUR, trainer, 2, 2, Variant.PARTITIONED),
+            lambda: auc_cvk(FOUR_BY_FOUR, trainer, 2, 2, Variant.REDUCED),
+            lambda: auc_cvkr(OVERLAP, trainer, 5, 5, 3, 4, Variant.POOLED),
+            lambda: auc_cvkr(OVERLAP, trainer, 5, 5, 3, 4, Variant.PARTITIONED),
+            lambda: auc_cvkm(FOUR_BY_FOUR, trainer, 2, 2, 5, 1, Variant.POOLED),
+            lambda: auc_cvkm(FOUR_BY_FOUR, trainer, 2, 2, 5, 1, Variant.PARTITIONED),
+            lambda: auc_lpobs(OVERLAP, trainer, 30, 2, variant=Variant.POOLED),
+            lambda: auc_lpobs(OVERLAP, trainer, 30, 2, variant=Variant.PARTITIONED),
+        ]
+        default = [call() for call in calls]
+        monkeypatch.setattr(estimators, "AUC_BLOCK_CELLS", 1)
+        blocked = [call() for call in calls]
+        for a, b in zip(default, blocked):
+            assert repr(a.value) == repr(b.value)
+            assert a.excluded_count == b.excluded_count
 
 
 class TestReportContract:

@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 from cvlab.combinatorics import inclusion_probability, pmf_unseen_count
 from cvlab.core import DivisibilityError, DomainError
 from cvlab.resampling import (
-    BootstrapReplicate,
     SamplingModel,
     bootstrap_counts_matrix,
-    bootstrap_replicate,
-    bootstrap_replicates,
     decode_stars_and_bars,
     derive_rng,
     derive_seed,
     enumerate_multiset_counts,
     make_partition,
-    pair_oob_indicators,
     repeated_partitions,
 )
 
@@ -109,24 +105,20 @@ class TestBootstrapSampling:
 
     def test_single_draw_matches_first_batch_row(self):
         for model in SamplingModel:
-            single = bootstrap_replicate(9, model, seed=42)
+            single = bootstrap_counts_matrix(9, 1, model, seed=42)
             batch = bootstrap_counts_matrix(9, 5, model, seed=42)
-            np.testing.assert_array_equal(single.counts, batch[0])
+            np.testing.assert_array_equal(single[0], batch[0])
 
     def test_replicate_invariants(self):
-        reps = bootstrap_replicates(6, 200, SamplingModel.UNORDERED_MULTISET, seed=3)
-        for rep in reps:
-            assert rep.counts.sum() == 6
-            assert 0 <= rep.unseen_count <= 5
-            np.testing.assert_array_equal(rep.oob, rep.counts == 0)
+        counts = bootstrap_counts_matrix(6, 200, SamplingModel.UNORDERED_MULTISET, seed=3)
+        assert (counts >= 0).all()
+        assert (counts.sum(axis=1) == 6).all()
+        unseen = (counts == 0).sum(axis=1)
+        assert unseen.min() >= 0 and unseen.max() <= 5
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
-            bootstrap_replicate(1, SamplingModel.ORDERED, seed=0)
-
-    def test_bad_counts_rejected(self):
-        with pytest.raises(DomainError):
-            BootstrapReplicate(np.array([2, 2]))  # sums to 4, n = 2
+            bootstrap_counts_matrix(1, 1, SamplingModel.ORDERED, seed=0)
 
     def test_multiset_unseen_pmf_concordance(self):
         # Pr[a_b = 1] for n = 3 is exactly 6/10 under the multiset model
@@ -158,28 +150,6 @@ class TestBootstrapSampling:
         p = float(inclusion_probability(n))
         se = (p * (1 - p) / 100_000) ** 0.5
         assert abs((counts[:, 0] > 0).mean() - p) < 3 * se
-
-
-class TestPairOob:
-    def test_outer_product(self):
-        rep1 = BootstrapReplicate(np.array([0, 2]))
-        rep2 = BootstrapReplicate(np.array([2, 0]))
-        np.testing.assert_array_equal(
-            pair_oob_indicators(rep1, rep2), np.array([[0, 1], [0, 0]])
-        )
-
-    def test_all_in_bag_gives_zero_matrix(self):
-        rep1 = BootstrapReplicate(np.array([1, 1]))
-        rep2 = BootstrapReplicate(np.array([1, 1]))
-        assert pair_oob_indicators(rep1, rep2).sum() == 0
-
-    def test_degenerate_single_observation_pair(self):
-        # n = 2 replicates with one oob index each give a 2x2 one-hot matrix
-        rep1 = BootstrapReplicate(np.array([2, 0]))
-        rep2 = BootstrapReplicate(np.array([0, 2]))
-        np.testing.assert_array_equal(
-            pair_oob_indicators(rep1, rep2), np.array([[0, 0], [1, 0]])
-        )
 
 
 class TestSeedDerivation:
