@@ -7,7 +7,8 @@ a seed is mandatory for any randomized run.  Outputs are written atomically
 (temp file + rename) so re-running a config overwrites rather than appends,
 and a fixed seed reproduces every output byte for byte.
 
-Exit codes: 0 success, 2 configuration or input error, 3 estimation error.
+Exit codes: 0 success, 1 when ``verify`` finds an identity that fails,
+2 configuration or input error, 3 estimation error.
 """
 
 from __future__ import annotations
@@ -138,11 +139,9 @@ _SCHEMAS: dict[str, dict[str, dict[str, str]]] = {
         },
         "trainer": {"id": "str", "ridge": "float"},
         "io": {"dataset": "str", "out_json": "str", "out_csv": "str"},
-        "run": {"threads": "int"},
     },
     "verify": {
         "verify": {"n_max": "int"},
-        "run": {"threads": "int"},
     },
     "simulate": {
         "data": {"p": "int", "delta": "float", "n1": "int", "n2": "int"},
@@ -154,7 +153,6 @@ _SCHEMAS: dict[str, dict[str, dict[str, str]]] = {
         },
         "trainer": {"id": "str", "ridge": "float"},
         "io": {"out_table": "str", "out_triples": "str", "out_manifest": "str"},
-        "run": {"threads": "int"},
     },
     "ratio-curve": {
         "curve": {
@@ -163,11 +161,9 @@ _SCHEMAS: dict[str, dict[str, dict[str, str]]] = {
         },
         "trainer": {"id": "str", "ridge": "float"},
         "io": {"out_csv": "str"},
-        "run": {"threads": "int"},
     },
     "decompose": {
         "io": {"input": "str", "out_json": "str", "out_csv": "str"},
-        "run": {"threads": "int"},
     },
 }
 
@@ -188,8 +184,6 @@ def validate_config(config: RunConfig) -> dict[str, dict[str, object]]:
                 out[section][key] = converter(raw)
             except (ValueError, KeyError) as exc:
                 raise DomainError(f"[{section}] {key}: bad value '{raw}' ({exc})") from None
-    if "run" in out and out["run"].get("threads", 1) < 1:
-        raise DomainError("[run] threads must be >= 1")
     return out
 
 
@@ -445,7 +439,13 @@ def cmd_decompose(config: RunConfig) -> int:
             header = next(reader, None)
             if header is None or [h.strip() for h in header[:2]] != ["s", "s_hat"]:
                 raise DomainError(f"{input_path}: expected header 's,s_hat'")
-            pairs = [(float(row[0]), float(row[1])) for row in reader if row]
+            pairs = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < 2:
+                    raise DomainError(f"{input_path}:{reader.line_num}: expected 2 fields")
+                pairs.append((float(row[0]), float(row[1])))
     except OSError as exc:
         raise DomainError(f"cannot read {input_path}: {exc}") from exc
     except ValueError as exc:

@@ -328,11 +328,28 @@ class TestDecompose:
         )
         assert cli.main(["decompose", str(config)]) == 2
 
+    def test_one_field_row_exits_2_naming_the_line(self, tmp_path, capsys):
+        paired = tmp_path / "short.csv"
+        paired.write_text("s,s_hat\n0.5,0.1\n0.7\n")
+        config = write_config(
+            tmp_path, "short.ini", f"[io]\ninput = {paired}\nout_json = {tmp_path/'o.json'}\n"
+        )
+        assert cli.main(["decompose", str(config)]) == 2
+        assert f"{paired}:3: expected 2 fields" in capsys.readouterr().err
+
 
 class TestConfigParsing:
     def test_unknown_section_rejected(self, tmp_path):
         config = write_config(tmp_path, "weird.ini", "[verify]\nn_max = 5\n\n[extra]\nx = 1\n")
         assert cli.main(["verify", str(config)]) == 2
+
+    @pytest.mark.parametrize(
+        "subcommand", ["estimate", "verify", "simulate", "ratio-curve", "decompose"]
+    )
+    def test_run_section_is_unknown(self, tmp_path, capsys, subcommand):
+        config = write_config(tmp_path, "run.ini", "[run]\nthreads = 2\n")
+        assert cli.main([subcommand, str(config)]) == 2
+        assert "unknown config section [run]" in capsys.readouterr().err
 
     def test_missing_file(self):
         assert cli.main(["verify", "/nonexistent/path.ini"]) == 2
