@@ -34,9 +34,9 @@ One computation serves every version and variant.  A grid of training tasks
 (rows) meets a set of test units (columns): the pooled observations for
 error, the n1*n2 (class-1, class-2) pairs for AUC.  Task r trains on a weight
 vector over the observations (0/1 for a fold complement, counts for a
-bootstrap replicate) and tests exactly the observations it gave zero weight,
-or for AUC the pairs of two of them.  Every (task, unit) cell holds a loss:
-the zero-one loss, or the rank kernel.
+bootstrap replicate) and tests exactly the observations it gave zero weight;
+an AUC task tests the pairs whose two observations it both left out.  Every
+(task, unit) cell holds a loss: the zero-one loss, or the rank kernel.
 
 - *Pooled*: per unit, the tested losses summed over tasks over the number of
   tasks testing it; then the mean over units.  Units never tested are dropped
@@ -48,9 +48,11 @@ the zero-one loss, or the rank kernel.
   Tasks testing nothing (all-in-bag replicates) are skipped and counted.
 
 The estimators differ only in their tasks: CVK has K (CVN is K = n), CVKR
-M*K, CVKM M each testing fold 1, LOOB one per replicate; AUC tasks pair a
-class-1 fold with a class-2 fold.  A pooled bootstrap replicate that lost a
-class is redrawn from a derived seed, up to 100 attempts.
+M*K, CVKM M each testing fold 1, LOOB one per replicate.  An AUC fold task
+leaves out one fold of each class (all K1*K2 fold pairs, or the K diagonal
+ones for the reduced variant); an AUC bootstrap task pairs the two classes'
+replicates.  A pooled bootstrap replicate that lost a class is redrawn from
+a derived seed, up to 100 attempts.
 
 All tasks are scored in one :func:`task_scores` call: batched through a
 trainer's ``weighted_scores(X, labels, weights, X_eval)`` hook, or task by
@@ -84,9 +86,9 @@ from cvlab.resampling import (
 
 MAX_ONE_CLASS_RETRIES = 100
 
-# Upper bound on the (task, pair) cells of one AUC block: an estimator with
-# many tasks (CVN has n1*n2) is scored in blocks of about this size.
-AUC_BLOCK_CELLS = 1 << 20
+# Upper bound on the gathered (task, pair) cells that one AUC block scores at
+# once: it bounds the memory of estimators with many tasks (CVN has n1*n2).
+AUC_BLOCK_CELLS = 1 << 18
 
 
 class EstimationError(RuntimeError):
@@ -225,12 +227,8 @@ def task_scores(
 
 @dataclass(frozen=True)
 class VariantValues:
-    """Both variants of one estimator run, with what each had to leave out.
-
-    ``pooled`` is None when no unit was ever tested, ``partitioned`` when no
-    task tested any unit; ``uncovered`` counts the units the pooled variant
-    dropped and ``skipped`` the tasks the partitioned variant skipped.
-    """
+    """Both variants of one estimator run (None where undefined), with the
+    units the pooled variant dropped and the tasks the partitioned one skipped."""
 
     pooled: float | None
     uncovered: int
@@ -253,25 +251,21 @@ class VariantValues:
         raise DomainError(f"variant {variant.value} not defined for this estimator")
 
 
-def _ratio_of_sums(
-    blocks: Iterable[tuple[np.ndarray, np.ndarray]], tasks_per_run: int, unit: str
-) -> VariantValues:
-    """Pooled and partitioned values from (loss, test) blocks of consecutive tasks.
+def _ratio_of_sums(sums: Iterable[tuple], tasks_per_run: int, unit: str) -> VariantValues:
+    """Pooled and partitioned values of a tasks x units grid of tested losses.
 
-    Each block holds two (tasks, units) arrays: the loss of every cell and
-    whether the task tests the unit.  Pooled is the mean over units of a
-    ratio of sums over tasks; partitioned is the mean over runs of the mean
-    over each run's ``tasks_per_run`` tasks of a ratio of sums over units.
+    ``sums`` yields one tuple per block of consecutive tasks: per unit, the
+    tested losses and the tested cells summed over the block's tasks; then
+    per task, the same summed over units.  Pooled is the mean over units of
+    the ratio of the unit sums; partitioned is the mean over runs of the mean
+    over each run's ``tasks_per_run`` tasks of the ratio of the task sums.
     """
     unit_sums = unit_hits = 0
-    task_sums, task_hits = [], []
-    for loss, test in blocks:
-        tested = loss * test
-        unit_sums = unit_sums + tested.sum(axis=0)
-        unit_hits = unit_hits + test.sum(axis=0)
-        task_sums.append(tested.sum(axis=1))
-        task_hits.append(test.sum(axis=1))
-    task_sums, task_hits = np.concatenate(task_sums), np.concatenate(task_hits)
+    per_task = []
+    for block_unit_sums, block_unit_hits, *block_task_sums in sums:
+        unit_sums, unit_hits = unit_sums + block_unit_sums, unit_hits + block_unit_hits
+        per_task.append(block_task_sums)
+    task_sums, task_hits = (np.concatenate(a) for a in zip(*per_task))
     covered = unit_hits > 0
     usable = task_hits > 0
     pooled = partitioned = None
@@ -285,14 +279,29 @@ def _ratio_of_sums(
     )
 
 
-def _pair_blocks(scores: np.ndarray, test: np.ndarray, n1: int):
-    """(kernel, pair test) blocks of at most about AUC_BLOCK_CELLS cells."""
-    n_pairs = n1 * (scores.shape[1] - n1)
-    step = max(1, AUC_BLOCK_CELLS // n_pairs)
-    for start in range(0, scores.shape[0], step):
-        s, t = scores[start : start + step], test[start : start + step]
-        kernel = pairwise_kernel(s[:, :n1], s[:, n1:]).reshape(len(s), n_pairs)
-        yield kernel, (t[:, :n1, None] & t[:, None, n1:]).reshape(len(s), n_pairs)
+def _pair_sums(scores: np.ndarray, test: np.ndarray, n1: int):
+    """``_ratio_of_sums`` blocks for AUC, the units being the pairs i * n2 + j.
+
+    Each task's tested observations of each class are gathered first, in
+    index order and padded to the most any task tests, so a block scores at
+    most about AUC_BLOCK_CELLS gathered pairs in one ``pairwise_kernel`` call.
+    """
+
+    def gather(part):
+        t = test[:, part]
+        order = np.argsort(~t, axis=1, kind="stable")[:, : max(1, t.sum(axis=1).max())]
+        return order, np.take_along_axis(t, order, 1), np.take_along_axis(scores[:, part], order, 1)
+
+    (rows, ok1, s1), (cols, ok2, s2) = gather(slice(None, n1)), gather(slice(n1, None))
+    n2 = test.shape[1] - n1
+    step = max(1, AUC_BLOCK_CELLS // (rows.shape[1] * cols.shape[1]))
+    for start in range(0, len(test), step):
+        block = slice(start, start + step)
+        ok = ok1[block, :, None] & ok2[block, None, :]
+        loss = pairwise_kernel(s1[block], s2[block]) * ok
+        pair = (rows[block, :, None] * n2 + cols[block, None, :]).ravel()
+        yield (np.bincount(pair, loss.ravel(), n1 * n2), np.bincount(pair, ok.ravel(), n1 * n2),
+               loss.sum(axis=(1, 2)), ok.sum(axis=(1, 2)))
 
 
 def _estimate(
@@ -304,17 +313,16 @@ def _estimate(
     tasks_per_run: int = 1,
     th: float = 0.0,
 ) -> VariantValues:
-    """Train every task of ``weights`` (tasks, n1+n2) once; both variants.
-
-    Columns follow ``dataset.pooled()``: class 1, then class 2.
-    """
+    """Both variants after training each task of ``weights`` once; the
+    (tasks, n1+n2) weights follow ``dataset.pooled()``: class 1, then class 2."""
     features, labels = dataset.pooled()
     scores = task_scores(trainer, features, labels, weights, context)
     test = weights == 0  # built after training, so it is not alive during it
     if metric is Metric.ERROR:
-        loss = (scores >= float(th)) != (labels == 2)
-        return _ratio_of_sums([(loss, test)], tasks_per_run, "observation")
-    return _ratio_of_sums(_pair_blocks(scores, test, dataset.n1), tasks_per_run, "pair")
+        loss = ((scores >= float(th)) != (labels == 2)) & test
+        sums = [(loss.sum(axis=0), test.sum(axis=0), loss.sum(axis=1), test.sum(axis=1))]
+        return _ratio_of_sums(sums, tasks_per_run, "observation")
+    return _ratio_of_sums(_pair_sums(scores, test, dataset.n1), tasks_per_run, "pair")
 
 
 def _fold_weights(assign: np.ndarray, folds: np.ndarray) -> np.ndarray:
@@ -654,8 +662,7 @@ def auc_lpobs(
     counts1 = bootstrap_counts_matrix(dataset.n1, n_bootstrap, model, derive_seed(seed, "class1"))
     counts2 = bootstrap_counts_matrix(dataset.n2, n_bootstrap, model, derive_seed(seed, "class2"))
     values = _estimate(
-        dataset, trainer, Metric.AUC, np.hstack([counts1, counts2]),
-        lambda b: f"replicate {b}",
+        dataset, trainer, Metric.AUC, np.hstack([counts1, counts2]), lambda b: f"replicate {b}"
     )
     return _report(
         Version.LOOB, variant, Metric.AUC,
