@@ -328,7 +328,7 @@ def _estimate(
 def _fold_weights(assign: np.ndarray, folds: np.ndarray) -> np.ndarray:
     """(runs, len(folds), n) 0/1 weights: task (r, f) trains outside fold
     ``folds[f]`` of run r.  ``assign`` is (runs, n) or one (n,) map."""
-    assign = np.asarray(assign).reshape(-1, np.shape(assign)[-1])
+    assign = np.atleast_2d(assign)
     return (assign[:, None, :] != np.asarray(folds)[None, :, None]).astype(int)
 
 
