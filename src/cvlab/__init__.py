@@ -4,8 +4,8 @@ The package is organized around five concerns:
 
 - ``core``          domain primitives: stratified two-class datasets, scoring
                     rules, the zero-one loss, and the Mann-Whitney AUC kernel.
-- ``resampling``    fold-assignment maps (deterministic and seeded-random) and
-                    bootstrap replicate generation under two sampling models.
+- ``resampling``    fold maps as int arrays of fold ids, (n,) or seeded (M, n),
+                    and bootstrap replicate generation under two sampling models.
 - ``combinatorics`` exact rational identities for bootstrap out-of-bag counts.
 - ``estimators``    every cross-validation / bootstrap estimator version and
                     variant, for error rate and AUC.

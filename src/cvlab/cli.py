@@ -48,20 +48,6 @@ class RunConfig:
     subcommand: str
     sections: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
 
-    def get(self, section: str, key: str, default: str | None = None) -> str | None:
-        for name, items in self.sections:
-            if name == section:
-                for k, v in items:
-                    if k == key:
-                        return v
-        return default
-
-    def section(self, name: str) -> dict[str, str]:
-        for sec, items in self.sections:
-            if sec == name:
-                return dict(items)
-        return {}
-
     def render(self) -> str:
         lines = []
         for name, items in self.sections:

@@ -369,7 +369,7 @@ def err_cvn(dataset: StratifiedDataset, trainer: Trainer, th: float = 0.0) -> Es
         raise DomainError("err_cvn requires n >= 2")
     partition = make_partition(dataset.n, dataset.n)
     folds = [_folds(dataset.n)]
-    values = _fold_tasks(dataset, trainer, Metric.ERROR, [partition.assign], folds, th)
+    values = _fold_tasks(dataset, trainer, Metric.ERROR, [partition], folds, th)
     return _report(
         Version.CVN, Variant.POOLED, Metric.ERROR, _echo(dataset, trainer, th=th), values
     )
@@ -392,7 +392,7 @@ def err_cvk(
     if n_folds < 2:
         raise DomainError("err_cvk requires K >= 2")
     partition = make_partition(dataset.n, n_folds, perm)
-    values = _fold_tasks(dataset, trainer, Metric.ERROR, [partition.assign], [_folds(n_folds)], th)
+    values = _fold_tasks(dataset, trainer, Metric.ERROR, [partition], [_folds(n_folds)], th)
     return _report(
         Version.CVK, variant, Metric.ERROR,
         _echo(dataset, trainer, th=th, n_folds=n_folds), values,
@@ -417,7 +417,7 @@ def err_cvkr(
     if n_folds < 2:
         raise DomainError("err_cvkr requires K >= 2")
     repeated = repeated_partitions(dataset.n, n_folds, repetitions, seed)
-    values = _fold_tasks(dataset, trainer, Metric.ERROR, [repeated.assign], [_folds(n_folds)], th)
+    values = _fold_tasks(dataset, trainer, Metric.ERROR, [repeated], [_folds(n_folds)], th)
     return _report(
         Version.CVKR, variant, Metric.ERROR,
         _echo(dataset, trainer, th=th, n_folds=n_folds, repetitions=repetitions, seed=seed),
@@ -446,7 +446,7 @@ def err_cvkm(
     if n_folds < 2:
         raise DomainError("err_cvkm requires K >= 2")
     repeated = repeated_partitions(dataset.n, n_folds, repetitions, seed)
-    values = _fold_tasks(dataset, trainer, Metric.ERROR, [repeated.assign], [_folds(1)], th)
+    values = _fold_tasks(dataset, trainer, Metric.ERROR, [repeated], [_folds(1)], th)
     return _report(
         Version.CVKM, variant, Metric.ERROR,
         _echo(dataset, trainer, th=th, n_folds=n_folds, repetitions=repetitions, seed=seed),
@@ -540,7 +540,7 @@ def auc_cvn(dataset: StratifiedDataset, trainer: Trainer) -> EstimatorReport:
     part1 = make_partition(dataset.n1, dataset.n1)
     part2 = make_partition(dataset.n2, dataset.n2)
     values = _fold_tasks(
-        dataset, trainer, Metric.AUC, [part1.assign, part2.assign],
+        dataset, trainer, Metric.AUC, [part1, part2],
         _fold_grid(dataset.n1, dataset.n2),
     )
     return _report(Version.CVN, Variant.POOLED, Metric.AUC, _echo(dataset, trainer), values)
@@ -573,16 +573,17 @@ def auc_cvk(
         folds = [_folds(n_folds1)] * 2
     else:
         folds = _fold_grid(n_folds1, n_folds2)
-    values = _fold_tasks(dataset, trainer, Metric.AUC, [part1.assign, part2.assign], folds)
+    values = _fold_tasks(dataset, trainer, Metric.AUC, [part1, part2], folds)
     value, _ = values.pick(Variant.PARTITIONED if variant is Variant.REDUCED else variant)
     config = _echo(dataset, trainer, n_folds1=n_folds1, n_folds2=n_folds2)
     return EstimatorReport(value, Version.CVK, variant, Metric.AUC, config)
 
 
 def _stratified_repeats(dataset, n_folds1, n_folds2, repetitions, seed):
-    rep1 = repeated_partitions(dataset.n1, n_folds1, repetitions, derive_seed(seed, "class1"))
-    rep2 = repeated_partitions(dataset.n2, n_folds2, repetitions, derive_seed(seed, "class2"))
-    return [rep1.assign, rep2.assign]
+    return [
+        repeated_partitions(dataset.n1, n_folds1, repetitions, derive_seed(seed, "class1")),
+        repeated_partitions(dataset.n2, n_folds2, repetitions, derive_seed(seed, "class2")),
+    ]
 
 
 def auc_cvkr(

@@ -2,11 +2,13 @@
 
 Fold maps
 ---------
-The canonical K-fold assignment over n observations (K must divide n, folds of
-size n_K = n/K) places observation i (1-based) in fold ceil(i / n_K), i.e.
-contiguous blocks.  A randomized assignment composes the canonical map with a
-uniformly random permutation; repeating that M times gives the repeated-CV
-fold maps.
+A fold map is an int array of fold ids 1..K: (n,) for one run, (M, n) for M
+runs.  The canonical map over n observations (K divides n, folds of size
+n_K = n/K) puts observation i (1-based) in fold ceil(i / n_K).  A randomized
+map composes it with a uniform permutation; the repeated-CV maps take row m
+from permutation stream m.  They are memoized, since one study asks for the
+same (n, K, M, seed) several times (CVKR, pooled and partitioned CVKM); the
+cached array is shared between callers, so it is read-only.
 
 Bootstrap sampling models
 -------------------------
@@ -31,7 +33,6 @@ streams can be drawn in any order without interfering.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
@@ -43,6 +44,9 @@ from cvlab.core import DivisibilityError, DomainError
 
 
 def derive_seed_sequence(seed: int, tag: str, counter: int = 0) -> np.random.SeedSequence:
+    """Seed sequence of stream (seed, tag, counter); seeds must be non-negative."""
+    if int(seed) < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     return np.random.SeedSequence(
         entropy=int(seed), spawn_key=(zlib.crc32(tag.encode("utf-8")), int(counter))
     )
@@ -58,86 +62,33 @@ def derive_seed(seed: int, tag: str, counter: int = 0) -> int:
     return int(derive_seed_sequence(seed, tag, counter).generate_state(1, np.uint64)[0] >> 1)
 
 
-@dataclass(frozen=True, eq=False)
-class PartitionMap:
-    """Assignment of n observations to K equal folds.
-
-    ``assign[i]`` is the fold (1..K) of observation i (0-based position).
-    """
-
-    n: int
-    n_folds: int
-    assign: np.ndarray
-
-    def __post_init__(self):
-        if self.n_folds < 1 or self.n < 1:
-            raise DomainError("n and K must be positive")
-        if self.n % self.n_folds != 0:
-            raise DivisibilityError(f"K={self.n_folds} does not divide n={self.n}")
-        assign = np.asarray(self.assign, dtype=int)
-        if assign.shape != (self.n,):
-            raise DomainError("assign must have length n")
-        size = self.n // self.n_folds
-        counts = np.bincount(assign, minlength=self.n_folds + 1)
-        if counts[0] != 0 or assign.min() < 1 or assign.max() > self.n_folds:
-            raise DomainError("fold ids must lie in 1..K")
-        if not np.all(counts[1:] == size):
-            raise DomainError("every fold must contain exactly n/K observations")
-        assign = assign.copy()
-        assign.flags.writeable = False
-        object.__setattr__(self, "assign", assign)
-
-    @property
-    def fold_size(self) -> int:
-        return self.n // self.n_folds
-
-    def fold_members(self, k: int) -> np.ndarray:
-        """0-based indices of the observations in fold k (1..K)."""
-        return np.flatnonzero(self.assign == k)
-
-
-@dataclass(frozen=True, eq=False)
-class RepeatedPartition:
-    """M independently shuffled K-fold maps, reproducible from the seed."""
-
-    maps: tuple[PartitionMap, ...]
-    repetitions: int
-    seed: int
-
-    def __post_init__(self):
-        if self.repetitions != len(self.maps) or self.repetitions < 1:
-            raise DomainError("repetitions must match the number of maps")
-
-    @property
-    def assign(self) -> np.ndarray:
-        """(M, n) fold assignments, one row per repetition."""
-        return np.stack([pm.assign for pm in self.maps])
-
-
 class SamplingModel(Enum):
     ORDERED = "ordered"
     UNORDERED_MULTISET = "unordered-multiset"
 
 
-def make_partition(n: int, n_folds: int, perm: Sequence[int] | None = None) -> PartitionMap:
-    """Contiguous-block K-fold map, optionally composed with a permutation.
-
-    ``perm``, when given, lists 1-based images: observation at position i
-    (0-based) is assigned the fold of perm[i] under the canonical map.
-    """
+def _fold_size(n: int, n_folds: int) -> int:
     if n < 1 or n_folds < 1:
         raise DomainError("n and K must be positive")
     if n % n_folds != 0:
         raise DivisibilityError(f"K={n_folds} does not divide n={n}")
-    size = n // n_folds
+    return n // n_folds
+
+
+def make_partition(n: int, n_folds: int, perm: Sequence[int] | None = None) -> np.ndarray:
+    """(n,) fold ids 1..K: contiguous blocks, optionally composed with a permutation.
+
+    ``perm``, when given, lists 1-based images: observation at position i
+    (0-based) is assigned the fold of perm[i] under the canonical map.
+    """
+    size = _fold_size(n, n_folds)
     if perm is None:
         images = np.arange(1, n + 1)
     else:
         images = np.asarray(perm, dtype=int)
         if images.shape != (n,) or not np.array_equal(np.sort(images), np.arange(1, n + 1)):
             raise DomainError("perm must be a permutation of 1..n")
-    assign = (images - 1) // size + 1
-    return PartitionMap(n=n, n_folds=n_folds, assign=assign)
+    return (images - 1) // size + 1
 
 
 def random_permutation(n: int, seed: int, counter: int = 0) -> np.ndarray:
@@ -147,19 +98,15 @@ def random_permutation(n: int, seed: int, counter: int = 0) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> RepeatedPartition:
-    """M shuffled K-fold maps; repetition m uses stream counter m.
-
-    Results are immutable and memoized, so the two variants of an estimator
-    can share one set of maps.
-    """
+def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np.ndarray:
+    """Read-only (M, n) fold ids; row m maps ``random_permutation(n, seed, m)``."""
     if repetitions < 1:
         raise DomainError("repetitions must be >= 1")
-    maps = tuple(
-        make_partition(n, n_folds, random_permutation(n, seed, m))
-        for m in range(repetitions)
-    )
-    return RepeatedPartition(maps=maps, repetitions=repetitions, seed=seed)
+    size = _fold_size(n, n_folds)
+    images = np.stack([random_permutation(n, seed, m) for m in range(repetitions)])
+    assign = (images - 1) // size + 1
+    assign.flags.writeable = False
+    return assign
 
 
 def decode_stars_and_bars(subset: Sequence[int], n: int) -> np.ndarray:

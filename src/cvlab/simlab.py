@@ -184,14 +184,12 @@ class LdaTrainer(Trainer):
         total = counts.sum(axis=1)
         if np.any(total < 3):
             raise EstimationError("lda needs at least three observations")
-        second = np.einsum("bi,ip,iq->bpq", counts, X, X)
-        scatter = (
-            second
-            - n1[:, None, None] * mean1[:, :, None] * mean1[:, None, :]
-            - n2[:, None, None] * mean2[:, :, None] * mean2[:, None, :]
-        )
-        p = X.shape[1]
-        cov = scatter / (total - 2.0)[:, None, None] + self.ridge * np.eye(p)
+        # One (B, p, p) buffer updated in place: second moments, scatter, covariance.
+        cov = np.einsum("bi,ip,iq->bpq", counts, X, X)
+        cov -= n1[:, None, None] * mean1[:, :, None] * mean1[:, None, :]
+        cov -= n2[:, None, None] * mean2[:, :, None] * mean2[:, None, :]
+        cov /= (total - 2.0)[:, None, None]
+        cov += self.ridge * np.eye(X.shape[1])
         try:
             directions = np.linalg.solve(cov, (mean2 - mean1)[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
@@ -199,14 +197,6 @@ class LdaTrainer(Trainer):
         if not np.all(np.isfinite(directions)):
             raise EstimationError("lda produced non-finite coefficients")
         return _linear_batch_scores(directions, mean1, mean2, np.asarray(X_eval, dtype=float))
-
-
-def train_nearest_mean(dataset: StratifiedDataset) -> ScoringRule:
-    return NearestMeanTrainer().train(dataset)
-
-
-def train_lda(dataset: StratifiedDataset, ridge: float = 0.0) -> ScoringRule:
-    return LdaTrainer(ridge).train(dataset)
 
 
 _TRAINERS = {

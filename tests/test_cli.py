@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +285,62 @@ out_csv = {out}
         first = out.read_bytes()
         assert cli.main(["ratio-curve", str(config)]) == 0
         assert out.read_bytes() == first
+
+
+NEGATIVE_SEED_CONFIGS = {
+    "estimate": """
+[estimator]
+version = CVKR
+variant = pooled
+metric = error
+K = 3
+M = 2
+seed = -1
+
+[trainer]
+id = nearest-mean
+
+[io]
+dataset = {dataset}
+out_json = {out}
+""",
+    "simulate": SIMULATE_TEMPLATE.replace("seed = 31", "seed = -5"),
+    "ratio-curve": """
+[curve]
+n1_grid = 3
+B = 10
+replicates = 2
+seed = -3
+
+[trainer]
+id = nearest-mean
+
+[io]
+out_csv = {out}
+""",
+}
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("subcommand", sorted(NEGATIVE_SEED_CONFIGS))
+    def test_exits_2_without_traceback(self, tmp_path, dataset_csv, subcommand):
+        out = tmp_path / "out.txt"
+        text = NEGATIVE_SEED_CONFIGS[subcommand].format(
+            dataset=dataset_csv, out=out, table=out, triples=tmp_path / "t.csv",
+            manifest=tmp_path / "m.ini",
+        )
+        config = write_config(tmp_path, "negative-seed.ini", text)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvlab.cli", subcommand, str(config)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert "error: seed must be non-negative" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestDecompose:

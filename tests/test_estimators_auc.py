@@ -83,8 +83,8 @@ def oracle_cell_kernel(dataset, trainer, assign1, assign2, k1, k2):
 
 
 def oracle_auc_cvk(dataset, trainer, n_folds1, n_folds2, variant, perms=(None, None)):
-    assign1 = make_partition(dataset.n1, n_folds1, perms[0]).assign
-    assign2 = make_partition(dataset.n2, n_folds2, perms[1]).assign
+    assign1 = make_partition(dataset.n1, n_folds1, perms[0])
+    assign2 = make_partition(dataset.n2, n_folds2, perms[1])
     cell_means = []
     pooled_total = 0.0
     for k1 in range(1, n_folds1 + 1):
@@ -103,7 +103,7 @@ def oracle_auc_cvkr(dataset, trainer, n_folds1, n_folds2, repetitions, seed, var
     pooled_runs = []
     partitioned_runs = []
     for m in range(repetitions):
-        a1, a2 = rep1.maps[m].assign, rep2.maps[m].assign
+        a1, a2 = rep1[m], rep2[m]
         cell_means = []
         pooled_total = 0.0
         for k1 in range(1, n_folds1 + 1):
@@ -127,7 +127,7 @@ def oracle_auc_cvkm(dataset, trainer, n_folds1, n_folds2, repetitions, seed):
     pair_hits = np.zeros((dataset.n1, dataset.n2))
     run_means = []
     for m in range(repetitions):
-        a1, a2 = rep1.maps[m].assign, rep2.maps[m].assign
+        a1, a2 = rep1[m], rep2[m]
         rule = train_pair_subset(trainer, dataset, a1 != 1, a2 != 1)
         values = []
         for i in np.flatnonzero(a1 == 1):
@@ -252,7 +252,7 @@ class TestAucCvk:
 
     def test_reduced_matches_matched_fold_oracle(self):
         trainer = NearestMeanTrainer()
-        assign = make_partition(4, 2).assign
+        assign = make_partition(4, 2)
         cell_means = [
             oracle_cell_kernel(FOUR_BY_FOUR, trainer, assign, assign, k, k)[0]
             for k in (1, 2)

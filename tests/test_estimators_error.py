@@ -79,7 +79,7 @@ def oracle_fold_losses(dataset, trainer, assign, th=0.0):
 
 
 def oracle_cvk(dataset, trainer, n_folds, variant, th=0.0, perm=None):
-    assign = make_partition(dataset.n, n_folds, perm).assign
+    assign = make_partition(dataset.n, n_folds, perm)
     losses = oracle_fold_losses(dataset, trainer, assign, th)
     if variant is Variant.POOLED:
         return losses.mean()
@@ -88,15 +88,13 @@ def oracle_cvk(dataset, trainer, n_folds, variant, th=0.0, perm=None):
 
 
 def oracle_cvkr(dataset, trainer, n_folds, repetitions, seed, variant, th=0.0):
-    maps = repeated_partitions(dataset.n, n_folds, repetitions, seed).maps
-    all_losses = np.array(
-        [oracle_fold_losses(dataset, trainer, pm.assign, th) for pm in maps]
-    )
+    maps = repeated_partitions(dataset.n, n_folds, repetitions, seed)
+    all_losses = np.array([oracle_fold_losses(dataset, trainer, a, th) for a in maps])
     if variant is Variant.POOLED:
         return float(all_losses.mean(axis=0).mean())
     run_values = []
-    for m, pm in enumerate(maps):
-        per_fold = [all_losses[m][pm.assign == k].mean() for k in range(1, n_folds + 1)]
+    for m, assign in enumerate(maps):
+        per_fold = [all_losses[m][assign == k].mean() for k in range(1, n_folds + 1)]
         run_values.append(np.mean(per_fold))
     return float(np.mean(run_values))
 
@@ -104,14 +102,14 @@ def oracle_cvkr(dataset, trainer, n_folds, repetitions, seed, variant, th=0.0):
 def oracle_cvkm(dataset, trainer, n_folds, repetitions, seed, th=0.0):
     """Both Monte-Carlo CV variants from one loop over the runs."""
     features, labels = dataset.pooled()
-    maps = repeated_partitions(dataset.n, n_folds, repetitions, seed).maps
+    maps = repeated_partitions(dataset.n, n_folds, repetitions, seed)
     n = len(labels)
     num = np.zeros(n)
     hits = np.zeros(n)
     run_means = []
-    for pm in maps:
-        rule = train_on_pool(trainer, features, labels, pm.assign != 1)
-        members = np.flatnonzero(pm.assign == 1)
+    for assign in maps:
+        rule = train_on_pool(trainer, features, labels, assign != 1)
+        members = np.flatnonzero(assign == 1)
         fold_losses = [loss_of(rule, features[i], labels[i], th) for i in members]
         num[members] += fold_losses
         hits[members] += 1

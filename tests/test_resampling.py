@@ -15,20 +15,21 @@ from cvlab.resampling import (
     derive_seed,
     enumerate_multiset_counts,
     make_partition,
+    random_permutation,
     repeated_partitions,
 )
 
 
 class TestMakePartition:
     def test_contiguous_blocks(self):
-        assert list(make_partition(6, 3).assign) == [1, 1, 2, 2, 3, 3]
+        assert list(make_partition(6, 3)) == [1, 1, 2, 2, 3, 3]
 
     def test_loo_special_case(self):
-        assert list(make_partition(4, 4).assign) == [1, 2, 3, 4]
+        assert list(make_partition(4, 4)) == [1, 2, 3, 4]
 
     def test_with_permutation(self):
         # assign(i) is the canonical fold of perm(i), computed by hand
-        assert list(make_partition(4, 2, [3, 1, 4, 2]).assign) == [2, 1, 2, 1]
+        assert list(make_partition(4, 2, [3, 1, 4, 2])) == [2, 1, 2, 1]
 
     def test_divisibility_enforced(self):
         with pytest.raises(DivisibilityError):
@@ -45,10 +46,10 @@ class TestMakePartition:
         n = folds * size
         rng = np.random.default_rng(n)
         perm = list(rng.permutation(n) + 1)
-        pm = make_partition(n, folds, perm)
+        assign = make_partition(n, folds, perm)
         seen = []
         for k in range(1, folds + 1):
-            members = pm.fold_members(k)
+            members = np.flatnonzero(assign == k)
             assert members.size == size
             seen.extend(members.tolist())
         assert sorted(seen) == list(range(n))
@@ -57,26 +58,46 @@ class TestMakePartition:
 class TestRepeatedPartitions:
     def test_fold_sizes(self):
         rp = repeated_partitions(6, 3, 1, seed=11)
-        assert all(rp.maps[0].fold_members(k).size == 2 for k in (1, 2, 3))
+        assert rp.shape == (1, 6)
+        assert all(np.flatnonzero(rp[0] == k).size == 2 for k in (1, 2, 3))
 
     def test_deterministic(self):
         a = repeated_partitions(6, 3, 50, seed=5)
         b = repeated_partitions(6, 3, 50, seed=5)
-        for ma, mb in zip(a.maps, b.maps):
-            np.testing.assert_array_equal(ma.assign, mb.assign)
+        for ma, mb in zip(a, b):
+            np.testing.assert_array_equal(ma, mb)
 
     def test_seed_changes_maps(self):
         a = repeated_partitions(8, 2, 4, seed=1)
         b = repeated_partitions(8, 2, 4, seed=2)
-        assert any(
-            not np.array_equal(ma.assign, mb.assign) for ma, mb in zip(a.maps, b.maps)
-        )
+        assert any(not np.array_equal(ma, mb) for ma, mb in zip(a, b))
+
+    @pytest.mark.parametrize("n,folds,reps,seed", [(6, 3, 5, 0), (8, 2, 7, 11), (10, 5, 3, 2**40)])
+    def test_row_m_is_stream_m(self, n, folds, reps, seed):
+        rp = repeated_partitions(n, folds, reps, seed)
+        assert rp.shape == (reps, n)
+        for m in range(reps):
+            want = make_partition(n, folds, random_permutation(n, seed, m))
+            np.testing.assert_array_equal(rp[m], want)
+
+    def test_shared_array_is_read_only(self):
+        rp = repeated_partitions(6, 3, 2, seed=4)
+        with pytest.raises(ValueError):
+            rp[0, 0] = 2
+
+    def test_validation(self):
+        with pytest.raises(DivisibilityError):
+            repeated_partitions(7, 3, 2, seed=0)
+        with pytest.raises(DomainError):
+            repeated_partitions(6, 3, 0, seed=0)
+        with pytest.raises(DomainError):
+            repeated_partitions(6, 3, 2, seed=-1)
 
     def test_loo_shuffles_are_relabeled_singletons(self):
         rp = repeated_partitions(6, 6, 3, seed=3)
-        for pm in rp.maps:
+        for assign in rp:
             for k in range(1, 7):
-                assert pm.fold_members(k).size == 1
+                assert np.flatnonzero(assign == k).size == 1
 
 
 class TestStarsAndBars:

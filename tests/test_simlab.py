@@ -24,8 +24,6 @@ from cvlab.simlab import (
     run_ratio_curve,
     run_weak_correlation,
     trainer_from_id,
-    train_lda,
-    train_nearest_mean,
     true_conditional_performance,
     truncate_count,
     truncate_per_class,
@@ -85,13 +83,13 @@ class TestGenMultinormal:
 class TestNearestMean:
     def test_symmetric_midpoint_scores_zero(self):
         ds = StratifiedDataset(np.array([[-1.0]]), np.array([[1.0]]))
-        rule = train_nearest_mean(ds)
+        rule = NearestMeanTrainer().train(ds)
         assert rule.score(np.array([0.0])) == 0.0
 
     def test_class2_mean_scores_positive(self):
         rng = np.random.default_rng(2)
         ds = StratifiedDataset(rng.normal(0, 1, (10, 3)), rng.normal(1, 1, (10, 3)))
-        rule = train_nearest_mean(ds)
+        rule = NearestMeanTrainer().train(ds)
         assert rule.score(ds.class2.mean(axis=0)) > 0
 
     def test_coefficients_by_hand(self):
@@ -99,7 +97,7 @@ class TestNearestMean:
             np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([[3.0, 1.0], [5.0, 3.0]])
         )
         # m1 = (1, 0), m2 = (4, 2): w = (3, 2), offset = -w.(m1+m2)/2 = -9.5
-        rule = train_nearest_mean(ds)
+        rule = NearestMeanTrainer().train(ds)
         np.testing.assert_allclose(rule.weights, [3.0, 2.0])
         assert rule.offset == pytest.approx(-9.5)
 
@@ -108,8 +106,8 @@ class TestLda:
     def test_identity_covariance_approaches_nearest_mean(self):
         spec = MultinormalSpec(p=3, delta=1.0, n1=60_000, n2=60_000)
         ds = gen_multinormal(spec, seed=11)
-        lda = train_lda(ds)
-        nm = train_nearest_mean(ds)
+        lda = LdaTrainer().train(ds)
+        nm = NearestMeanTrainer().train(ds)
         cos = (lda.weights @ nm.weights) / (
             np.linalg.norm(lda.weights) * np.linalg.norm(nm.weights)
         )
@@ -118,7 +116,7 @@ class TestLda:
     def test_one_dimensional_score_is_affine_increasing(self):
         rng = np.random.default_rng(4)
         ds = StratifiedDataset(rng.normal(0, 1, (30, 1)), rng.normal(1, 1, (30, 1)))
-        rule = train_lda(ds)
+        rule = LdaTrainer().train(ds)
         xs = np.array([[-1.0], [0.0], [2.0]])
         scores = rule.score_many(xs)
         slopes = np.diff(scores) / np.diff(xs[:, 0])
@@ -133,18 +131,18 @@ class TestLda:
         # covariance (divide by 2) is [[2,2],[2,2]], singular, so a unit
         # ridge gives [[3,2],[2,3]]; m2-m1 = (3,0); solving gives
         # w = (9/5, -6/5); offset = -w.(m1+m2)/2 = -(9/5*2.5 - 6/5*1.0) = -3.3
-        rule = train_lda(ds, ridge=1.0)
+        rule = LdaTrainer(1.0).train(ds)
         np.testing.assert_allclose(rule.weights, [9 / 5, -6 / 5], rtol=1e-12)
         assert rule.offset == pytest.approx(-3.3, rel=1e-12)
 
     def test_singular_covariance_errors_without_ridge(self):
         ds = StratifiedDataset(np.zeros((2, 4)), np.ones((2, 4)))
         with pytest.raises(EstimationError):
-            train_lda(ds)
+            LdaTrainer().train(ds)
 
     def test_ridge_restores_solvability(self):
         ds = StratifiedDataset(np.zeros((2, 4)), np.ones((2, 4)))
-        rule = train_lda(ds, ridge=1e-3)
+        rule = LdaTrainer(1e-3).train(ds)
         assert np.isfinite(rule.score(np.ones(4)))
 
 
