@@ -27,7 +27,10 @@ Randomness
 Every randomized operation takes an explicit integer master seed.  Stream
 seeds are derived as (master seed, crc32(stream tag), counter) through
 ``numpy.random.SeedSequence`` feeding a Philox generator, so independent
-streams can be drawn in any order without interfering.
+streams can be drawn in any order without interfering.  The repeated-CV maps
+derive the Philox keys of all M streams in one vectorised pass of
+SeedSequence's mixing and draw every row through one re-keyed generator; the
+streams, and so the rows, are the same as one generator per repetition gives.
 """
 
 from __future__ import annotations
@@ -43,12 +46,16 @@ import numpy as np
 from cvlab.core import DivisibilityError, DomainError
 
 
-def derive_seed_sequence(seed: int, tag: str, counter: int = 0) -> np.random.SeedSequence:
-    """Seed sequence of stream (seed, tag, counter); seeds must be non-negative."""
+def _checked_seed(seed: int) -> int:
     if int(seed) < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
+    return int(seed)
+
+
+def derive_seed_sequence(seed: int, tag: str, counter: int = 0) -> np.random.SeedSequence:
+    """Seed sequence of stream (seed, tag, counter); seeds must be non-negative."""
     return np.random.SeedSequence(
-        entropy=int(seed), spawn_key=(zlib.crc32(tag.encode("utf-8")), int(counter))
+        entropy=_checked_seed(seed), spawn_key=(zlib.crc32(tag.encode("utf-8")), int(counter))
     )
 
 
@@ -92,18 +99,101 @@ def make_partition(n: int, n_folds: int, perm: Sequence[int] | None = None) -> n
 
 
 def random_permutation(n: int, seed: int, counter: int = 0) -> np.ndarray:
-    """Uniform 1-based permutation from stream (seed, 'partition', counter)."""
+    """Uniform 1-based permutation from stream (seed, 'partition', counter).
+
+    The per-stream reference: row m of ``repeated_partitions`` matches
+    ``random_permutation(n, seed, m)`` bit for bit.
+    """
     rng = derive_rng(seed, "partition", counter)
     return rng.permutation(n) + 1
 
 
+# numpy.random.SeedSequence: pool of 4 uint32 words and its hash constants.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, hash_const: int, mult: int):
+    """SeedSequence's hashmix on an int or uint32 array; returns (value, next const)."""
+    value = value ^ hash_const
+    hash_const = (hash_const * mult) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    """SeedSequence's mix; x and y are ints or uint32 arrays (x an int only if y is)."""
+    result = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _philox_keys(seed: int, tag: str, counters: np.ndarray) -> np.ndarray:
+    """(len(counters), 2) uint64 keys of ``Philox(derive_seed_sequence(seed, tag, c))``.
+
+    A transcription of numpy's SeedSequence mixing, whose output numpy keeps
+    stream-compatible.  The entropy words are the seed's 32-bit words (padded
+    with zeros to the pool size), crc32(tag) and the counter; only the last
+    word differs between streams, so everything before it is mixed once.
+    Counters must lie in [0, 2^32).
+    """
+    seed = _checked_seed(seed)
+    words = []
+    while seed > 0 or not words:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    words += [0] * (_POOL_SIZE - len(words)) + [zlib.crc32(tag.encode("utf-8"))]
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    # The last word, one counter per stream, turns the pool into (M,) arrays.
+    for word in words[_POOL_SIZE:] + [np.asarray(counters, dtype=np.uint32)]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    hash_const = _INIT_B
+    for dst in range(_POOL_SIZE):  # generate_state(2, np.uint64)
+        pool[dst], hash_const = _hashmix(pool[dst], hash_const, _MULT_B)
+    low0, high0, low1, high1 = (word.astype(np.uint64) for word in pool)
+    return np.stack([low0 | high0 << 32, low1 | high1 << 32], axis=1)
+
+
 @lru_cache(maxsize=16)
 def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np.ndarray:
-    """Read-only (M, n) fold ids; row m maps ``random_permutation(n, seed, m)``."""
+    """Read-only (M, n) fold ids; row m maps ``random_permutation(n, seed, m)``.
+
+    All M stream keys come from one ``_philox_keys`` pass; one Philox
+    generator is re-keyed (counter 0, empty buffer) before each row.
+    """
     if repetitions < 1:
         raise DomainError("repetitions must be >= 1")
     size = _fold_size(n, n_folds)
-    images = np.stack([random_permutation(n, seed, m) for m in range(repetitions)])
+    keys = _philox_keys(seed, "partition", np.arange(repetitions))
+    bit_generator = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bit_generator)
+    # A fresh stream's state: its key, counter 0, empty buffer.
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": keys[0]},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    images = np.tile(np.arange(1, n + 1), (repetitions, 1))
+    for key, row in zip(keys, images):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        rng.shuffle(row)
     assign = (images - 1) // size + 1
     assign.flags.writeable = False
     return assign
@@ -133,12 +223,15 @@ def enumerate_multiset_counts(n: int) -> Iterator[np.ndarray]:
 
 def _counts_from_uniform_keys(keys: np.ndarray, n: int) -> np.ndarray:
     """Decode one replicate per row: rank the n smallest keys of 2n-1."""
-    b = keys.shape[0]
     subset = np.sort(np.argpartition(keys, n - 1, axis=1)[:, :n], axis=1)
-    values = subset - np.arange(n)[None, :]
-    counts = np.zeros((b, n), dtype=int)
-    np.add.at(counts, (np.repeat(np.arange(b), n), values.ravel()), 1)
-    return counts
+    return _row_histograms(subset - np.arange(n)[None, :], n)
+
+
+def _row_histograms(values: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) counts of each row's values in 0..n-1, from one bincount."""
+    rows = values.shape[0]
+    flat = (values + n * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, minlength=rows * n).reshape(rows, n)
 
 
 def bootstrap_counts_matrix(n: int, draws: int, model: SamplingModel, seed: int) -> np.ndarray:
@@ -149,10 +242,7 @@ def bootstrap_counts_matrix(n: int, draws: int, model: SamplingModel, seed: int)
         raise DomainError("draws must be >= 1")
     rng = derive_rng(seed, "bootstrap")
     if model is SamplingModel.ORDERED:
-        idx = rng.integers(0, n, size=(draws, n))
-        counts = np.zeros((draws, n), dtype=int)
-        np.add.at(counts, (np.repeat(np.arange(draws), n), idx.ravel()), 1)
-        return counts
+        return _row_histograms(rng.integers(0, n, size=(draws, n)), n)
     if model is SamplingModel.UNORDERED_MULTISET:
         keys = rng.random((draws, 2 * n - 1))
         return _counts_from_uniform_keys(keys, n)

@@ -185,11 +185,13 @@ class LdaTrainer(Trainer):
         if np.any(total < 3):
             raise EstimationError("lda needs at least three observations")
         # One (B, p, p) buffer updated in place: second moments, scatter, covariance.
-        cov = np.einsum("bi,ip,iq->bpq", counts, X, X)
+        # The second moments are one GEMM: counts (B, n) @ outer products (n, p*p).
+        n, p = X.shape
+        cov = (counts @ (X[:, :, None] * X[:, None, :]).reshape(n, p * p)).reshape(-1, p, p)
         cov -= n1[:, None, None] * mean1[:, :, None] * mean1[:, None, :]
         cov -= n2[:, None, None] * mean2[:, :, None] * mean2[:, None, :]
         cov /= (total - 2.0)[:, None, None]
-        cov += self.ridge * np.eye(X.shape[1])
+        cov += self.ridge * np.eye(p)
         try:
             directions = np.linalg.solve(cov, (mean2 - mean1)[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:

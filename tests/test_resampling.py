@@ -9,10 +9,12 @@ from cvlab.combinatorics import inclusion_probability, pmf_unseen_count
 from cvlab.core import DivisibilityError, DomainError
 from cvlab.resampling import (
     SamplingModel,
+    _philox_keys,
     bootstrap_counts_matrix,
     decode_stars_and_bars,
     derive_rng,
     derive_seed,
+    derive_seed_sequence,
     enumerate_multiset_counts,
     make_partition,
     random_permutation,
@@ -72,7 +74,17 @@ class TestRepeatedPartitions:
         b = repeated_partitions(8, 2, 4, seed=2)
         assert any(not np.array_equal(ma, mb) for ma, mb in zip(a, b))
 
-    @pytest.mark.parametrize("n,folds,reps,seed", [(6, 3, 5, 0), (8, 2, 7, 11), (10, 5, 3, 2**40)])
+    @pytest.mark.parametrize(
+        "n,folds,reps,seed",
+        [
+            (6, 3, 5, 0),
+            (8, 2, 7, 11),
+            (10, 5, 3, 2**40),
+            (2, 2, 50, 0),
+            (40, 2, 300, 2**130),
+            (200, 4, 20, 7),
+        ],
+    )
     def test_row_m_is_stream_m(self, n, folds, reps, seed):
         rp = repeated_partitions(n, folds, reps, seed)
         assert rp.shape == (reps, n)
@@ -98,6 +110,19 @@ class TestRepeatedPartitions:
         for assign in rp:
             for k in range(1, 7):
                 assert np.flatnonzero(assign == k).size == 1
+
+
+class TestPhiloxKeys:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**130])
+    @pytest.mark.parametrize("tag", ["partition", "bootstrap"])
+    def test_keys_match_seed_sequence(self, seed, tag):
+        keys = _philox_keys(seed, tag, np.arange(100))
+        want = [
+            np.random.Philox(derive_seed_sequence(seed, tag, c)).state["state"]["key"]
+            for c in range(100)
+        ]
+        assert keys.dtype == np.uint64
+        np.testing.assert_array_equal(keys, want)
 
 
 class TestStarsAndBars:

@@ -147,17 +147,25 @@ class TestLda:
 
 
 class TestWeightedBatchHook:
-    @pytest.mark.parametrize("trainer", [NearestMeanTrainer(), LdaTrainer(1e-6)])
-    def test_matches_per_replicate_training(self, trainer):
+    @pytest.mark.parametrize(
+        "trainer,n,p,replicates",
+        [
+            (NearestMeanTrainer(), 9, 2, 6),
+            (LdaTrainer(1e-6), 9, 2, 6),
+            (LdaTrainer(1e-6), 60, 20, 30),
+        ],
+        ids=["trainer0", "trainer1", "lda-p20"],
+    )
+    def test_matches_per_replicate_training(self, trainer, n, p, replicates):
         rng = np.random.default_rng(9)
-        X = rng.normal(0, 1, (9, 2))
-        labels = np.array([1, 1, 1, 1, 2, 2, 2, 2, 2])
-        weights = rng.integers(0, 3, size=(6, 9))
+        X = rng.normal(0, 1, (n, p))
+        labels = np.repeat([1, 2], [n // 2, n - n // 2])
+        weights = rng.integers(0, 3, size=(replicates, n))
         weights[:, 0] = np.maximum(weights[:, 0], 1)  # keep class 1 populated
         weights[:, -1] = np.maximum(weights[:, -1], 1)
         batch = trainer.weighted_scores(X, labels, weights, X)
-        for r in range(6):
-            reps = np.repeat(np.arange(9), weights[r])
+        for r in range(replicates):
+            reps = np.repeat(np.arange(n), weights[r])
             subset = StratifiedDataset(
                 X[reps][labels[reps] == 1], X[reps][labels[reps] == 2]
             )
