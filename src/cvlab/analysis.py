@@ -21,15 +21,10 @@ rather than the training-set-conditional one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from cvlab.core import DomainError
-
-
-class DegenerateVarianceError(DomainError):
-    """A variance needed for normalization is exactly zero."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,52 +138,4 @@ def decompose(sample: PairedPerformanceSample) -> DecompositionReport:
         lhs=lhs,
         rhs=rhs,
         residual=residual,
-    )
-
-
-def identity_residual(sample: PairedPerformanceSample) -> float:
-    """|lhs - rhs| of the decomposition identity; raises when degenerate."""
-    report = decompose(sample)
-    if report.degenerate:
-        raise DegenerateVarianceError("zero variance: identity is undefined")
-    return abs(report.residual)
-
-
-@dataclass(frozen=True)
-class ConvergenceDiagnostic:
-    """Successive-gap summary over increasing resampling budgets."""
-
-    budgets: tuple[int, ...]
-    values: tuple[float, ...]
-    gaps: tuple[float, ...]
-    max_tail_gap: float
-    tolerance: float
-    converged: bool
-
-
-def convergence_diagnostic(values: Mapping[int, float], tolerance: float) -> ConvergenceDiagnostic:
-    """Check that estimates settle down as the budget (M or B) grows.
-
-    ``values`` maps budgets to estimates; at least three budgets are needed.
-    The diagnostic reports all successive absolute differences and declares
-    convergence when the largest gap between consecutive budgets in the upper
-    half of the budget range is at most ``tolerance``.
-    """
-    if len(values) < 3:
-        raise DomainError("need at least three budgets")
-    budgets = tuple(sorted(values))
-    if len(set(budgets)) != len(budgets) or any(b <= 0 for b in budgets):
-        raise DomainError("budgets must be distinct positive integers")
-    vals = tuple(float(values[b]) for b in budgets)
-    gaps = tuple(abs(b - a) for a, b in zip(vals, vals[1:]))
-    # gaps[i] links budgets[i] and budgets[i+1]; keep those inside the upper
-    # half of the budget list
-    max_tail_gap = max(gaps[len(budgets) // 2 :])
-    return ConvergenceDiagnostic(
-        budgets=budgets,
-        values=vals,
-        gaps=gaps,
-        max_tail_gap=max_tail_gap,
-        tolerance=float(tolerance),
-        converged=max_tail_gap <= float(tolerance),
     )

@@ -76,7 +76,7 @@ def load_config(path: str | Path, subcommand: str) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, subcommand)
 
@@ -115,15 +115,18 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
 }
 
 # {section: {key: type name}}; every listed key is optional unless the
-# subcommand handler demands it.
+# subcommand handler demands it.  A campaign derives each trial's estimator
+# seed, so only ``estimate`` takes [estimator] seed.
+_ESTIMATOR_KEYS = {
+    "version": "version", "variant": "variant", "metric": "metric",
+    "th": "float", "K": "int", "K1": "int", "K2": "int", "M": "int",
+    "B": "int", "sampling": "sampling", "strict": "bool",
+}
+_TRAINER_KEYS = {"id": "str", "ridge": "float"}
 _SCHEMAS: dict[str, dict[str, dict[str, str]]] = {
     "estimate": {
-        "estimator": {
-            "version": "version", "variant": "variant", "metric": "metric",
-            "th": "float", "K": "int", "K1": "int", "K2": "int", "M": "int",
-            "B": "int", "sampling": "sampling", "seed": "int", "strict": "bool",
-        },
-        "trainer": {"id": "str", "ridge": "float"},
+        "estimator": {**_ESTIMATOR_KEYS, "seed": "int"},
+        "trainer": _TRAINER_KEYS,
         "io": {"dataset": "str", "out_json": "str", "out_csv": "str"},
     },
     "verify": {
@@ -132,12 +135,8 @@ _SCHEMAS: dict[str, dict[str, dict[str, str]]] = {
     "simulate": {
         "data": {"p": "int", "delta": "float", "n1": "int", "n2": "int"},
         "campaign": {"trials": "int", "test_per_class": "int", "seed": "int"},
-        "estimator": {
-            "version": "version", "variant": "variant", "metric": "metric",
-            "th": "float", "K": "int", "K1": "int", "K2": "int", "M": "int",
-            "B": "int", "sampling": "sampling", "strict": "bool",
-        },
-        "trainer": {"id": "str", "ridge": "float"},
+        "estimator": _ESTIMATOR_KEYS,
+        "trainer": _TRAINER_KEYS,
         "io": {"out_table": "str", "out_triples": "str", "out_manifest": "str"},
     },
     "ratio-curve": {
@@ -145,7 +144,7 @@ _SCHEMAS: dict[str, dict[str, dict[str, str]]] = {
             "n1_grid": "int_list", "B": "int", "sampling": "sampling",
             "replicates": "int", "seed": "int",
         },
-        "trainer": {"id": "str", "ridge": "float"},
+        "trainer": _TRAINER_KEYS,
         "io": {"out_csv": "str"},
     },
     "decompose": {
@@ -220,17 +219,21 @@ def _trainer(values: dict) -> simlab.Trainer:
 
 
 def _atomic_write(path: str | Path, data: str) -> None:
+    """Write through a temp file and a rename; a path that cannot be written
+    (a directory, say) is a :class:`DomainError`."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -254,6 +257,16 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _write_payload(values: dict, payload: dict) -> None:
+    """Write ``payload`` to [io] out_json and, as one CSV row, to out_csv (each if set)."""
+    io_values = values.get("io", {})
+    if io_values.get("out_json"):
+        _atomic_write(io_values["out_json"], _json_text(payload))
+    if io_values.get("out_csv"):
+        keys = list(payload)
+        _atomic_write(io_values["out_csv"], _csv_text(keys, [[payload[k] for k in keys]]))
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -266,14 +279,7 @@ def cmd_estimate(config: RunConfig) -> int:
     dataset_path = _require(values, "io", "dataset")
     dataset = read_dataset_csv(dataset_path)
     report = estimators.run(dataset, trainer, est_cfg)
-    payload = report.to_json_dict()
-    out_json = values.get("io", {}).get("out_json")
-    if out_json:
-        _atomic_write(out_json, _json_text(payload))
-    out_csv = values.get("io", {}).get("out_csv")
-    if out_csv:
-        keys, row = report.csv_fields()
-        _atomic_write(out_csv, _csv_text(keys, [row]))
+    _write_payload(values, report.to_json_dict())
     print(f"{report.version.value}/{report.variant.value} {report.metric.value} "
           f"= {report.value!r} (excluded={report.excluded_count})")
     return 0
@@ -354,14 +360,6 @@ def manifest_text(config: RunConfig, outputs: dict[str, str]) -> str:
     return "\n".join(lines)
 
 
-def parse_manifest(path: str | Path, subcommand: str) -> RunConfig:
-    """Re-parse the config echoed in a manifest (the [outputs] section is
-    stripped), for round-trip checks."""
-    config = load_config(path, subcommand)
-    sections = tuple((s, items) for s, items in config.sections if s != "outputs")
-    return RunConfig(subcommand=subcommand, sections=sections)
-
-
 def cmd_simulate(config: RunConfig) -> int:
     values = validate_config(config)
     campaign = _campaign_from_config(values)
@@ -432,7 +430,7 @@ def cmd_decompose(config: RunConfig) -> int:
                 if len(row) < 2:
                     raise DomainError(f"{input_path}:{reader.line_num}: expected 2 fields")
                 pairs.append((float(row[0]), float(row[1])))
-    except OSError as exc:
+    except (OSError, csv.Error) as exc:
         raise DomainError(f"cannot read {input_path}: {exc}") from exc
     except ValueError as exc:
         raise DomainError(f"{input_path}: {exc}") from exc
@@ -440,14 +438,7 @@ def cmd_decompose(config: RunConfig) -> int:
         s=np.array([p[0] for p in pairs]), s_hat=np.array([p[1] for p in pairs])
     )
     report = analysis.decompose(sample)
-    payload = report.to_json_dict()
-    out_json = values.get("io", {}).get("out_json")
-    if out_json:
-        _atomic_write(out_json, _json_text(payload))
-    out_csv = values.get("io", {}).get("out_csv")
-    if out_csv:
-        keys = list(payload.keys())
-        _atomic_write(out_csv, _csv_text(keys, [[payload[k] for k in keys]]))
+    _write_payload(values, report.to_json_dict())
     print(
         f"rms_cond={report.rms_cond!r} rms_mean={report.rms_mean!r} "
         f"rho={report.rho!r} residual={report.residual!r}"

@@ -99,23 +99,6 @@ def prob_some_unseen(n: int) -> Fraction:
     return 1 - pmf_unseen_count(n, n, 0)
 
 
-def pmf_total(n: int, m: int) -> Fraction:
-    """Sum of the pmf over its support; exactly 1 for valid (n, m)."""
-    return sum((pmf_unseen_count(n, m, k) for k in range(n)), start=Fraction(0))
-
-
-def unseen_mean_by_summation(n: int) -> Fraction:
-    """E a_b computed from the pmf, for cross-checking the closed form."""
-    return sum((k * pmf_unseen_count(n, n, k) for k in range(n)), start=Fraction(0))
-
-
-def inv_one_plus_unseen_by_summation(n: int) -> Fraction:
-    """E 1/(1+a_b) computed from the pmf."""
-    return sum(
-        (pmf_unseen_count(n, n, k) / (1 + k) for k in range(n)), start=Fraction(0)
-    )
-
-
 def identity_checks(n: int, pmf: Callable[[int, int, int], Fraction] = pmf_unseen_count) -> list[tuple[str, bool]]:
     """Each appendix identity at size n, evaluated exactly: (name, holds).
 

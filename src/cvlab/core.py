@@ -6,11 +6,12 @@ Conventions used throughout the package:
 - A trained classifier is represented by a :class:`ScoringRule` mapping a
   feature vector to a real score.  Scores are oriented so that *higher score
   means class 2*; a well-behaved classifier therefore has AUC above 0.5.
-- The zero-one loss classifies as class 1 when ``score < th`` and as class 2
-  when ``score >= th`` (equality breaks toward class 2, a fixed convention so
-  the loss is deterministic).
-- The two-sample rank kernel ``mw_kernel(a, b)`` is 0, 0.5, 1 for a > b,
-  a == b, a < b.  Ties are exact floating-point ties, no epsilon.
+- The zero-one loss (:func:`zero_one_losses`) classifies as class 1 when
+  ``score < th`` and as class 2 when ``score >= th`` (equality breaks toward
+  class 2, a fixed convention so the loss is deterministic).
+- The two-sample rank kernel of a class-1 score a and a class-2 score b is
+  0, 0.5, 1 for a > b, a == b, a < b; :func:`pairwise_kernel` evaluates it
+  for every pair.  Ties are exact floating-point ties, no epsilon.
 - The empirical AUC of score samples ``s1`` (class 1) and ``s2`` (class 2) is
   the mean of the kernel over all n1*n2 pairs.
 """
@@ -18,7 +19,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,26 +92,6 @@ class StratifiedDataset:
         return features, labels
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledPoint:
-    """A single observation with its class tag (1 or 2)."""
-
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        if feats.ndim != 1:
-            raise DomainError("features must be a 1-D vector")
-        if not np.all(np.isfinite(feats)):
-            raise DomainError("features contain non-finite values")
-        feats = feats.copy()
-        feats.flags.writeable = False
-        object.__setattr__(self, "features", feats)
-        if self.label not in (1, 2):
-            raise DomainError(f"label must be 1 or 2, got {self.label}")
-
-
 class ScoringRule(ABC):
     """A trained classifier: a deterministic map from feature vector to score.
 
@@ -119,13 +99,8 @@ class ScoringRule(ABC):
     """
 
     @abstractmethod
-    def score(self, x: np.ndarray) -> float:
-        """Score a single feature vector of length p."""
-
     def score_many(self, X: np.ndarray) -> np.ndarray:
-        """Score the rows of an (m, p) matrix.  Default: row-by-row loop."""
-        X = np.asarray(X, dtype=float)
-        return np.array([self.score(row) for row in X], dtype=float)
+        """Scores of the rows of an (m, p) matrix, as an (m,) vector."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +121,6 @@ class LinearScoringRule(ScoringRule):
     def p(self) -> int:
         return self.weights.shape[0]
 
-    def score(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.p:
-            raise DomainError(f"expected dimension {self.p}, got {x.shape[0]}")
-        return float(self.weights @ x + self.offset)
-
     def score_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.shape[1] != self.p:
@@ -171,19 +140,6 @@ class Trainer(ABC):
     @abstractmethod
     def train(self, dataset: StratifiedDataset) -> ScoringRule:
         ...
-
-
-def mw_kernel(a: float, b: float) -> float:
-    """Two-sample rank kernel: 0 if a > b, 0.5 if a == b, 1 if a < b."""
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("mw_kernel requires finite scores")
-    if a > b:
-        return 0.0
-    if a < b:
-        return 1.0
-    return 0.5
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -235,19 +191,9 @@ def pairwise_kernel(scores1: np.ndarray, scores2: np.ndarray) -> np.ndarray:
     return (s1 < s2).astype(float) + 0.5 * (s1 == s2)
 
 
-def classify(score: float, th: float) -> int:
-    """Predicted class under the fixed tie-break: score >= th means class 2."""
-    return 2 if score >= th else 1
-
-
-def zero_one_loss(rule: ScoringRule, point: LabeledPoint, th: float) -> float:
-    """1.0 on misclassification, 0.0 otherwise."""
-    predicted = classify(rule.score(point.features), float(th))
-    return float(predicted != point.label)
-
-
 def zero_one_losses(scores: np.ndarray, labels: np.ndarray, th: float) -> np.ndarray:
-    """Vectorized zero-one loss for score/label vectors."""
+    """1.0 where the score misclassifies its {1,2} label at threshold ``th``,
+    0.0 elsewhere; ``score >= th`` predicts class 2."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     predicted = np.where(scores >= float(th), 2, 1)
@@ -255,40 +201,46 @@ def zero_one_losses(scores: np.ndarray, labels: np.ndarray, th: float) -> np.nda
 
 
 def read_dataset_csv(path: str | Path) -> StratifiedDataset:
-    """Load a dataset CSV with header ``class,f1,...,fp`` and labels in {1,2}."""
+    """Load a dataset CSV with header ``class,f1,...,fp`` and labels in {1,2}.
+
+    A file that cannot be read (missing, a directory, not UTF-8) is a
+    :class:`DomainError` like a malformed one.
+    """
     path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DomainError(f"cannot read dataset {path}: {exc}") from exc
+    if not rows:
+        raise DomainError(f"{path}: empty dataset file")
+    header = rows[0]
+    if not header or header[0] != "class":
+        raise DomainError(f"{path}: first column must be 'class'")
+    p = len(header) - 1
+    if p < 1:
+        raise DomainError(f"{path}: no feature columns")
+    expected = ["class"] + [f"f{j}" for j in range(1, p + 1)]
+    if header != expected:
+        raise DomainError(f"{path}: header must be {','.join(expected)}")
     rows1: list[list[float]] = []
     rows2: list[list[float]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != p + 1:
+            raise DomainError(f"{path}:{lineno}: expected {p + 1} fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{path}: empty dataset file") from None
-        if not header or header[0] != "class":
-            raise DomainError(f"{path}: first column must be 'class'")
-        p = len(header) - 1
-        if p < 1:
-            raise DomainError(f"{path}: no feature columns")
-        expected = ["class"] + [f"f{j}" for j in range(1, p + 1)]
-        if header != expected:
-            raise DomainError(f"{path}: header must be {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != p + 1:
-                raise DomainError(f"{path}:{lineno}: expected {p + 1} fields")
-            try:
-                label = int(row[0])
-                feats = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: {exc}") from None
-            if label == 1:
-                rows1.append(feats)
-            elif label == 2:
-                rows2.append(feats)
-            else:
-                raise DomainError(f"{path}:{lineno}: class must be 1 or 2")
+            label = int(row[0])
+            feats = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from None
+        if label == 1:
+            rows1.append(feats)
+        elif label == 2:
+            rows2.append(feats)
+        else:
+            raise DomainError(f"{path}:{lineno}: class must be 1 or 2")
     if not rows1 or not rows2:
         raise DomainError(f"{path}: both classes must be present")
     return StratifiedDataset(np.array(rows1), np.array(rows2))

@@ -60,6 +60,13 @@ task on materialized subsets.  Cell losses are 0, 1/2 or 1, so all sums are
 exact, and the divisions and means see fixed orders (units observation- or
 pair-row-major, tasks run-major): results reproduce bit-for-bit from
 (dataset, config, seed).
+
+The ten public ``err_*`` / ``auc_*`` functions are thin wrappers: each builds
+an :class:`EstimatorConfig` and hands it to :func:`variant_values`, which
+computes both variants, and to ``_run``, which picks the requested one and
+echoes the config.  :func:`run` looks the public name up at call time, so a
+tracer that rebinds an estimator in this module also sees the calls ``run``
+makes.
 """
 
 from __future__ import annotations
@@ -147,22 +154,11 @@ class EstimatorReport:
         out.update({k: _plain(v) for k, v in sorted(self.config.items())})
         return out
 
-    def csv_fields(self) -> tuple[list[str], list[str]]:
-        d = self.to_json_dict()
-        keys = list(d.keys())
-        return keys, ["" if d[k] is None else str(d[k]) for k in keys]
-
 
 def _plain(v):
     if isinstance(v, Enum):
         return v.value
     return v
-
-
-def _echo(dataset: StratifiedDataset, trainer: Trainer, **kw) -> dict:
-    base = {"n1": dataset.n1, "n2": dataset.n2, "trainer": trainer.name}
-    base.update(kw)
-    return base
 
 
 def _train(trainer: Trainer, subset: StratifiedDataset, context: str):
@@ -304,15 +300,7 @@ def _pair_sums(scores: np.ndarray, test: np.ndarray, n1: int):
                loss.sum(axis=(1, 2)), ok.sum(axis=(1, 2)))
 
 
-def _estimate(
-    dataset: StratifiedDataset,
-    trainer: Trainer,
-    metric: Metric,
-    weights: np.ndarray,
-    context: Callable[[int], str],
-    tasks_per_run: int = 1,
-    th: float = 0.0,
-) -> VariantValues:
+def _estimate(dataset, trainer, metric, weights, context, tasks_per_run=1, th=0.0) -> VariantValues:
     """Both variants after training each task of ``weights`` once; the
     (tasks, n1+n2) weights follow ``dataset.pooled()``: class 1, then class 2."""
     features, labels = dataset.pooled()
@@ -325,22 +313,14 @@ def _estimate(
     return _ratio_of_sums(_pair_sums(scores, test, dataset.n1), tasks_per_run, "pair")
 
 
-def _fold_weights(assign: np.ndarray, folds: np.ndarray) -> np.ndarray:
-    """(runs, len(folds), n) 0/1 weights: task (r, f) trains outside fold
-    ``folds[f]`` of run r.  ``assign`` is (runs, n) or one (n,) map."""
-    assign = np.atleast_2d(assign)
-    return (assign[:, None, :] != np.asarray(folds)[None, :, None]).astype(int)
-
-
-def _folds(n_folds: int) -> np.ndarray:
-    return np.arange(1, n_folds + 1)
-
-
 def _fold_tasks(dataset, trainer, metric, assigns, folds, th=0.0) -> VariantValues:
     """Both variants over fold tasks, run-major.  Task t of a run leaves out
-    fold ``folds[c][t]`` of map ``assigns[c]`` (runs, n_c) for each part c:
-    the pooled observations for error, class 1 and class 2 for AUC."""
-    weights = np.concatenate([_fold_weights(a, f) for a, f in zip(assigns, folds)], axis=-1)
+    fold ``folds[c][t]`` of map ``assigns[c]`` ((runs, n_c) or (n_c,)) for each
+    part c: the pooled observations for error, class 1 and class 2 for AUC."""
+    weights = np.concatenate(
+        [np.atleast_2d(a)[:, None, :] != f[None, :, None] for a, f in zip(assigns, folds)],
+        axis=-1,
+    ).astype(int)
     runs, per_run = weights.shape[:2]
 
     def context(r):
@@ -348,120 +328,16 @@ def _fold_tasks(dataset, trainer, metric, assigns, folds, th=0.0) -> VariantValu
         name = f"fold {held}" if len(folds) == 1 else f"fold pair ({held})"
         return f"run {r // per_run} {name}" if runs > 1 else name
 
-    return _estimate(
-        dataset, trainer, metric, weights.reshape(-1, dataset.n), context, per_run, th
-    )
+    return _estimate(dataset, trainer, metric, weights.reshape(-1, dataset.n), context, per_run, th)
 
 
-def _report(version, variant, metric, config, values: VariantValues, strict=False):
-    value, excluded = values.pick(variant, strict)
-    return EstimatorReport(value, version, variant, metric, config, excluded)
-
-
-# ---------------------------------------------------------------------------
-# Error rate
-# ---------------------------------------------------------------------------
-
-
-def err_cvn(dataset: StratifiedDataset, trainer: Trainer, th: float = 0.0) -> EstimatorReport:
-    """Leave-one-out CV: train n times on n-1 points, test the held-out one."""
-    if dataset.n < 2:
-        raise DomainError("err_cvn requires n >= 2")
-    partition = make_partition(dataset.n, dataset.n)
-    folds = [_folds(dataset.n)]
-    values = _fold_tasks(dataset, trainer, Metric.ERROR, [partition], folds, th)
-    return _report(
-        Version.CVN, Variant.POOLED, Metric.ERROR, _echo(dataset, trainer, th=th), values
-    )
-
-
-def err_cvk(
-    dataset: StratifiedDataset,
-    trainer: Trainer,
-    th: float = 0.0,
-    n_folds: int = 2,
-    variant: Variant = Variant.POOLED,
-    perm: Sequence[int] | None = None,
-) -> EstimatorReport:
-    """One-run K-fold CV over the pooled observations.
-
-    The pooled variant averages the per-observation losses once; the
-    partitioned variant averages within each fold first.  With equal fold
-    sizes the two coincide; with ``n_folds == n`` both reduce to ``err_cvn``.
-    """
-    if n_folds < 2:
-        raise DomainError("err_cvk requires K >= 2")
-    partition = make_partition(dataset.n, n_folds, perm)
-    values = _fold_tasks(dataset, trainer, Metric.ERROR, [partition], [_folds(n_folds)], th)
-    return _report(
-        Version.CVK, variant, Metric.ERROR,
-        _echo(dataset, trainer, th=th, n_folds=n_folds), values,
-    )
-
-
-def err_cvkr(
-    dataset: StratifiedDataset,
-    trainer: Trainer,
-    th: float = 0.0,
-    n_folds: int = 2,
-    repetitions: int = 1,
-    seed: int = 0,
-    variant: Variant = Variant.POOLED,
-) -> EstimatorReport:
-    """Repeated K-fold CV: M independently shuffled K-fold runs.
-
-    Pooled: every observation's loss is averaged over the M runs first, then
-    across observations.  Partitioned: per-run partitioned K-fold values are
-    averaged across runs.
-    """
-    if n_folds < 2:
-        raise DomainError("err_cvkr requires K >= 2")
-    repeated = repeated_partitions(dataset.n, n_folds, repetitions, seed)
-    values = _fold_tasks(dataset, trainer, Metric.ERROR, [repeated], [_folds(n_folds)], th)
-    return _report(
-        Version.CVKR, variant, Metric.ERROR,
-        _echo(dataset, trainer, th=th, n_folds=n_folds, repetitions=repetitions, seed=seed),
-        values,
-    )
-
-
-def err_cvkm(
-    dataset: StratifiedDataset,
-    trainer: Trainer,
-    th: float = 0.0,
-    n_folds: int = 2,
-    repetitions: int = 1,
-    seed: int = 0,
-    variant: Variant = Variant.POOLED,
-    strict: bool = False,
-) -> EstimatorReport:
-    """Monte-Carlo CV: each run trains once and tests on the first fold only.
-
-    Pooled: per observation, the out-of-fold losses are summed over runs and
-    divided by the number of runs that tested it; observations never tested
-    are dropped and counted (strict mode raises).  Partitioned: the test-fold
-    mean of each run is averaged over runs.  The variants differ for finite
-    run counts.
-    """
-    if n_folds < 2:
-        raise DomainError("err_cvkm requires K >= 2")
-    repeated = repeated_partitions(dataset.n, n_folds, repetitions, seed)
-    values = _fold_tasks(dataset, trainer, Metric.ERROR, [repeated], [_folds(1)], th)
-    return _report(
-        Version.CVKM, variant, Metric.ERROR,
-        _echo(dataset, trainer, th=th, n_folds=n_folds, repetitions=repetitions, seed=seed),
-        values, strict,
-    )
-
-
-def _pooled_bootstrap_counts(
-    n: int, draws: int, model: SamplingModel, seed: int, labels: np.ndarray
-) -> np.ndarray:
-    """Replicate counts for pooled-class resampling; one-class rows redrawn."""
-    counts = bootstrap_counts_matrix(n, draws, model, seed)
+def _redraw_one_class_rows(counts: np.ndarray, labels, model: SamplingModel, seed: int) -> None:
+    """Redraw, in place, each replicate row that lost a class, from a derived seed."""
     for b in _one_class_rows(counts, labels):
         for attempt in range(1, MAX_ONE_CLASS_RETRIES + 1):
-            retry = bootstrap_counts_matrix(n, 1, model, derive_seed(seed, f"retry-{b}", attempt))
+            retry = bootstrap_counts_matrix(
+                counts.shape[1], 1, model, derive_seed(seed, f"retry-{b}", attempt)
+            )
             if not _one_class_rows(retry, labels).size:
                 counts[b] = retry[0]
                 break
@@ -469,211 +345,10 @@ def _pooled_bootstrap_counts(
             raise EstimationError(
                 f"replicate {b}: still one-class after {MAX_ONE_CLASS_RETRIES} redraws"
             )
-    return counts
-
-
-def bootstrap_error_variants(
-    dataset: StratifiedDataset,
-    trainer: Trainer,
-    th: float = 0.0,
-    n_bootstrap: int = 1,
-    seed: int = 0,
-    model: SamplingModel = SamplingModel.ORDERED,
-) -> VariantValues:
-    """Both leave-one-out bootstrap error variants from one set of replicates."""
-    if dataset.n < 2:
-        raise DomainError("err_loob requires n >= 2")
-    if n_bootstrap < 1:
-        raise DomainError("err_loob requires B >= 1")
-    _, labels = dataset.pooled()
-    counts = _pooled_bootstrap_counts(dataset.n, n_bootstrap, model, seed, labels)
-    return _estimate(
-        dataset, trainer, Metric.ERROR, counts, lambda b: f"replicate {b}", th=th
-    )
-
-
-def err_loob(
-    dataset: StratifiedDataset,
-    trainer: Trainer,
-    th: float = 0.0,
-    n_bootstrap: int = 1,
-    seed: int = 0,
-    model: SamplingModel = SamplingModel.ORDERED,
-    variant: Variant = Variant.POOLED,
-    strict: bool = False,
-) -> EstimatorReport:
-    """Leave-one-out bootstrap error (pooled) and its replicate-averaged variant.
-
-    Pooled: each observation's losses over the replicates that left it out
-    are averaged, then averaged across observations; never-left-out
-    observations are dropped and counted (strict mode raises).  Partitioned:
-    each replicate contributes the mean loss over its out-of-bag set;
-    all-in-bag replicates are skipped and counted.  The two variants are not
-    equal, even for many replicates.
-    """
-    values = bootstrap_error_variants(dataset, trainer, th, n_bootstrap, seed, model)
-    return _report(
-        Version.LOOB, variant, Metric.ERROR,
-        _echo(dataset, trainer, th=th, n_bootstrap=n_bootstrap, seed=seed, sampling=model),
-        values, strict,
-    )
 
 
 # ---------------------------------------------------------------------------
-# AUC
-# ---------------------------------------------------------------------------
-
-
-def _check_auc_sizes(dataset: StratifiedDataset) -> None:
-    if dataset.n1 < 2 or dataset.n2 < 2:
-        raise DomainError("AUC estimators require n1 >= 2 and n2 >= 2")
-
-
-def _fold_grid(n_folds1: int, n_folds2: int) -> list[np.ndarray]:
-    """All K1*K2 fold pairs, class-1 fold major."""
-    return [np.repeat(_folds(n_folds1), n_folds2), np.tile(_folds(n_folds2), n_folds1)]
-
-
-def auc_cvn(dataset: StratifiedDataset, trainer: Trainer) -> EstimatorReport:
-    """Leave-pair-out CV: n1*n2 trainings, one per held-out pair."""
-    _check_auc_sizes(dataset)
-    part1 = make_partition(dataset.n1, dataset.n1)
-    part2 = make_partition(dataset.n2, dataset.n2)
-    values = _fold_tasks(
-        dataset, trainer, Metric.AUC, [part1, part2],
-        _fold_grid(dataset.n1, dataset.n2),
-    )
-    return _report(Version.CVN, Variant.POOLED, Metric.AUC, _echo(dataset, trainer), values)
-
-
-def auc_cvk(
-    dataset: StratifiedDataset,
-    trainer: Trainer,
-    n_folds1: int = 2,
-    n_folds2: int = 2,
-    variant: Variant = Variant.POOLED,
-    perms: tuple[Sequence[int] | None, Sequence[int] | None] | None = None,
-) -> EstimatorReport:
-    """One-run K-fold CV for AUC with per-class fold counts K1, K2.
-
-    Pooled and partitioned variants train K1*K2 times and agree exactly; the
-    reduced variant (K1 == K2 required) pairs only same-index folds, training
-    K times, and generally differs.  ``n_folds1 == n1`` with ``n_folds2 == n2``
-    reduces to ``auc_cvn``.
-    """
-    _check_auc_sizes(dataset)
-    if n_folds1 < 2 or n_folds2 < 2:
-        raise DomainError("auc_cvk requires K1 >= 2 and K2 >= 2")
-    perm1, perm2 = perms if perms is not None else (None, None)
-    part1 = make_partition(dataset.n1, n_folds1, perm1)
-    part2 = make_partition(dataset.n2, n_folds2, perm2)
-    if variant is Variant.REDUCED:
-        if n_folds1 != n_folds2:
-            raise DomainError("reduced variant requires K1 == K2")
-        folds = [_folds(n_folds1)] * 2
-    else:
-        folds = _fold_grid(n_folds1, n_folds2)
-    values = _fold_tasks(dataset, trainer, Metric.AUC, [part1, part2], folds)
-    value, _ = values.pick(Variant.PARTITIONED if variant is Variant.REDUCED else variant)
-    config = _echo(dataset, trainer, n_folds1=n_folds1, n_folds2=n_folds2)
-    return EstimatorReport(value, Version.CVK, variant, Metric.AUC, config)
-
-
-def _stratified_repeats(dataset, n_folds1, n_folds2, repetitions, seed):
-    return [
-        repeated_partitions(dataset.n1, n_folds1, repetitions, derive_seed(seed, "class1")),
-        repeated_partitions(dataset.n2, n_folds2, repetitions, derive_seed(seed, "class2")),
-    ]
-
-
-def auc_cvkr(
-    dataset: StratifiedDataset,
-    trainer: Trainer,
-    n_folds1: int = 2,
-    n_folds2: int = 2,
-    repetitions: int = 1,
-    seed: int = 0,
-    variant: Variant = Variant.POOLED,
-) -> EstimatorReport:
-    """Repeated K-fold CV for AUC over M independent per-class shuffles."""
-    _check_auc_sizes(dataset)
-    if n_folds1 < 2 or n_folds2 < 2:
-        raise DomainError("auc_cvkr requires K1 >= 2 and K2 >= 2")
-    assigns = _stratified_repeats(dataset, n_folds1, n_folds2, repetitions, seed)
-    values = _fold_tasks(dataset, trainer, Metric.AUC, assigns, _fold_grid(n_folds1, n_folds2))
-    return _report(
-        Version.CVKR, variant, Metric.AUC,
-        _echo(dataset, trainer, n_folds1=n_folds1, n_folds2=n_folds2,
-              repetitions=repetitions, seed=seed),
-        values,
-    )
-
-
-def auc_cvkm(
-    dataset: StratifiedDataset,
-    trainer: Trainer,
-    n_folds1: int = 2,
-    n_folds2: int = 2,
-    repetitions: int = 1,
-    seed: int = 0,
-    variant: Variant = Variant.POOLED,
-    strict: bool = False,
-) -> EstimatorReport:
-    """Monte-Carlo CV for AUC: one test fold per class per run.
-
-    Pooled: per pair, kernel values from runs where both members sat in the
-    test folds, divided by the number of such runs; uncovered pairs are
-    dropped and counted.  Partitioned: per-run mean over the test-fold pair
-    block, averaged over runs.  Not equal for finite run counts.
-    """
-    _check_auc_sizes(dataset)
-    if n_folds1 < 2 or n_folds2 < 2:
-        raise DomainError("auc_cvkm requires K1 >= 2 and K2 >= 2")
-    assigns = _stratified_repeats(dataset, n_folds1, n_folds2, repetitions, seed)
-    values = _fold_tasks(dataset, trainer, Metric.AUC, assigns, [_folds(1)] * 2)
-    return _report(
-        Version.CVKM, variant, Metric.AUC,
-        _echo(dataset, trainer, n_folds1=n_folds1, n_folds2=n_folds2,
-              repetitions=repetitions, seed=seed),
-        values, strict,
-    )
-
-
-def auc_lpobs(
-    dataset: StratifiedDataset,
-    trainer: Trainer,
-    n_bootstrap: int = 1,
-    seed: int = 0,
-    model: SamplingModel = SamplingModel.ORDERED,
-    variant: Variant = Variant.POOLED,
-    strict: bool = False,
-) -> EstimatorReport:
-    """Leave-pair-out bootstrap AUC; the classes are resampled independently.
-
-    Pooled: per pair, kernel values from replicates where both members are
-    out-of-bag, divided by the number of such replicates; never-covered pairs
-    are dropped and counted.  Partitioned: per replicate, the mean kernel
-    over its out-of-bag pair block, averaged over replicates; replicates with
-    an empty out-of-bag set on either class are skipped and counted.  The
-    variants differ even in the many-replicate limit.
-    """
-    _check_auc_sizes(dataset)
-    if n_bootstrap < 1:
-        raise DomainError("auc_lpobs requires B >= 1")
-    counts1 = bootstrap_counts_matrix(dataset.n1, n_bootstrap, model, derive_seed(seed, "class1"))
-    counts2 = bootstrap_counts_matrix(dataset.n2, n_bootstrap, model, derive_seed(seed, "class2"))
-    values = _estimate(
-        dataset, trainer, Metric.AUC, np.hstack([counts1, counts2]), lambda b: f"replicate {b}"
-    )
-    return _report(
-        Version.LOOB, variant, Metric.AUC,
-        _echo(dataset, trainer, n_bootstrap=n_bootstrap, seed=seed, sampling=model),
-        values, strict,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
+# Configuration and the one estimator body
 # ---------------------------------------------------------------------------
 
 
@@ -694,6 +369,13 @@ class EstimatorConfig:
     seed: int | None = None
     strict: bool = False
 
+    @property
+    def reduced(self) -> bool:
+        """The reduced CVK AUC variant: same-index fold pairs only."""
+        return (self.metric, self.version, self.variant) == (
+            Metric.AUC, Version.CVK, Variant.REDUCED
+        )
+
     def require(self, *names: str) -> None:
         for name in names:
             if getattr(self, name) is None:
@@ -701,18 +383,14 @@ class EstimatorConfig:
 
 
 _CONFIG_KEYS = {
-    "n_folds": "K",
-    "n_folds1": "K1",
-    "n_folds2": "K2",
-    "repetitions": "M",
-    "n_bootstrap": "B",
+    "n_folds": "K", "n_folds1": "K1", "n_folds2": "K2", "repetitions": "M", "n_bootstrap": "B",
     "seed": "seed",
 }
 
 
 # (metric, version) -> (estimator name, the config fields it takes after the
-# trainer, in order).  Names are looked up at call time, so rebinding an estimator in
-# this module (as a tracer does) also reroutes ``run``.
+# trainer, in order).  The fields other than variant and strict are echoed
+# in the report's config.
 _DISPATCH = {
     (Metric.ERROR, Version.CVN): ("err_cvn", "th"),
     (Metric.ERROR, Version.CVK): ("err_cvk", "th n_folds variant"),
@@ -727,8 +405,276 @@ _DISPATCH = {
 }
 
 
+def variant_values(
+    dataset: StratifiedDataset,
+    trainer: Trainer,
+    cfg: EstimatorConfig,
+    perms: Sequence[Sequence[int] | None] | None = None,
+) -> VariantValues:
+    """Both variants of the estimator ``cfg`` describes, training each task once.
+
+    The estimator resamples parts: the pooled observations for error; class 1
+    and class 2 for AUC, each from the derived seed ``derive_seed(seed,
+    "classC")``.  LOOB draws B replicate counts per part (an error replicate
+    that lost a class is redrawn).  The other versions build one fold map per
+    part, per run for CVKR and CVKM (CVN has K = the part size, CVK applies
+    ``perms``, one permutation or None per part), and train one task per
+    fold of the parts' fold grid, class-1 fold major; CVKM tests fold 1 of
+    each part only, and the reduced CVK AUC variant the diagonal fold pairs.
+    """
+    name = _DISPATCH[cfg.metric, cfg.version][0]
+    auc = cfg.metric is Metric.AUC
+    if auc and (dataset.n1 < 2 or dataset.n2 < 2):
+        raise DomainError("AUC estimators require n1 >= 2 and n2 >= 2")
+    sizes = (dataset.n1, dataset.n2) if auc else (dataset.n,)
+    fold_fields = ("n_folds1", "n_folds2") if auc else ("n_folds",)
+    ks = tuple(getattr(cfg, f) for f in fold_fields)
+    if cfg.version is Version.LOOB:
+        if cfg.n_bootstrap < 1:
+            raise DomainError(f"{name} requires B >= 1")
+    elif cfg.version is Version.CVN:
+        ks = sizes
+    elif min(ks) < 2:
+        bounds = " and ".join(f"{_CONFIG_KEYS[f]} >= 2" for f in fold_fields)
+        raise DomainError(f"{name} requires {bounds}")
+
+    def part_seed(c):
+        return derive_seed(cfg.seed, f"class{c + 1}") if auc else cfg.seed
+
+    if cfg.version is Version.LOOB:
+        counts = [
+            bootstrap_counts_matrix(n, cfg.n_bootstrap, cfg.sampling, part_seed(c))
+            for c, n in enumerate(sizes)
+        ]
+        if not auc:
+            _redraw_one_class_rows(counts[0], dataset.pooled()[1], cfg.sampling, cfg.seed)
+        weights = np.hstack(counts) if auc else counts[0]  # hstack would copy the one part
+        return _estimate(dataset, trainer, cfg.metric, weights, "replicate {}".format, th=cfg.th)
+    if cfg.version in (Version.CVN, Version.CVK):
+        perms = (None,) * len(sizes) if perms is None else perms
+        maps = [make_partition(n, k, p) for n, k, p in zip(sizes, ks, perms, strict=True)]
+    else:
+        maps = [
+            repeated_partitions(n, k, cfg.repetitions, part_seed(c))
+            for c, (n, k) in enumerate(zip(sizes, ks))
+        ]
+    if cfg.reduced and ks[0] != ks[1]:
+        raise DomainError("reduced variant requires K1 == K2")
+    grid = (1,) * len(ks) if cfg.version is Version.CVKM else ks[:1] if cfg.reduced else ks
+    folds = [a.ravel() + 1 for a in np.indices(grid)] * (2 if cfg.reduced else 1)
+    return _fold_tasks(dataset, trainer, cfg.metric, maps, folds, cfg.th)
+
+
+def _run(dataset, trainer, cfg: EstimatorConfig, perms=None) -> EstimatorReport:
+    """The report of ``cfg``'s variant (the reduced one is partitioned over the
+    diagonal tasks), echoing the dataset sizes, the trainer and the config
+    fields the public function takes, other than variant and strict."""
+    values = variant_values(dataset, trainer, cfg, perms)
+    value, excluded = values.pick(Variant.PARTITIONED if cfg.reduced else cfg.variant, cfg.strict)
+    echo = {"n1": dataset.n1, "n2": dataset.n2, "trainer": trainer.name}
+    for field in _DISPATCH[cfg.metric, cfg.version][1].split():
+        if field not in ("variant", "strict"):
+            echo[field] = getattr(cfg, field)
+    return EstimatorReport(value, cfg.version, cfg.variant, cfg.metric, echo, excluded)
+
+
+# ---------------------------------------------------------------------------
+# Error rate
+# ---------------------------------------------------------------------------
+
+
+def err_cvn(dataset: StratifiedDataset, trainer: Trainer, th: float = 0.0) -> EstimatorReport:
+    """Leave-one-out CV: train n times on n-1 points, test the held-out one."""
+    return _run(dataset, trainer, EstimatorConfig(Version.CVN, Metric.ERROR, th=th))
+
+
+def err_cvk(
+    dataset: StratifiedDataset,
+    trainer: Trainer,
+    th: float = 0.0,
+    n_folds: int = 2,
+    variant: Variant = Variant.POOLED,
+    perm: Sequence[int] | None = None,
+) -> EstimatorReport:
+    """One-run K-fold CV over the pooled observations.
+
+    The pooled variant averages the per-observation losses once; the
+    partitioned variant averages within each fold first.  With equal fold
+    sizes the two coincide; with ``n_folds == n`` both reduce to ``err_cvn``.
+    """
+    return _run(
+        dataset, trainer, EstimatorConfig(Version.CVK, Metric.ERROR, variant, th, n_folds=n_folds),
+        (perm,))
+
+
+def err_cvkr(
+    dataset: StratifiedDataset,
+    trainer: Trainer,
+    th: float = 0.0,
+    n_folds: int = 2,
+    repetitions: int = 1,
+    seed: int = 0,
+    variant: Variant = Variant.POOLED,
+) -> EstimatorReport:
+    """Repeated K-fold CV: M independently shuffled K-fold runs.
+
+    Pooled: every observation's loss is averaged over the M runs first, then
+    across observations.  Partitioned: per-run partitioned K-fold values are
+    averaged across runs.
+    """
+    return _run(dataset, trainer, EstimatorConfig(
+        Version.CVKR, Metric.ERROR, variant, th, n_folds=n_folds, repetitions=repetitions,
+        seed=seed))
+
+
+def err_cvkm(
+    dataset: StratifiedDataset,
+    trainer: Trainer,
+    th: float = 0.0,
+    n_folds: int = 2,
+    repetitions: int = 1,
+    seed: int = 0,
+    variant: Variant = Variant.POOLED,
+    strict: bool = False,
+) -> EstimatorReport:
+    """Monte-Carlo CV: each run trains once and tests on the first fold only.
+
+    Pooled: per observation, the out-of-fold losses are summed over runs and
+    divided by the number of runs that tested it; observations never tested
+    are dropped and counted (strict mode raises).  Partitioned: the test-fold
+    mean of each run is averaged over runs.  The variants differ for finite
+    run counts.
+    """
+    return _run(dataset, trainer, EstimatorConfig(
+        Version.CVKM, Metric.ERROR, variant, th, n_folds=n_folds, repetitions=repetitions,
+        seed=seed, strict=strict))
+
+
+def err_loob(
+    dataset: StratifiedDataset,
+    trainer: Trainer,
+    th: float = 0.0,
+    n_bootstrap: int = 1,
+    seed: int = 0,
+    model: SamplingModel = SamplingModel.ORDERED,
+    variant: Variant = Variant.POOLED,
+    strict: bool = False,
+) -> EstimatorReport:
+    """Leave-one-out bootstrap error (pooled) and its replicate-averaged variant.
+
+    Pooled: each observation's losses over the replicates that left it out
+    are averaged, then averaged across observations; never-left-out
+    observations are dropped and counted (strict mode raises).  Partitioned:
+    each replicate contributes the mean loss over its out-of-bag set;
+    all-in-bag replicates are skipped and counted.  The two variants are not
+    equal, even for many replicates.  ``model`` is echoed as ``sampling``.
+    """
+    return _run(dataset, trainer, EstimatorConfig(
+        Version.LOOB, Metric.ERROR, variant, th, n_bootstrap=n_bootstrap, sampling=model,
+        seed=seed, strict=strict))
+
+
+# ---------------------------------------------------------------------------
+# AUC
+# ---------------------------------------------------------------------------
+
+
+def auc_cvn(dataset: StratifiedDataset, trainer: Trainer) -> EstimatorReport:
+    """Leave-pair-out CV: n1*n2 trainings, one per held-out pair."""
+    return _run(dataset, trainer, EstimatorConfig(Version.CVN, Metric.AUC))
+
+
+def auc_cvk(
+    dataset: StratifiedDataset,
+    trainer: Trainer,
+    n_folds1: int = 2,
+    n_folds2: int = 2,
+    variant: Variant = Variant.POOLED,
+    perms: tuple[Sequence[int] | None, Sequence[int] | None] | None = None,
+) -> EstimatorReport:
+    """One-run K-fold CV for AUC with per-class fold counts K1, K2.
+
+    Pooled and partitioned variants train K1*K2 times and agree exactly; the
+    reduced variant (K1 == K2 required) pairs only same-index folds, training
+    K times, and generally differs.  ``n_folds1 == n1`` with ``n_folds2 == n2``
+    reduces to ``auc_cvn``.
+    """
+    return _run(dataset, trainer, EstimatorConfig(
+        Version.CVK, Metric.AUC, variant, n_folds1=n_folds1, n_folds2=n_folds2), perms)
+
+
+def auc_cvkr(
+    dataset: StratifiedDataset,
+    trainer: Trainer,
+    n_folds1: int = 2,
+    n_folds2: int = 2,
+    repetitions: int = 1,
+    seed: int = 0,
+    variant: Variant = Variant.POOLED,
+) -> EstimatorReport:
+    """Repeated K-fold CV for AUC over M independent per-class shuffles."""
+    return _run(dataset, trainer, EstimatorConfig(
+        Version.CVKR, Metric.AUC, variant, n_folds1=n_folds1, n_folds2=n_folds2,
+        repetitions=repetitions, seed=seed))
+
+
+def auc_cvkm(
+    dataset: StratifiedDataset,
+    trainer: Trainer,
+    n_folds1: int = 2,
+    n_folds2: int = 2,
+    repetitions: int = 1,
+    seed: int = 0,
+    variant: Variant = Variant.POOLED,
+    strict: bool = False,
+) -> EstimatorReport:
+    """Monte-Carlo CV for AUC: one test fold per class per run.
+
+    Pooled: per pair, kernel values from runs where both members sat in the
+    test folds, divided by the number of such runs; uncovered pairs are
+    dropped and counted.  Partitioned: per-run mean over the test-fold pair
+    block, averaged over runs.  Not equal for finite run counts.
+    """
+    return _run(dataset, trainer, EstimatorConfig(
+        Version.CVKM, Metric.AUC, variant, n_folds1=n_folds1, n_folds2=n_folds2,
+        repetitions=repetitions, seed=seed, strict=strict))
+
+
+def auc_lpobs(
+    dataset: StratifiedDataset,
+    trainer: Trainer,
+    n_bootstrap: int = 1,
+    seed: int = 0,
+    model: SamplingModel = SamplingModel.ORDERED,
+    variant: Variant = Variant.POOLED,
+    strict: bool = False,
+) -> EstimatorReport:
+    """Leave-pair-out bootstrap AUC; the classes are resampled independently.
+
+    Pooled: per pair, kernel values from replicates where both members are
+    out-of-bag, divided by the number of such replicates; never-covered pairs
+    are dropped and counted.  Partitioned: per replicate, the mean kernel
+    over its out-of-bag pair block, averaged over replicates; replicates with
+    an empty out-of-bag set on either class are skipped and counted.  The
+    variants differ even in the many-replicate limit.  ``model`` is echoed as
+    ``sampling``.
+    """
+    return _run(dataset, trainer, EstimatorConfig(
+        Version.LOOB, Metric.AUC, variant, n_bootstrap=n_bootstrap, sampling=model,
+        seed=seed, strict=strict))
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+
 def run(dataset: StratifiedDataset, trainer: Trainer, cfg: EstimatorConfig) -> EstimatorReport:
-    """Run the estimator selected by ``cfg`` on ``dataset``."""
+    """Run the estimator selected by ``cfg`` on ``dataset``.
+
+    Calls the public function by its name, looked up at call time, so that
+    rebinding an estimator in this module (as a tracer does) reroutes ``run``.
+    """
     try:
         name, fields = _DISPATCH[cfg.metric, cfg.version]
     except KeyError:

@@ -218,34 +218,6 @@ def trainer_from_id(trainer_id: str, params: dict | None = None) -> Trainer:
     return factory(params or {})
 
 
-def truncate_count(n: int, n_folds: int) -> int:
-    """Largest multiple of the fold count not exceeding n."""
-    if n_folds < 1:
-        raise DomainError("fold count must be >= 1")
-    return n - (n % n_folds)
-
-
-def truncate_per_class(dataset: StratifiedDataset, n_folds1: int, n_folds2: int) -> StratifiedDataset:
-    """Drop trailing rows of each class so the fold counts divide the sizes."""
-    k1 = truncate_count(dataset.n1, n_folds1)
-    k2 = truncate_count(dataset.n2, n_folds2)
-    if k1 < 1 or k2 < 1:
-        raise DomainError("truncation would empty a class")
-    return StratifiedDataset(dataset.class1[:k1], dataset.class2[:k2])
-
-
-def truncate_pooled(dataset: StratifiedDataset, n_folds: int) -> StratifiedDataset:
-    """Drop trailing observations (class-2 tail first) until K divides n."""
-    drop = dataset.n % n_folds
-    drop2 = min(drop, dataset.n2 - 1)
-    drop1 = drop - drop2
-    if drop1 > dataset.n1 - 1:
-        raise DomainError("truncation would empty a class")
-    return StratifiedDataset(
-        dataset.class1[: dataset.n1 - drop1], dataset.class2[: dataset.n2 - drop2]
-    )
-
-
 def true_conditional_performance(
     rule: ScoringRule,
     spec: MultinormalSpec,
@@ -418,12 +390,14 @@ def run_ratio_curve(
 ) -> list[RatioPoint]:
     """Bootstrap-variant error ratio vs class size, averaged over the seeds.
 
-    For each n1 (with n2 = n1), every seed draws a fresh dataset and one set
-    of B replicates, trained once, which serves both variants; the ratio is
-    the seed-mean of the partitioned variant over the seed-mean of the pooled
-    variant.  ``ratio_theory`` is the published closed form
-    (2n-2)/(2n-1) with n = 2*n1, reported for comparison; it is not the
-    B -> infinity limit of ``ratio_empirical``, which lies above it.
+    For each n1 (with n2 = n1), every seed draws a fresh dataset; one
+    :func:`cvlab.estimators.variant_values` call with a LOOB error config
+    (threshold 0, seed ``derive_seed(seed, "ratio-est")``) trains its B
+    replicates once and returns both variants.  The ratio is the seed-mean
+    of the partitioned variant over the seed-mean of the pooled variant.
+    ``ratio_theory`` is the published closed form (2n-2)/(2n-1) with
+    n = 2*n1, reported for comparison; it is not the B -> infinity limit of
+    ``ratio_empirical``, which lies above it.
     """
     n1_grid = list(n1_grid)
     seeds = list(seeds)
@@ -438,9 +412,9 @@ def run_ratio_curve(
         for idx, seed in enumerate(seeds):
             dataset = ratio_curve_dataset(n1, seed)
             est_seed = derive_seed(seed, "ratio-est")
-            values = estimators.bootstrap_error_variants(
-                dataset, trainer, 0.0, n_bootstrap, est_seed, model
-            )
+            values = estimators.variant_values(dataset, trainer, EstimatorConfig(
+                Version.LOOB, Metric.ERROR, n_bootstrap=n_bootstrap, sampling=model, seed=est_seed,
+            ))
             pooled_values[idx] = values.pick(Variant.POOLED)[0]
             partitioned_values[idx] = values.pick(Variant.PARTITIONED)[0]
         pooled_mean = float(pooled_values.mean())

@@ -1,0 +1,82 @@
+"""Reference computations the tests compare the library against.
+
+Each one is written independently of the code under test, as a direct
+transcription of its definition: a scalar rank kernel, sums over the exact
+out-of-bag pmf, the decomposition residual, and the enumerated B -> infinity
+limits of the leave-one-out bootstrap variants.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from cvlab.analysis import PairedPerformanceSample, decompose
+from cvlab.combinatorics import pmf_unseen_count
+from cvlab.core import DomainError
+from cvlab.resampling import enumerate_multiset_counts
+
+
+def mw_kernel(a: float, b: float) -> float:
+    """Two-sample rank kernel of one pair: 0 if a > b, 0.5 if a == b, 1 if a < b."""
+    a = float(a)
+    b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("mw_kernel requires finite scores")
+    if a > b:
+        return 0.0
+    if a < b:
+        return 1.0
+    return 0.5
+
+
+def identity_residual(sample: PairedPerformanceSample) -> float:
+    """|lhs - rhs| of the decomposition identity; raises when degenerate."""
+    report = decompose(sample)
+    if report.degenerate:
+        raise DomainError("zero variance: identity is undefined")
+    return abs(report.residual)
+
+
+def pmf_total(n: int, m: int) -> Fraction:
+    """Sum of the pmf over its support; exactly 1 for valid (n, m)."""
+    return sum((pmf_unseen_count(n, m, k) for k in range(n)), start=Fraction(0))
+
+
+def unseen_mean_by_summation(n: int) -> Fraction:
+    """E a_b computed from the pmf, for cross-checking the closed form."""
+    return sum((k * pmf_unseen_count(n, n, k) for k in range(n)), start=Fraction(0))
+
+
+def inv_one_plus_unseen_by_summation(n: int) -> Fraction:
+    """E 1/(1+a_b) computed from the pmf."""
+    return sum(
+        (pmf_unseen_count(n, n, k) / (1 + k) for k in range(n)), start=Fraction(0)
+    )
+
+
+def two_class_multisets(labels: np.ndarray) -> np.ndarray:
+    """Every unordered-multiset replicate of the pooled sample that keeps both
+    classes.  The one-class redraw is rejection sampling, so the accepted
+    replicate is uniform over exactly these rows."""
+    counts = np.array(list(enumerate_multiset_counts(labels.size)))
+    keep = (counts[:, labels == 1].sum(axis=1) > 0) & (counts[:, labels == 2].sum(axis=1) > 0)
+    return counts[keep]
+
+
+def loob_limits(losses: np.ndarray, oob: np.ndarray) -> tuple[float, float]:
+    """(pooled, partitioned) leave-one-out bootstrap values when every row of
+    ``losses``/``oob`` (replicates x observations) carries equal weight, i.e.
+    their B -> infinity limits over the enumerated replicate distribution.
+
+    Pooled: per observation, out-of-bag loss sum over out-of-bag count, then
+    the mean over observations.  Partitioned: per replicate with a non-empty
+    out-of-bag set, its mean out-of-bag loss, then the mean over those
+    replicates.
+    """
+    oob = oob.astype(float)
+    pooled = float(((losses * oob).sum(axis=0) / oob.sum(axis=0)).mean())
+    unseen = oob.sum(axis=1)
+    usable = unseen > 0
+    partitioned = float(((losses * oob).sum(axis=1)[usable] / unseen[usable]).mean())
+    return pooled, partitioned

@@ -11,10 +11,10 @@ test:
   its exact B -> infinity limit on the same datasets, built by enumerating
   all two-class multiset replicates (the one-class redraw is rejection
   sampling, so that conditioning is exact) and scoring them through the
-  trainer's batch hook.  The limit is 0.991; the published closed form
-  (2n-2)/(2n-1) = 18/19 is not the mean of this estimator's out-of-bag
-  weight (see ``cvlab.combinatorics``), and the test also asserts that it
-  lies more than the tolerance away from the limit.
+  trainer's batch hook (``tests/oracles.py``).  The limit is 0.991; the
+  published closed form (2n-2)/(2n-1) = 18/19 is not the mean of this
+  estimator's out-of-bag weight (see ``cvlab.combinatorics``), and the test
+  also asserts that it lies more than the tolerance away from the limit.
 - 8 compares the n -> infinity anchor Phi(delta/sqrt 2) = 0.714 with the
   first-order extrapolation 2 S(n1=100) - S(n1=50) for both trainers.  At any
   finite n the conditional AUC of a linear rule is below the anchor
@@ -36,15 +36,12 @@ import numpy as np
 import pytest
 
 from cvlab import cli
-from cvlab.analysis import PairedPerformanceSample, decompose, identity_residual
+from cvlab.analysis import PairedPerformanceSample, decompose
 from cvlab.combinatorics import (
     expected_inv_one_plus_unseen,
     expected_unseen,
     inclusion_probability,
-    inv_one_plus_unseen_by_summation,
-    pmf_total,
     pmf_unseen_count,
-    unseen_mean_by_summation,
 )
 from cvlab.core import StratifiedDataset, write_dataset_csv
 from cvlab.estimators import (
@@ -73,6 +70,14 @@ from cvlab.simlab import (
     ratio_curve_dataset,
     run_ratio_curve,
     run_weak_correlation,
+)
+from oracles import (
+    identity_residual,
+    inv_one_plus_unseen_by_summation,
+    loob_limits,
+    pmf_total,
+    two_class_multisets,
+    unseen_mean_by_summation,
 )
 
 MASTER_SEED = 20260810
@@ -279,33 +284,6 @@ class TestCriterion05EnumerationOracle:
             for k in range(n):
                 ok &= Fraction(freq.get(k, 0), total) == pmf_unseen_count(n, n, k)
         assert verdict("5", ok, "stars-and-bars enumeration matches the exact pmf for n <= 6")
-
-
-def two_class_multisets(labels: np.ndarray) -> np.ndarray:
-    """Every unordered-multiset replicate of the pooled sample that keeps both
-    classes.  The one-class redraw is rejection sampling, so the accepted
-    replicate is uniform over exactly these rows."""
-    counts = np.array(list(enumerate_multiset_counts(labels.size)))
-    keep = (counts[:, labels == 1].sum(axis=1) > 0) & (counts[:, labels == 2].sum(axis=1) > 0)
-    return counts[keep]
-
-
-def loob_limits(losses: np.ndarray, oob: np.ndarray) -> tuple[float, float]:
-    """(pooled, partitioned) leave-one-out bootstrap values when every row of
-    ``losses``/``oob`` (replicates x observations) carries equal weight, i.e.
-    their B -> infinity limits over the enumerated replicate distribution.
-
-    Pooled: per observation, out-of-bag loss sum over out-of-bag count, then
-    the mean over observations.  Partitioned: per replicate with a non-empty
-    out-of-bag set, its mean out-of-bag loss, then the mean over those
-    replicates.
-    """
-    oob = oob.astype(float)
-    pooled = float(((losses * oob).sum(axis=0) / oob.sum(axis=0)).mean())
-    unseen = oob.sum(axis=1)
-    usable = unseen > 0
-    partitioned = float(((losses * oob).sum(axis=1)[usable] / unseen[usable]).mean())
-    return pooled, partitioned
 
 
 class TestCriterion06RatioCurve:

@@ -148,7 +148,9 @@ out_csv = {out_csv}
         assert cli.main(["estimate", str(config)]) == 0
         lines = out_csv.read_text().strip().splitlines()
         assert len(lines) == 2  # header + one row
-        assert lines[0].split(",")[0] == "schema"
+        payload = err_cvn(SIX_POINT, NearestMeanTrainer()).to_json_dict()
+        assert lines[0].split(",") == list(payload)
+        assert lines[1].split(",") == [str(v) for v in payload.values()]
 
 
 class TestVerify:
@@ -237,8 +239,10 @@ class TestSimulate:
         config_path = write_config(tmp_path, "sim.ini", SIMULATE_TEMPLATE.format(**paths))
         assert cli.main(["simulate", str(config_path)]) == 0
         original = cli.load_config(config_path, "simulate")
-        echoed = cli.parse_manifest(paths["manifest"], "simulate")
-        assert echoed == original
+        # the manifest echoes the config, then adds an [outputs] section
+        manifest = cli.load_config(paths["manifest"], "simulate")
+        echoed = tuple(section for section in manifest.sections if section[0] != "outputs")
+        assert cli.RunConfig("simulate", echoed) == original
         # the manifest also records content hashes of both outputs
         manifest_text = paths["manifest"].read_text()
         assert "table_sha256" in manifest_text and "triples_sha256" in manifest_text
@@ -321,6 +325,17 @@ out_csv = {out}
 }
 
 
+def run_cli_process(subcommand, config):
+    """``python -m cvlab.cli subcommand config`` in a fresh process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "cvlab.cli", subcommand, str(config)],
+        capture_output=True, text=True, env=env,
+    )
+
+
 class TestNegativeSeed:
     @pytest.mark.parametrize("subcommand", sorted(NEGATIVE_SEED_CONFIGS))
     def test_exits_2_without_traceback(self, tmp_path, dataset_csv, subcommand):
@@ -330,17 +345,56 @@ class TestNegativeSeed:
             manifest=tmp_path / "m.ini",
         )
         config = write_config(tmp_path, "negative-seed.ini", text)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run(
-            [sys.executable, "-m", "cvlab.cli", subcommand, str(config)],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_cli_process(subcommand, config)
         assert proc.returncode == 2
         assert "error: seed must be non-negative" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+
+def unreadable_case(name, tmp_path, dataset_csv):
+    """(subcommand, config path) of a run with a path it cannot read or write."""
+    if name == "config-not-utf8":
+        config = tmp_path / "latin1.ini"
+        config.write_bytes(b"[verify]\nn_max = 5\n# caf\xe9\n")
+        return "verify", config
+    if name == "pairs-field-too-large":
+        pairs = tmp_path / "wide-pairs.csv"
+        pairs.write_text("s,s_hat\n0.5," + "1" * 200_000 + "\n")
+        text = f"[io]\ninput = {pairs}\nout_json = {tmp_path / 'out.json'}\n"
+        return "decompose", write_config(tmp_path, "unreadable.ini", text)
+    dataset, out_json = dataset_csv, tmp_path / "out.json"
+    if name == "dataset-not-utf8":
+        dataset = tmp_path / "latin1.csv"
+        dataset.write_bytes(b"class,f1\n1,0.5\n1,0.7\xe9\n2,1.5\n")
+    elif name == "dataset-field-too-large":
+        dataset = tmp_path / "wide.csv"
+        dataset.write_text("class,f1\n1," + "1" * 200_000 + "\n2,1.5\n")
+    elif name == "dataset-is-directory":
+        dataset = tmp_path
+    elif name == "dataset-missing":
+        dataset = tmp_path / "missing.csv"
+    elif name == "out-json-is-directory":
+        out_json = tmp_path / "out-dir"
+        out_json.mkdir()
+    text = (
+        "[estimator]\nversion = CVN\nmetric = error\n\n[trainer]\nid = nearest-mean\n\n"
+        f"[io]\ndataset = {dataset}\nout_json = {out_json}\n"
+    )
+    return "estimate", write_config(tmp_path, "unreadable.ini", text)
+
+
+class TestUnreadablePaths:
+    @pytest.mark.parametrize("name", [
+        "config-not-utf8", "dataset-not-utf8", "dataset-field-too-large",
+        "dataset-is-directory", "dataset-missing", "out-json-is-directory",
+        "pairs-field-too-large",
+    ])
+    def test_exits_2_without_traceback(self, tmp_path, dataset_csv, name):
+        proc = run_cli_process(*unreadable_case(name, tmp_path, dataset_csv))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestDecompose:

@@ -20,14 +20,12 @@ from cvlab.combinatorics import (
     expected_unseen,
     identity_checks,
     inclusion_probability,
-    inv_one_plus_unseen_by_summation,
-    pmf_total,
     pmf_unseen_count,
     prob_some_unseen,
-    unseen_mean_by_summation,
 )
 from cvlab.core import DomainError
 from cvlab.resampling import enumerate_multiset_counts
+from oracles import inv_one_plus_unseen_by_summation, pmf_total, unseen_mean_by_summation
 
 
 def unseen_distribution_by_enumeration(n: int, m: int) -> dict[int, Fraction]:

@@ -5,16 +5,15 @@ from hypothesis import strategies as st
 
 from cvlab.core import (
     DomainError,
-    LabeledPoint,
     LinearScoringRule,
     StratifiedDataset,
     empirical_auc,
-    mw_kernel,
     pairwise_kernel,
     read_dataset_csv,
     write_dataset_csv,
-    zero_one_loss,
+    zero_one_losses,
 )
+from oracles import mw_kernel
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -125,22 +124,20 @@ class TestZeroOneLoss:
     rule = LinearScoringRule(weights=np.array([1.0]), offset=0.0)
 
     def test_correct_class1(self):
-        assert zero_one_loss(self.rule, LabeledPoint(np.array([-1.0]), 1), 0.0) == 0.0
+        scores = self.rule.score_many(np.array([[-1.0]]))
+        assert list(zero_one_losses(scores, np.array([1]), 0.0)) == [0.0]
 
     def test_missed_class1(self):
-        assert zero_one_loss(self.rule, LabeledPoint(np.array([1.0]), 1), 0.0) == 1.0
+        scores = self.rule.score_many(np.array([[1.0]]))
+        assert list(zero_one_losses(scores, np.array([1]), 0.0)) == [1.0]
 
     def test_tie_break_goes_to_class2(self):
-        assert zero_one_loss(self.rule, LabeledPoint(np.array([0.0]), 2), 0.0) == 0.0
-        assert zero_one_loss(self.rule, LabeledPoint(np.array([0.0]), 1), 0.0) == 1.0
+        scores = self.rule.score_many(np.array([[0.0], [0.0]]))
+        assert list(zero_one_losses(scores, np.array([2, 1]), 0.0)) == [0.0, 1.0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            zero_one_loss(self.rule, LabeledPoint(np.array([0.0, 1.0]), 1), 0.0)
-
-    def test_bad_label(self):
-        with pytest.raises(DomainError):
-            LabeledPoint(np.array([0.0]), 3)
+            self.rule.score_many(np.array([[0.0, 1.0]]))
 
 
 class TestStratifiedDataset:

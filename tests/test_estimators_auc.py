@@ -13,7 +13,6 @@ from cvlab.core import (
     LinearScoringRule,
     StratifiedDataset,
     Trainer,
-    mw_kernel,
 )
 from cvlab import estimators
 from cvlab.estimators import (
@@ -37,6 +36,7 @@ from cvlab.resampling import (
     repeated_partitions,
 )
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
+from oracles import mw_kernel
 
 
 class ConstantScoreTrainer(Trainer):
@@ -53,6 +53,10 @@ class ConstantScoreTrainer(Trainer):
 # ---------------------------------------------------------------------------
 
 
+def score(rule, x):
+    return rule.score_many(x[None, :])[0]
+
+
 def train_pair_subset(trainer, dataset, keep1, keep2):
     return trainer.train(
         StratifiedDataset(dataset.class1[keep1], dataset.class2[keep2])
@@ -67,7 +71,7 @@ def oracle_auc_cvn(dataset, trainer):
                 trainer, dataset, np.arange(dataset.n1) != i, np.arange(dataset.n2) != j
             )
             total += mw_kernel(
-                rule.score(dataset.class1[i]), rule.score(dataset.class2[j])
+                score(rule, dataset.class1[i]), score(rule, dataset.class2[j])
             )
     return total / (dataset.n1 * dataset.n2)
 
@@ -75,7 +79,7 @@ def oracle_auc_cvn(dataset, trainer):
 def oracle_cell_kernel(dataset, trainer, assign1, assign2, k1, k2):
     rule = train_pair_subset(trainer, dataset, assign1 != k1, assign2 != k2)
     values = [
-        mw_kernel(rule.score(dataset.class1[i]), rule.score(dataset.class2[j]))
+        mw_kernel(score(rule, dataset.class1[i]), score(rule, dataset.class2[j]))
         for i in np.flatnonzero(assign1 == k1)
         for j in np.flatnonzero(assign2 == k2)
     ]
@@ -132,7 +136,7 @@ def oracle_auc_cvkm(dataset, trainer, n_folds1, n_folds2, repetitions, seed):
         values = []
         for i in np.flatnonzero(a1 == 1):
             for j in np.flatnonzero(a2 == 1):
-                psi = mw_kernel(rule.score(dataset.class1[i]), rule.score(dataset.class2[j]))
+                psi = mw_kernel(score(rule, dataset.class1[i]), score(rule, dataset.class2[j]))
                 pair_sums[i, j] += psi
                 pair_hits[i, j] += 1
                 values.append(psi)
@@ -159,7 +163,7 @@ def oracle_lpobs(dataset, trainer, counts1, counts2):
         values = []
         for i in rows:
             for j in cols:
-                psi = mw_kernel(rule.score(dataset.class1[i]), rule.score(dataset.class2[j]))
+                psi = mw_kernel(score(rule, dataset.class1[i]), score(rule, dataset.class2[j]))
                 pair_sums[i, j] += psi
                 pair_hits[i, j] += 1
                 values.append(psi)

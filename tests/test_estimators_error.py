@@ -52,7 +52,7 @@ def train_on_pool(trainer, features, labels, keep):
 
 
 def loss_of(rule, x, label, th=0.0):
-    predicted = 2 if rule.score(x) >= th else 1
+    predicted = 2 if rule.score_many(x[None, :])[0] >= th else 1
     return float(predicted != label)
 
 
@@ -434,7 +434,7 @@ class TestReportContract:
         assert 0.0 <= payload["value"] <= 1.0
 
     def test_csv_fields_align(self):
-        report = err_cvn(SIX_POINT, NearestMeanTrainer())
-        keys, row = report.csv_fields()
-        assert len(keys) == len(row)
-        assert "value" in keys
+        # the CLI writes the payload as one CSV row: one scalar field per key
+        payload = err_cvn(SIX_POINT, NearestMeanTrainer()).to_json_dict()
+        assert all(v is None or isinstance(v, (str, int, float)) for v in payload.values())
+        assert "value" in payload

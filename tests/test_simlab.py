@@ -25,9 +25,6 @@ from cvlab.simlab import (
     run_weak_correlation,
     trainer_from_id,
     true_conditional_performance,
-    truncate_count,
-    truncate_per_class,
-    truncate_pooled,
 )
 
 TABLE_SPEC = MultinormalSpec(p=5, delta=0.8, n1=10, n2=10)
@@ -84,13 +81,13 @@ class TestNearestMean:
     def test_symmetric_midpoint_scores_zero(self):
         ds = StratifiedDataset(np.array([[-1.0]]), np.array([[1.0]]))
         rule = NearestMeanTrainer().train(ds)
-        assert rule.score(np.array([0.0])) == 0.0
+        assert rule.score_many(np.array([[0.0]]))[0] == 0.0
 
     def test_class2_mean_scores_positive(self):
         rng = np.random.default_rng(2)
         ds = StratifiedDataset(rng.normal(0, 1, (10, 3)), rng.normal(1, 1, (10, 3)))
         rule = NearestMeanTrainer().train(ds)
-        assert rule.score(ds.class2.mean(axis=0)) > 0
+        assert rule.score_many(ds.class2.mean(axis=0)[None, :])[0] > 0
 
     def test_coefficients_by_hand(self):
         ds = StratifiedDataset(
@@ -143,7 +140,7 @@ class TestLda:
     def test_ridge_restores_solvability(self):
         ds = StratifiedDataset(np.zeros((2, 4)), np.ones((2, 4)))
         rule = LdaTrainer(1e-3).train(ds)
-        assert np.isfinite(rule.score(np.ones(4)))
+        assert np.isfinite(rule.score_many(np.ones((1, 4)))).all()
 
 
 class TestWeightedBatchHook:
@@ -181,28 +178,6 @@ class TestTrainerRegistry:
     def test_unknown_id(self):
         with pytest.raises(DomainError):
             trainer_from_id("svm", {})
-
-
-class TestTruncation:
-    def test_truncate_count(self):
-        assert truncate_count(11, 4) == 8
-        assert truncate_count(12, 4) == 12
-
-    def test_truncate_per_class(self):
-        ds = StratifiedDataset(np.zeros((7, 1)), np.ones((9, 1)))
-        out = truncate_per_class(ds, 3, 4)
-        assert (out.n1, out.n2) == (6, 8)
-
-    def test_truncate_pooled(self):
-        ds = StratifiedDataset(np.zeros((7, 1)), np.ones((9, 1)))
-        out = truncate_pooled(ds, 5)
-        assert out.n % 5 == 0
-        assert out.n1 == 7  # trailing drops come from class 2 first
-
-    def test_truncate_cannot_empty_class(self):
-        ds = StratifiedDataset(np.zeros((1, 1)), np.ones((2, 1)))
-        with pytest.raises(DomainError):
-            truncate_per_class(ds, 1, 3)
 
 
 class TestTrueConditionalPerformance:
