@@ -20,7 +20,7 @@ rather than the training-set-conditional one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,24 +80,7 @@ class DecompositionReport:
     residual: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "trials": self.trials,
-            "mean_s": self.mean_s,
-            "mean_s_hat": self.mean_s_hat,
-            "sigma_s": self.sigma_s,
-            "sigma_s_hat": self.sigma_s_hat,
-            "mse_cond": self.mse_cond,
-            "mse_mean": self.mse_mean,
-            "rms_cond": self.rms_cond,
-            "rms_mean": self.rms_mean,
-            "degenerate": self.degenerate,
-            "rho": self.rho,
-            "sigma_ratio": self.sigma_ratio,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 def decompose(sample: PairedPerformanceSample) -> DecompositionReport:

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -115,8 +115,11 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
 }
 
 # {section: {key: type name}}; every listed key is optional unless the
-# subcommand handler demands it.  A campaign derives each trial's estimator
-# seed, so only ``estimate`` takes [estimator] seed.
+# subcommand handler demands it.  Each [estimator] key names an
+# EstimatorConfig field (``estimators._CONFIG_KEYS`` maps the ones spelled
+# differently), and ``estimators.run`` rejects a missing size or seed.  A
+# campaign derives each trial's estimator seed, so only ``estimate`` takes
+# [estimator] seed.
 _ESTIMATOR_KEYS = {
     "version": "version", "variant": "variant", "metric": "metric",
     "th": "float", "K": "int", "K1": "int", "K2": "int", "M": "int",
@@ -179,29 +182,13 @@ def _require(values: dict, section: str, key: str):
         raise DomainError(f"missing required key '{key}' in section [{section}]") from None
 
 
-def _estimator_config(values: dict, seed_required: bool) -> EstimatorConfig:
-    est = values.get("estimator", {})
-    version = est.get("version")
-    metric = est.get("metric")
+def _estimator_config(values: dict) -> EstimatorConfig:
+    est = dict(values.get("estimator", {}))
+    version, metric = est.pop("version", None), est.pop("metric", None)
     if version is None or metric is None:
         raise DomainError("[estimator] needs 'version' and 'metric'")
-    seed = est.get("seed")
-    if seed_required and version in (Version.CVKR, Version.CVKM, Version.LOOB) and seed is None:
-        raise DomainError(f"[estimator] seed is mandatory for randomized version {version.value}")
-    return EstimatorConfig(
-        version=version,
-        metric=metric,
-        variant=est.get("variant", Variant.POOLED),
-        th=est.get("th", 0.0),
-        n_folds=est.get("K"),
-        n_folds1=est.get("K1"),
-        n_folds2=est.get("K2"),
-        repetitions=est.get("M"),
-        n_bootstrap=est.get("B"),
-        sampling=est.get("sampling", SamplingModel.ORDERED),
-        seed=seed,
-        strict=est.get("strict", False),
-    )
+    field_of = {key: field for field, key in estimators._CONFIG_KEYS.items()}
+    return EstimatorConfig(version, metric, **{field_of.get(k, k): v for k, v in est.items()})
 
 
 def _trainer(values: dict) -> simlab.Trainer:
@@ -220,7 +207,7 @@ def _trainer(values: dict) -> simlab.Trainer:
 
 def _atomic_write(path: str | Path, data: str) -> None:
     """Write through a temp file and a rename; a path that cannot be written
-    (a directory, say) is a :class:`DomainError`."""
+    (a directory, or one holding a NUL byte, say) is a :class:`DomainError`."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -232,7 +219,7 @@ def _atomic_write(path: str | Path, data: str) -> None:
         except BaseException:
             os.unlink(tmp)
             raise
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
@@ -274,7 +261,7 @@ def _write_payload(values: dict, payload: dict) -> None:
 
 def cmd_estimate(config: RunConfig) -> int:
     values = validate_config(config)
-    est_cfg = _estimator_config(values, seed_required=True)
+    est_cfg = _estimator_config(values)
     trainer = _trainer(values)
     dataset_path = _require(values, "io", "dataset")
     dataset = read_dataset_csv(dataset_path)
@@ -317,7 +304,7 @@ def _campaign_from_config(values: dict) -> simlab.WeakCorrConfig:
         n2=_require(values, "data", "n2"),
     )
     if "estimator" in values and values["estimator"]:
-        est_cfg = _estimator_config(values, seed_required=False)
+        est_cfg = _estimator_config(values)
     else:
         est_cfg = simlab.DEFAULT_ESTIMATOR
     return simlab.WeakCorrConfig(
@@ -330,15 +317,9 @@ def _campaign_from_config(values: dict) -> simlab.WeakCorrConfig:
     )
 
 
-TABLE_COLUMNS = ["role", "mean", "sigma", "rms_cond", "rms_mean", "rho", "n"]
-
-
 def table_csv_text(result: simlab.WeakCorrResult) -> str:
-    rows = [
-        [r.role, r.mean, r.sigma, r.rms_cond, r.rms_mean, r.rho, r.n]
-        for r in result.rows
-    ]
-    return _csv_text(TABLE_COLUMNS, rows)
+    header = [f.name for f in fields(simlab.ExperimentRow)]
+    return _csv_text(header, [astuple(row) for row in result.rows])
 
 
 def triples_csv_text(result: simlab.WeakCorrResult) -> str:

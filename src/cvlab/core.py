@@ -203,14 +203,14 @@ def zero_one_losses(scores: np.ndarray, labels: np.ndarray, th: float) -> np.nda
 def read_dataset_csv(path: str | Path) -> StratifiedDataset:
     """Load a dataset CSV with header ``class,f1,...,fp`` and labels in {1,2}.
 
-    A file that cannot be read (missing, a directory, not UTF-8) is a
-    :class:`DomainError` like a malformed one.
+    A file that cannot be read (missing, a directory, not UTF-8, a path with a
+    NUL byte) is a :class:`DomainError` like a malformed one.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError: a NUL byte or not UTF-8
         raise DomainError(f"cannot read dataset {path}: {exc}") from exc
     if not rows:
         raise DomainError(f"{path}: empty dataset file")

@@ -376,12 +376,9 @@ class EstimatorConfig:
             Metric.AUC, Version.CVK, Variant.REDUCED
         )
 
-    def require(self, *names: str) -> None:
-        for name in names:
-            if getattr(self, name) is None:
-                raise DomainError(f"{self.version.value} needs '{_CONFIG_KEYS[name]}'")
 
-
+# Config field -> its [estimator] key, for the fields that ``run`` demands of
+# the versions that take them; every other field is its own key.
 _CONFIG_KEYS = {
     "n_folds": "K", "n_folds1": "K1", "n_folds2": "K2", "repetitions": "M", "n_bootstrap": "B",
     "seed": "seed",
@@ -672,15 +669,14 @@ def auc_lpobs(
 def run(dataset: StratifiedDataset, trainer: Trainer, cfg: EstimatorConfig) -> EstimatorReport:
     """Run the estimator selected by ``cfg`` on ``dataset``.
 
-    Calls the public function by its name, looked up at call time, so that
-    rebinding an estimator in this module (as a tracer does) reroutes ``run``.
+    A size or seed the version takes but ``cfg`` leaves unset is a
+    :class:`DomainError` naming its config key.  Calls the public function by
+    its name, looked up at call time, so that rebinding an estimator in this
+    module (as a tracer does) reroutes ``run``.
     """
-    try:
-        name, fields = _DISPATCH[cfg.metric, cfg.version]
-    except KeyError:
-        raise DomainError(
-            f"unsupported estimator {cfg.version.value}/{cfg.metric.value}"
-        ) from None
+    name, fields = _DISPATCH[cfg.metric, cfg.version]
     fields = fields.split()
-    cfg.require(*(f for f in fields if f in _CONFIG_KEYS))
+    for field in fields:
+        if field in _CONFIG_KEYS and getattr(cfg, field) is None:
+            raise DomainError(f"{cfg.version.value} needs '{_CONFIG_KEYS[field]}'")
     return globals()[name](dataset, trainer, *(getattr(cfg, f) for f in fields))

@@ -6,9 +6,7 @@ A fold map is an int array of fold ids 1..K: (n,) for one run, (M, n) for M
 runs.  The canonical map over n observations (K divides n, folds of size
 n_K = n/K) puts observation i (1-based) in fold ceil(i / n_K).  A randomized
 map composes it with a uniform permutation; the repeated-CV maps take row m
-from permutation stream m.  They are memoized, since one study asks for the
-same (n, K, M, seed) several times (CVKR, pooled and partitioned CVKM); the
-cached array is shared between callers, so it is read-only.
+from permutation stream m.
 
 Bootstrap sampling models
 -------------------------
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 import zlib
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -167,9 +164,8 @@ def _philox_keys(seed: int, tag: str, counters: np.ndarray) -> np.ndarray:
     return np.stack([low0 | high0 << 32, low1 | high1 << 32], axis=1)
 
 
-@lru_cache(maxsize=16)
 def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np.ndarray:
-    """Read-only (M, n) fold ids; row m maps ``random_permutation(n, seed, m)``.
+    """(M, n) fold ids; row m maps ``random_permutation(n, seed, m)``.
 
     All M stream keys come from one ``_philox_keys`` pass; one Philox
     generator is re-keyed (counter 0, empty buffer) before each row.
@@ -194,9 +190,7 @@ def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np
         state["state"]["key"] = key
         bit_generator.state = state
         rng.shuffle(row)
-    assign = (images - 1) // size + 1
-    assign.flags.writeable = False
-    return assign
+    return (images - 1) // size + 1
 
 
 def decode_stars_and_bars(subset: Sequence[int], n: int) -> np.ndarray:

@@ -294,25 +294,8 @@ class ExperimentRow:
 class WeakCorrResult:
     rows: tuple[ExperimentRow, ExperimentRow, ExperimentRow]
     triples: np.ndarray  # (trials, 3): S, Sbar, Shat
-    decomposition: analysis.DecompositionReport
+    decomposition: analysis.DecompositionReport  # of Shat against S
     aborted: int
-
-    @property
-    def mean_s(self) -> float:
-        return self.rows[0].mean
-
-
-def _row_against_truth(role: str, values: np.ndarray, s: np.ndarray, n: int) -> ExperimentRow:
-    rep = analysis.decompose(analysis.PairedPerformanceSample(s=s, s_hat=values))
-    return ExperimentRow(
-        role=role,
-        mean=rep.mean_s_hat,
-        sigma=rep.sigma_s_hat,
-        rms_cond=rep.rms_cond,
-        rms_mean=rep.rms_mean,
-        rho=rep.rho if rep.rho is not None else float("nan"),
-        n=n,
-    )
 
 
 def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
@@ -350,15 +333,18 @@ def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
     if len(triples) < 2:
         raise EstimationError("fewer than two usable trials")
     arr = np.array(triples, dtype=float)
-    s, s_bar, s_hat = arr[:, 0], arr[:, 1], arr[:, 2]
-    n = spec.n1 + spec.n2
-    rows = (
-        _row_against_truth("S", s, s, n),
-        _row_against_truth("Sbar", s_bar, s, n),
-        _row_against_truth("Shat", s_hat, s, n),
+    reports = [
+        analysis.decompose(analysis.PairedPerformanceSample(s=arr[:, 0], s_hat=values))
+        for values in arr.T
+    ]
+    rows = tuple(
+        ExperimentRow(
+            role, rep.mean_s_hat, rep.sigma_s_hat, rep.rms_cond, rep.rms_mean,
+            float("nan") if rep.rho is None else rep.rho, spec.n1 + spec.n2,
+        )
+        for role, rep in zip(("S", "Sbar", "Shat"), reports)
     )
-    decomposition = analysis.decompose(analysis.PairedPerformanceSample(s=s, s_hat=s_hat))
-    return WeakCorrResult(rows=rows, triples=arr, decomposition=decomposition, aborted=aborted)
+    return WeakCorrResult(rows=rows, triples=arr, decomposition=reports[2], aborted=aborted)
 
 
 @dataclass(frozen=True)
@@ -374,11 +360,10 @@ class RatioPoint:
 
 
 def ratio_curve_dataset(n1: int, seed: int) -> StratifiedDataset:
-    """One-dimensional two-normal draw (means 0 and 1, unit variance)."""
-    rng = derive_rng(seed, "ratio-data")
-    return StratifiedDataset(
-        rng.normal(0.0, 1.0, size=(n1, 1)), rng.normal(1.0, 1.0, size=(n1, 1))
-    )
+    """One-dimensional two-normal draw (means 0 and 1, unit variance): the
+    multinormal model at p = 1, delta = 1, with n1 points in each class."""
+    spec = MultinormalSpec(p=1, delta=1.0, n1=n1, n2=n1)
+    return spec.sample(n1, n1, derive_rng(seed, "ratio-data"))
 
 
 def run_ratio_curve(

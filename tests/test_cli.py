@@ -92,12 +92,13 @@ class TestEstimate:
         )
         assert cli.main(["estimate", str(config)]) == 2
 
-    def test_randomized_run_requires_seed(self, tmp_path, dataset_csv):
+    def test_randomized_run_requires_seed(self, tmp_path, dataset_csv, capsys):
         config = estimate_config(
             tmp_path, dataset_csv, version="LOOB", variant="pooled",
             out_json=tmp_path / "x.json", extra="B = 10",
         )
         assert cli.main(["estimate", str(config)]) == 2
+        assert "needs 'seed'" in capsys.readouterr().err
 
     def test_estimation_failure_exits_3(self, tmp_path, dataset_csv):
         # ridgeless LDA on 1-D six points: leave-one-out can produce a
@@ -374,9 +375,13 @@ def unreadable_case(name, tmp_path, dataset_csv):
         dataset = tmp_path
     elif name == "dataset-missing":
         dataset = tmp_path / "missing.csv"
+    elif name == "dataset-nul-byte":
+        dataset = tmp_path / "d\0.csv"
     elif name == "out-json-is-directory":
         out_json = tmp_path / "out-dir"
         out_json.mkdir()
+    elif name == "out-json-nul-byte":
+        out_json = tmp_path / "o\0.json"
     text = (
         "[estimator]\nversion = CVN\nmetric = error\n\n[trainer]\nid = nearest-mean\n\n"
         f"[io]\ndataset = {dataset}\nout_json = {out_json}\n"
@@ -387,8 +392,8 @@ def unreadable_case(name, tmp_path, dataset_csv):
 class TestUnreadablePaths:
     @pytest.mark.parametrize("name", [
         "config-not-utf8", "dataset-not-utf8", "dataset-field-too-large",
-        "dataset-is-directory", "dataset-missing", "out-json-is-directory",
-        "pairs-field-too-large",
+        "dataset-is-directory", "dataset-missing", "dataset-nul-byte", "out-json-is-directory",
+        "out-json-nul-byte", "pairs-field-too-large",
     ])
     def test_exits_2_without_traceback(self, tmp_path, dataset_csv, name):
         proc = run_cli_process(*unreadable_case(name, tmp_path, dataset_csv))

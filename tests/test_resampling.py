@@ -92,11 +92,6 @@ class TestRepeatedPartitions:
             want = make_partition(n, folds, random_permutation(n, seed, m))
             np.testing.assert_array_equal(rp[m], want)
 
-    def test_shared_array_is_read_only(self):
-        rp = repeated_partitions(6, 3, 2, seed=4)
-        with pytest.raises(ValueError):
-            rp[0, 0] = 2
-
     def test_validation(self):
         with pytest.raises(DivisibilityError):
             repeated_partitions(7, 3, 2, seed=0)

@@ -337,5 +337,6 @@ class TestRatioCurve:
         assert ds.class1.std() == pytest.approx(1.0, abs=0.02)
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(DomainError):
-            run_ratio_curve([], NearestMeanTrainer(), 10, SamplingModel.ORDERED, [1])
+        for grid in ([], [4, -2]):
+            with pytest.raises(DomainError):
+                run_ratio_curve(grid, NearestMeanTrainer(), 10, SamplingModel.ORDERED, [1])
