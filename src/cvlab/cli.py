@@ -2,10 +2,12 @@
 
 Subcommands: ``estimate``, ``verify``, ``simulate``, ``ratio-curve``,
 ``decompose``.  Each takes a plain-text config file with ``[section]``
-headers and ``key = value`` lines; unknown sections or keys are rejected, and
-a seed is mandatory for any randomized run.  Outputs are written atomically
-(temp file + rename) so re-running a config overwrites rather than appends,
-and a fixed seed reproduces every output byte for byte.
+headers and ``key = value`` lines.  ``_SCHEMAS`` is the whole input contract:
+unknown sections or keys, bad values and missing required keys are all
+rejected before any work, so such a config exits 2 with nothing run or
+written.  A seed is mandatory for any randomized run.  Outputs are written
+atomically (temp file + rename) so re-running a config overwrites rather than
+appends, and a fixed seed reproduces every output byte for byte.
 
 Exit codes: 0 success, 1 when ``verify`` finds an identity that fails,
 2 configuration or input error, 3 estimation error.
@@ -114,23 +116,27 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
     "sampling": lambda raw: SamplingModel(raw.lower()),
 }
 
-# {section: {key: type name}}; every listed key is optional unless the
-# subcommand handler demands it.  Each [estimator] key names an
-# EstimatorConfig field (``estimators._CONFIG_KEYS`` maps the ones spelled
-# differently), and ``estimators.run`` rejects a missing size or seed.  A
-# campaign derives each trial's estimator seed, so only ``estimate`` takes
-# [estimator] seed.
+# {section: {key: type name}}, the whole input contract of each subcommand.  A
+# type name ending in "?" marks a key that may be left out; every other key is
+# required.  A section name ending in "?" may be left out or left empty, and
+# then none of its keys is asked for: a simulate config without [estimator]
+# runs ``simlab.DEFAULT_ESTIMATOR``.  ``validate_config`` checks all of this
+# before a handler starts, so a missing required key exits 2 with nothing run
+# or written.  Each [estimator] key names an EstimatorConfig field
+# (``estimators._CONFIG_KEYS`` maps the ones spelled differently), and
+# ``estimators.run`` rejects a missing size or seed.  A campaign derives each
+# trial's estimator seed, so only ``estimate`` takes [estimator] seed.
 _ESTIMATOR_KEYS = {
-    "version": "version", "variant": "variant", "metric": "metric",
-    "th": "float", "K": "int", "K1": "int", "K2": "int", "M": "int",
-    "B": "int", "sampling": "sampling", "strict": "bool",
+    "version": "version", "variant": "variant?", "metric": "metric",
+    "th": "float?", "K": "int?", "K1": "int?", "K2": "int?", "M": "int?",
+    "B": "int?", "sampling": "sampling?", "strict": "bool?",
 }
-_TRAINER_KEYS = {"id": "str", "ridge": "float"}
+_TRAINER_KEYS = {"id": "str", "ridge": "float?"}
 _SCHEMAS: dict[str, dict[str, dict[str, str]]] = {
     "estimate": {
-        "estimator": {**_ESTIMATOR_KEYS, "seed": "int"},
+        "estimator": {**_ESTIMATOR_KEYS, "seed": "int?"},
         "trainer": _TRAINER_KEYS,
-        "io": {"dataset": "str", "out_json": "str", "out_csv": "str"},
+        "io": {"dataset": "str", "out_json": "str?", "out_csv": "str?"},
     },
     "verify": {
         "verify": {"n_max": "int"},
@@ -138,66 +144,60 @@ _SCHEMAS: dict[str, dict[str, dict[str, str]]] = {
     "simulate": {
         "data": {"p": "int", "delta": "float", "n1": "int", "n2": "int"},
         "campaign": {"trials": "int", "test_per_class": "int", "seed": "int"},
-        "estimator": _ESTIMATOR_KEYS,
+        "estimator?": _ESTIMATOR_KEYS,
         "trainer": _TRAINER_KEYS,
         "io": {"out_table": "str", "out_triples": "str", "out_manifest": "str"},
     },
     "ratio-curve": {
         "curve": {
-            "n1_grid": "int_list", "B": "int", "sampling": "sampling",
+            "n1_grid": "int_list", "B": "int", "sampling": "sampling?",
             "replicates": "int", "seed": "int",
         },
         "trainer": _TRAINER_KEYS,
         "io": {"out_csv": "str"},
     },
     "decompose": {
-        "io": {"input": "str", "out_json": "str", "out_csv": "str"},
+        "io": {"input": "str", "out_json": "str?", "out_csv": "str?"},
     },
 }
 
 
 def validate_config(config: RunConfig) -> dict[str, dict[str, object]]:
-    """Reject unknown sections/keys and convert values per the schema."""
+    """Reject unknown sections and keys, convert values per the schema, then
+    reject a missing required key.  Every schema section is in the result."""
     schema = _SCHEMAS[config.subcommand]
+    kinds = {name.rstrip("?"): keys for name, keys in schema.items()}
     out: dict[str, dict[str, object]] = {}
     for section, items in config.sections:
-        if section not in schema:
+        if section not in kinds:
             raise DomainError(f"unknown config section [{section}]")
         out[section] = {}
         for key, raw in items:
-            if key not in schema[section]:
+            if key not in kinds[section]:
                 raise DomainError(f"unknown key '{key}' in section [{section}]")
-            converter = _CONVERTERS[schema[section][key]]
+            converter = _CONVERTERS[kinds[section][key].rstrip("?")]
             try:
                 out[section][key] = converter(raw)
             except (ValueError, KeyError) as exc:
                 raise DomainError(f"[{section}] {key}: bad value '{raw}' ({exc})") from None
+    for name, keys in schema.items():
+        section = name.rstrip("?")
+        given = out.setdefault(section, {})
+        if name.endswith("?") and not given:
+            continue
+        for key, kind in keys.items():
+            if key not in given and not kind.endswith("?"):
+                raise DomainError(f"missing required key '{key}' in section [{section}]")
     return out
 
 
-def _require(values: dict, section: str, key: str):
-    try:
-        return values[section][key]
-    except KeyError:
-        raise DomainError(f"missing required key '{key}' in section [{section}]") from None
-
-
-def _estimator_config(values: dict) -> EstimatorConfig:
-    est = dict(values.get("estimator", {}))
-    version, metric = est.pop("version", None), est.pop("metric", None)
-    if version is None or metric is None:
-        raise DomainError("[estimator] needs 'version' and 'metric'")
+def _estimator_config(section: dict) -> EstimatorConfig:
     field_of = {key: field for field, key in estimators._CONFIG_KEYS.items()}
-    return EstimatorConfig(version, metric, **{field_of.get(k, k): v for k, v in est.items()})
+    return EstimatorConfig(**{field_of.get(k, k): v for k, v in section.items()})
 
 
 def _trainer(values: dict) -> simlab.Trainer:
-    section = values.get("trainer", {})
-    trainer_id = section.get("id")
-    if trainer_id is None:
-        raise DomainError("[trainer] needs 'id'")
-    params = {k: v for k, v in section.items() if k != "id"}
-    return simlab.trainer_from_id(trainer_id, params)
+    return simlab.trainer_from_id(values["trainer"]["id"], values["trainer"])
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +244,13 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_payload(values: dict, payload: dict) -> None:
+def _write_payload(io_section: dict, payload: dict) -> None:
     """Write ``payload`` to [io] out_json and, as one CSV row, to out_csv (each if set)."""
-    io_values = values.get("io", {})
-    if io_values.get("out_json"):
-        _atomic_write(io_values["out_json"], _json_text(payload))
-    if io_values.get("out_csv"):
+    if io_section.get("out_json"):
+        _atomic_write(io_section["out_json"], _json_text(payload))
+    if io_section.get("out_csv"):
         keys = list(payload)
-        _atomic_write(io_values["out_csv"], _csv_text(keys, [[payload[k] for k in keys]]))
+        _atomic_write(io_section["out_csv"], _csv_text(keys, [[payload[k] for k in keys]]))
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +260,11 @@ def _write_payload(values: dict, payload: dict) -> None:
 
 def cmd_estimate(config: RunConfig) -> int:
     values = validate_config(config)
-    est_cfg = _estimator_config(values)
+    est_cfg = _estimator_config(values["estimator"])
     trainer = _trainer(values)
-    dataset_path = _require(values, "io", "dataset")
-    dataset = read_dataset_csv(dataset_path)
+    dataset = read_dataset_csv(values["io"]["dataset"])
     report = estimators.run(dataset, trainer, est_cfg)
-    _write_payload(values, report.to_json_dict())
+    _write_payload(values["io"], report.to_json_dict())
     print(f"{report.version.value}/{report.variant.value} {report.metric.value} "
           f"= {report.value!r} (excluded={report.excluded_count})")
     return 0
@@ -292,28 +290,16 @@ def run_verify(
 
 def cmd_verify(config: RunConfig) -> int:
     values = validate_config(config)
-    n_max = _require(values, "verify", "n_max")
-    return 0 if run_verify(n_max) else 1
+    return 0 if run_verify(values["verify"]["n_max"]) else 1
 
 
 def _campaign_from_config(values: dict) -> simlab.WeakCorrConfig:
-    spec = simlab.MultinormalSpec(
-        p=_require(values, "data", "p"),
-        delta=_require(values, "data", "delta"),
-        n1=_require(values, "data", "n1"),
-        n2=_require(values, "data", "n2"),
-    )
-    if "estimator" in values and values["estimator"]:
-        est_cfg = _estimator_config(values)
-    else:
-        est_cfg = simlab.DEFAULT_ESTIMATOR
+    est = values["estimator"]
     return simlab.WeakCorrConfig(
-        spec=spec,
-        trials=_require(values, "campaign", "trials"),
-        test_per_class=_require(values, "campaign", "test_per_class"),
+        spec=simlab.MultinormalSpec(**values["data"]),
+        estimator=_estimator_config(est) if est else simlab.DEFAULT_ESTIMATOR,
         trainer=_trainer(values),
-        estimator=est_cfg,
-        seed=_require(values, "campaign", "seed"),
+        **values["campaign"],
     )
 
 
@@ -347,13 +333,11 @@ def cmd_simulate(config: RunConfig) -> int:
     result = simlab.run_weak_correlation(campaign)
     table = table_csv_text(result)
     triples = triples_csv_text(result)
-    out_table = _require(values, "io", "out_table")
-    out_triples = _require(values, "io", "out_triples")
-    out_manifest = _require(values, "io", "out_manifest")
-    _atomic_write(out_table, table)
-    _atomic_write(out_triples, triples)
+    io_section = values["io"]
+    _atomic_write(io_section["out_table"], table)
+    _atomic_write(io_section["out_triples"], triples)
     _atomic_write(
-        out_manifest,
+        io_section["out_manifest"],
         manifest_text(
             config, {"table_sha256": _sha256(table), "triples_sha256": _sha256(triples)}
         ),
@@ -379,15 +363,11 @@ def ratio_csv_text(points: list[simlab.RatioPoint]) -> str:
 
 def cmd_ratio_curve(config: RunConfig) -> int:
     values = validate_config(config)
-    curve = values.get("curve", {})
-    grid = _require(values, "curve", "n1_grid")
-    n_bootstrap = _require(values, "curve", "B")
-    replicates = _require(values, "curve", "replicates")
-    master = _require(values, "curve", "seed")
+    curve = values["curve"]
     model = curve.get("sampling", SamplingModel.ORDERED)
-    seeds = [derive_seed(master, "ratio-replicate", r) for r in range(replicates)]
-    points = simlab.run_ratio_curve(grid, _trainer(values), n_bootstrap, model, seeds)
-    _atomic_write(_require(values, "io", "out_csv"), ratio_csv_text(points))
+    seeds = [derive_seed(curve["seed"], "ratio-replicate", r) for r in range(curve["replicates"])]
+    points = simlab.run_ratio_curve(curve["n1_grid"], _trainer(values), curve["B"], model, seeds)
+    _atomic_write(values["io"]["out_csv"], ratio_csv_text(points))
     for p in points:
         print(
             f"n1={p.n1}: empirical={p.ratio_empirical:.4f} theory={p.ratio_theory:.4f}"
@@ -397,7 +377,7 @@ def cmd_ratio_curve(config: RunConfig) -> int:
 
 def cmd_decompose(config: RunConfig) -> int:
     values = validate_config(config)
-    input_path = Path(_require(values, "io", "input"))
+    input_path = Path(values["io"]["input"])
     try:
         with input_path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -419,7 +399,7 @@ def cmd_decompose(config: RunConfig) -> int:
         s=np.array([p[0] for p in pairs]), s_hat=np.array([p[1] for p in pairs])
     )
     report = analysis.decompose(sample)
-    _write_payload(values, report.to_json_dict())
+    _write_payload(values["io"], report.to_json_dict())
     print(
         f"rms_cond={report.rms_cond!r} rms_mean={report.rms_mean!r} "
         f"rho={report.rho!r} residual={report.residual!r}"

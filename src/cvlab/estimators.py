@@ -71,6 +71,7 @@ makes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -368,6 +369,10 @@ class EstimatorConfig:
     sampling: SamplingModel = SamplingModel.ORDERED
     seed: int | None = None
     strict: bool = False
+
+    def __post_init__(self):
+        if not math.isfinite(self.th):
+            raise DomainError("th must be finite")
 
     @property
     def reduced(self) -> bool:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import zlib
 from enum import Enum
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -193,26 +193,16 @@ def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np
     return (images - 1) // size + 1
 
 
-def decode_stars_and_bars(subset: Sequence[int], n: int) -> np.ndarray:
-    """Counts vector for a sorted n-subset of {0, ..., 2n-2}.
+def enumerate_multiset_counts(n: int) -> np.ndarray:
+    """(C(2n-1, n), n) array of all bootstrap count vectors, one row per index
+    multiset.
 
-    The bijection sends subset element s_j (j = 0..n-1, ascending) to the
-    multiset value s_j - j; the result is the multiplicity histogram of those
-    values over {0, ..., n-1}.
+    Decodes every n-subset of {0, ..., 2n-2} as the UNORDERED_MULTISET
+    sampler does: ascending element s_j becomes the multiset value s_j - j;
+    feasible for small n only.
     """
-    positions = np.asarray(subset, dtype=int)
-    values = positions - np.arange(n)
-    return np.bincount(values, minlength=n)
-
-
-def enumerate_multiset_counts(n: int) -> Iterator[np.ndarray]:
-    """All C(2n-1, n) bootstrap count vectors, one per index multiset.
-
-    Walks every n-subset of {0, ..., 2n-2} through the same decoding used by
-    the UNORDERED_MULTISET sampler; feasible for small n only.
-    """
-    for subset in combinations(range(2 * n - 1), n):
-        yield decode_stars_and_bars(subset, n)
+    subsets = np.array(list(combinations(range(2 * n - 1), n)), dtype=int)
+    return _row_histograms(subsets - np.arange(n), n)
 
 
 def _counts_from_uniform_keys(keys: np.ndarray, n: int) -> np.ndarray:

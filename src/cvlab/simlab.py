@@ -81,8 +81,8 @@ class MultinormalSpec:
     def __post_init__(self):
         if self.p < 1:
             raise DomainError("p must be >= 1")
-        if self.delta < 0:
-            raise DomainError("delta must be >= 0")
+        if not 0 <= self.delta < math.inf:
+            raise DomainError("delta must be finite and >= 0")
         if self.n1 < 1 or self.n2 < 1:
             raise DomainError("class sizes must be >= 1")
 
@@ -150,8 +150,8 @@ class LdaTrainer(Trainer):
     """Fisher rule with pooled covariance (divide by n1+n2-2) plus a ridge."""
 
     def __init__(self, ridge: float = 0.0):
-        if ridge < 0:
-            raise DomainError("ridge must be >= 0")
+        if not 0 <= ridge < math.inf:
+            raise DomainError("ridge must be finite and >= 0")
         self.ridge = float(ridge)
 
     @property
@@ -355,8 +355,6 @@ class RatioPoint:
     ratio_empirical: float
     ratio_theory: float
     model: SamplingModel
-    err_pooled_mean: float
-    err_partitioned_mean: float
 
 
 def ratio_curve_dataset(n1: int, seed: int) -> StratifiedDataset:
@@ -412,8 +410,6 @@ def run_ratio_curve(
                 ratio_empirical=partitioned_mean / pooled_mean,
                 ratio_theory=float(expected_oob_weight(2 * int(n1))),
                 model=model,
-                err_pooled_mean=pooled_mean,
-                err_partitioned_mean=partitioned_mean,
             )
         )
     return points

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvlab import cli
+from cvlab import analysis, cli, estimators, simlab
 from cvlab.combinatorics import pmf_unseen_count
 from cvlab.core import StratifiedDataset, write_dataset_csv
 from cvlab.estimators import Variant, err_cvn
@@ -351,6 +351,121 @@ class TestNegativeSeed:
         assert "error: seed must be non-negative" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+
+NON_FINITE_CONFIGS = {
+    "ridge": ("estimate", """
+[estimator]
+version = CVN
+metric = error
+
+[trainer]
+id = lda
+ridge = nan
+
+[io]
+dataset = {dataset}
+out_json = {out}
+"""),
+    "th": ("estimate", """
+[estimator]
+version = CVN
+metric = error
+th = inf
+
+[trainer]
+id = nearest-mean
+
+[io]
+dataset = {dataset}
+out_json = {out}
+"""),
+    "delta": ("simulate", SIMULATE_TEMPLATE.replace("delta = 1.0", "delta = nan")),
+}
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("key", sorted(NON_FINITE_CONFIGS))
+    def test_exits_2_naming_the_key(self, tmp_path, dataset_csv, key):
+        subcommand, template = NON_FINITE_CONFIGS[key]
+        out = tmp_path / "out.txt"
+        text = template.format(
+            dataset=dataset_csv, out=out, table=out, triples=tmp_path / "t.csv",
+            manifest=tmp_path / "m.ini",
+        )
+        proc = run_cli_process(subcommand, write_config(tmp_path, "non-finite.ini", text))
+        assert proc.returncode == 2
+        assert f"error: {key} must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+class WorkStarted(Exception):
+    """Raised by the stand-ins for each subcommand's work."""
+
+
+REQUIRED_KEYS = [
+    (subcommand, name.rstrip("?"), key)
+    for subcommand, schema in cli._SCHEMAS.items()
+    for name, keys in schema.items()
+    for key, kind in keys.items()
+    if not kind.endswith("?")
+]
+
+
+def complete_configs(tmp_path, dataset_csv):
+    """{subcommand: {section: {key: value}}} of one valid config each, with
+    every output under tmp_path / "out"."""
+    out = tmp_path / "out"
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("s,s_hat\n0.5,0.4\n0.7,0.6\n")
+    trainer = {"id": "nearest-mean"}
+    return {
+        "estimate": {
+            "estimator": {"version": "CVN", "metric": "error"},
+            "trainer": trainer,
+            "io": {"dataset": dataset_csv, "out_json": out / "e.json", "out_csv": out / "e.csv"},
+        },
+        "verify": {"verify": {"n_max": 3}},
+        "simulate": {
+            "data": {"p": 2, "delta": 1.0, "n1": 6, "n2": 6},
+            "campaign": {"trials": 10, "test_per_class": 40, "seed": 31},
+            "estimator": {"version": "CVN", "metric": "auc"},
+            "trainer": trainer,
+            "io": {"out_table": out / "t.csv", "out_triples": out / "tr.csv",
+                   "out_manifest": out / "m.ini"},
+        },
+        "ratio-curve": {
+            "curve": {"n1_grid": "3", "B": 10, "replicates": 2, "seed": 1},
+            "trainer": trainer,
+            "io": {"out_csv": out / "r.csv"},
+        },
+        "decompose": {"io": {"input": pairs, "out_json": out / "d.json"}},
+    }
+
+
+class TestRequiredKeys:
+    @pytest.mark.parametrize(
+        "subcommand,section,key", REQUIRED_KEYS, ids=["-".join(case) for case in REQUIRED_KEYS]
+    )
+    def test_missing_key_exits_2_before_any_work(
+        self, tmp_path, dataset_csv, capsys, monkeypatch, subcommand, section, key
+    ):
+        def work(*args, **kwargs):
+            raise WorkStarted(subcommand)
+
+        for module, name in [(simlab, "run_weak_correlation"), (simlab, "run_ratio_curve"),
+                             (estimators, "run"), (analysis, "decompose"), (cli, "run_verify")]:
+            monkeypatch.setattr(module, name, work)
+        sections = complete_configs(tmp_path, dataset_csv)[subcommand]
+        del sections[section][key]
+        text = "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+            for name, items in sections.items()
+        )
+        assert cli.main([subcommand, str(write_config(tmp_path, "missing.ini", text))]) == 2
+        assert f"error: missing required key '{key}' in section [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def unreadable_case(name, tmp_path, dataset_csv):

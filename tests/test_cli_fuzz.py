@@ -59,13 +59,15 @@ def typed_value(draw, section, key, kind, noisy):
 
 def config_text(draw, subcommand, noisy):
     lines = []
-    for section, keys in cli._SCHEMAS[subcommand].items():
+    for name, keys in cli._SCHEMAS[subcommand].items():
         if noisy and rarely(draw):
             continue
+        section = name.rstrip("?")  # "?" marks an optional section or key
         lines.append(f"[{section}]")
         for key, kind in keys.items():
             if not (noisy and rarely(draw)):
-                lines.append(f"{key} = {typed_value(draw, section, key, kind, noisy)}")
+                value = typed_value(draw, section, key, kind.rstrip("?"), noisy)
+                lines.append(f"{key} = {value}")
     while noisy and rarely(draw):
         lines.insert(draw(st.integers(0, len(lines))), draw(JUNK_LINES))
     return "\n".join(lines) + "\n"

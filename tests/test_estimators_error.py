@@ -22,6 +22,7 @@ from cvlab.core import (
 from cvlab.estimators import (
     CoverageError,
     EstimationError,
+    EstimatorConfig,
     Metric,
     Variant,
     Version,
@@ -392,6 +393,13 @@ class TestErrLoob:
     def test_rejects_bad_budget(self):
         with pytest.raises(DomainError):
             err_loob(SEPARABLE, NearestMeanTrainer(), 0.0, 0, 1)
+
+
+class TestEstimatorConfig:
+    @pytest.mark.parametrize("th", [np.nan, np.inf, -np.inf])
+    def test_threshold_must_be_finite(self, th):
+        with pytest.raises(DomainError):
+            EstimatorConfig(Version.CVN, Metric.ERROR, th=th)
 
 
 class TestAsymptoticBehaviour:

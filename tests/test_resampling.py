@@ -11,7 +11,6 @@ from cvlab.resampling import (
     SamplingModel,
     _philox_keys,
     bootstrap_counts_matrix,
-    decode_stars_and_bars,
     derive_rng,
     derive_seed,
     derive_seed_sequence,
@@ -132,10 +131,13 @@ class TestStarsAndBars:
                 assert sum(counts) == n
 
     def test_decode_example(self):
-        # subset {0,1,2} of {0..4} is the multiset {0,0,0}
-        assert list(decode_stars_and_bars([0, 1, 2], 3)) == [3, 0, 0]
-        # subset {0,2,4} decodes to one copy of each index
-        assert list(decode_stars_and_bars([0, 2, 4], 3)) == [1, 1, 1]
+        # one row per 3-subset of {0..4}, in itertools.combinations order
+        counts = enumerate_multiset_counts(3)
+        assert counts.shape == (10, 3)
+        # the first subset, {0,1,2}, is the multiset {0,0,0}
+        assert list(counts[0]) == [3, 0, 0]
+        # the fifth, {0,2,4}, decodes to one copy of each index
+        assert list(counts[4]) == [1, 1, 1]
 
 
 class TestBootstrapSampling:

@@ -51,8 +51,9 @@ class TestMultinormalSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
             MultinormalSpec(p=0, delta=1.0, n1=2, n2=2)
-        with pytest.raises(DomainError):
-            MultinormalSpec(p=2, delta=-0.1, n1=2, n2=2)
+        for delta in (-0.1, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                MultinormalSpec(p=2, delta=delta, n1=2, n2=2)
 
     def test_sample_separation_matches_delta(self):
         # Mahalanobis cross-check on a large draw: with identity covariance
@@ -136,6 +137,11 @@ class TestLda:
         ds = StratifiedDataset(np.zeros((2, 4)), np.ones((2, 4)))
         with pytest.raises(EstimationError):
             LdaTrainer().train(ds)
+
+    @pytest.mark.parametrize("ridge", [-0.1, math.nan, math.inf])
+    def test_ridge_must_be_finite_and_non_negative(self, ridge):
+        with pytest.raises(DomainError):
+            LdaTrainer(ridge)
 
     def test_ridge_restores_solvability(self):
         ds = StratifiedDataset(np.zeros((2, 4)), np.ones((2, 4)))
