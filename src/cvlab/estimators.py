@@ -51,8 +51,11 @@ The estimators differ only in their tasks: CVK has K (CVN is K = n), CVKR
 M*K, CVKM M each testing fold 1, LOOB one per replicate.  An AUC fold task
 leaves out one fold of each class (all K1*K2 fold pairs, or the K diagonal
 ones for the reduced variant); an AUC bootstrap task pairs the two classes'
-replicates.  A pooled bootstrap replicate that lost a class is redrawn from
-a derived seed, up to 100 attempts.
+replicates.  A pooled bootstrap replicate b that lost a class is redrawn,
+attempt a from the derived seed ``derive_seed(seed, f"retry-{b}", a)``, up
+to 100 attempts.  The attempts run in rounds, each redrawing every row still
+one-class with its retry keys derived in one pass; the streams are those of
+one SeedSequence per row.
 
 All tasks are scored in one :func:`task_scores` call: batched through a
 trainer's ``weighted_scores(X, labels, weights, X_eval)`` hook, or task by
@@ -87,7 +90,9 @@ from cvlab.core import (
 from cvlab.resampling import (
     SamplingModel,
     bootstrap_counts_matrix,
+    bootstrap_counts_rows,
     derive_seed,
+    derive_seeds,
     make_partition,
     repeated_partitions,
 )
@@ -333,19 +338,26 @@ def _fold_tasks(dataset, trainer, metric, assigns, folds, th=0.0) -> VariantValu
 
 
 def _redraw_one_class_rows(counts: np.ndarray, labels, model: SamplingModel, seed: int) -> None:
-    """Redraw, in place, each replicate row that lost a class, from a derived seed."""
-    for b in _one_class_rows(counts, labels):
-        for attempt in range(1, MAX_ONE_CLASS_RETRIES + 1):
-            retry = bootstrap_counts_matrix(
-                counts.shape[1], 1, model, derive_seed(seed, f"retry-{b}", attempt)
-            )
-            if not _one_class_rows(retry, labels).size:
-                counts[b] = retry[0]
-                break
-        else:
-            raise EstimationError(
-                f"replicate {b}: still one-class after {MAX_ONE_CLASS_RETRIES} redraws"
-            )
+    """Redraw, in place, each replicate row b that lost a class.
+
+    Attempt a redraws row b from ``derive_seed(seed, f"retry-{b}", a)``.  The
+    attempts run in rounds: round a redraws every row still one-class, all
+    from one ``derive_seeds`` and one ``bootstrap_counts_rows`` pass.
+    """
+    rows = _one_class_rows(counts, labels)
+    for attempt in range(1, MAX_ONE_CLASS_RETRIES + 1):
+        if not rows.size:
+            return
+        seeds = derive_seeds(seed, [f"retry-{b}" for b in rows], attempt)
+        retry = bootstrap_counts_rows(counts.shape[1], model, seeds)
+        still = np.zeros(rows.size, dtype=bool)
+        still[_one_class_rows(retry, labels)] = True
+        counts[rows[~still]] = retry[~still]
+        rows = rows[still]
+    if rows.size:
+        raise EstimationError(
+            f"replicate {rows[0]}: still one-class after {MAX_ONE_CLASS_RETRIES} redraws"
+        )
 
 
 # ---------------------------------------------------------------------------

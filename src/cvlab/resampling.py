@@ -25,10 +25,17 @@ Randomness
 Every randomized operation takes an explicit integer master seed.  Stream
 seeds are derived as (master seed, crc32(stream tag), counter) through
 ``numpy.random.SeedSequence`` feeding a Philox generator, so independent
-streams can be drawn in any order without interfering.  The repeated-CV maps
-derive the Philox keys of all M streams in one vectorised pass of
-SeedSequence's mixing and draw every row through one re-keyed generator; the
-streams, and so the rows, are the same as one generator per repetition gives.
+streams can be drawn in any order without interfering.
+
+Where many streams are drawn at once, ``_seed_sequence_state`` transcribes
+SeedSequence's mixing over arrays: every stream's words come from one
+vectorised pass, the same words one SeedSequence per stream gives.  The
+repeated-CV maps derive the Philox keys of all M streams in one pass.  The
+one-class redraw of the estimators derives, per round of retries, every
+retry seed (``derive_seeds``) in one pass and the Philox keys of those seeds
+(``bootstrap_counts_rows``) in another.  Each row is then drawn through one
+Philox generator re-keyed to the start of its stream
+(``_rekeyed_streams``), so the rows are those of one generator per stream.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from __future__ import annotations
 import zlib
 from enum import Enum
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,11 +56,13 @@ def _checked_seed(seed: int) -> int:
     return int(seed)
 
 
+def _crc(tag: str) -> int:
+    return zlib.crc32(tag.encode("utf-8"))
+
+
 def derive_seed_sequence(seed: int, tag: str, counter: int = 0) -> np.random.SeedSequence:
     """Seed sequence of stream (seed, tag, counter); seeds must be non-negative."""
-    return np.random.SeedSequence(
-        entropy=_checked_seed(seed), spawn_key=(zlib.crc32(tag.encode("utf-8")), int(counter))
-    )
+    return np.random.SeedSequence(entropy=_checked_seed(seed), spawn_key=(_crc(tag), int(counter)))
 
 
 def derive_rng(seed: int, tag: str, counter: int = 0) -> np.random.Generator:
@@ -113,70 +122,105 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hashmix(value, hash_const: int, mult: int):
-    """SeedSequence's hashmix on an int or uint32 array; returns (value, next const)."""
-    value = value ^ hash_const
-    hash_const = (hash_const * mult) & _MASK32
-    value = (value * hash_const) & _MASK32
-    return value ^ (value >> 16), hash_const
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """(count + 1, 1) uint32: the hash constant before each of ``count`` hashmixes, and after."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
 
 
-def _mix(x, y):
-    """SeedSequence's mix; x and y are ints or uint32 arrays (x an int only if y is)."""
-    result = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
+_OUTPUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, _POOL_SIZE)
+_OTHER_WORDS = [np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE)]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, row i under consts[i] then consts[i + 1] (uint32 wraps)."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of uint32 arrays."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
     return result ^ (result >> 16)
 
 
-def _philox_keys(seed: int, tag: str, counters: np.ndarray) -> np.ndarray:
-    """(len(counters), 2) uint64 keys of ``Philox(derive_seed_sequence(seed, tag, c))``.
+def _seed_sequence_state(entropy: Sequence, n_words: int) -> np.ndarray:
+    """(n_words, m) uint32 ``generate_state`` words of SeedSequences over m streams.
 
     A transcription of numpy's SeedSequence mixing, whose output numpy keeps
-    stream-compatible.  The entropy words are the seed's 32-bit words (padded
-    with zeros to the pool size), crc32(tag) and the counter; only the last
-    word differs between streams, so everything before it is mixed once.
-    Counters must lie in [0, 2^32).
+    stream-compatible.  ``entropy`` is the assembled entropy, one item per
+    uint32 word: an int shared by every stream, or an (m,) array with one
+    word per stream.  The pool is held as a (4, m) array (m = 1 while every
+    word so far is shared), so each word is mixed into all four pool words
+    in one step.  n_words is at most the pool size.
     """
-    seed = _checked_seed(seed)
-    words = []
-    while seed > 0 or not words:
-        words.append(seed & _MASK32)
-        seed >>= 32
-    words += [0] * (_POOL_SIZE - len(words)) + [zlib.crc32(tag.encode("utf-8"))]
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    # The last word, one counter per stream, turns the pool into (M,) arrays.
-    for word in words[_POOL_SIZE:] + [np.asarray(counters, dtype=np.uint32)]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-    hash_const = _INIT_B
-    for dst in range(_POOL_SIZE):  # generate_state(2, np.uint64)
-        pool[dst], hash_const = _hashmix(pool[dst], hash_const, _MULT_B)
-    low0, high0, low1, high1 = (word.astype(np.uint64) for word in pool)
+    words = list(entropy) + [0] * (_POOL_SIZE - len(entropy))
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(words))
+    pool = np.empty((_POOL_SIZE, max(np.size(w) for w in words[:_POOL_SIZE])), dtype=np.uint32)
+    for dst, word in enumerate(words[:_POOL_SIZE]):
+        pool[dst] = word
+    pool = _hashmix(pool, consts[: _POOL_SIZE + 1])
+    for src, dst in enumerate(_OTHER_WORDS):  # every pool word into every other one
+        k = _POOL_SIZE + (_POOL_SIZE - 1) * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + _POOL_SIZE]))
+    for i, word in enumerate(words[_POOL_SIZE:], start=_POOL_SIZE):  # into all four
+        word = np.asarray(word, dtype=np.uint32)
+        pool = _mix(pool, _hashmix(word, consts[_POOL_SIZE * i : _POOL_SIZE * (i + 1) + 1]))
+    return _hashmix(pool[:n_words], _OUTPUT_CONSTS[: n_words + 1])
+
+
+def _entropy(seed: int | np.ndarray, tag_word, counter) -> list:
+    """Assembled entropy of ``derive_seed_sequence(seed, tag, counter)``.
+
+    The seed's 32-bit words, zero-padded to the pool size, then crc32(tag)
+    and the counter.  ``seed`` is an int or a uint64 array; the padding makes
+    a 1-word and a 2-word seed mix the same, so an array seed is two words.
+    The tag word and the counter are ints or uint32 arrays, below 2^32.
+    """
+    if isinstance(seed, np.ndarray):
+        words = [seed & _MASK32, seed >> 32]
+    else:
+        seed = _checked_seed(seed)
+        words = []
+        while seed > 0 or not words:
+            words.append(seed & _MASK32)
+            seed >>= 32
+    return words + [0] * (_POOL_SIZE - len(words)) + [tag_word, counter]
+
+
+def _philox_keys(seed: int | np.ndarray, tag: str, counters) -> np.ndarray:
+    """(m, 2) uint64 keys of ``Philox(derive_seed_sequence(seed, tag, c))``.
+
+    One vectorised pass over m streams: ``seed`` (an int or a uint64 array)
+    and ``counters`` (an int or an array in [0, 2^32)) broadcast together.
+    """
+    state = _seed_sequence_state(_entropy(seed, _crc(tag), counters), 4)
+    low0, high0, low1, high1 = state.astype(np.uint64)
     return np.stack([low0 | high0 << 32, low1 | high1 << 32], axis=1)
 
 
-def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np.ndarray:
-    """(M, n) fold ids; row m maps ``random_permutation(n, seed, m)``.
+def derive_seeds(seed: int, tags: Sequence[str], counters) -> np.ndarray:
+    """(len(tags),) uint64: entry i is ``derive_seed(seed, tags[i], counters[i])``.
 
-    All M stream keys come from one ``_philox_keys`` pass; one Philox
-    generator is re-keyed (counter 0, empty buffer) before each row.
+    One vectorised pass; ``counters`` is an int shared by every tag, or an
+    array in [0, 2^32) with one counter per tag.
     """
-    if repetitions < 1:
-        raise DomainError("repetitions must be >= 1")
-    size = _fold_size(n, n_folds)
-    keys = _philox_keys(seed, "partition", np.arange(repetitions))
+    tag_words = np.array([_crc(tag) for tag in tags], dtype=np.uint32)
+    low, high = _seed_sequence_state(_entropy(seed, tag_words, counters), 2).astype(np.uint64)
+    return (low | high << 32) >> 1
+
+
+def _rekeyed_streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """For each Philox key in turn, a generator at the start of its stream.
+
+    One Philox generator is re-keyed to a fresh stream's state (the key,
+    counter 0, an empty buffer) before each yield; draw from it before the
+    next.
+    """
     bit_generator = np.random.Philox(key=keys[0])
     rng = np.random.Generator(bit_generator)
-    # A fresh stream's state: its key, counter 0, empty buffer.
     state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64), "key": keys[0]},
@@ -185,10 +229,24 @@ def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np
         "has_uint32": 0,
         "uinteger": 0,
     }
-    images = np.tile(np.arange(1, n + 1), (repetitions, 1))
-    for key, row in zip(keys, images):
+    for key in keys:
         state["state"]["key"] = key
         bit_generator.state = state
+        yield rng
+
+
+def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np.ndarray:
+    """(M, n) fold ids; row m maps ``random_permutation(n, seed, m)``.
+
+    All M stream keys come from one ``_philox_keys`` pass, and every row is
+    shuffled by one re-keyed Philox generator.
+    """
+    if repetitions < 1:
+        raise DomainError("repetitions must be >= 1")
+    size = _fold_size(n, n_folds)
+    keys = _philox_keys(seed, "partition", np.arange(repetitions))
+    images = np.tile(np.arange(1, n + 1), (repetitions, 1))
+    for rng, row in zip(_rekeyed_streams(keys), images):
         rng.shuffle(row)
     return (images - 1) // size + 1
 
@@ -218,17 +276,34 @@ def _row_histograms(values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, minlength=rows * n).reshape(rows, n)
 
 
+def _replicate_counts(n: int, model: SamplingModel, rngs, rows: int) -> np.ndarray:
+    """Counts of ``rows`` replicates from each generator of ``rngs`` in turn, stacked."""
+    if model is SamplingModel.ORDERED:
+        draws = [rng.integers(0, n, size=(rows, n)) for rng in rngs]
+        decode = _row_histograms
+    elif model is SamplingModel.UNORDERED_MULTISET:
+        draws = [rng.random((rows, 2 * n - 1)) for rng in rngs]
+        decode = _counts_from_uniform_keys
+    else:
+        raise DomainError(f"unknown sampling model {model!r}")
+    # One generator's draws are decoded as they are: B x n can be large.
+    return decode(draws[0] if len(draws) == 1 else np.concatenate(draws), n)
+
+
 def bootstrap_counts_matrix(n: int, draws: int, model: SamplingModel, seed: int) -> np.ndarray:
     """(draws, n) matrix of replicate counts, all rows from one Philox stream."""
     if n < 2:
         raise DomainError("bootstrap requires n >= 2")
     if draws < 1:
         raise DomainError("draws must be >= 1")
-    rng = derive_rng(seed, "bootstrap")
-    if model is SamplingModel.ORDERED:
-        return _row_histograms(rng.integers(0, n, size=(draws, n)), n)
-    if model is SamplingModel.UNORDERED_MULTISET:
-        keys = rng.random((draws, 2 * n - 1))
-        return _counts_from_uniform_keys(keys, n)
-    raise DomainError(f"unknown sampling model {model!r}")
+    return _replicate_counts(n, model, [derive_rng(seed, "bootstrap")], draws)
 
+
+def bootstrap_counts_rows(n: int, model: SamplingModel, seeds: np.ndarray) -> np.ndarray:
+    """(len(seeds), n): row i is ``bootstrap_counts_matrix(n, 1, model, seeds[i])``.
+
+    ``seeds`` is a non-empty uint64 array.  The keys of all its "bootstrap"
+    streams come from one ``_philox_keys`` pass, and every row is drawn by
+    one re-keyed Philox generator.
+    """
+    return _replicate_counts(n, model, _rekeyed_streams(_philox_keys(seeds, "bootstrap", 0)), 1)

@@ -2,8 +2,9 @@
 
 Each one is written independently of the code under test, as a direct
 transcription of its definition: a scalar rank kernel, sums over the exact
-out-of-bag pmf, the decomposition residual, and the enumerated B -> infinity
-limits of the leave-one-out bootstrap variants.
+out-of-bag pmf, the decomposition residual, the enumerated B -> infinity
+limits of the leave-one-out bootstrap variants, and the one-class redraw
+replicate by replicate.
 """
 
 import math
@@ -14,7 +15,8 @@ import numpy as np
 from cvlab.analysis import PairedPerformanceSample, decompose
 from cvlab.combinatorics import pmf_unseen_count
 from cvlab.core import DomainError
-from cvlab.resampling import enumerate_multiset_counts
+from cvlab.estimators import EstimationError
+from cvlab.resampling import bootstrap_counts_matrix, derive_seed, enumerate_multiset_counts
 
 
 def mw_kernel(a: float, b: float) -> float:
@@ -80,3 +82,32 @@ def loob_limits(losses: np.ndarray, oob: np.ndarray) -> tuple[float, float]:
     usable = unseen > 0
     partitioned = float(((losses * oob).sum(axis=1)[usable] / unseen[usable]).mean())
     return pooled, partitioned
+
+
+def redraw_one_class_rows(
+    counts: np.ndarray, labels: np.ndarray, model, seed: int, max_retries: int
+) -> np.ndarray:
+    """A copy of ``counts`` with each replicate that lost a class redrawn.
+
+    Replicate by replicate: attempt a = 1, 2, ... draws replicate b again as
+    the one row of ``bootstrap_counts_matrix`` under ``derive_seed(seed,
+    f"retry-{b}", a)`` and keeps the first draw that holds both classes.
+    """
+
+    def one_class(row):
+        return row[labels == 1].sum() == 0 or row[labels == 2].sum() == 0
+
+    counts = counts.copy()
+    for b, row in enumerate(counts):
+        if not one_class(row):
+            continue
+        for attempt in range(1, max_retries + 1):
+            retry = bootstrap_counts_matrix(
+                counts.shape[1], 1, model, derive_seed(seed, f"retry-{b}", attempt)
+            )[0]
+            if not one_class(retry):
+                counts[b] = retry
+                break
+        else:
+            raise EstimationError(f"replicate {b}: still one-class after {max_retries} redraws")
+    return counts

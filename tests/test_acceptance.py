@@ -57,7 +57,6 @@ from cvlab.estimators import (
 )
 from cvlab.resampling import (
     SamplingModel,
-    derive_rng,
     derive_seed,
     enumerate_multiset_counts,
     random_permutation,

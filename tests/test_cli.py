@@ -11,7 +11,7 @@ import pytest
 from cvlab import analysis, cli, estimators, simlab
 from cvlab.combinatorics import pmf_unseen_count
 from cvlab.core import StratifiedDataset, write_dataset_csv
-from cvlab.estimators import Variant, err_cvn
+from cvlab.estimators import err_cvn
 from cvlab.simlab import NearestMeanTrainer
 
 SIX_POINT = StratifiedDataset(

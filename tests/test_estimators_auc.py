@@ -17,7 +17,6 @@ from cvlab.core import (
 from cvlab import estimators
 from cvlab.estimators import (
     CoverageError,
-    EstimationError,
     Metric,
     Variant,
     Version,

@@ -10,12 +10,12 @@ definitions with the code under test, since those define the estimand.
 import numpy as np
 import pytest
 
+from cvlab import estimators
 from cvlab.combinatorics import prob_some_unseen
 from cvlab.core import (
     DivisibilityError,
     DomainError,
     LinearScoringRule,
-    ScoringRule,
     StratifiedDataset,
     Trainer,
 )
@@ -26,6 +26,7 @@ from cvlab.estimators import (
     Metric,
     Variant,
     Version,
+    _redraw_one_class_rows,
     err_cvk,
     err_cvkm,
     err_cvkr,
@@ -35,11 +36,13 @@ from cvlab.estimators import (
 from cvlab.resampling import (
     SamplingModel,
     bootstrap_counts_matrix,
+    derive_seed,
     make_partition,
     random_permutation,
     repeated_partitions,
 )
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
+from oracles import redraw_one_class_rows
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +352,19 @@ class TestErrLoob:
         # a 3-vs-1 pool sheds its single class-2 point in most replicates
         ds = StratifiedDataset(np.array([[-1.0], [-0.5], [-0.2]]), np.array([[1.0]]))
         trainer = NearestMeanTrainer()
-        a = err_loob(ds, trainer, 0.0, 30, 11, SamplingModel.ORDERED, Variant.POOLED)
-        b = err_loob(ds, trainer, 0.0, 30, 11, SamplingModel.ORDERED, Variant.POOLED)
-        assert a.value == b.value
-        assert 0.0 <= a.value <= 1.0
+        for model in SamplingModel:
+            a = err_loob(ds, trainer, 0.0, 30, 11, model, Variant.POOLED)
+            b = err_loob(ds, trainer, 0.0, 30, 11, model, Variant.PARTITIONED)
+            assert a.value == err_loob(ds, trainer, 0.0, 30, 11, model, Variant.POOLED).value
+            assert 0.0 <= a.value <= 1.0
+            # both variants are those of the replicates the per-row reference redraws
+            counts = redraw_one_class_rows(
+                bootstrap_counts_matrix(4, 30, model, 11), ds.pooled()[1], model, 11,
+                estimators.MAX_ONE_CLASS_RETRIES,
+            )
+            pooled_want, part_want = oracle_loob(ds, trainer, counts)
+            assert a.value == pytest.approx(pooled_want, abs=1e-12)
+            assert b.value == pytest.approx(part_want, abs=1e-12)
 
     def test_b_stable_ratio_matches_exact_weight_mean(self):
         """With replicate-independent losses the variant ratio converges to
@@ -393,6 +405,75 @@ class TestErrLoob:
     def test_rejects_bad_budget(self):
         with pytest.raises(DomainError):
             err_loob(SEPARABLE, NearestMeanTrainer(), 0.0, 0, 1)
+
+
+class TestOneClassRedraw:
+    """The redraw against the per-row reference in ``oracles``."""
+
+    @staticmethod
+    def both(counts, labels, model, seed):
+        """(rows, error) of the redraw, then of the reference."""
+
+        def redraw():
+            rows = counts.copy()
+            _redraw_one_class_rows(rows, labels, model, seed)
+            return rows
+
+        def reference():
+            retries = estimators.MAX_ONE_CLASS_RETRIES
+            return redraw_one_class_rows(counts, labels, model, seed, retries)
+
+        outcomes = []
+        for run in (redraw, reference):
+            try:
+                outcomes.append((run(), None))
+            except EstimationError as exc:
+                outcomes.append((None, str(exc)))
+        return outcomes
+
+    @pytest.mark.parametrize("model", list(SamplingModel))
+    @pytest.mark.parametrize("sizes", [(1, 5), (3, 1), (5, 5)])
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**63 - 1, 2**70 + 9])
+    def test_rows_match_reference(self, model, sizes, seed):
+        labels = np.repeat([1, 2], sizes)
+        counts = bootstrap_counts_matrix(labels.size, 2000, model, seed)
+        (rows, error), (want, want_error) = self.both(counts, labels, model, seed)
+        assert error is None and want_error is None
+        np.testing.assert_array_equal(rows, want)
+        assert not np.array_equal(rows, counts)  # every case redraws some rows
+
+    @pytest.mark.parametrize("model", list(SamplingModel))
+    @pytest.mark.parametrize("retries", [1, 2])
+    def test_exhausted_retries_raise_as_reference(self, model, retries, monkeypatch):
+        monkeypatch.setattr(estimators, "MAX_ONE_CLASS_RETRIES", retries)
+        labels = np.repeat([1, 2], (1, 5))
+        counts = bootstrap_counts_matrix(6, 200, model, 3)
+        (_, error), (_, want_error) = self.both(counts, labels, model, 3)
+        assert error is not None
+        assert error == want_error
+        assert error.endswith(f"still one-class after {retries} redraws")
+
+    def test_no_row_to_redraw_leaves_counts(self):
+        labels = np.repeat([1, 2], (5, 5))
+        counts = np.ones((3, 10), dtype=int)
+        _redraw_one_class_rows(counts, labels, SamplingModel.ORDERED, 0)
+        np.testing.assert_array_equal(counts, 1)
+
+    def test_redraw_builds_no_seed_sequence(self, monkeypatch):
+        labels = np.repeat([1, 2], (1, 5))
+        counts = bootstrap_counts_matrix(6, 200, SamplingModel.ORDERED, 0)
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        _redraw_one_class_rows(counts, labels, SamplingModel.ORDERED, 0)
+        assert built == []
+        derive_seed(0, "retry-0", 1)  # the count sees the per-row derivation
+        assert len(built) == 1
 
 
 class TestEstimatorConfig:

@@ -1,0 +1,102 @@
+"""Source hygiene checks that need nothing beyond the standard library.
+
+Every module under ``src/cvlab/`` and ``tests/`` must use each name it
+imports.  A name counts as used when the module reads it anywhere (an
+annotation, a string annotation, a decorator, a default) or lists it in
+``__all__``.  ``from __future__`` imports and import statements carrying a
+``# noqa`` comment are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted([*(ROOT / "src" / "cvlab").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def _imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
+    """Name bound -> line, for every import statement without ``# noqa``."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            bound = alias.asname or alias.name.split(".")[0]
+            names[bound] = node.lineno
+    return names
+
+
+def _annotation_strings(tree: ast.Module):
+    """Every string inside an annotation (``x: "B"``, ``-> list["B"]``)."""
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    yield part.value
+
+
+def _all_entries(tree: ast.Module):
+    """The strings a module-level ``__all__ = [...]`` lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            entries = getattr(node.value, "elts", [])
+            yield from (e.value for e in entries if isinstance(e, ast.Constant))
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for text in _annotation_strings(tree):
+        used.update(n.id for n in ast.walk(ast.parse(text, mode="eval")) if isinstance(n, ast.Name))
+    return used | set(_all_entries(tree))
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each imported name the module never uses."""
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    imported = _imported_names(tree, source.splitlines())
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+class TestUnusedImports:
+    def test_every_imported_name_is_used(self):
+        found = [
+            f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path in MODULES
+            for line, name in unused_imports(path.read_text(encoding="utf-8"))
+        ]
+        assert not found, "unused imports:\n" + "\n".join(found)
+
+    @pytest.mark.parametrize(
+        "source, want",
+        [
+            ("import os\n", [(1, "os")]),
+            ("import os.path\nos.sep\n", []),
+            ("from a import b as c\nb\n", [(1, "c")]),
+            ("from __future__ import annotations\n", []),
+            ("import os  # noqa: F401\n", []),
+            ("from a import (\n    b,  # noqa\n    c,\n)\n", []),
+            ("from a import b\n__all__ = ['b']\n", []),
+            ("from a import B\ndef f(x: 'list[B]'): pass\n", []),
+            ("from a import B\ndef f() -> list['B']: pass\n", []),
+            ("from a import b\nprint('b')\n", [(1, "b")]),
+            ("from a import b\ndef f():\n    from c import d\n    return b\n", [(3, "d")]),
+        ],
+    )
+    def test_checker(self, source, want):
+        assert unused_imports(source) == want

@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cvlab.combinatorics import inclusion_probability, pmf_unseen_count
@@ -11,9 +11,11 @@ from cvlab.resampling import (
     SamplingModel,
     _philox_keys,
     bootstrap_counts_matrix,
+    bootstrap_counts_rows,
     derive_rng,
     derive_seed,
     derive_seed_sequence,
+    derive_seeds,
     enumerate_multiset_counts,
     make_partition,
     random_permutation,
@@ -118,6 +120,30 @@ class TestPhiloxKeys:
         assert keys.dtype == np.uint64
         np.testing.assert_array_equal(keys, want)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**130])
+    def test_derive_seeds_match_derive_seed(self, seed):
+        rows = [0, 1, 7, 45, 1999, 10**6, 2**40]
+        tags = [f"retry-{b}" for b in rows]
+        attempts = np.array([1, 100, 3, 1, 2, 57, 2**32 - 1])
+        seeds = derive_seeds(seed, tags, attempts)
+        assert seeds.dtype == np.uint64
+        want = [derive_seed(seed, tag, a) for tag, a in zip(tags, attempts)]
+        np.testing.assert_array_equal(seeds, np.array(want, dtype=np.uint64))
+        shared = np.array([derive_seed(seed, tag, 4) for tag in tags], dtype=np.uint64)
+        np.testing.assert_array_equal(derive_seeds(seed, tags, 4), shared)
+
+    def test_keys_of_a_seed_array_match_seed_sequence(self):
+        seeds = np.array(
+            [0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**63 - 1, 2**64 - 1, 123456789012345],
+            dtype=np.uint64,
+        )
+        keys = _philox_keys(seeds, "bootstrap", 0)
+        want = [
+            np.random.Philox(derive_seed_sequence(int(s), "bootstrap")).state["state"]["key"]
+            for s in seeds
+        ]
+        np.testing.assert_array_equal(keys, want)
+
 
 class TestStarsAndBars:
     def test_decode_is_bijective_for_small_n(self):
@@ -151,6 +177,13 @@ class TestBootstrapSampling:
             single = bootstrap_counts_matrix(9, 1, model, seed=42)
             batch = bootstrap_counts_matrix(9, 5, model, seed=42)
             np.testing.assert_array_equal(single[0], batch[0])
+
+    @pytest.mark.parametrize("model", list(SamplingModel))
+    def test_rows_match_one_draw_per_seed(self, model):
+        seeds = derive_seeds(3, [f"row-{i}" for i in range(40)], 1)
+        rows = bootstrap_counts_rows(7, model, seeds)
+        want = [bootstrap_counts_matrix(7, 1, model, int(s))[0] for s in seeds]
+        np.testing.assert_array_equal(rows, want)
 
     def test_replicate_invariants(self):
         counts = bootstrap_counts_matrix(6, 200, SamplingModel.UNORDERED_MULTISET, seed=3)

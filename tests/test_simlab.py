@@ -11,7 +11,7 @@ from cvlab.estimators import (
     Variant,
     Version,
 )
-from cvlab.resampling import SamplingModel, derive_seed
+from cvlab.resampling import SamplingModel
 from cvlab.simlab import (
     LdaTrainer,
     MultinormalSpec,
