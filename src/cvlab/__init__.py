@@ -2,9 +2,10 @@
 
 The package is organized in seven modules:
 
-- ``core``          domain primitives: stratified two-class datasets, scoring
-                    rules, the zero-one loss, and the Mann-Whitney AUC kernel
-                    (``pairwise_kernel``).
+- ``core``          domain primitives: stratified two-class datasets and their
+                    label vector, scoring rules, the zero-one loss, the
+                    Mann-Whitney AUC kernel (``pairwise_kernel``), and the CSV
+                    reader.
 - ``resampling``    fold maps as int arrays of fold ids, (n,) or seeded (M, n),
                     and bootstrap replicate generation under two sampling models.
 - ``combinatorics`` exact rational identities for bootstrap out-of-bag counts.
@@ -17,26 +18,5 @@ The package is organized in seven modules:
                     campaigns (weak-correlation table, bootstrap ratio curve).
 - ``cli``           config-driven command-line front end.
 """
-
-from cvlab.core import (
-    DomainError,
-    ScoringRule,
-    StratifiedDataset,
-    empirical_auc,
-    pairwise_kernel,
-    zero_one_losses,
-)
-from cvlab.estimators import EstimationError, EstimatorReport
-
-__all__ = [
-    "DomainError",
-    "EstimationError",
-    "EstimatorReport",
-    "ScoringRule",
-    "StratifiedDataset",
-    "empirical_auc",
-    "pairwise_kernel",
-    "zero_one_losses",
-]
 
 __version__ = "0.1.0"

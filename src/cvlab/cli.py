@@ -3,11 +3,13 @@
 Subcommands: ``estimate``, ``verify``, ``simulate``, ``ratio-curve``,
 ``decompose``.  Each takes a plain-text config file with ``[section]``
 headers and ``key = value`` lines.  ``_SCHEMAS`` is the whole input contract:
-unknown sections or keys, bad values and missing required keys are all
-rejected before any work, so such a config exits 2 with nothing run or
-written.  A seed is mandatory for any randomized run.  Outputs are written
-atomically (temp file + rename) so re-running a config overwrites rather than
-appends, and a fixed seed reproduces every output byte for byte.
+:func:`main` validates the config against it once, before any handler runs,
+and hands each handler the validated sections.  Unknown sections or keys, bad
+values and missing required keys are thus all rejected before any work, so
+such a config exits 2 with nothing run or written.  A seed is mandatory for
+any randomized run.  Outputs are written atomically (temp file + rename) so
+re-running a config overwrites rather than appends, and a fixed seed
+reproduces every output byte for byte.
 
 Exit codes: 0 success, 1 when ``verify`` finds an identity that fails,
 2 configuration or input error, 3 estimation error.
@@ -32,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from cvlab import analysis, combinatorics, estimators, simlab
-from cvlab.core import DomainError, read_dataset_csv
+from cvlab.core import DomainError, read_csv_rows, read_dataset_csv
 from cvlab.estimators import (
     EstimationError,
     EstimatorConfig,
@@ -254,12 +256,12 @@ def _write_payload(io_section: dict, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each takes the sections ``validate_config`` returned and
+# the parsed config, which only the simulate manifest reads.
 # ---------------------------------------------------------------------------
 
 
-def cmd_estimate(config: RunConfig) -> int:
-    values = validate_config(config)
+def cmd_estimate(values: dict, config: RunConfig) -> int:
     est_cfg = _estimator_config(values["estimator"])
     trainer = _trainer(values)
     dataset = read_dataset_csv(values["io"]["dataset"])
@@ -288,8 +290,7 @@ def run_verify(
     return all_ok
 
 
-def cmd_verify(config: RunConfig) -> int:
-    values = validate_config(config)
+def cmd_verify(values: dict, config: RunConfig) -> int:
     return 0 if run_verify(values["verify"]["n_max"]) else 1
 
 
@@ -327,8 +328,7 @@ def manifest_text(config: RunConfig, outputs: dict[str, str]) -> str:
     return "\n".join(lines)
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    values = validate_config(config)
+def cmd_simulate(values: dict, config: RunConfig) -> int:
     campaign = _campaign_from_config(values)
     result = simlab.run_weak_correlation(campaign)
     table = table_csv_text(result)
@@ -361,8 +361,7 @@ def ratio_csv_text(points: list[simlab.RatioPoint]) -> str:
     return _csv_text(RATIO_COLUMNS, rows)
 
 
-def cmd_ratio_curve(config: RunConfig) -> int:
-    values = validate_config(config)
+def cmd_ratio_curve(values: dict, config: RunConfig) -> int:
     curve = values["curve"]
     model = curve.get("sampling", SamplingModel.ORDERED)
     seeds = [derive_seed(curve["seed"], "ratio-replicate", r) for r in range(curve["replicates"])]
@@ -375,26 +374,19 @@ def cmd_ratio_curve(config: RunConfig) -> int:
     return 0
 
 
-def cmd_decompose(config: RunConfig) -> int:
-    values = validate_config(config)
-    input_path = Path(values["io"]["input"])
-    try:
-        with input_path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["s", "s_hat"]:
-                raise DomainError(f"{input_path}: expected header 's,s_hat'")
-            pairs = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < 2:
-                    raise DomainError(f"{input_path}:{reader.line_num}: expected 2 fields")
-                pairs.append((float(row[0]), float(row[1])))
-    except (OSError, csv.Error) as exc:
-        raise DomainError(f"cannot read {input_path}: {exc}") from exc
-    except ValueError as exc:
-        raise DomainError(f"{input_path}: {exc}") from exc
+def cmd_decompose(values: dict, config: RunConfig) -> int:
+    path = Path(values["io"]["input"])
+    header, rows = read_csv_rows(path, "pairs")
+    if [h.strip() for h in header[:2]] != ["s", "s_hat"]:
+        raise DomainError(f"{path}: expected header 's,s_hat'")
+    pairs = []
+    for lineno, row in rows:
+        if len(row) < 2:
+            raise DomainError(f"{path}:{lineno}: expected 2 fields")
+        try:
+            pairs.append((float(row[0]), float(row[1])))
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from None
     sample = analysis.PairedPerformanceSample(
         s=np.array([p[0] for p in pairs]), s_hat=np.array([p[1] for p in pairs])
     )
@@ -433,7 +425,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.subcommand)
-        return _HANDLERS[args.subcommand](config)
+        return _HANDLERS[args.subcommand](validate_config(config), config)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

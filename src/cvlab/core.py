@@ -6,14 +6,19 @@ Conventions used throughout the package:
 - A trained classifier is represented by a :class:`ScoringRule` mapping a
   feature vector to a real score.  Scores are oriented so that *higher score
   means class 2*; a well-behaved classifier therefore has AUC above 0.5.
+- The pooled observation order is class 1, then class 2;
+  :attr:`StratifiedDataset.labels` is the one {1,2} label vector in that order.
 - The zero-one loss (:func:`zero_one_losses`) classifies as class 1 when
   ``score < th`` and as class 2 when ``score >= th`` (equality breaks toward
-  class 2, a fixed convention so the loss is deterministic).
+  class 2, a fixed convention so the loss is deterministic).  The true
+  performance S, the apparent Sbar and the estimate Shat all score it here.
 - The two-sample rank kernel of a class-1 score a and a class-2 score b is
   0, 0.5, 1 for a > b, a == b, a < b; :func:`pairwise_kernel` evaluates it
   for every pair.  Ties are exact floating-point ties, no epsilon.
 - The empirical AUC of score samples ``s1`` (class 1) and ``s2`` (class 2) is
   the mean of the kernel over all n1*n2 pairs.
+- Every CSV input (a dataset, a ``decompose`` pairs file) is read by
+  :func:`read_csv_rows`; its callers check only their own header and rows.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import csv
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,17 +85,21 @@ class StratifiedDataset:
     def p(self) -> int:
         return self.class1.shape[1]
 
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The (n,) {1,2} label vector of the pooled observations: n1 ones, then
+        n2 twos.  Built once per dataset, read-only."""
+        labels = np.repeat(np.array([1, 2]), [self.n1, self.n2])
+        labels.flags.writeable = False
+        return labels
+
     def pooled(self) -> tuple[np.ndarray, np.ndarray]:
-        """All observations as one matrix plus a {1,2} label vector.
+        """All observations as one matrix plus :attr:`labels`.
 
         Class-1 rows come first; the row order is the fixed observation order
         used by the pooled (error-rate) resampling estimators.
         """
-        features = np.vstack([self.class1, self.class2])
-        labels = np.concatenate(
-            [np.ones(self.n1, dtype=int), np.full(self.n2, 2, dtype=int)]
-        )
-        return features, labels
+        return np.vstack([self.class1, self.class2]), self.labels
 
 
 class ScoringRule(ABC):
@@ -179,29 +189,34 @@ def pairwise_kernel(scores1: np.ndarray, scores2: np.ndarray) -> np.ndarray:
 
 
 def zero_one_losses(scores: np.ndarray, labels: np.ndarray, th: float) -> np.ndarray:
-    """1.0 where the score misclassifies its {1,2} label at threshold ``th``,
-    0.0 elsewhere; ``score >= th`` predicts class 2."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    predicted = np.where(scores >= float(th), 2, 1)
-    return (predicted != labels).astype(float)
+    """Bool mask, True where the score misclassifies its {1,2} label at
+    threshold ``th``; ``score >= th`` predicts class 2.  ``scores`` may carry
+    leading task axes over the labels' axis."""
+    return (np.asarray(scores, dtype=float) >= float(th)) != (np.asarray(labels) == 2)
 
 
-def read_dataset_csv(path: str | Path) -> StratifiedDataset:
-    """Load a dataset CSV with header ``class,f1,...,fp`` and labels in {1,2}.
+def read_csv_rows(path: str | Path, what: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header and the (line number, fields) of each non-blank row of a
+    UTF-8 CSV file; ``what`` names the file's kind in the error messages.
 
     A file that cannot be read (missing, a directory, not UTF-8, a path with a
-    NUL byte) is a :class:`DomainError` like a malformed one.
+    NUL byte, an over-long field) or is empty is a :class:`DomainError`.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except (OSError, ValueError, csv.Error) as exc:  # ValueError: a NUL byte or not UTF-8
-        raise DomainError(f"cannot read dataset {path}: {exc}") from exc
+        raise DomainError(f"cannot read {what} {path}: {exc}") from exc
     if not rows:
-        raise DomainError(f"{path}: empty dataset file")
-    header = rows[0]
+        raise DomainError(f"{path}: empty {what} file")
+    return rows[0], [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
+
+
+def read_dataset_csv(path: str | Path) -> StratifiedDataset:
+    """Load a dataset CSV with header ``class,f1,...,fp`` and labels in {1,2}."""
+    path = Path(path)
+    header, rows = read_csv_rows(path, "dataset")
     if not header or header[0] != "class":
         raise DomainError(f"{path}: first column must be 'class'")
     p = len(header) - 1
@@ -212,9 +227,7 @@ def read_dataset_csv(path: str | Path) -> StratifiedDataset:
         raise DomainError(f"{path}: header must be {','.join(expected)}")
     rows1: list[list[float]] = []
     rows2: list[list[float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
+    for lineno, row in rows:
         if len(row) != p + 1:
             raise DomainError(f"{path}:{lineno}: expected {p + 1} fields")
         try:

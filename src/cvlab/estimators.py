@@ -86,6 +86,7 @@ from cvlab.core import (
     StratifiedDataset,
     Trainer,
     pairwise_kernel,
+    zero_one_losses,
 )
 from cvlab.resampling import (
     SamplingModel,
@@ -313,7 +314,7 @@ def _estimate(dataset, trainer, metric, weights, context, tasks_per_run=1, th=0.
     scores = task_scores(trainer, features, labels, weights, context)
     test = weights == 0  # built after training, so it is not alive during it
     if metric is Metric.ERROR:
-        loss = ((scores >= float(th)) != (labels == 2)) & test
+        loss = zero_one_losses(scores, labels, th) & test
         sums = [(loss.sum(axis=0), test.sum(axis=0), loss.sum(axis=1), test.sum(axis=1))]
         return _ratio_of_sums(sums, tasks_per_run, "observation")
     return _ratio_of_sums(_pair_sums(scores, test, dataset.n1), tasks_per_run, "pair")
@@ -451,6 +452,8 @@ def variant_values(
     elif min(ks) < 2:
         bounds = " and ".join(f"{_CONFIG_KEYS[f]} >= 2" for f in fold_fields)
         raise DomainError(f"{name} requires {bounds}")
+    if cfg.version in (Version.CVKR, Version.CVKM) and cfg.repetitions < 1:
+        raise DomainError(f"{name} requires M >= 1")
 
     def part_seed(c):
         return derive_seed(cfg.seed, f"class{c + 1}") if auc else cfg.seed
@@ -461,7 +464,7 @@ def variant_values(
             for c, n in enumerate(sizes)
         ]
         if not auc:
-            _redraw_one_class_rows(counts[0], dataset.pooled()[1], cfg.sampling, cfg.seed)
+            _redraw_one_class_rows(counts[0], dataset.labels, cfg.sampling, cfg.seed)
         weights = np.hstack(counts) if auc else counts[0]  # hstack would copy the one part
         return _estimate(dataset, trainer, cfg.metric, weights, "replicate {}".format, th=cfg.th)
     if cfg.version in (Version.CVN, Version.CVK):

@@ -238,9 +238,7 @@ def _performance_on(rule: ScoringRule, data: StratifiedDataset, metric: Metric, 
     s2 = rule.score_many(data.class2)
     if metric is Metric.AUC:
         return empirical_auc(s1, s2)
-    labels = np.concatenate([np.ones(data.n1, dtype=int), np.full(data.n2, 2, dtype=int)])
-    losses = zero_one_losses(np.concatenate([s1, s2]), labels, th)
-    return float(losses.mean())
+    return float(zero_one_losses(np.concatenate([s1, s2]), data.labels, th).mean())
 
 
 def apparent_performance(
@@ -387,7 +385,7 @@ def run_ratio_curve(
     if not n1_grid or not seeds:
         raise DomainError("both the n1 grid and the seed list must be non-empty")
     if n_bootstrap < 1:
-        raise DomainError("n_bootstrap must be >= 1")
+        raise DomainError("B must be >= 1")
     points = []
     for n1 in n1_grid:
         pooled_values = np.empty(len(seeds), dtype=float)

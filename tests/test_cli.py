@@ -474,9 +474,16 @@ def unreadable_case(name, tmp_path, dataset_csv):
         config = tmp_path / "latin1.ini"
         config.write_bytes(b"[verify]\nn_max = 5\n# caf\xe9\n")
         return "verify", config
-    if name == "pairs-field-too-large":
-        pairs = tmp_path / "wide-pairs.csv"
-        pairs.write_text("s,s_hat\n0.5," + "1" * 200_000 + "\n")
+    if name.startswith("pairs-"):
+        pairs = {
+            "pairs-missing": tmp_path / "missing.csv",
+            "pairs-is-directory": tmp_path,
+            "pairs-nul-byte": tmp_path / "p\0.csv",
+        }.get(name, tmp_path / "pairs.csv")
+        if name == "pairs-field-too-large":
+            pairs.write_text("s,s_hat\n0.5," + "1" * 200_000 + "\n")
+        elif name == "pairs-not-utf8":
+            pairs.write_bytes(b"s,s_hat\n0.5,0.4\n0.7,0.6\xe9\n")
         text = f"[io]\ninput = {pairs}\nout_json = {tmp_path / 'out.json'}\n"
         return "decompose", write_config(tmp_path, "unreadable.ini", text)
     dataset, out_json = dataset_csv, tmp_path / "out.json"
@@ -508,7 +515,8 @@ class TestUnreadablePaths:
     @pytest.mark.parametrize("name", [
         "config-not-utf8", "dataset-not-utf8", "dataset-field-too-large",
         "dataset-is-directory", "dataset-missing", "dataset-nul-byte", "out-json-is-directory",
-        "out-json-nul-byte", "pairs-field-too-large",
+        "out-json-nul-byte", "pairs-field-too-large", "pairs-not-utf8", "pairs-nul-byte",
+        "pairs-missing", "pairs-is-directory",
     ])
     def test_exits_2_without_traceback(self, tmp_path, dataset_csv, name):
         proc = run_cli_process(*unreadable_case(name, tmp_path, dataset_csv))
@@ -570,6 +578,90 @@ class TestDecompose:
         )
         assert cli.main(["decompose", str(config)]) == 2
         assert f"{paired}:3: expected 2 fields" in capsys.readouterr().err
+
+
+# name -> (file text, the message after "error: "), for each reader error.
+DATASET_ERRORS = {
+    "empty": ("", "{path}: empty dataset file"),
+    "no-feature-column": ("class\n1\n2\n", "{path}: no feature columns"),
+    "first-column": ("label,f1\n1,0.5\n2,1.5\n", "{path}: first column must be 'class'"),
+    "wrong-header": ("class,x1\n1,0.5\n2,1.5\n", "{path}: header must be class,f1"),
+    "field-count": ("class,f1\n1,0.5\n2,1.5,2.5\n", "{path}:3: expected 2 fields"),
+    "bad-number": ("class,f1\n1,0.5\n2,abc\n",
+                   "{path}:3: could not convert string to float: 'abc'"),
+    "class-3-after-blank-row": ("class,f1\n1,0.5\n\n3,1.5\n", "{path}:4: class must be 1 or 2"),
+    "one-class": ("class,f1\n1,0.5\n1,0.7\n", "{path}: both classes must be present"),
+}
+PAIRS_ERRORS = {
+    "empty": ("", "{path}: empty pairs file"),
+    "bad-header": ("x,y\n0.5,0.1\n0.7,0.6\n", "{path}: expected header 's,s_hat'"),
+    "one-field-row": ("s,s_hat\n0.5,0.1\n0.7\n", "{path}:3: expected 2 fields"),
+    "one-field-row-after-blank-row": ("s,s_hat\n0.5,0.1\n\n0.7\n", "{path}:4: expected 2 fields"),
+    "bad-number": ("s,s_hat\n0.5,0.1\n0.7,x\n", "{path}:3: could not convert string to float: 'x'"),
+    "one-pair": ("s,s_hat\n0.5,0.1\n", "need at least two trials"),
+    "non-finite": ("s,s_hat\n0.5,0.1\n0.7,nan\n", "entries must be finite"),
+}
+
+
+class TestReaderMessages:
+    """Each input-file error is one ``error:`` line naming its file once."""
+
+    @pytest.mark.parametrize("name", sorted(DATASET_ERRORS))
+    def test_dataset(self, tmp_path, capsys, name):
+        text, message = DATASET_ERRORS[name]
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        config = estimate_config(tmp_path, path, version="CVN", variant="pooled", out_json=out)
+        assert cli.main(["estimate", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(PAIRS_ERRORS))
+    def test_pairs(self, tmp_path, capsys, name):
+        text, message = PAIRS_ERRORS[name]
+        path = tmp_path / "pairs.csv"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        config = write_config(tmp_path, "dec.ini", f"[io]\ninput = {path}\nout_json = {out}\n")
+        assert cli.main(["decompose", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not out.exists()
+
+    def test_blank_rows_are_skipped(self, tmp_path, dataset_csv):
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text(dataset_csv.read_text().replace("\n", "\n\n"))
+        outs = []
+        for path in (dataset_csv, spaced):
+            out = tmp_path / f"{path.stem}.json"
+            config = estimate_config(tmp_path, path, version="CVN", variant="pooled", out_json=out)
+            assert cli.main(["estimate", str(config)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
+class TestBoundMessages:
+    """A size bound names its config key."""
+
+    def test_zero_repetitions_names_m(self, tmp_path, dataset_csv, capsys):
+        out = tmp_path / "out.json"
+        config = estimate_config(
+            tmp_path, dataset_csv, version="CVKR", variant="pooled", out_json=out,
+            extra="K = 3\nM = 0\nseed = 1",
+        )
+        assert cli.main(["estimate", str(config)]) == 2
+        assert capsys.readouterr().err == "error: err_cvkr requires M >= 1\n"
+        assert not out.exists()
+
+    def test_zero_curve_replicates_names_b(self, tmp_path, capsys):
+        out = tmp_path / "ratio.csv"
+        text = (
+            "[curve]\nn1_grid = 3\nB = 0\nreplicates = 2\nseed = 3\n\n"
+            f"[trainer]\nid = nearest-mean\n\n[io]\nout_csv = {out}\n"
+        )
+        assert cli.main(["ratio-curve", str(write_config(tmp_path, "curve.ini", text))]) == 2
+        assert capsys.readouterr().err == "error: B must be >= 1\n"
+        assert not out.exists()
 
 
 class TestConfigParsing:

@@ -139,6 +139,12 @@ class TestZeroOneLoss:
         with pytest.raises(DomainError):
             self.rule.score_many(np.array([[0.0, 1.0]]))
 
+    def test_bool_mask_over_task_rows(self):
+        scores = np.array([[-1.0, 0.0, 2.0], [1.0, -3.0, 0.5]])
+        mask = zero_one_losses(scores, np.array([1, 2, 1]), 0.5)
+        assert mask.dtype == bool
+        assert mask.tolist() == [[False, True, True], [True, True, True]]
+
 
 class TestStratifiedDataset:
     def test_shapes_and_pooling(self):
@@ -147,6 +153,12 @@ class TestStratifiedDataset:
         features, labels = ds.pooled()
         assert features.shape == (7, 2)
         assert list(labels) == [1, 1, 1, 2, 2, 2, 2]
+
+    def test_labels_built_once_and_read_only(self):
+        ds = StratifiedDataset(np.zeros((2, 1)), np.ones((3, 1)))
+        assert ds.labels is ds.pooled()[1] is ds.labels
+        with pytest.raises(ValueError):
+            ds.labels[0] = 2
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DomainError):

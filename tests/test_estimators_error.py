@@ -32,6 +32,7 @@ from cvlab.estimators import (
     err_cvkr,
     err_cvn,
     err_loob,
+    variant_values,
 )
 from cvlab.resampling import (
     SamplingModel,
@@ -474,6 +475,71 @@ class TestOneClassRedraw:
         assert built == []
         derive_seed(0, "retry-0", 1)  # the count sees the per-row derivation
         assert len(built) == 1
+
+
+class RaisingTrainer(Trainer):
+    """Its ``train`` fails like a broken user trainer."""
+
+    name = "raising"
+
+    def train(self, dataset):
+        raise ValueError("no convergence")
+
+
+class BatchedTrainer(NearestMeanTrainer):
+    """Nearest-mean whose batched hook is replaced by ``hook``."""
+
+    def __init__(self, hook):
+        self.hook = hook
+
+    def weighted_scores(self, X, labels, counts, X_eval):
+        return self.hook(counts)
+
+
+class TestErrorPaths:
+    """Each bound names its config key; each trainer failure its task."""
+
+    @pytest.mark.parametrize("metric, sizes, message", [
+        (Metric.ERROR, {"n_folds": 1}, "err_cvkr requires K >= 2"),
+        (Metric.AUC, {"n_folds1": 1, "n_folds2": 2}, "auc_cvkr requires K1 >= 2 and K2 >= 2"),
+        (Metric.AUC, {"n_folds1": 2, "n_folds2": 1}, "auc_cvkr requires K1 >= 2 and K2 >= 2"),
+        (Metric.ERROR, {"n_folds": 2, "repetitions": 0}, "err_cvkr requires M >= 1"),
+        (Metric.AUC, {"n_folds1": 2, "n_folds2": 2, "repetitions": 0},
+         "auc_cvkr requires M >= 1"),
+    ])
+    def test_bounds_name_the_config_key(self, metric, sizes, message):
+        cfg = EstimatorConfig(Version.CVKR, metric, seed=0, **{"repetitions": 1, **sizes})
+        with pytest.raises(DomainError) as caught:
+            variant_values(EIGHT_POINT, NearestMeanTrainer(), cfg)
+        assert str(caught.value) == message
+
+    def test_unbatched_failure_names_the_task(self):
+        with pytest.raises(EstimationError) as caught:
+            err_cvk(SIX_POINT, RaisingTrainer(), 0.0, 3)
+        assert str(caught.value) == "trainer failed on fold 1: no convergence"
+        assert isinstance(caught.value.__cause__, ValueError)
+
+    def test_batched_failure_is_an_estimation_error(self):
+        def hook(counts):
+            raise np.linalg.LinAlgError("singular batch")
+
+        with pytest.raises(EstimationError) as caught:
+            err_loob(SIX_POINT, BatchedTrainer(hook), 0.0, 20, 1)
+        assert str(caught.value) == "trainer failed on batched tasks: singular batch"
+
+    def test_batched_estimation_error_passes_unchanged(self):
+        def hook(counts):
+            raise EstimationError("lda needs at least three observations")
+
+        with pytest.raises(EstimationError) as caught:
+            err_loob(SIX_POINT, BatchedTrainer(hook), 0.0, 20, 1)
+        assert str(caught.value) == "lda needs at least three observations"
+
+    @pytest.mark.parametrize("shape", [lambda c: c[:1], lambda c: c[:, :1], lambda c: c.T])
+    def test_batched_misshaped_matrix(self, shape):
+        with pytest.raises(EstimationError) as caught:
+            err_loob(SIX_POINT, BatchedTrainer(shape), 0.0, 20, 1)
+        assert str(caught.value) == "weighted_scores returned a misshaped matrix"
 
 
 class TestEstimatorConfig:

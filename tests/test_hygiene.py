@@ -5,6 +5,13 @@ imports.  A name counts as used when the module reads it anywhere (an
 annotation, a string annotation, a decorator, a default) or lists it in
 ``__all__``.  ``from __future__`` imports and import statements carrying a
 ``# noqa`` comment are exempt.
+
+Every public top-level function or class in ``src/cvlab/`` must be referenced
+from ``src/cvlab/`` outside its own definition, or be listed in
+``UNREFERENCED_ALLOWED`` with the reason it stays.  A reference is a name, an
+attribute, an imported name or a string that is exactly the identifier (as
+``estimators._DISPATCH`` names the estimators); a symbol only tests use has to
+justify staying.
 """
 
 import ast
@@ -13,6 +20,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cvlab"
 MODULES = sorted([*(ROOT / "src" / "cvlab").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
@@ -100,3 +108,70 @@ class TestUnusedImports:
     )
     def test_checker(self, source, want):
         assert unused_imports(source) == want
+
+
+# "module.name" of each public top-level symbol that src/cvlab never refers
+# to, with the reason it stays.
+UNREFERENCED_ALLOWED = {
+    "core.write_dataset_csv": "writes the dataset CSV that read_dataset_csv reads",
+    "resampling.enumerate_multiset_counts": "the exact support of the multiset bootstrap model",
+    "resampling.random_permutation": "the documented stream of each repeated_partitions row",
+}
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names, attributes, imported names and identifier strings under ``node``."""
+    found = set()
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name):
+            found.add(part.id)
+        elif isinstance(part, ast.Attribute):
+            found.add(part.attr)
+        elif isinstance(part, ast.alias):
+            found.update(part.name.split("."))
+        elif isinstance(part, ast.Constant) and isinstance(part.value, str):
+            if part.value.isidentifier():
+                found.add(part.value)
+    return found
+
+
+def unreferenced_symbols(sources: dict[str, str]) -> list[str]:
+    """"module.name" of each public top-level function or class of ``sources``
+    ({module: source}) that no top-level statement but its own refers to."""
+    definitions, statements = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = f"{module}.{node.name}"
+                if not node.name.startswith("_"):
+                    definitions.append((own, node.name))
+            statements.append((own, _references(node)))
+    return sorted(
+        own for own, name in definitions
+        if not any(name in refs for other, refs in statements if other != own)
+    )
+
+
+class TestUnreferencedSymbols:
+    def test_every_public_symbol_is_referenced_or_allowed(self):
+        sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+        assert unreferenced_symbols(sources) == sorted(UNREFERENCED_ALLOWED)
+
+    @pytest.mark.parametrize(
+        "sources, want",
+        [
+            ({"a": "def f(): pass\n"}, ["a.f"]),
+            ({"a": "class C: pass\n"}, ["a.C"]),
+            ({"a": "def _f(): pass\n"}, []),
+            ({"a": "def f():\n    return f()\n"}, ["a.f"]),
+            ({"a": "def f(): pass\ndef g():\n    return f()\n"}, ["a.g"]),
+            ({"a": "def f(): pass\n", "b": "from a import f\n"}, []),
+            ({"a": "def f(): pass\n", "b": "import a\na.f()\n"}, []),
+            ({"a": "def f(): pass\nTABLE = {'key': 'f'}\n"}, []),
+            ({"a": "def f(): pass\nDOC = 'calls f once'\n"}, ["a.f"]),
+            ({"a": "def _g():\n    def h(): pass\n    return h\n"}, []),
+        ],
+    )
+    def test_checker(self, sources, want):
+        assert unreferenced_symbols(sources) == want
