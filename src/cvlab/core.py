@@ -198,6 +198,8 @@ def zero_one_losses(scores: np.ndarray, labels: np.ndarray, th: float) -> np.nda
 def read_csv_rows(path: str | Path, what: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """The header and the (line number, fields) of each non-blank row of a
     UTF-8 CSV file; ``what`` names the file's kind in the error messages.
+    A row's line number is the physical line it ends on, so rows after a
+    quoted field that spans lines keep their own line numbers.
 
     A file that cannot be read (missing, a directory, not UTF-8, a path with a
     NUL byte, an over-long field) or is empty is a :class:`DomainError`.
@@ -205,12 +207,13 @@ def read_csv_rows(path: str | Path, what: str) -> tuple[list[str], list[tuple[in
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader]
     except (OSError, ValueError, csv.Error) as exc:  # ValueError: a NUL byte or not UTF-8
         raise DomainError(f"cannot read {what} {path}: {exc}") from exc
     if not rows:
         raise DomainError(f"{path}: empty {what} file")
-    return rows[0], [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
+    return rows[0][1], [(lineno, row) for lineno, row in rows[1:] if row]
 
 
 def read_dataset_csv(path: str | Path) -> StratifiedDataset:

@@ -57,12 +57,21 @@ to 100 attempts.  The attempts run in rounds, each redrawing every row still
 one-class with its retry keys derived in one pass; the streams are those of
 one SeedSequence per row.
 
-All tasks are scored in one :func:`task_scores` call: batched through a
-trainer's ``weighted_scores(X, labels, weights, X_eval)`` hook, or task by
-task on materialized subsets.  Cell losses are 0, 1/2 or 1, so all sums are
-exact, and the divisions and means see fixed orders (units observation- or
-pair-row-major, tasks run-major): results reproduce bit-for-bit from
-(dataset, config, seed).
+Tasks are trained in tiles of ``max(1, TASK_TILE_CELLS // n)`` consecutive
+tasks, aligned to task 0, each scored in one :func:`task_scores` call:
+batched through a trainer's ``weighted_scores(X, labels, weights, X_eval)``
+hook, or task by task on materialized subsets.  A tile's weights, scores and
+losses are built, summed and dropped before the next tile trains, so beyond
+the inputs the memory of an estimate is bounded by one tile of about
+TASK_TILE_CELLS cells, whatever the number of tasks (CVN AUC has n1*n2).
+Every task is checked for a one-class training set before the first tile
+trains.  Cell losses are 0, 1/2 or 1, so all sums are exact, and the
+divisions and means see fixed orders (units observation- or pair-row-major,
+tasks run-major): results reproduce bit-for-bit from (dataset, config,
+seed).  A batched trainer's scores can move in the last bits with the tile
+size (BLAS picks kernels by shape), which changes a loss only when a score
+sits on the threshold or on another score; that is why the tile size is a
+constant and the tiles are aligned to task 0.
 
 The ten public ``err_*`` / ``auc_*`` functions are thin wrappers: each builds
 an :class:`EstimatorConfig` and hands it to :func:`variant_values`, which
@@ -100,8 +109,13 @@ from cvlab.resampling import (
 
 MAX_ONE_CLASS_RETRIES = 100
 
+# Upper bound on the (task, observation) cells of one training tile: a tile
+# holds max(1, TASK_TILE_CELLS // n) tasks, so the weights and scores alive at
+# once stay about this size however many tasks an estimator trains.
+TASK_TILE_CELLS = 1 << 18
+
 # Upper bound on the gathered (task, pair) cells that one AUC block scores at
-# once: it bounds the memory of estimators with many tasks (CVN has n1*n2).
+# once.  Pair blocks nest inside a training tile: they split the tile's tasks.
 AUC_BLOCK_CELLS = 1 << 18
 
 
@@ -197,14 +211,11 @@ def task_scores(
 
     ``weights`` is (tasks, n): row r gives the multiplicity of each pooled
     observation in task r's training set (0/1 for fold complements, counts
-    for bootstrap replicates).  Tasks that would train on a one-class set
-    raise, naming the task through ``context(r)``.  Returns a (tasks, n)
+    for bootstrap replicates); every row trains on both classes.  A trainer
+    failure names the task through ``context(r)``.  Returns a (tasks, n)
     float matrix.
     """
     weights = np.asarray(weights)
-    bad = _one_class_rows(weights, labels)
-    if bad.size:
-        raise EstimationError(f"{context(bad[0])} leaves a one-class training set")
     weighted = getattr(trainer, "weighted_scores", None)
     if weighted is not None:
         try:
@@ -307,35 +318,59 @@ def _pair_sums(scores: np.ndarray, test: np.ndarray, n1: int):
                loss.sum(axis=(1, 2)), ok.sum(axis=(1, 2)))
 
 
-def _estimate(dataset, trainer, metric, weights, context, tasks_per_run=1, th=0.0) -> VariantValues:
-    """Both variants after training each task of ``weights`` once; the
-    (tasks, n1+n2) weights follow ``dataset.pooled()``: class 1, then class 2."""
+def _estimate(dataset, trainer, metric, weights, tasks, context, tasks_per_run=1,
+              th=0.0) -> VariantValues:
+    """Both variants after training each of ``tasks`` tasks once, one tile at a
+    time.  ``weights(tile)`` builds the (tile tasks, n1+n2) weights of a slice
+    of tasks, following ``dataset.pooled()``: class 1, then class 2.  Every
+    task is checked for a one-class training set before any trains."""
     features, labels = dataset.pooled()
-    scores = task_scores(trainer, features, labels, weights, context)
-    test = weights == 0  # built after training, so it is not alive during it
-    if metric is Metric.ERROR:
-        loss = zero_one_losses(scores, labels, th) & test
-        sums = [(loss.sum(axis=0), test.sum(axis=0), loss.sum(axis=1), test.sum(axis=1))]
-        return _ratio_of_sums(sums, tasks_per_run, "observation")
-    return _ratio_of_sums(_pair_sums(scores, test, dataset.n1), tasks_per_run, "pair")
+    step = max(1, TASK_TILE_CELLS // dataset.n)
+    tiles = [slice(start, start + step) for start in range(0, tasks, step)]
+    if len(tiles) == 1:  # one tile: build its weights once, for the check and the training
+        single = weights(tiles[0])
+        weights = lambda tile: single
+    for tile in tiles:
+        bad = _one_class_rows(weights(tile), labels)
+        if bad.size:
+            raise EstimationError(f"{context(tile.start + bad[0])} leaves a one-class training set")
+
+    def blocks():
+        for tile in tiles:
+            w = weights(tile)
+            scores = task_scores(trainer, features, labels, w, lambda r: context(tile.start + r))
+            test = w == 0  # built after training, so it is not alive during it
+            if metric is Metric.AUC:
+                yield from _pair_sums(scores, test, dataset.n1)
+                continue
+            loss = zero_one_losses(scores, labels, th) & test
+            yield loss.sum(axis=0), test.sum(axis=0), loss.sum(axis=1), test.sum(axis=1)
+
+    unit = "pair" if metric is Metric.AUC else "observation"
+    return _ratio_of_sums(blocks(), tasks_per_run, unit)
 
 
 def _fold_tasks(dataset, trainer, metric, assigns, folds, th=0.0) -> VariantValues:
     """Both variants over fold tasks, run-major.  Task t of a run leaves out
     fold ``folds[c][t]`` of map ``assigns[c]`` ((runs, n_c) or (n_c,)) for each
-    part c: the pooled observations for error, class 1 and class 2 for AUC."""
-    weights = np.concatenate(
-        [np.atleast_2d(a)[:, None, :] != f[None, :, None] for a, f in zip(assigns, folds)],
-        axis=-1,
-    ).astype(int)
-    runs, per_run = weights.shape[:2]
+    part c: the pooled observations for error, class 1 and class 2 for AUC.
+    Each tile's 0/1 weights are built from the fold ids."""
+    maps = [np.atleast_2d(a) for a in assigns]
+    runs, per_run = len(maps[0]), len(folds[0])
+    tasks = np.arange(runs * per_run)
+
+    def weights(tile):
+        r = tasks[tile]
+        return np.concatenate(
+            [m[r // per_run] != f[r % per_run, None] for m, f in zip(maps, folds)], axis=1
+        ).astype(int)
 
     def context(r):
         held = ", ".join(str(f[r % per_run]) for f in folds)
         name = f"fold {held}" if len(folds) == 1 else f"fold pair ({held})"
         return f"run {r // per_run} {name}" if runs > 1 else name
 
-    return _estimate(dataset, trainer, metric, weights.reshape(-1, dataset.n), context, per_run, th)
+    return _estimate(dataset, trainer, metric, weights, len(tasks), context, per_run, th)
 
 
 def _redraw_one_class_rows(counts: np.ndarray, labels, model: SamplingModel, seed: int) -> None:
@@ -466,7 +501,8 @@ def variant_values(
         if not auc:
             _redraw_one_class_rows(counts[0], dataset.labels, cfg.sampling, cfg.seed)
         weights = np.hstack(counts) if auc else counts[0]  # hstack would copy the one part
-        return _estimate(dataset, trainer, cfg.metric, weights, "replicate {}".format, th=cfg.th)
+        return _estimate(dataset, trainer, cfg.metric, lambda tile: weights[tile], len(weights),
+                         "replicate {}".format, th=cfg.th)
     if cfg.version in (Version.CVN, Version.CVK):
         perms = (None,) * len(sizes) if perms is None else perms
         maps = [make_partition(n, k, p) for n, k, p in zip(sizes, ks, perms, strict=True)]

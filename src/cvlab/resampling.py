@@ -270,10 +270,14 @@ def _counts_from_uniform_keys(keys: np.ndarray, n: int) -> np.ndarray:
 
 
 def _row_histograms(values: np.ndarray, n: int) -> np.ndarray:
-    """(rows, n) counts of each row's values in 0..n-1, from one bincount."""
+    """(rows, n) counts of each row's values in 0..n-1, from one bincount.
+
+    ``values`` is a C-contiguous integer temporary of the caller's; the row
+    offsets are added to it in place, so no second (rows, n) array is made.
+    """
     rows = values.shape[0]
-    flat = (values + n * np.arange(rows)[:, None]).ravel()
-    return np.bincount(flat, minlength=rows * n).reshape(rows, n)
+    values += n * np.arange(rows)[:, None]
+    return np.bincount(values.ravel(), minlength=rows * n).reshape(rows, n)
 
 
 def _replicate_counts(n: int, model: SamplingModel, rngs, rows: int) -> np.ndarray:

@@ -590,6 +590,8 @@ DATASET_ERRORS = {
     "bad-number": ("class,f1\n1,0.5\n2,abc\n",
                    "{path}:3: could not convert string to float: 'abc'"),
     "class-3-after-blank-row": ("class,f1\n1,0.5\n\n3,1.5\n", "{path}:4: class must be 1 or 2"),
+    "class-3-after-multiline-field": ('class,f1\n1,"0.5\n"\n2,1.5\n3,2.0\n',
+                                      "{path}:5: class must be 1 or 2"),
     "one-class": ("class,f1\n1,0.5\n1,0.7\n", "{path}: both classes must be present"),
 }
 PAIRS_ERRORS = {
@@ -597,6 +599,8 @@ PAIRS_ERRORS = {
     "bad-header": ("x,y\n0.5,0.1\n0.7,0.6\n", "{path}: expected header 's,s_hat'"),
     "one-field-row": ("s,s_hat\n0.5,0.1\n0.7\n", "{path}:3: expected 2 fields"),
     "one-field-row-after-blank-row": ("s,s_hat\n0.5,0.1\n\n0.7\n", "{path}:4: expected 2 fields"),
+    "one-field-row-after-multiline-field": ('s,s_hat\n0.5,"0.1\n"\n0.6,0.2\n0.7\n',
+                                            "{path}:5: expected 2 fields"),
     "bad-number": ("s,s_hat\n0.5,0.1\n0.7,x\n", "{path}:3: could not convert string to float: 'x'"),
     "one-pair": ("s,s_hat\n0.5,0.1\n", "need at least two trials"),
     "non-finite": ("s,s_hat\n0.5,0.1\n0.7,nan\n", "entries must be finite"),

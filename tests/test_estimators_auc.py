@@ -5,6 +5,11 @@ replicates that call ``trainer.train`` on materialized subsets and average
 the rank kernel by hand.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -403,6 +408,30 @@ class TestPairBlocks:
         for a, b in zip(default, blocked):
             assert repr(a.value) == repr(b.value)
             assert a.excluded_count == b.excluded_count
+
+
+class TestTileMemory:
+    def test_cvn_peak_memory_stays_bounded_in_a_fresh_process(self):
+        """Leave-pair-out CV at n1 = n2 = 200 trains 40000 tasks; its whole
+        (task, observation) grid would peak near 600 MB, one tile near 50 MB."""
+        script = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from cvlab.core import StratifiedDataset\n"
+            "from cvlab.estimators import auc_cvn\n"
+            "from cvlab.simlab import LdaTrainer\n"
+            "rng = np.random.default_rng(0)\n"
+            "ds = StratifiedDataset(rng.normal(0, 1, (200, 5)), rng.normal(0.5, 1, (200, 5)))\n"
+            "auc_cvn(ds, LdaTrainer(1e-6))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(estimators.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 150 * 1024  # ru_maxrss is in KiB on Linux
 
 
 class TestReportContract:

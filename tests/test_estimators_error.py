@@ -542,6 +542,52 @@ class TestErrorPaths:
         assert str(caught.value) == "weighted_scores returned a misshaped matrix"
 
 
+class FailingOnCall(Trainer):
+    """Nearest-mean without the batched hook, whose ``call``-th training fails."""
+
+    name = "failing-on-call"
+
+    def __init__(self, call):
+        self.call, self.calls = call, 0
+
+    def train(self, dataset):
+        self.calls += 1
+        if self.calls == self.call:
+            raise ValueError("no convergence")
+        return NearestMeanTrainer().train(dataset)
+
+
+class TestTiles:
+    """Tasks train in tiles; messages name the task's index over every tile."""
+
+    # fold 3 holds both class-1 points: its training set is one-class
+    ONE_CLASS_LAST = StratifiedDataset(
+        np.array([[0.0], [0.1]]), np.array([[1.0], [1.1], [1.2], [1.3]])
+    )
+
+    @pytest.mark.parametrize("trainer", [RaisingTrainer(), BatchedTrainer(lambda c: 1 / 0)],
+                             ids=["unbatched", "batched"])
+    def test_one_class_task_of_a_later_tile_fails_before_any_training(self, monkeypatch,
+                                                                       trainer):
+        monkeypatch.setattr(estimators, "TASK_TILE_CELLS", 1)
+        with pytest.raises(EstimationError) as caught:
+            err_cvk(self.ONE_CLASS_LAST, trainer, 0.0, 3, perm=[5, 6, 1, 2, 3, 4])
+        assert str(caught.value) == "fold 3 leaves a one-class training set"
+
+    @pytest.mark.parametrize("estimate, call, message", [
+        (lambda t: err_cvk(SIX_POINT, t, 0.0, 3), 3, "fold 3"),
+        (lambda t: err_cvkr(SIX_POINT, t, 0.0, 3, 2, 5), 4, "run 1 fold 1"),
+        (lambda t: err_loob(SIX_POINT, t, 0.0, 20, 1), 3, "replicate 2"),
+    ])
+    def test_trainer_failure_in_tile_two_names_its_global_task(self, monkeypatch, estimate,
+                                                              call, message):
+        # two tasks per tile: trainings 3 and 4 are the tasks of tile 2
+        monkeypatch.setattr(estimators, "TASK_TILE_CELLS", 2 * SIX_POINT.n)
+        with pytest.raises(EstimationError) as caught:
+            estimate(FailingOnCall(call))
+        assert str(caught.value) == f"trainer failed on {message}: no convergence"
+
+
 class TestEstimatorConfig:
     @pytest.mark.parametrize("th", [np.nan, np.inf, -np.inf])
     def test_threshold_must_be_finite(self, th):

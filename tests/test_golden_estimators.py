@@ -4,7 +4,8 @@ Each case calls one public ``err_*`` / ``auc_*`` function with fixed
 arguments and records ``repr(value)`` and ``excluded_count``, or the name of
 the exception it raised.  The recorded outcomes live in
 ``golden_estimators.json`` next to this file; any refactor of the estimators
-must reproduce them exactly.
+must reproduce them exactly, also with one and with seven training tasks per
+tile.
 
 The grid covers three small datasets (one whose scores tie exactly), the two
 built-in trainers plus one without the batched ``weighted_scores`` hook, and
@@ -174,6 +175,16 @@ def test_outcomes_match_golden(golden, data_name, trainer_name, fn_name):
         if want != got
     ]
     assert not mismatches, "\n".join(mismatches[:10])
+
+
+@pytest.mark.parametrize("tile", ["one task", "seven tasks"])
+@pytest.mark.parametrize("data_name,trainer_name,fn_name", KEYS, ids=[_key(*k) for k in KEYS])
+def test_outcomes_do_not_depend_on_the_tile_size(golden, monkeypatch, tile, data_name,
+                                                 trainer_name, fn_name):
+    n = DATASETS[data_name].n
+    monkeypatch.setattr(estimators, "TASK_TILE_CELLS", 1 if tile == "one task" else 7 * n)
+    expected = golden[_key(data_name, trainer_name, fn_name)]
+    assert record(data_name, trainer_name, fn_name) == expected
 
 
 def test_golden_covers_every_case_and_outcome_kind(golden):
