@@ -64,8 +64,11 @@ hook, or task by task on materialized subsets.  A tile's weights, scores and
 losses are built, summed and dropped before the next tile trains, so beyond
 the inputs the memory of an estimate is bounded by one tile of about
 TASK_TILE_CELLS cells, whatever the number of tasks (CVN AUC has n1*n2).
-Every task is checked for a one-class training set before the first tile
-trains.  Cell losses are 0, 1/2 or 1, so all sums are exact, and the
+An estimate is one pass: resample, check, then train and sum each tile once.
+A task that would train on one class is caught where the resampling can make
+it, before the first tile trains: an error fold task from its run's fold
+ids, an error replicate by the redraw above.  An AUC task always keeps both
+classes.  Cell losses are 0, 1/2 or 1, so all sums are exact, and the
 divisions and means see fixed orders (units observation- or pair-row-major,
 tasks run-major): results reproduce bit-for-bit from (dataset, config,
 seed).  A batched trainer's scores can move in the last bits with the tile
@@ -75,10 +78,11 @@ constant and the tiles are aligned to task 0.
 
 The ten public ``err_*`` / ``auc_*`` functions are thin wrappers: each builds
 an :class:`EstimatorConfig` and hands it to :func:`variant_values`, which
-computes both variants, and to ``_run``, which picks the requested one and
-echoes the config.  :func:`run` looks the public name up at call time, so a
-tracer that rebinds an estimator in this module also sees the calls ``run``
-makes.
+checks it (an unset size or seed, then the bounds) and computes both
+variants, and to ``_run``, which picks the requested one and echoes the
+config.  :func:`run` only dispatches: it looks the public name up at call
+time, so a tracer that rebinds an estimator in this module also sees the
+calls ``run`` makes.
 """
 
 from __future__ import annotations
@@ -192,12 +196,6 @@ def _train(trainer: Trainer, subset: StratifiedDataset, context: str):
 # ---------------------------------------------------------------------------
 # The kernel: tasks x units
 # ---------------------------------------------------------------------------
-
-
-def _one_class_rows(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Indices of the rows of ``weights`` that give one class no weight."""
-    per_class = weights @ np.stack([labels == 1, labels == 2], axis=1)
-    return np.flatnonzero((per_class <= 0).any(axis=1))
 
 
 def task_scores(
@@ -320,25 +318,19 @@ def _pair_sums(scores: np.ndarray, test: np.ndarray, n1: int):
 
 def _estimate(dataset, trainer, metric, weights, tasks, context, tasks_per_run=1,
               th=0.0) -> VariantValues:
-    """Both variants after training each of ``tasks`` tasks once, one tile at a
-    time.  ``weights(tile)`` builds the (tile tasks, n1+n2) weights of a slice
-    of tasks, following ``dataset.pooled()``: class 1, then class 2.  Every
-    task is checked for a one-class training set before any trains."""
+    """Both variants after training each of ``tasks`` tasks once, in one pass
+    over tiles: each tile builds its weights through ``weights(tile)`` (the
+    (tile tasks, n1+n2) weights of a slice of tasks, following
+    ``dataset.pooled()``: class 1, then class 2), trains, and is summed before
+    the next is built.  Every task must train on both classes; the callers
+    guarantee it."""
     features, labels = dataset.pooled()
     step = max(1, TASK_TILE_CELLS // dataset.n)
-    tiles = [slice(start, start + step) for start in range(0, tasks, step)]
-    if len(tiles) == 1:  # one tile: build its weights once, for the check and the training
-        single = weights(tiles[0])
-        weights = lambda tile: single
-    for tile in tiles:
-        bad = _one_class_rows(weights(tile), labels)
-        if bad.size:
-            raise EstimationError(f"{context(tile.start + bad[0])} leaves a one-class training set")
 
     def blocks():
-        for tile in tiles:
-            w = weights(tile)
-            scores = task_scores(trainer, features, labels, w, lambda r: context(tile.start + r))
+        for start in range(0, tasks, step):
+            w = weights(slice(start, start + step))
+            scores = task_scores(trainer, features, labels, w, lambda r: context(start + r))
             test = w == 0  # built after training, so it is not alive during it
             if metric is Metric.AUC:
                 yield from _pair_sums(scores, test, dataset.n1)
@@ -354,7 +346,13 @@ def _fold_tasks(dataset, trainer, metric, assigns, folds, th=0.0) -> VariantValu
     """Both variants over fold tasks, run-major.  Task t of a run leaves out
     fold ``folds[c][t]`` of map ``assigns[c]`` ((runs, n_c) or (n_c,)) for each
     part c: the pooled observations for error, class 1 and class 2 for AUC.
-    Each tile's 0/1 weights are built from the fold ids."""
+    Each tile's 0/1 weights are built from the fold ids.
+
+    An error task loses class c when every class-c observation of its run
+    carries the fold it leaves out; the first such task, run-major, raises
+    before any tile trains.  An AUC task cannot lose a class: each part is one
+    class, and leaving out one of K >= 2 equal folds keeps the rest of it (as
+    a bootstrap replicate of a class keeps n_c >= 2 draws of it)."""
     maps = [np.atleast_2d(a) for a in assigns]
     runs, per_run = len(maps[0]), len(folds[0])
     tasks = np.arange(runs * per_run)
@@ -370,7 +368,20 @@ def _fold_tasks(dataset, trainer, metric, assigns, folds, th=0.0) -> VariantValu
         name = f"fold {held}" if len(folds) == 1 else f"fold pair ({held})"
         return f"run {r // per_run} {name}" if runs > 1 else name
 
+    if metric is Metric.ERROR:  # pooled columns: class 1, then class 2
+        lost = np.zeros((runs, per_run), dtype=bool)
+        for part in (maps[0][:, : dataset.n1], maps[0][:, dataset.n1 :]):
+            lost |= (part.min(axis=1) == part.max(axis=1))[:, None] & (part[:, :1] == folds[0])
+        if lost.any():
+            first = np.flatnonzero(lost)[0]
+            raise EstimationError(f"{context(first)} leaves a one-class training set")
     return _estimate(dataset, trainer, metric, weights, len(tasks), context, per_run, th)
+
+
+def _one_class_rows(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``weights`` that give one class no weight."""
+    per_class = weights @ np.stack([labels == 1, labels == 2], axis=1)
+    return np.flatnonzero((per_class <= 0).any(axis=1))
 
 
 def _redraw_one_class_rows(counts: np.ndarray, labels, model: SamplingModel, seed: int) -> None:
@@ -430,8 +441,8 @@ class EstimatorConfig:
         )
 
 
-# Config field -> its [estimator] key, for the fields that ``run`` demands of
-# the versions that take them; every other field is its own key.
+# Config field -> its [estimator] key, for the fields that ``variant_values``
+# demands of the versions that take them; every other field is its own key.
 _CONFIG_KEYS = {
     "n_folds": "K", "n_folds1": "K1", "n_folds2": "K2", "repetitions": "M", "n_bootstrap": "B",
     "seed": "seed",
@@ -463,6 +474,8 @@ def variant_values(
 ) -> VariantValues:
     """Both variants of the estimator ``cfg`` describes, training each task once.
 
+    A size or seed the version takes but ``cfg`` leaves unset is a
+    :class:`DomainError` naming its config key, raised before any bound.
     The estimator resamples parts: the pooled observations for error; class 1
     and class 2 for AUC, each from the derived seed ``derive_seed(seed,
     "classC")``.  LOOB draws B replicate counts per part (an error replicate
@@ -472,7 +485,10 @@ def variant_values(
     fold of the parts' fold grid, class-1 fold major; CVKM tests fold 1 of
     each part only, and the reduced CVK AUC variant the diagonal fold pairs.
     """
-    name = _DISPATCH[cfg.metric, cfg.version][0]
+    name, fields = _DISPATCH[cfg.metric, cfg.version]
+    for field in fields.split():
+        if field in _CONFIG_KEYS and getattr(cfg, field) is None:
+            raise DomainError(f"{cfg.version.value} needs '{_CONFIG_KEYS[field]}'")
     auc = cfg.metric is Metric.AUC
     if auc and (dataset.n1 < 2 or dataset.n2 < 2):
         raise DomainError("AUC estimators require n1 >= 2 and n2 >= 2")
@@ -725,14 +741,9 @@ def auc_lpobs(
 def run(dataset: StratifiedDataset, trainer: Trainer, cfg: EstimatorConfig) -> EstimatorReport:
     """Run the estimator selected by ``cfg`` on ``dataset``.
 
-    A size or seed the version takes but ``cfg`` leaves unset is a
-    :class:`DomainError` naming its config key.  Calls the public function by
-    its name, looked up at call time, so that rebinding an estimator in this
-    module (as a tracer does) reroutes ``run``.
+    Calls the public function by its name, looked up at call time, so that
+    rebinding an estimator in this module (as a tracer does) reroutes
+    ``run``.  Its config checks are those of :func:`variant_values`.
     """
     name, fields = _DISPATCH[cfg.metric, cfg.version]
-    fields = fields.split()
-    for field in fields:
-        if field in _CONFIG_KEYS and getattr(cfg, field) is None:
-            raise DomainError(f"{cfg.version.value} needs '{_CONFIG_KEYS[field]}'")
-    return globals()[name](dataset, trainer, *(getattr(cfg, f) for f in fields))
+    return globals()[name](dataset, trainer, *(getattr(cfg, f) for f in fields.split()))

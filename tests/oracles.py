@@ -3,8 +3,8 @@
 Each one is written independently of the code under test, as a direct
 transcription of its definition: a scalar rank kernel, sums over the exact
 out-of-bag pmf, the decomposition residual, the enumerated B -> infinity
-limits of the leave-one-out bootstrap variants, and the one-class redraw
-replicate by replicate.
+limits of the leave-one-out bootstrap variants, the one-class rule on dense
+task weights, and the one-class redraw replicate by replicate.
 """
 
 import math
@@ -82,6 +82,15 @@ def loob_limits(losses: np.ndarray, oob: np.ndarray) -> tuple[float, float]:
     usable = unseen > 0
     partitioned = float(((losses * oob).sum(axis=1)[usable] / unseen[usable]).mean())
     return pooled, partitioned
+
+
+def one_class_tasks(weights: np.ndarray, labels: np.ndarray) -> list[int]:
+    """Indices, in order, of the training tasks (rows of the dense tasks x
+    observations ``weights``) that give class 1 or class 2 no weight."""
+    return [
+        r for r, row in enumerate(weights)
+        if row[labels == 1].sum() == 0 or row[labels == 2].sum() == 0
+    ]
 
 
 def redraw_one_class_rows(

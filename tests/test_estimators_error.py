@@ -9,6 +9,8 @@ definitions with the code under test, since those define the estimand.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvlab import estimators
 from cvlab.combinatorics import prob_some_unseen
@@ -43,7 +45,7 @@ from cvlab.resampling import (
     repeated_partitions,
 )
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
-from oracles import redraw_one_class_rows
+from oracles import one_class_tasks, redraw_one_class_rows
 
 
 # ---------------------------------------------------------------------------
@@ -560,19 +562,29 @@ class FailingOnCall(Trainer):
 class TestTiles:
     """Tasks train in tiles; messages name the task's index over every tile."""
 
-    # fold 3 holds both class-1 points: its training set is one-class
+    # two class-1 points: a task that leaves out the fold holding both of
+    # them trains on class 2 only
     ONE_CLASS_LAST = StratifiedDataset(
         np.array([[0.0], [0.1]]), np.array([[1.0], [1.1], [1.2], [1.3]])
     )
 
     @pytest.mark.parametrize("trainer", [RaisingTrainer(), BatchedTrainer(lambda c: 1 / 0)],
                              ids=["unbatched", "batched"])
+    @pytest.mark.parametrize("estimate, message", [
+        # the permutation puts both class-1 points in fold 3, the last task
+        (lambda d, t: err_cvk(d, t, 0.0, 3, perm=[5, 6, 1, 2, 3, 4]), "fold 3"),
+        # seed 0: run 0 splits class 1; run 1 holds both its points in fold 3
+        (lambda d, t: err_cvkr(d, t, 0.0, 3, 2, 0), "run 1 fold 3"),
+        # seed 39: only run 1 holds both class-1 points in its test fold 1
+        (lambda d, t: err_cvkm(d, t, 0.0, 3, 2, 39), "run 1 fold 1"),
+    ], ids=["cvk", "cvkr", "cvkm"])
     def test_one_class_task_of_a_later_tile_fails_before_any_training(self, monkeypatch,
+                                                                       estimate, message,
                                                                        trainer):
         monkeypatch.setattr(estimators, "TASK_TILE_CELLS", 1)
         with pytest.raises(EstimationError) as caught:
-            err_cvk(self.ONE_CLASS_LAST, trainer, 0.0, 3, perm=[5, 6, 1, 2, 3, 4])
-        assert str(caught.value) == "fold 3 leaves a one-class training set"
+            estimate(self.ONE_CLASS_LAST, trainer)
+        assert str(caught.value) == f"{message} leaves a one-class training set"
 
     @pytest.mark.parametrize("estimate, call, message", [
         (lambda t: err_cvk(SIX_POINT, t, 0.0, 3), 3, "fold 3"),
@@ -586,6 +598,106 @@ class TestTiles:
         with pytest.raises(EstimationError) as caught:
             estimate(FailingOnCall(call))
         assert str(caught.value) == f"trainer failed on {message}: no convergence"
+
+
+# (metric, version, estimator name, field) for each size or seed an estimator takes
+UNSET_CASES = [
+    (metric, version, name, field)
+    for (metric, version), (name, fields) in estimators._DISPATCH.items()
+    for field in fields.split()
+    if field in estimators._CONFIG_KEYS
+]
+UNSET_IDS = [f"{name}-{field}" for _, _, name, field in UNSET_CASES]
+
+
+class TestUnsetParameters:
+    """An unset size or seed is a DomainError naming its config key, however
+    the estimator is called."""
+
+    @pytest.mark.parametrize("metric, version, name, field", UNSET_CASES, ids=UNSET_IDS)
+    def test_public_function(self, metric, version, name, field):
+        with pytest.raises(DomainError) as caught:
+            getattr(estimators, name)(EIGHT_POINT, NearestMeanTrainer(), **{field: None})
+        assert str(caught.value) == f"{version.value} needs '{estimators._CONFIG_KEYS[field]}'"
+
+    @pytest.mark.parametrize("metric, version, name, field", UNSET_CASES, ids=UNSET_IDS)
+    def test_variant_values(self, metric, version, name, field):
+        sizes = {"n_folds": 2, "n_folds1": 2, "n_folds2": 2, "repetitions": 1, "n_bootstrap": 1}
+        cfg = EstimatorConfig(version, metric, **{**sizes, "seed": 0, field: None})
+        with pytest.raises(DomainError) as caught:
+            variant_values(EIGHT_POINT, NearestMeanTrainer(), cfg)
+        assert str(caught.value) == f"{version.value} needs '{estimators._CONFIG_KEYS[field]}'"
+
+
+def divisor_of(n):
+    """A fold count K >= 2 that divides n."""
+    return st.sampled_from([k for k in range(2, n + 1) if n % k == 0])
+
+
+@st.composite
+def pooled_fold_case(draw):
+    """(n1, n2, K): class sizes in 1..6 and a fold count dividing n1 + n2."""
+    n1, n2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return n1, n2, draw(divisor_of(n1 + n2))
+
+
+class TestOneClassFoldTasks:
+    """The fold-id check flags exactly the tasks the dense one-class rule flags."""
+
+    @staticmethod
+    def expect(estimate, maps, folds, n1, n2):
+        """``estimate()`` raises for the oracle's first one-class task, or runs."""
+        weights = np.array([m != g for m in maps for g in folds], dtype=int)
+        bad = one_class_tasks(weights, np.repeat([1, 2], (n1, n2)))
+        if not bad:
+            estimate()
+            return
+        run, fold = divmod(bad[0], len(folds))
+        name = f"fold {folds[fold]}"
+        task = f"run {run} {name}" if len(maps) > 1 else name
+        with pytest.raises(EstimationError) as caught:
+            estimate()
+        assert str(caught.value) == f"{task} leaves a one-class training set"
+
+    @staticmethod
+    def dataset(n1, n2):
+        return StratifiedDataset(np.arange(n1)[:, None] * 1.0, np.arange(n2)[:, None] + 0.5)
+
+    @given(pooled_fold_case(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cvk(self, case, data):
+        n1, n2, k = case
+        perm = data.draw(st.permutations(range(1, n1 + n2 + 1)))
+        maps = [make_partition(n1 + n2, k, perm)]
+        self.expect(lambda: err_cvk(self.dataset(n1, n2), NearestMeanTrainer(), 0.0, k, perm=perm),
+                    maps, list(range(1, k + 1)), n1, n2)
+
+    @given(pooled_fold_case(), st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.sampled_from([err_cvkr, err_cvkm]))
+    @settings(max_examples=150, deadline=None)
+    def test_repeated(self, case, m, seed, estimate):
+        n1, n2, k = case
+        maps = repeated_partitions(n1 + n2, k, m, seed)
+        folds = list(range(1, k + 1)) if estimate is err_cvkr else [1]
+        self.expect(lambda: estimate(self.dataset(n1, n2), NearestMeanTrainer(), 0.0, k, m, seed),
+                    maps, folds, n1, n2)
+
+    @given(st.integers(2, 6), st.integers(2, 6), st.data(), st.integers(1, 5),
+           st.integers(0, 2**32 - 1), st.sampled_from(list(SamplingModel)))
+    @settings(max_examples=100, deadline=None)
+    def test_auc_tasks_keep_both_classes(self, n1, n2, data, m, seed, model):
+        labels = np.repeat([1, 2], (n1, n2))
+        k1, k2 = data.draw(divisor_of(n1)), data.draw(divisor_of(n2))
+        s1, s2 = derive_seed(seed, "class1"), derive_seed(seed, "class2")
+        m1, m2 = repeated_partitions(n1, k1, m, s1), repeated_partitions(n2, k2, m, s2)
+        weights = np.array([
+            np.concatenate([m1[r] != g1, m2[r] != g2])
+            for r in range(m) for g1 in range(1, k1 + 1) for g2 in range(1, k2 + 1)
+        ], dtype=int)
+        assert one_class_tasks(weights, labels) == []
+        counts = np.hstack([bootstrap_counts_matrix(n1, 20, model, s1),
+                            bootstrap_counts_matrix(n2, 20, model, s2)])
+        assert one_class_tasks(counts, labels) == []
 
 
 class TestEstimatorConfig:

@@ -11,7 +11,9 @@ from ``src/cvlab/`` outside its own definition, or be listed in
 ``UNREFERENCED_ALLOWED`` with the reason it stays.  A reference is a name, an
 attribute, an imported name or a string that is exactly the identifier (as
 ``estimators._DISPATCH`` names the estimators); a symbol only tests use has to
-justify staying.
+justify staying.  Every private top-level name there (a function, a class or
+an assigned name, not a dunder) must be referenced the same way, with no
+exceptions: a private name nothing in ``src/cvlab/`` uses is dead code.
 """
 
 import ast
@@ -135,21 +137,51 @@ def _references(node: ast.AST) -> set[str]:
     return found
 
 
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _bound_names(node: ast.stmt) -> list[str]:
+    """Names a top-level statement binds: a function or class, or assignment targets."""
+    if isinstance(node, DEFINITIONS):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [part.id for t in targets for part in ast.walk(t) if isinstance(part, ast.Name)]
+    return []
+
+
+def _unreferenced(sources: dict[str, str], wanted) -> list[str]:
+    """"module.name" of each name that a top-level statement of ``sources``
+    ({module: source}) binds, ``wanted(statement, name)`` selects, and no
+    other top-level statement refers to."""
+    definitions, statements = [], []
+    for module, source in sources.items():
+        for index, node in enumerate(ast.parse(source).body):
+            own = (module, index)
+            definitions.extend(
+                (own, module, name) for name in _bound_names(node) if wanted(node, name)
+            )
+            statements.append((own, _references(node)))
+    return sorted(
+        f"{module}.{name}" for own, module, name in definitions
+        if not any(name in refs for other, refs in statements if other != own)
+    )
+
+
 def unreferenced_symbols(sources: dict[str, str]) -> list[str]:
     """"module.name" of each public top-level function or class of ``sources``
     ({module: source}) that no top-level statement but its own refers to."""
-    definitions, statements = [], []
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            own = None
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = f"{module}.{node.name}"
-                if not node.name.startswith("_"):
-                    definitions.append((own, node.name))
-            statements.append((own, _references(node)))
-    return sorted(
-        own for own, name in definitions
-        if not any(name in refs for other, refs in statements if other != own)
+    return _unreferenced(
+        sources, lambda node, name: isinstance(node, DEFINITIONS) and not name.startswith("_")
+    )
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """"module.name" of each private top-level name of ``sources`` (a function,
+    a class or an assigned name starting with one underscore, not a dunder)
+    that no top-level statement but its own refers to."""
+    return _unreferenced(
+        sources, lambda node, name: name.startswith("_") and not name.endswith("__")
     )
 
 
@@ -175,3 +207,28 @@ class TestUnreferencedSymbols:
     )
     def test_checker(self, sources, want):
         assert unreferenced_symbols(sources) == want
+
+
+class TestUnreferencedPrivateNames:
+    def test_every_private_name_is_referenced(self):
+        sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+        assert unreferenced_private_names(sources) == []
+
+    @pytest.mark.parametrize(
+        "sources, want",
+        [
+            ({"a": "def _f(): pass\n"}, ["a._f"]),
+            ({"a": "class _C: pass\n"}, ["a._C"]),
+            ({"a": "_X = 1\n"}, ["a._X"]),
+            ({"a": "_X: int = 1\n"}, ["a._X"]),
+            ({"a": "_A, _B = 1, 2\nprint(_A)\n"}, ["a._B"]),
+            ({"a": "def _f():\n    return _f()\n"}, ["a._f"]),
+            ({"a": "_X = 1\ndef f():\n    return _X\n"}, []),
+            ({"a": "_X = {}\n", "b": "import a\na._X\n"}, []),
+            ({"a": "def _f(): pass\nTABLE = {'key': '_f'}\n"}, []),
+            ({"a": "def f(): pass\nX = 1\n__version__ = '1'\n"}, []),
+            ({"a": "def f():\n    def _h(): pass\n    return _h\n"}, []),
+        ],
+    )
+    def test_checker(self, sources, want):
+        assert unreferenced_private_names(sources) == want
