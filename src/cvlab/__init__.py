@@ -4,8 +4,8 @@ The package is organized in seven modules:
 
 - ``core``          domain primitives: stratified two-class datasets and their
                     label vector, scoring rules, the zero-one loss, the
-                    Mann-Whitney AUC kernel (``pairwise_kernel``), and the CSV
-                    reader.
+                    Mann-Whitney AUC kernel (``pairwise_kernel``, doubled to
+                    int8 cells), and the CSV reader.
 - ``resampling``    fold maps as int arrays of fold ids, (n,) or seeded (M, n),
                     and bootstrap replicate generation under two sampling models.
 - ``combinatorics`` exact rational identities for bootstrap out-of-bag counts.

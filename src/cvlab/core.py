@@ -13,8 +13,9 @@ Conventions used throughout the package:
   class 2, a fixed convention so the loss is deterministic).  The true
   performance S, the apparent Sbar and the estimate Shat all score it here.
 - The two-sample rank kernel of a class-1 score a and a class-2 score b is
-  0, 0.5, 1 for a > b, a == b, a < b; :func:`pairwise_kernel` evaluates it
-  for every pair.  Ties are exact floating-point ties, no epsilon.
+  0, 0.5, 1 for a > b, a == b, a < b; :func:`pairwise_kernel` evaluates
+  twice it, 0, 1 or 2 as int8, for every pair, so sums of it are exact
+  integers.  Ties are exact floating-point ties, no epsilon.
 - The empirical AUC of score samples ``s1`` (class 1) and ``s2`` (class 2) is
   the mean of the kernel over all n1*n2 pairs.
 - Every CSV input (a dataset, a ``decompose`` pairs file) is read by
@@ -178,14 +179,17 @@ def empirical_auc(scores1, scores2) -> float:
 
 
 def pairwise_kernel(scores1: np.ndarray, scores2: np.ndarray) -> np.ndarray:
-    """Kernel values for all score pairs: (n1, n2) for 1-D inputs.
+    """Twice the kernel for all score pairs, ``2 * (a < b) + (a == b)`` as
+    int8: (n1, n2) for 1-D inputs.
 
     Leading axes batch: inputs of shapes (..., n1) and (..., n2) give
-    (..., n1, n2), one pair matrix per leading index.
+    (..., n1, n2), one pair matrix per leading index.  A +inf class-1 or a
+    -inf class-2 score scores 0 against every finite score, which is how the
+    estimators pad the untested slots of a task.
     """
     s1 = np.asarray(scores1, dtype=float)[..., :, None]
     s2 = np.asarray(scores2, dtype=float)[..., None, :]
-    return (s1 < s2).astype(float) + 0.5 * (s1 == s2)
+    return (s1 < s2).view(np.int8) * np.int8(2) + (s1 == s2)
 
 
 def zero_one_losses(scores: np.ndarray, labels: np.ndarray, th: float) -> np.ndarray:

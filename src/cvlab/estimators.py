@@ -36,7 +36,9 @@ error, the n1*n2 (class-1, class-2) pairs for AUC.  Task r trains on a weight
 vector over the observations (0/1 for a fold complement, counts for a
 bootstrap replicate) and tests exactly the observations it gave zero weight;
 an AUC task tests the pairs whose two observations it both left out.  Every
-(task, unit) cell holds a loss: the zero-one loss, or the rank kernel.
+(task, unit) cell holds a loss: the zero-one loss, or the rank kernel.  A
+task's scores must be finite; a trainer that gives a NaN or an infinite score
+is an :class:`EstimationError` naming the task.
 
 - *Pooled*: per unit, the tested losses summed over tasks over the number of
   tasks testing it; then the mean over units.  Units never tested are dropped
@@ -46,6 +48,10 @@ an AUC task tests the pairs whose two observations it both left out.  Every
   number of units it tests; then the mean over the tasks of each run (the K
   folds or K1*K2 fold pairs of one repetition), then the mean over runs.
   Tasks testing nothing (all-in-bag replicates) are skipped and counted.
+
+A caller that needs one variant asks for it: the per-unit sums (for AUC the
+per-pair scatter, the largest part of its aggregation) are built only when
+the pooled variant is asked for.
 
 The estimators differ only in their tasks: CVK has K (CVN is K = n), CVKR
 M*K, CVKM M each testing fold 1, LOOB one per replicate.  An AUC fold task
@@ -68,21 +74,22 @@ An estimate is one pass: resample, check, then train and sum each tile once.
 A task that would train on one class is caught where the resampling can make
 it, before the first tile trains: an error fold task from its run's fold
 ids, an error replicate by the redraw above.  An AUC task always keeps both
-classes.  Cell losses are 0, 1/2 or 1, so all sums are exact, and the
-divisions and means see fixed orders (units observation- or pair-row-major,
-tasks run-major): results reproduce bit-for-bit from (dataset, config,
-seed).  A batched trainer's scores can move in the last bits with the tile
-size (BLAS picks kernels by shape), which changes a loss only when a score
-sits on the threshold or on another score; that is why the tile size is a
-constant and the tiles are aligned to task 0.
+classes.  Error cells are 0/1 losses; AUC cells are doubled kernel values,
+the integers 0, 1 or 2, and each AUC sum is halved once.  So all sums are
+exact (whole numbers of halves), and the divisions and means see fixed orders
+(units observation- or pair-row-major, tasks run-major): results reproduce
+bit-for-bit from (dataset, config, seed).  A batched trainer's scores can
+move in the last bits with the tile size (BLAS picks kernels by shape), which
+changes a loss only when a score sits on the threshold or on another score;
+that is why the tile size is a constant and the tiles are aligned to task 0.
 
 The ten public ``err_*`` / ``auc_*`` functions are thin wrappers: each builds
 an :class:`EstimatorConfig` and hands it to :func:`variant_values`, which
 checks it (an unset size or seed, then the bounds) and computes both
-variants, and to ``_run``, which picks the requested one and echoes the
-config.  :func:`run` only dispatches: it looks the public name up at call
-time, so a tracer that rebinds an estimator in this module also sees the
-calls ``run`` makes.
+variants, and to ``_run``, which asks for the pooled variant only when it
+reports it, picks the requested one and echoes the config.  :func:`run` only
+dispatches: it looks the public name up at call time, so a tracer that
+rebinds an estimator in this module also sees the calls ``run`` makes.
 """
 
 from __future__ import annotations
@@ -211,29 +218,34 @@ def task_scores(
     observation in task r's training set (0/1 for fold complements, counts
     for bootstrap replicates); every row trains on both classes.  A trainer
     failure names the task through ``context(r)``.  Returns a (tasks, n)
-    float matrix.
+    float matrix of finite scores: a NaN or infinite score raises
+    :class:`EstimationError` naming its task.
     """
     weights = np.asarray(weights)
     weighted = getattr(trainer, "weighted_scores", None)
     if weighted is not None:
         try:
-            out = np.asarray(weighted(features, labels, weights, features), dtype=float)
+            scores = np.asarray(weighted(features, labels, weights, features), dtype=float)
         except EstimationError:
             raise
         except Exception as exc:
             raise EstimationError(f"trainer failed on batched tasks: {exc}") from exc
-        if out.shape != weights.shape:
+        if scores.shape != weights.shape:
             raise EstimationError("weighted_scores returned a misshaped matrix")
-        return out
-    scores = np.empty(weights.shape, dtype=float)
-    index = np.arange(weights.shape[1])
-    for r in range(weights.shape[0]):
-        reps = np.repeat(index, weights[r])
-        subset = StratifiedDataset(
-            features[reps][labels[reps] == 1], features[reps][labels[reps] == 2]
-        )
-        rule = _train(trainer, subset, context(r))
-        scores[r] = rule.score_many(features)
+    else:
+        scores = np.empty(weights.shape, dtype=float)
+        index = np.arange(weights.shape[1])
+        for r in range(weights.shape[0]):
+            reps = np.repeat(index, weights[r])
+            subset = StratifiedDataset(
+                features[reps][labels[reps] == 1], features[reps][labels[reps] == 2]
+            )
+            rule = _train(trainer, subset, context(r))
+            scores[r] = rule.score_many(features)
+    finite = np.isfinite(scores).all(axis=1)
+    if not finite.all():
+        first = int(finite.argmin())
+        raise EstimationError(f"trainer gave a non-finite score on {context(first)}")
     return scores
 
 
@@ -263,67 +275,93 @@ class VariantValues:
         raise DomainError(f"variant {variant.value} not defined for this estimator")
 
 
-def _ratio_of_sums(sums: Iterable[tuple], tasks_per_run: int, unit: str) -> VariantValues:
-    """Pooled and partitioned values of a tasks x units grid of tested losses.
+def _ratio_of_sums(sums: Iterable[tuple], tasks_per_run: int, unit: str,
+                   pooled: bool) -> VariantValues:
+    """Partitioned, and if ``pooled`` pooled, values of a tasks x units grid of
+    tested losses.
 
-    ``sums`` yields one tuple per block of consecutive tasks: per unit, the
-    tested losses and the tested cells summed over the block's tasks; then
-    per task, the same summed over units.  Pooled is the mean over units of
-    the ratio of the unit sums; partitioned is the mean over runs of the mean
-    over each run's ``tasks_per_run`` tasks of the ratio of the task sums.
+    ``sums`` yields one tuple per block of consecutive tasks: per task, the
+    tested losses and the tested cells summed over units; then, if
+    ``pooled``, per unit the same summed over the block's tasks.  Partitioned
+    is the mean over runs of the mean over each run's ``tasks_per_run`` tasks
+    of the ratio of the task sums; pooled is the mean over units of the ratio
+    of the unit sums, or None (no unit counted as uncovered) if not asked for.
     """
     unit_sums = unit_hits = 0
     per_task = []
-    for block_unit_sums, block_unit_hits, *block_task_sums in sums:
-        unit_sums, unit_hits = unit_sums + block_unit_sums, unit_hits + block_unit_hits
-        per_task.append(block_task_sums)
+    for block_task_sums, block_task_hits, *block_units in sums:
+        per_task.append((block_task_sums, block_task_hits))
+        if pooled:
+            unit_sums, unit_hits = unit_sums + block_units[0], unit_hits + block_units[1]
     task_sums, task_hits = (np.concatenate(a) for a in zip(*per_task))
-    covered = unit_hits > 0
     usable = task_hits > 0
-    pooled = partitioned = None
-    if covered.any():
-        pooled = float((unit_sums[covered] / unit_hits[covered]).mean())
+    pooled_value = partitioned = None
+    uncovered = 0
+    if pooled:
+        covered = unit_hits > 0
+        uncovered = int(np.count_nonzero(~covered))
+        if covered.any():
+            pooled_value = float((unit_sums[covered] / unit_hits[covered]).mean())
     if usable.any():
         means = task_sums[usable] / task_hits[usable]
         partitioned = float(means.reshape(-1, tasks_per_run).mean(axis=1).mean())
     return VariantValues(
-        pooled, int(np.count_nonzero(~covered)), partitioned, int(np.count_nonzero(~usable)), unit
+        pooled_value, uncovered, partitioned, int(np.count_nonzero(~usable)), unit
     )
 
 
-def _pair_sums(scores: np.ndarray, test: np.ndarray, n1: int):
+def _pair_sums(scores: np.ndarray, test: np.ndarray, n1: int, pooled: bool):
     """``_ratio_of_sums`` blocks for AUC, the units being the pairs i * n2 + j.
 
-    Each task's tested observations of each class are gathered first, in
-    index order and padded to the most any task tests, so a block scores at
-    most about AUC_BLOCK_CELLS gathered pairs in one ``pairwise_kernel`` call.
+    Each task's untested scores are padded, class 1 with +inf and class 2
+    with -inf, so a padded cell scores 0 against the finite tested scores.
+    Sorted, a task's padding comes last in class 1 and first in class 2, so
+    each class is cut to the most observations any task tests.  A block
+    scores at most about AUC_BLOCK_CELLS of these pairs in one
+    ``pairwise_kernel`` call, whose doubled int8 cells sum to exact integers;
+    each integer sum is halved once.  A task testing m1 and m2 observations
+    of the two classes tests m1 * m2 pairs.  Only if ``pooled`` are the cells
+    scattered to their pairs (the sort order names each cell's observations),
+    and the tasks testing each pair counted, as ``t1.T @ t2`` over the
+    classes' test masks.
     """
-
-    def gather(part):
-        t = test[:, part]
-        order = np.argsort(~t, axis=1, kind="stable")[:, : max(1, t.sum(axis=1).max())]
-        return order, np.take_along_axis(t, order, 1), np.take_along_axis(scores[:, part], order, 1)
-
-    (rows, ok1, s1), (cols, ok2, s2) = gather(slice(None, n1)), gather(slice(n1, None))
     n2 = test.shape[1] - n1
-    step = max(1, AUC_BLOCK_CELLS // (rows.shape[1] * cols.shape[1]))
+
+    def gather(part, pad):
+        t = test[:, part]
+        tested = t.sum(axis=1)
+        width = max(1, tested.max())
+        keep = slice(None, width) if pad > 0 else slice(-width, None)
+        padded = np.where(t, scores[:, part], pad)
+        if not pooled:
+            return t, tested, None, np.sort(padded, axis=1)[:, keep]
+        order = np.argsort(padded, axis=1)[:, keep]
+        return t, tested, order, np.take_along_axis(padded, order, 1)
+
+    (t1, m1, rows, s1), (t2, m2, cols, s2) = (
+        gather(slice(None, n1), np.inf), gather(slice(n1, None), -np.inf)
+    )
+    hits = m1 * m2
+    step = max(1, AUC_BLOCK_CELLS // (s1.shape[1] * s2.shape[1]))
     for start in range(0, len(test), step):
         block = slice(start, start + step)
-        ok = ok1[block, :, None] & ok2[block, None, :]
-        loss = pairwise_kernel(s1[block], s2[block]) * ok
-        pair = (rows[block, :, None] * n2 + cols[block, None, :]).ravel()
-        yield (np.bincount(pair, loss.ravel(), n1 * n2), np.bincount(pair, ok.ravel(), n1 * n2),
-               loss.sum(axis=(1, 2)), ok.sum(axis=(1, 2)))
+        twice = pairwise_kernel(s1[block], s2[block])
+        sums = (twice.sum(axis=(1, 2)) / 2, hits[block])
+        if pooled:
+            pair = (rows[block, :, None] * n2 + cols[block, None, :]).ravel()
+            pair_hits = t1[block].T.astype(float) @ t2[block].astype(float)
+            sums += (np.bincount(pair, twice.ravel(), n1 * n2) / 2, pair_hits.ravel())
+        yield sums
 
 
 def _estimate(dataset, trainer, metric, weights, tasks, context, tasks_per_run=1,
-              th=0.0) -> VariantValues:
-    """Both variants after training each of ``tasks`` tasks once, in one pass
-    over tiles: each tile builds its weights through ``weights(tile)`` (the
-    (tile tasks, n1+n2) weights of a slice of tasks, following
-    ``dataset.pooled()``: class 1, then class 2), trains, and is summed before
-    the next is built.  Every task must train on both classes; the callers
-    guarantee it."""
+              th=0.0, pooled=True) -> VariantValues:
+    """Both variants (the partitioned one only, unless ``pooled``) after
+    training each of ``tasks`` tasks once, in one pass over tiles: each tile
+    builds its weights through ``weights(tile)`` (the (tile tasks, n1+n2)
+    weights of a slice of tasks, following ``dataset.pooled()``: class 1, then
+    class 2), trains, and is summed before the next is built.  Every task must
+    train on both classes; the callers guarantee it."""
     features, labels = dataset.pooled()
     step = max(1, TASK_TILE_CELLS // dataset.n)
 
@@ -333,20 +371,22 @@ def _estimate(dataset, trainer, metric, weights, tasks, context, tasks_per_run=1
             scores = task_scores(trainer, features, labels, w, lambda r: context(start + r))
             test = w == 0  # built after training, so it is not alive during it
             if metric is Metric.AUC:
-                yield from _pair_sums(scores, test, dataset.n1)
+                yield from _pair_sums(scores, test, dataset.n1, pooled)
                 continue
             loss = zero_one_losses(scores, labels, th) & test
-            yield loss.sum(axis=0), test.sum(axis=0), loss.sum(axis=1), test.sum(axis=1)
+            sums = (loss.sum(axis=1), test.sum(axis=1))
+            yield sums + ((loss.sum(axis=0), test.sum(axis=0)) if pooled else ())
 
     unit = "pair" if metric is Metric.AUC else "observation"
-    return _ratio_of_sums(blocks(), tasks_per_run, unit)
+    return _ratio_of_sums(blocks(), tasks_per_run, unit, pooled)
 
 
-def _fold_tasks(dataset, trainer, metric, assigns, folds, th=0.0) -> VariantValues:
-    """Both variants over fold tasks, run-major.  Task t of a run leaves out
-    fold ``folds[c][t]`` of map ``assigns[c]`` ((runs, n_c) or (n_c,)) for each
-    part c: the pooled observations for error, class 1 and class 2 for AUC.
-    Each tile's 0/1 weights are built from the fold ids.
+def _fold_tasks(dataset, trainer, metric, assigns, folds, th=0.0, pooled=True) -> VariantValues:
+    """Both variants (the partitioned one only, unless ``pooled``) over fold
+    tasks, run-major.  Task t of a run leaves out fold ``folds[c][t]`` of map
+    ``assigns[c]`` ((runs, n_c) or (n_c,)) for each part c: the pooled
+    observations for error, class 1 and class 2 for AUC.  Each tile's 0/1
+    weights are built from the fold ids.
 
     An error task loses class c when every class-c observation of its run
     carries the fold it leaves out; the first such task, run-major, raises
@@ -375,7 +415,7 @@ def _fold_tasks(dataset, trainer, metric, assigns, folds, th=0.0) -> VariantValu
         if lost.any():
             first = np.flatnonzero(lost)[0]
             raise EstimationError(f"{context(first)} leaves a one-class training set")
-    return _estimate(dataset, trainer, metric, weights, len(tasks), context, per_run, th)
+    return _estimate(dataset, trainer, metric, weights, len(tasks), context, per_run, th, pooled)
 
 
 def _one_class_rows(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -471,8 +511,12 @@ def variant_values(
     trainer: Trainer,
     cfg: EstimatorConfig,
     perms: Sequence[Sequence[int] | None] | None = None,
+    pooled: bool = True,
 ) -> VariantValues:
     """Both variants of the estimator ``cfg`` describes, training each task once.
+
+    With ``pooled`` False only the partitioned variant is computed, and the
+    pooled one is None.
 
     A size or seed the version takes but ``cfg`` leaves unset is a
     :class:`DomainError` naming its config key, raised before any bound.
@@ -518,7 +562,7 @@ def variant_values(
             _redraw_one_class_rows(counts[0], dataset.labels, cfg.sampling, cfg.seed)
         weights = np.hstack(counts) if auc else counts[0]  # hstack would copy the one part
         return _estimate(dataset, trainer, cfg.metric, lambda tile: weights[tile], len(weights),
-                         "replicate {}".format, th=cfg.th)
+                         "replicate {}".format, th=cfg.th, pooled=pooled)
     if cfg.version in (Version.CVN, Version.CVK):
         perms = (None,) * len(sizes) if perms is None else perms
         maps = [make_partition(n, k, p) for n, k, p in zip(sizes, ks, perms, strict=True)]
@@ -531,15 +575,17 @@ def variant_values(
         raise DomainError("reduced variant requires K1 == K2")
     grid = (1,) * len(ks) if cfg.version is Version.CVKM else ks[:1] if cfg.reduced else ks
     folds = [a.ravel() + 1 for a in np.indices(grid)] * (2 if cfg.reduced else 1)
-    return _fold_tasks(dataset, trainer, cfg.metric, maps, folds, cfg.th)
+    return _fold_tasks(dataset, trainer, cfg.metric, maps, folds, cfg.th, pooled)
 
 
 def _run(dataset, trainer, cfg: EstimatorConfig, perms=None) -> EstimatorReport:
     """The report of ``cfg``'s variant (the reduced one is partitioned over the
     diagonal tasks), echoing the dataset sizes, the trainer and the config
-    fields the public function takes, other than variant and strict."""
-    values = variant_values(dataset, trainer, cfg, perms)
-    value, excluded = values.pick(Variant.PARTITIONED if cfg.reduced else cfg.variant, cfg.strict)
+    fields the public function takes, other than variant and strict.  The
+    pooled variant is computed only if it is the one reported."""
+    variant = Variant.PARTITIONED if cfg.reduced else cfg.variant
+    values = variant_values(dataset, trainer, cfg, perms, pooled=variant is Variant.POOLED)
+    value, excluded = values.pick(variant, cfg.strict)
     echo = {"n1": dataset.n1, "n2": dataset.n2, "trainer": trainer.name}
     for field in _DISPATCH[cfg.metric, cfg.version][1].split():
         if field not in ("variant", "strict"):

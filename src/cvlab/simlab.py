@@ -58,7 +58,7 @@ from cvlab.estimators import (
     Variant,
     Version,
 )
-from cvlab.resampling import SamplingModel, derive_rng, derive_seed
+from cvlab.resampling import SamplingModel, derive_rng, derive_seed, derive_seeds
 
 
 def normal_cdf(z: float) -> float:
@@ -299,25 +299,30 @@ class WeakCorrResult:
 def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
     """Run the campaign: per trial, draw / train / score S, Sbar and Shat.
 
-    Trials whose estimator run fails are dropped and counted; the run aborts
-    if more than 1% of trials fail.
+    Trial t draws its data, its test set and its estimate from the seeds
+    ``derive_seed(config.seed, tag, t)`` of the tags "trial-data",
+    "trial-test" and "trial-est", each tag's seeds derived for all trials in
+    one pass.  Trials whose estimator run fails are dropped and counted; the
+    run aborts if more than 1% of trials fail.
     """
     spec = config.spec
     metric = config.estimator.metric
     th = config.estimator.th
     triples = []
     aborted = 0
-    for trial in range(config.trials):
-        dataset = gen_multinormal(spec, derive_seed(config.seed, "trial-data", trial))
+    trials = np.arange(config.trials)
+    seeds = zip(*(
+        derive_seeds(config.seed, [tag] * config.trials, trials).tolist()
+        for tag in ("trial-data", "trial-test", "trial-est")
+    ))
+    for data_seed, test_seed, est_seed in seeds:
+        dataset = gen_multinormal(spec, data_seed)
         rule = config.trainer.train(dataset)
         s_true = true_conditional_performance(
-            rule, spec, config.test_per_class,
-            derive_seed(config.seed, "trial-test", trial), metric, th,
+            rule, spec, config.test_per_class, test_seed, metric, th,
         )
         s_bar = apparent_performance(rule, dataset, metric, th)
-        est_cfg = replace(
-            config.estimator, seed=derive_seed(config.seed, "trial-est", trial)
-        )
+        est_cfg = replace(config.estimator, seed=est_seed)
         try:
             s_hat = estimators.run(dataset, config.trainer, est_cfg).value
         except EstimationError:

@@ -3,8 +3,9 @@
 Each one is written independently of the code under test, as a direct
 transcription of its definition: a scalar rank kernel, sums over the exact
 out-of-bag pmf, the decomposition residual, the enumerated B -> infinity
-limits of the leave-one-out bootstrap variants, the one-class rule on dense
-task weights, and the one-class redraw replicate by replicate.
+limits of the leave-one-out bootstrap variants, the AUC pair sums from masked
+float kernel cells, the one-class rule on dense task weights, and the
+one-class redraw replicate by replicate.
 """
 
 import math
@@ -82,6 +83,35 @@ def loob_limits(losses: np.ndarray, oob: np.ndarray) -> tuple[float, float]:
     usable = unseen > 0
     partitioned = float(((losses * oob).sum(axis=1)[usable] / unseen[usable]).mean())
     return pooled, partitioned
+
+
+def float_pair_sums(scores: np.ndarray, test: np.ndarray, n1: int, block_cells: int):
+    """Per block of tasks: per pair i * n2 + j the tested kernel values and the
+    tested cells summed over the block's tasks, then per task the same summed
+    over pairs.
+
+    Each task's tested observations of each class are gathered in index order
+    and padded to the most any task tests; every gathered cell holds the float
+    kernel (0, 0.5 or 1) times the mask of its two slots both being tested.  A
+    block holds max(1, block_cells // gathered pairs per task) tasks.
+    """
+
+    def gather(part):
+        t = test[:, part]
+        order = np.argsort(~t, axis=1, kind="stable")[:, : max(1, t.sum(axis=1).max())]
+        return order, np.take_along_axis(t, order, 1), np.take_along_axis(scores[:, part], order, 1)
+
+    (rows, ok1, s1), (cols, ok2, s2) = gather(slice(None, n1)), gather(slice(n1, None))
+    n2 = test.shape[1] - n1
+    step = max(1, block_cells // (rows.shape[1] * cols.shape[1]))
+    for start in range(0, len(test), step):
+        block = slice(start, start + step)
+        ok = ok1[block, :, None] & ok2[block, None, :]
+        a, b = s1[block, :, None], s2[block, None, :]
+        loss = ((a < b).astype(float) + 0.5 * (a == b)) * ok
+        pair = (rows[block, :, None] * n2 + cols[block, None, :]).ravel()
+        yield (np.bincount(pair, loss.ravel(), n1 * n2), np.bincount(pair, ok.ravel(), n1 * n2),
+               loss.sum(axis=(1, 2)), ok.sum(axis=(1, 2)))
 
 
 def one_class_tasks(weights: np.ndarray, labels: np.ndarray) -> list[int]:

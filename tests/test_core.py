@@ -76,8 +76,9 @@ class TestEmpiricalAuc:
         st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=12),
     )
     def test_matches_pairwise_kernel_mean(self, s1, s2):
-        # integer grids force plenty of ties
-        assert empirical_auc(s1, s2) == pairwise_kernel(np.array(s1, float), np.array(s2, float)).mean()
+        # integer grids force plenty of ties; the kernel's cells are doubled
+        doubled = pairwise_kernel(np.array(s1, float), np.array(s2, float))
+        assert empirical_auc(s1, s2) == doubled.mean() / 2
 
     @given(
         st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=10),
@@ -109,6 +110,7 @@ class TestPairwiseKernel:
         s1, s2 = s1.reshape(tasks, n1), s2.reshape(tasks, n2)
         batched = pairwise_kernel(s1, s2)
         assert batched.shape == (tasks, n1, n2)
+        assert batched.dtype == np.int8
         np.testing.assert_array_equal(
             batched, np.stack([pairwise_kernel(a, b) for a, b in zip(s1, s2)])
         )
@@ -116,7 +118,22 @@ class TestPairwiseKernel:
     def test_one_dimensional_shape_and_values(self):
         np.testing.assert_array_equal(
             pairwise_kernel(np.array([0.0, 2.0]), np.array([1.0, 2.0, 3.0])),
-            [[1.0, 1.0, 1.0], [0.0, 0.5, 1.0]],
+            [[2, 2, 2], [0, 1, 2]],
+        )
+
+    @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=6),
+           st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=6))
+    def test_cells_are_twice_the_scalar_kernel(self, s1, s2):
+        np.testing.assert_array_equal(
+            pairwise_kernel(np.array(s1, float), np.array(s2, float)),
+            [[2 * mw_kernel(a, b) for b in s2] for a in s1],
+        )
+
+    def test_padding_scores_zero(self):
+        # +inf pads class 1 and -inf pads class 2: every padded cell is 0
+        np.testing.assert_array_equal(
+            pairwise_kernel(np.array([np.inf, -1e300, 0.0]), np.array([-np.inf, -1e300, 1e300])),
+            [[0, 0, 0], [0, 1, 2], [0, 0, 2]],
         )
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvlab.core import (
     DomainError,
@@ -40,7 +42,7 @@ from cvlab.resampling import (
     repeated_partitions,
 )
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
-from oracles import mw_kernel
+from oracles import float_pair_sums, mw_kernel
 
 
 class ConstantScoreTrainer(Trainer):
@@ -408,6 +410,44 @@ class TestPairBlocks:
         for a, b in zip(default, blocked):
             assert repr(a.value) == repr(b.value)
             assert a.excluded_count == b.excluded_count
+
+
+@st.composite
+def scores_and_test_masks(draw):
+    """(scores, test, n1): tie-heavy integer scores of tasks x (n1 + n2)
+    observations and a random test mask, in which one task tests nothing (all
+    in bag), one no class-1 and one no class-2 observation."""
+    tasks, n1, n2 = draw(st.integers(3, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = tasks * (n1 + n2)
+    scores = draw(st.lists(st.integers(-3, 3), min_size=cells, max_size=cells))
+    test = np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+    test = test.reshape(tasks, n1 + n2)
+    test[0], test[1, :n1], test[2, n1:] = False, False, False
+    order = draw(st.permutations(range(tasks)))
+    return np.array(scores, float).reshape(tasks, -1), test[order], n1
+
+
+class TestPairSums:
+    """The doubled integer kernel with padding gives the masked float cells'
+    sums exactly, block by block."""
+
+    @pytest.mark.parametrize("block_cells", [1, estimators.AUC_BLOCK_CELLS])
+    @given(scores_and_test_masks(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_float_cell_oracle(self, block_cells, case, pooled):
+        scores, test, n1 = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimators, "AUC_BLOCK_CELLS", block_cells)
+            blocks = list(estimators._pair_sums(scores, test, n1, pooled))
+        expected = list(float_pair_sums(scores, test, n1, block_cells))
+        assert len(blocks) == len(expected)
+        for got, (unit_sums, unit_hits, task_sums, task_hits) in zip(blocks, expected):
+            assert len(got) == (4 if pooled else 2)
+            np.testing.assert_array_equal(got[0], task_sums)
+            np.testing.assert_array_equal(got[1], task_hits)
+            if pooled:
+                np.testing.assert_array_equal(got[2], unit_sums)
+                np.testing.assert_array_equal(got[3], unit_hits)
 
 
 class TestTileMemory:

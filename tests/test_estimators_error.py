@@ -29,6 +29,8 @@ from cvlab.estimators import (
     Variant,
     Version,
     _redraw_one_class_rows,
+    auc_cvk,
+    auc_lpobs,
     err_cvk,
     err_cvkm,
     err_cvkr,
@@ -542,6 +544,88 @@ class TestErrorPaths:
         with pytest.raises(EstimationError) as caught:
             err_loob(SIX_POINT, BatchedTrainer(shape), 0.0, 20, 1)
         assert str(caught.value) == "weighted_scores returned a misshaped matrix"
+
+
+class NonFiniteOnCall(Trainer):
+    """Nearest-mean without the batched hook, whose ``call``-th rule scores
+    every point ``score``."""
+
+    name = "non-finite-on-call"
+
+    def __init__(self, call, score):
+        self.call, self.score, self.calls = call, score, 0
+
+    def train(self, dataset):
+        self.calls += 1
+        if self.calls == self.call:
+            return LinearScoringRule(np.zeros(dataset.p), self.score)
+        return NearestMeanTrainer().train(dataset)
+
+
+class TestNonFiniteScores:
+    """A NaN or infinite score is an EstimationError naming its task, on the
+    batched and on the per-task path, for error and for AUC."""
+
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("estimate", [
+        lambda t: err_loob(SIX_POINT, t, 0.0, 20, 1),
+        lambda t: auc_lpobs(SIX_POINT, t, 20, 1),
+    ], ids=["error", "auc"])
+    def test_batched(self, estimate, score):
+        def hook(counts):
+            scores = np.zeros(counts.shape)
+            scores[2, 4] = score
+            return scores
+
+        with pytest.raises(EstimationError) as caught:
+            estimate(BatchedTrainer(hook))
+        assert str(caught.value) == "trainer gave a non-finite score on replicate 2"
+
+    @pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("estimate, message", [
+        (lambda t: err_cvk(SIX_POINT, t, 0.0, 3), "fold 2"),
+        (lambda t: auc_cvk(SIX_POINT, t, 3, 3), "fold pair (1, 2)"),
+    ], ids=["error", "auc"])
+    def test_unbatched(self, estimate, message, score):
+        with pytest.raises(EstimationError) as caught:
+            estimate(NonFiniteOnCall(2, score))
+        assert str(caught.value) == f"trainer gave a non-finite score on {message}"
+
+
+# (metric, version, variant) for each variant ``_run`` can report
+SWITCH_CASES = [
+    (metric, version, variant)
+    for metric, version in estimators._DISPATCH
+    for variant in Variant
+    if variant is not Variant.REDUCED or (metric, version) == (Metric.AUC, Version.CVK)
+]
+
+
+class TestPooledSwitch:
+    """``_run`` asks for the pooled variant only when it reports it, and reports
+    what ``variant_values`` gives with both variants on."""
+
+    @pytest.mark.parametrize("metric, version, variant", SWITCH_CASES,
+                             ids=[f"{m.value}-{v.value}-{w.value}" for m, v, w in SWITCH_CASES])
+    def test_run_matches_both_variants(self, monkeypatch, metric, version, variant):
+        cfg = EstimatorConfig(version, metric, variant, n_folds=3, n_folds1=3, n_folds2=3,
+                              repetitions=4, n_bootstrap=20, seed=5)
+        both = variant_values(SIX_POINT, NearestMeanTrainer(), cfg)
+        asked = []
+
+        def spy(*args, pooled=True):
+            asked.append(pooled)
+            return variant_values(*args, pooled=pooled)
+
+        monkeypatch.setattr(estimators, "variant_values", spy)
+        report = estimators._run(SIX_POINT, NearestMeanTrainer(), cfg)
+        value, excluded = both.pick(Variant.PARTITIONED if cfg.reduced else variant)
+        assert (repr(report.value), report.excluded_count) == (repr(value), excluded)
+        assert asked == [variant is Variant.POOLED]
+        partitioned_only = variant_values(SIX_POINT, NearestMeanTrainer(), cfg, pooled=False)
+        assert partitioned_only.pooled is None
+        assert repr(partitioned_only.partitioned) == repr(both.partitioned)
+        assert partitioned_only.skipped == both.skipped
 
 
 class FailingOnCall(Trainer):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cvlab import estimators, simlab
 from cvlab.core import DomainError, LinearScoringRule, StratifiedDataset
 from cvlab.estimators import (
     EstimationError,
@@ -11,7 +12,7 @@ from cvlab.estimators import (
     Variant,
     Version,
 )
-from cvlab.resampling import SamplingModel
+from cvlab.resampling import SamplingModel, derive_seed
 from cvlab.simlab import (
     LdaTrainer,
     MultinormalSpec,
@@ -303,6 +304,37 @@ class TestWeakCorrelation:
         )
         with pytest.raises(EstimationError):
             run_weak_correlation(cfg)
+
+    def test_trial_seeds_are_the_derived_ints(self, monkeypatch):
+        seen = {"trial-data": [], "trial-test": [], "trial-est": []}
+        gen, true_s, run = simlab.gen_multinormal, simlab.true_conditional_performance, estimators.run
+
+        def record(tag, seed):
+            assert type(seed) is int
+            seen[tag].append(seed)
+
+        def gen_recorded(spec, seed):
+            record("trial-data", seed)
+            return gen(spec, seed)
+
+        def true_s_recorded(rule, spec, test_per_class, seed, *args):
+            record("trial-test", seed)
+            return true_s(rule, spec, test_per_class, seed, *args)
+
+        def run_recorded(dataset, trainer, cfg):
+            record("trial-est", cfg.seed)
+            return run(dataset, trainer, cfg)
+
+        monkeypatch.setattr(simlab, "gen_multinormal", gen_recorded)
+        monkeypatch.setattr(simlab, "true_conditional_performance", true_s_recorded)
+        monkeypatch.setattr(estimators, "run", run_recorded)
+        cvk = EstimatorConfig(Version.CVK, Metric.AUC, Variant.POOLED, n_folds1=2, n_folds2=2)
+        run_weak_correlation(WeakCorrConfig(
+            spec=MultinormalSpec(p=2, delta=1.0, n1=4, n2=4), trials=40, test_per_class=10,
+            trainer=NearestMeanTrainer(), estimator=cvk, seed=12345,
+        ))
+        for tag, seeds in seen.items():
+            assert seeds == [derive_seed(12345, tag, t) for t in range(40)]
 
     def test_reproducible(self):
         spec = MultinormalSpec(p=2, delta=1.0, n1=6, n2=6)
