@@ -158,10 +158,12 @@ def empirical_auc(scores1, scores2) -> float:
 
     Equals the Mann-Whitney statistic normalized to [0, 1]; 0.5 for all-tied
     scores, 1.0 when every class-2 score exceeds every class-1 score.
-    Computed from one sort of the class-2 scores and two binary searches per
-    class-1 score, so large samples cost O(n log n) rather than one kernel
-    evaluation per pair; the pair count is a whole number of halves, which
-    keeps the result exactly equal to the pair-averaged kernel.
+    Computed from a sort of each class and two binary searches per class-1
+    score, so large samples cost O(n log n) rather than one kernel
+    evaluation per pair; searching in ascending order keeps the searches
+    cache-friendly, and the counts are sums, so the order does not change
+    them.  The pair count is a whole number of halves, which keeps the
+    result exactly equal to the pair-averaged kernel.
     """
     s1 = np.asarray(scores1, dtype=float).reshape(-1)
     s2 = np.asarray(scores2, dtype=float).reshape(-1)
@@ -170,6 +172,7 @@ def empirical_auc(scores1, scores2) -> float:
     if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))):
         raise DomainError("empirical_auc requires finite scores")
     n1, n2 = s1.size, s2.size
+    s1 = np.sort(s1)
     s2 = np.sort(s2)
     # n2 - left counts the class-2 scores >= s, n2 - right those > s.
     left = np.searchsorted(s2, s1, side="left")

@@ -217,20 +217,22 @@ def _rekeyed_streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
 
     One Philox generator is re-keyed to a fresh stream's state (the key,
     counter 0, an empty buffer) before each yield; draw from it before the
-    next.
+    next.  The state is held in Python ints, which the state setter reads
+    faster than numpy scalars; each key is converted as its turn comes, so
+    no list of all M keys is held.
     """
     bit_generator = np.random.Philox(key=keys[0])
     rng = np.random.Generator(bit_generator)
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": keys[0]},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": None},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
     for key in keys:
-        state["state"]["key"] = key
+        state["state"]["key"] = key.tolist()
         bit_generator.state = state
         yield rng
 

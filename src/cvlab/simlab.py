@@ -15,7 +15,11 @@ Two campaigns are provided:
   B -> infinity limit of this estimator's ratio: the exact mean of the
   out-of-bag weight is Pr[a_b != 0] (see :mod:`cvlab.combinatorics`), and
   at n1 = 5 under multiset sampling the enumerated limit is about 0.991
-  against 18/19 = 0.947.
+  against 18/19 = 0.947.  Its (n1, seed) units run across the CPUs this
+  process may use, and their results are merged in unit order, so the
+  curve is the same, bit for bit, on any number of CPUs.  The campaign's
+  trials stay serial: their BLAS calls are multi-threaded, and workers
+  then contend for the CPUs.
 
 Data model: class 1 is N(0, I_p), class 2 is N(c * 1, I_p) with
 c = delta / sqrt(p), so the Mahalanobis separation is delta and the
@@ -36,6 +40,7 @@ operations.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -367,6 +372,34 @@ def ratio_curve_dataset(n1: int, seed: int) -> StratifiedDataset:
     return spec.sample(n1, n1, derive_rng(seed, "ratio-data"))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# A pool worker's unit function.  It reaches the worker by fork, as the pool
+# initializer's argument, so it is never pickled; the parent never sets it.
+_worker_unit = None
+
+
+def _adopt_unit(unit) -> None:
+    global _worker_unit
+    _worker_unit = unit
+
+
+def _run_adopted_unit(index: int):
+    """The unit's values, or None where it raised.  The exception itself is
+    not sent: one that cannot be unpickled would stop the pool's result
+    thread, and the parent would wait forever."""
+    try:
+        return _worker_unit(index)
+    except Exception:
+        return None
+
+
 def run_ratio_curve(
     n1_grid,
     trainer: Trainer,
@@ -384,6 +417,16 @@ def run_ratio_curve(
     ``ratio_theory`` is the published closed form (2n-2)/(2n-1) with
     n = 2*n1, reported for comparison; it is not the B -> infinity limit of
     ``ratio_empirical``, which lies above it.
+
+    The (n1, seed) units are independent, and run across the CPUs this
+    process may use: a fork-context process pool, made and joined inside
+    the call, whose workers inherit the trainer, grid and seeds, so nothing
+    is pickled but indices and floats (as with any fork, a caller's other
+    threads must not hold locks meanwhile).  Results
+    are merged in unit order (grid, then seeds), so every mean sees the
+    same floats in the same order as a serial loop.  The first failing unit
+    in that order raises its own exception: the parent runs that unit again
+    to raise it.  With one CPU, or one unit, the units run inline.
     """
     n1_grid = list(n1_grid)
     seeds = list(seeds)
@@ -391,18 +434,44 @@ def run_ratio_curve(
         raise DomainError("both the n1 grid and the seed list must be non-empty")
     if n_bootstrap < 1:
         raise DomainError("B must be >= 1")
+
+    units = [(n1, seed) for n1 in n1_grid for seed in seeds]
+
+    def unit(index):
+        n1, seed = units[index]
+        dataset = ratio_curve_dataset(n1, seed)
+        values = estimators.variant_values(dataset, trainer, EstimatorConfig(
+            Version.LOOB, Metric.ERROR, n_bootstrap=n_bootstrap, sampling=model,
+            seed=derive_seed(seed, "ratio-est"),
+        ))
+        return values.pick(Variant.POOLED)[0], values.pick(Variant.PARTITIONED)[0]
+
+    indices = range(len(units))
+    workers = min(_usable_cpus(), len(units))
+    if workers == 1:
+        return _ratio_points(n1_grid, len(seeds), model, map(unit, indices))
+    import multiprocessing  # here, not at the top: it costs every import of cvlab
+
+    pool = multiprocessing.get_context("fork").Pool(workers, _adopt_unit, (unit,))
+    try:
+        # About four chunks per worker, as Pool.map's default: fewer round trips.
+        results = pool.imap(_run_adopted_unit, indices, -(-len(units) // (4 * workers)))
+        # A unit that failed in a worker runs again here, to raise its own exception.
+        values = (unit(i) if r is None else r for i, r in enumerate(results))
+        return _ratio_points(n1_grid, len(seeds), model, values)
+    finally:
+        pool.terminate()
+        pool.join()
+
+
+def _ratio_points(n1_grid, n_seeds: int, model: SamplingModel, results) -> list[RatioPoint]:
+    """The curve from the units' (pooled, partitioned) values, read in unit order."""
     points = []
     for n1 in n1_grid:
-        pooled_values = np.empty(len(seeds), dtype=float)
-        partitioned_values = np.empty(len(seeds), dtype=float)
-        for idx, seed in enumerate(seeds):
-            dataset = ratio_curve_dataset(n1, seed)
-            est_seed = derive_seed(seed, "ratio-est")
-            values = estimators.variant_values(dataset, trainer, EstimatorConfig(
-                Version.LOOB, Metric.ERROR, n_bootstrap=n_bootstrap, sampling=model, seed=est_seed,
-            ))
-            pooled_values[idx] = values.pick(Variant.POOLED)[0]
-            partitioned_values[idx] = values.pick(Variant.PARTITIONED)[0]
+        pooled_values = np.empty(n_seeds, dtype=float)
+        partitioned_values = np.empty(n_seeds, dtype=float)
+        for idx in range(n_seeds):
+            pooled_values[idx], partitioned_values[idx] = next(results)
         pooled_mean = float(pooled_values.mean())
         partitioned_mean = float(partitioned_values.mean())
         if pooled_mean == 0.0:

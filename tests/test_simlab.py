@@ -1,10 +1,19 @@
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
 
 from cvlab import estimators, simlab
-from cvlab.core import DomainError, LinearScoringRule, StratifiedDataset
+from cvlab.core import (
+    DomainError,
+    LinearScoringRule,
+    ScoringRule,
+    StratifiedDataset,
+    Trainer,
+)
 from cvlab.estimators import (
     EstimationError,
     EstimatorConfig,
@@ -378,3 +387,97 @@ class TestRatioCurve:
         for grid in ([], [4, -2]):
             with pytest.raises(DomainError):
                 run_ratio_curve(grid, NearestMeanTrainer(), 10, SamplingModel.ORDERED, [1])
+
+
+class FailOnFourPerClass(LdaTrainer):
+    """LDA that fails on every ratio-curve dataset with n1 = 4, naming it by
+    its first feature; on ``slow_x0`` it first sleeps, so that later failing
+    units finish before it."""
+
+    def __init__(self, slow_x0: float):
+        super().__init__(1e-6)
+        self.slow_x0 = slow_x0
+
+    def weighted_scores(self, X, labels, counts, X_eval):
+        if len(labels) == 8:
+            if X[0, 0] == self.slow_x0:
+                time.sleep(0.3)
+            raise EstimationError(f"unit with x0={X[0, 0]!r} failed")
+        return super().weighted_scores(X, labels, counts, X_eval)
+
+
+class PidRecordingLda(LdaTrainer):
+    """LDA that appends the id of each process that trains with it to a file."""
+
+    def __init__(self, path):
+        super().__init__(1e-6)
+        self.path = path
+
+    def weighted_scores(self, X, labels, counts, X_eval):
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return super().weighted_scores(X, labels, counts, X_eval)
+
+    def pids(self) -> set[int]:
+        pids = {int(line) for line in self.path.read_text(encoding="utf-8").split()}
+        self.path.unlink()
+        return pids
+
+
+class UnpicklableError(Exception):
+    """Its constructor takes two arguments, so pickle cannot rebuild it."""
+
+    def __init__(self, name, n):
+        super().__init__(f"{name}-{n}")
+
+
+class UnscorableRule(ScoringRule):
+    def score_many(self, X):
+        raise UnpicklableError("score_many", len(X))
+
+
+class UnscorableTrainer(Trainer):
+    """Trains (one task at a time) a rule whose scoring raises UnpicklableError."""
+
+    def train(self, dataset):
+        return UnscorableRule()
+
+
+class TestRatioCurveWorkers:
+    """The (n1, seed) units run in a process pool; results merge in unit order."""
+
+    def run_with(self, monkeypatch, cpus, *args):
+        monkeypatch.setattr(simlab, "_usable_cpus", lambda: cpus)
+        return run_ratio_curve(*args)
+
+    def test_points_identical_with_one_and_three_workers(self, monkeypatch, tmp_path):
+        trainer = PidRecordingLda(tmp_path / "pids")
+        args = ([3, 5], trainer, 60, SamplingModel.UNORDERED_MULTISET, [21, 22, 23])
+        serial = self.run_with(monkeypatch, 1, *args)
+        assert trainer.pids() == {os.getpid()}
+        pooled = self.run_with(monkeypatch, 3, *args)
+        assert os.getpid() not in trainer.pids()
+        assert [p.n1 for p in serial] == [3, 5]
+        assert pooled == serial
+        assert multiprocessing.active_children() == []
+
+    def test_first_failing_unit_in_unit_order_wins(self, monkeypatch):
+        # Units in order: n1 = 3 (all pass), n1 = 4 (all fail, the first one
+        # slowly), n1 = -2 (each fails with a DomainError).
+        first = ratio_curve_dataset(4, 11).class1[0, 0]
+        args = ([3, 4, -2], FailOnFourPerClass(first), 20, SamplingModel.ORDERED, [11, 12, 13])
+        raised = {}
+        for cpus in (1, 3):
+            with pytest.raises(EstimationError) as info:
+                self.run_with(monkeypatch, cpus, *args)
+            raised[cpus] = info.value
+            assert multiprocessing.active_children() == []
+        assert str(raised[1]) == str(raised[3]) == f"unit with x0={first!r} failed"
+        assert type(raised[1]) is type(raised[3]) is EstimationError
+
+    def test_exception_that_cannot_be_unpickled_is_raised(self, monkeypatch):
+        args = ([4], UnscorableTrainer(), 10, SamplingModel.ORDERED, [1, 2])
+        for cpus in (1, 3):
+            with pytest.raises(UnpicklableError, match="^score_many-8$"):
+                self.run_with(monkeypatch, cpus, *args)
+            assert multiprocessing.active_children() == []
