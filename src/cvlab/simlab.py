@@ -15,11 +15,16 @@ Two campaigns are provided:
   B -> infinity limit of this estimator's ratio: the exact mean of the
   out-of-bag weight is Pr[a_b != 0] (see :mod:`cvlab.combinatorics`), and
   at n1 = 5 under multiset sampling the enumerated limit is about 0.991
-  against 18/19 = 0.947.  Its (n1, seed) units run across the CPUs this
-  process may use, and their results are merged in unit order, so the
-  curve is the same, bit for bit, on any number of CPUs.  The campaign's
-  trials stay serial: their BLAS calls are multi-threaded, and workers
-  then contend for the CPUs.
+  against 18/19 = 0.947.
+
+Both campaigns run their units (trials, or (n1, seed) pairs) across the CPUs
+this process may use, through one fork-context process pool
+(:func:`_map_units`), and read the results in unit order, so every table and
+curve is the same, bit for bit, on any number of CPUs.  While the pool lives,
+OpenBLAS is held to one thread, set before the fork so that every worker
+inherits it: a worker's BLAS helper thread would otherwise spin against the
+other workers.  Where no OpenBLAS thread control is found, the units run
+inline.
 
 Data model: class 1 is N(0, I_p), class 2 is N(c * 1, I_p) with
 c = delta / sqrt(p), so the Mahalanobis separation is delta and the
@@ -39,9 +44,11 @@ operations.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -301,6 +308,111 @@ class WeakCorrResult:
     aborted: int
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _blas_thread_controls() -> list:
+    """(get, set) thread-count functions of each OpenBLAS this process has loaded.
+
+    A library is found by its path in /proc/self/maps and opened with ctypes,
+    which only takes another handle to a library already loaded.  Its pair is
+    looked up by name: that of numpy's bundled scipy-openblas (64-bit
+    integers), then that of a plain OpenBLAS.  Empty where there is no such
+    file, as off Linux, or no library with either pair.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split(maxsplit=5)[-1].rstrip("\n") for line in maps}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in (
+            ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+            ("openblas_get_num_threads", "openblas_set_num_threads"),
+        ):
+            pair = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if None not in pair:
+                controls.append(pair)
+                break
+    return controls
+
+
+# A pool worker's unit function.  It reaches the worker by fork, as the pool
+# initializer's argument, so it is never pickled; the parent never sets it.
+_worker_unit = None
+
+
+def _adopt_unit(unit) -> None:
+    global _worker_unit
+    _worker_unit = unit
+
+
+def _run_adopted_unit(index: int):
+    """``(value,)`` of the unit, or None where it raised.  The exception itself
+    is not sent: one that cannot be unpickled would stop the pool's result
+    thread, and the parent would wait forever."""
+    try:
+        return (_worker_unit(index),)
+    except Exception:
+        return None
+
+
+def _map_units(unit, count: int) -> Iterator:
+    """``unit(0), ..., unit(count - 1)``, the units run across the CPUs this
+    process may use.
+
+    The units run in a fork-context process pool, made and joined inside the
+    call.  Workers inherit ``unit`` and all it refers to, so only indices and
+    values are pickled (as with any fork, a caller's other threads must not
+    hold locks meanwhile).  Every unit runs before the call returns, and the
+    values are read in unit order: the caller sees the serial values, bit for
+    bit.  A unit that raised in a worker runs again here when its turn is
+    read, to raise its own exception.
+
+    While the pool lives, every loaded OpenBLAS runs one thread.  The count
+    is set in this process before the fork, so that workers inherit it, and
+    set back after the join, on return and on raise.  A worker's BLAS helper
+    thread would spin against the other workers, and a count set inside a
+    worker makes OpenBLAS re-create its thread pool, which spins the same
+    way.  So where there is one usable CPU, one unit, or no OpenBLAS thread
+    control, the units run inline, as they are read.
+    """
+    workers = min(_usable_cpus(), count)
+    blas = _blas_thread_controls() if workers > 1 else []
+    if not blas:
+        return map(unit, range(count))
+    import multiprocessing  # here, not at the top: it costs every import of cvlab
+
+    threads = [get() for get, _ in blas]
+    for _, set_threads in blas:
+        set_threads(1)
+    try:
+        pool = multiprocessing.get_context("fork").Pool(workers, _adopt_unit, (unit,))
+        try:
+            # About four chunks per worker, as Pool.map's default: fewer round
+            # trips.  Every result is read before the pool is terminated: a
+            # worker ended while it sends a result can leave the pool's queue
+            # lock held, and terminate() then waits forever.
+            results = list(pool.imap(_run_adopted_unit, range(count), -(-count // (4 * workers))))
+        finally:
+            pool.terminate()
+            pool.join()
+    finally:
+        for (_, set_threads), old in zip(blas, threads):
+            set_threads(old)
+    return (unit(i) if r is None else r[0] for i, r in enumerate(results))
+
+
 def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
     """Run the campaign: per trial, draw / train / score S, Sbar and Shat.
 
@@ -309,18 +421,26 @@ def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
     "trial-test" and "trial-est", each tag's seeds derived for all trials in
     one pass.  Trials whose estimator run fails are dropped and counted; the
     run aborts if more than 1% of trials fail.
+
+    The trials run across the CPUs this process may use, in a process pool
+    with OpenBLAS held to one thread per worker (see :func:`_map_units`);
+    they run inline where there is one CPU or no OpenBLAS thread control.
+    Their values are read in trial order, so the table and the triples are
+    the same, bit for bit, either way.  A trial that fails other than in
+    its estimator raises, the first such trial in trial order.
     """
     spec = config.spec
     metric = config.estimator.metric
     th = config.estimator.th
-    triples = []
-    aborted = 0
     trials = np.arange(config.trials)
-    seeds = zip(*(
+    seeds = list(zip(*(
         derive_seeds(config.seed, [tag] * config.trials, trials).tolist()
         for tag in ("trial-data", "trial-test", "trial-est")
-    ))
-    for data_seed, test_seed, est_seed in seeds:
+    )))
+
+    def trial(t):
+        """(S, Sbar, Shat) of trial t, or None where its estimator failed."""
+        data_seed, test_seed, est_seed = seeds[t]
         dataset = gen_multinormal(spec, data_seed)
         rule = config.trainer.train(dataset)
         s_true = true_conditional_performance(
@@ -331,9 +451,11 @@ def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
         try:
             s_hat = estimators.run(dataset, config.trainer, est_cfg).value
         except EstimationError:
-            aborted += 1
-            continue
-        triples.append((s_true, s_bar, s_hat))
+            return None
+        return s_true, s_bar, s_hat
+
+    triples = [r for r in _map_units(trial, config.trials) if r is not None]
+    aborted = config.trials - len(triples)
     if aborted > 0.01 * config.trials:
         raise EstimationError(
             f"{aborted}/{config.trials} trials aborted (more than 1%)"
@@ -372,34 +494,6 @@ def ratio_curve_dataset(n1: int, seed: int) -> StratifiedDataset:
     return spec.sample(n1, n1, derive_rng(seed, "ratio-data"))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask, where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# A pool worker's unit function.  It reaches the worker by fork, as the pool
-# initializer's argument, so it is never pickled; the parent never sets it.
-_worker_unit = None
-
-
-def _adopt_unit(unit) -> None:
-    global _worker_unit
-    _worker_unit = unit
-
-
-def _run_adopted_unit(index: int):
-    """The unit's values, or None where it raised.  The exception itself is
-    not sent: one that cannot be unpickled would stop the pool's result
-    thread, and the parent would wait forever."""
-    try:
-        return _worker_unit(index)
-    except Exception:
-        return None
-
-
 def run_ratio_curve(
     n1_grid,
     trainer: Trainer,
@@ -419,14 +513,12 @@ def run_ratio_curve(
     ``ratio_empirical``, which lies above it.
 
     The (n1, seed) units are independent, and run across the CPUs this
-    process may use: a fork-context process pool, made and joined inside
-    the call, whose workers inherit the trainer, grid and seeds, so nothing
-    is pickled but indices and floats (as with any fork, a caller's other
-    threads must not hold locks meanwhile).  Results
-    are merged in unit order (grid, then seeds), so every mean sees the
-    same floats in the same order as a serial loop.  The first failing unit
-    in that order raises its own exception: the parent runs that unit again
-    to raise it.  With one CPU, or one unit, the units run inline.
+    process may use, in a process pool with OpenBLAS held to one thread per
+    worker (see :func:`_map_units`); they run inline where there is one
+    CPU, one unit, or no OpenBLAS thread control.  Results are merged in
+    unit order (grid, then seeds), so every mean sees the same floats in
+    the same order either way.  The first failing unit in that order raises
+    its own exception.
     """
     n1_grid = list(n1_grid)
     seeds = list(seeds)
@@ -446,22 +538,7 @@ def run_ratio_curve(
         ))
         return values.pick(Variant.POOLED)[0], values.pick(Variant.PARTITIONED)[0]
 
-    indices = range(len(units))
-    workers = min(_usable_cpus(), len(units))
-    if workers == 1:
-        return _ratio_points(n1_grid, len(seeds), model, map(unit, indices))
-    import multiprocessing  # here, not at the top: it costs every import of cvlab
-
-    pool = multiprocessing.get_context("fork").Pool(workers, _adopt_unit, (unit,))
-    try:
-        # About four chunks per worker, as Pool.map's default: fewer round trips.
-        results = pool.imap(_run_adopted_unit, indices, -(-len(units) // (4 * workers)))
-        # A unit that failed in a worker runs again here, to raise its own exception.
-        values = (unit(i) if r is None else r for i, r in enumerate(results))
-        return _ratio_points(n1_grid, len(seeds), model, values)
-    finally:
-        pool.terminate()
-        pool.join()
+    return _ratio_points(n1_grid, len(seeds), model, _map_units(unit, len(units)))
 
 
 def _ratio_points(n1_grid, n_seeds: int, model: SamplingModel, results) -> list[RatioPoint]:

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -334,6 +335,7 @@ class TestWeakCorrelation:
             record("trial-est", cfg.seed)
             return run(dataset, trainer, cfg)
 
+        monkeypatch.setattr(simlab, "_usable_cpus", lambda: 1)  # the spies record in-process
         monkeypatch.setattr(simlab, "gen_multinormal", gen_recorded)
         monkeypatch.setattr(simlab, "true_conditional_performance", true_s_recorded)
         monkeypatch.setattr(estimators, "run", run_recorded)
@@ -406,6 +408,18 @@ class FailOnFourPerClass(LdaTrainer):
         return super().weighted_scores(X, labels, counts, X_eval)
 
 
+class PerfectOnThreeFailOnFour(LdaTrainer):
+    """Scores every ratio-curve point of n1 = 3 on its own side of threshold 0
+    (zero error), and fails on every dataset of n1 = 4."""
+
+    def weighted_scores(self, X, labels, counts, X_eval):
+        if len(labels) == 6:
+            return np.broadcast_to(np.where(labels == 2, 1.0, -1.0), (len(counts), 6))
+        if len(labels) == 8:
+            raise EstimationError("unit of n1=4 failed")
+        return super().weighted_scores(X, labels, counts, X_eval)
+
+
 class PidRecordingLda(LdaTrainer):
     """LDA that appends the id of each process that trains with it to a file."""
 
@@ -475,9 +489,212 @@ class TestRatioCurveWorkers:
         assert str(raised[1]) == str(raised[3]) == f"unit with x0={first!r} failed"
         assert type(raised[1]) is type(raised[3]) is EstimationError
 
+    def test_zero_mean_of_an_earlier_n1_wins_over_a_later_failing_unit(self, monkeypatch):
+        # Points are checked as their units are read, as in a serial loop.
+        args = ([3, 4], PerfectOnThreeFailOnFour(), 20, SamplingModel.ORDERED, [1, 2])
+        for cpus in (1, 3):
+            with pytest.raises(EstimationError, match="^n1=3: pooled error mean is zero"):
+                self.run_with(monkeypatch, cpus, *args)
+            assert multiprocessing.active_children() == []
+
     def test_exception_that_cannot_be_unpickled_is_raised(self, monkeypatch):
         args = ([4], UnscorableTrainer(), 10, SamplingModel.ORDERED, [1, 2])
         for cpus in (1, 3):
             with pytest.raises(UnpicklableError, match="^score_many-8$"):
                 self.run_with(monkeypatch, cpus, *args)
             assert multiprocessing.active_children() == []
+
+
+class AbortOnData(NearestMeanTrainer):
+    """Nearest-mean whose estimator runs fail (EstimationError) on the
+    datasets whose first feature is in ``abort_x0``."""
+
+    def __init__(self, abort_x0):
+        self.abort_x0 = set(abort_x0)
+
+    def weighted_scores(self, X, labels, counts, X_eval):
+        if X[0, 0] in self.abort_x0:
+            raise EstimationError("aborted on purpose")
+        return super().weighted_scores(X, labels, counts, X_eval)
+
+
+class RaiseOnData(NearestMeanTrainer):
+    """Nearest-mean whose campaign fit raises RuntimeError on the datasets
+    whose first feature is in ``fail_x0``, naming it; on ``slow_x0`` it first
+    sleeps, so that later failing trials finish before it."""
+
+    def __init__(self, fail_x0, slow_x0):
+        self.fail_x0 = set(fail_x0)
+        self.slow_x0 = slow_x0
+
+    def train(self, dataset):
+        x0 = dataset.class1[0, 0]
+        if x0 in self.fail_x0:
+            if x0 == self.slow_x0:
+                time.sleep(0.3)
+            raise RuntimeError(f"trial with x0={x0!r} failed")
+        return super().train(dataset)
+
+
+def trial_x0(config: WeakCorrConfig, trial: int) -> float:
+    """First feature of the trial's training set."""
+    return gen_multinormal(config.spec, derive_seed(config.seed, "trial-data", trial)).class1[0, 0]
+
+
+class TestCampaignWorkers:
+    """The campaign's trials run in a process pool; results merge in trial order."""
+
+    def run_with(self, monkeypatch, cpus, config):
+        monkeypatch.setattr(simlab, "_usable_cpus", lambda: cpus)
+        return run_weak_correlation(config)
+
+    @pytest.mark.parametrize("size", ["small", "threaded-blas"])
+    def test_results_identical_with_one_and_three_workers(self, monkeypatch, tmp_path, size):
+        trainer = PidRecordingLda(tmp_path / "pids")
+        if size == "small":  # the default estimator, LOOB AUC partitioned
+            config = WeakCorrConfig(
+                spec=MultinormalSpec(p=2, delta=1.0, n1=8, n2=8), trials=6,
+                test_per_class=50, trainer=trainer, seed=31,
+            )
+        else:  # GEMMs large enough that a serial run's OpenBLAS uses its threads
+            config = WeakCorrConfig(
+                spec=MultinormalSpec(p=5, delta=0.8, n1=20, n2=20), trials=4,
+                test_per_class=100, trainer=trainer, seed=32,
+                estimator=EstimatorConfig(
+                    Version.CVKM, Metric.ERROR, Variant.POOLED, n_folds=2, repetitions=2000,
+                ),
+            )
+        serial = self.run_with(monkeypatch, 1, config)
+        assert trainer.pids() == {os.getpid()}
+        pooled = self.run_with(monkeypatch, 3, config)
+        assert os.getpid() not in trainer.pids()
+        np.testing.assert_array_equal(pooled.triples, serial.triples)
+        assert pooled.rows == serial.rows
+        assert pooled.aborted == serial.aborted == 0
+        assert multiprocessing.active_children() == []
+
+    def test_aborted_trials_are_dropped_and_counted(self, monkeypatch):
+        config = WeakCorrConfig(
+            spec=MultinormalSpec(p=2, delta=1.0, n1=6, n2=6), trials=200,
+            test_per_class=20, trainer=NearestMeanTrainer(), seed=33,
+            estimator=replace(simlab.DEFAULT_ESTIMATOR, n_bootstrap=20),
+        )
+        config = replace(config, trainer=AbortOnData([trial_x0(config, 3), trial_x0(config, 150)]))
+        results = {cpus: self.run_with(monkeypatch, cpus, config) for cpus in (1, 3)}
+        for result in results.values():
+            assert result.aborted == 2
+            assert result.triples.shape == (198, 3)
+        np.testing.assert_array_equal(results[3].triples, results[1].triples)
+        assert results[3].rows == results[1].rows
+        # a third aborted trial is more than 1% of 200
+        config = replace(config, trainer=AbortOnData(
+            [trial_x0(config, 3), trial_x0(config, 150), trial_x0(config, 199)]
+        ))
+        for cpus in (1, 3):
+            with pytest.raises(EstimationError, match=r"^3/200 trials aborted \(more than 1%\)$"):
+                self.run_with(monkeypatch, cpus, config)
+            assert multiprocessing.active_children() == []
+
+    def test_first_trial_failing_otherwise_raises(self, monkeypatch):
+        config = WeakCorrConfig(
+            spec=MultinormalSpec(p=2, delta=1.0, n1=6, n2=6), trials=8,
+            test_per_class=20, trainer=NearestMeanTrainer(), seed=34,
+        )
+        first = trial_x0(config, 2)
+        config = replace(config, trainer=RaiseOnData([first, trial_x0(config, 5)], slow_x0=first))
+        raised = {}
+        for cpus in (1, 3):
+            with pytest.raises(RuntimeError) as info:
+                self.run_with(monkeypatch, cpus, config)
+            raised[cpus] = info.value
+            assert multiprocessing.active_children() == []
+        assert str(raised[1]) == str(raised[3]) == f"trial with x0={first!r} failed"
+        assert type(raised[1]) is type(raised[3]) is RuntimeError
+
+
+def blas_threads() -> list[int]:
+    return [get() for get, _ in simlab._blas_thread_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS at two threads for the test, so a cap to one shows."""
+    controls = simlab._blas_thread_controls()
+    if not controls:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread control here")
+    before = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(2)
+    yield
+    for (_, set_threads), threads in zip(controls, before):
+        set_threads(threads)
+
+
+def pid_and_blas_threads(index):
+    if index == 4:
+        raise KeyError("unit 4")
+    return os.getpid(), blas_threads()
+
+
+def unit_logged_to(path):
+    """Unit that logs its index to ``path``; unit 0 fails at once, the others
+    take a while, so they are still running when it fails."""
+
+    def unit(index):
+        if index == 0:
+            raise KeyError("unit 0")
+        time.sleep(0.05)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{index}\n")
+        return index
+
+    return unit
+
+
+class TestUnitPool:
+    """The one pool path: OpenBLAS is held to one thread while the pool lives
+    (set before the fork), and the pool is terminated only once it is idle."""
+
+    def test_lookup_finds_numpys_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" in blas["name"]:
+            assert simlab._blas_thread_controls()
+            assert blas_threads()
+
+    def test_workers_run_one_thread_and_the_count_is_restored(self, monkeypatch, two_blas_threads):
+        monkeypatch.setattr(simlab, "_usable_cpus", lambda: 3)
+        before = blas_threads()
+        assert set(before) == {2}
+        results = list(simlab._map_units(pid_and_blas_threads, 4))
+        assert blas_threads() == before
+        assert all(pid != os.getpid() and threads == [1] * len(before) for pid, threads in results)
+        with pytest.raises(KeyError, match="unit 4"):
+            list(simlab._map_units(pid_and_blas_threads, 6))
+        assert blas_threads() == before
+        assert multiprocessing.active_children() == []
+
+        class NoFork:
+            def Pool(self, *args):
+                raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: NoFork())
+        with pytest.raises(BlockingIOError):
+            simlab._map_units(pid_and_blas_threads, 4)
+        assert blas_threads() == before
+
+    def test_units_run_inline_without_a_thread_control(self, monkeypatch):
+        monkeypatch.setattr(simlab, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(simlab, "_blas_thread_controls", lambda: [])
+        results = list(simlab._map_units(pid_and_blas_threads, 4))
+        assert results == [(os.getpid(), [])] * 4
+
+    def test_failure_is_raised_after_every_unit_ran(self, monkeypatch, tmp_path):
+        # The pool is terminated only once no worker is busy: a worker ended
+        # while it sends a result can leave the pool's queue lock held, and
+        # terminating the pool then waits forever.
+        monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+        path = tmp_path / "ran"
+        with pytest.raises(KeyError, match="unit 0"):
+            list(simlab._map_units(unit_logged_to(path), 12))
+        assert sorted(map(int, path.read_text(encoding="utf-8").split())) == list(range(1, 12))
+        assert multiprocessing.active_children() == []
