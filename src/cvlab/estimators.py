@@ -67,21 +67,27 @@ Tasks are trained in tiles of ``max(1, TASK_TILE_CELLS // n)`` consecutive
 tasks, aligned to task 0, each scored in one :func:`task_scores` call:
 batched through a trainer's ``weighted_scores(X, labels, weights, X_eval)``
 hook, or task by task on materialized subsets.  A tile's weights, scores and
-losses are built, summed and dropped before the next tile trains, so beyond
-the inputs the memory of an estimate is bounded by one tile of about
-TASK_TILE_CELLS cells, whatever the number of tasks (CVN AUC has n1*n2).
-An estimate is one pass: resample, check, then train and sum each tile once.
-A task that would train on one class is caught where the resampling can make
-it, before the first tile trains: an error fold task from its run's fold
-ids, an error replicate by the redraw above.  An AUC task always keeps both
-classes.  Error cells are 0/1 losses; AUC cells are doubled kernel values,
-the integers 0, 1 or 2, and each AUC sum is halved once.  So all sums are
-exact (whole numbers of halves), and the divisions and means see fixed orders
-(units observation- or pair-row-major, tasks run-major): results reproduce
-bit-for-bit from (dataset, config, seed).  A batched trainer's scores can
-move in the last bits with the tile size (BLAS picks kernels by shape), which
-changes a loss only when a score sits on the threshold or on another score;
-that is why the tile size is a constant and the tiles are aligned to task 0.
+losses are built, summed and dropped before the next tile trains.  Fold
+tasks build their weights from the fold maps; LOOB draws each tile's
+replicates when the tile's turn comes, continuing one bootstrap generator
+per part, which gives the rows of one whole (B, n) draw.  So beyond the
+inputs and the fold maps, the memory of an estimate is bounded by one tile
+of about TASK_TILE_CELLS cells, whatever the number of tasks (CVN AUC has
+n1*n2, LOOB B).  An estimate is one pass: resample, check, then train and sum
+each tile once.  A task that would train on one class is caught where the
+resampling can make it: an error fold task from its run's fold ids, before
+the first tile trains; an error replicate by the redraw above, as its tile
+is drawn.  So a replicate whose redraws run out raises after the tiles
+before its own have trained, and a trainer failure in one of those tiles
+raises first.  An AUC task always keeps both classes.  Error cells are 0/1
+losses; AUC cells are doubled kernel values, the integers 0, 1 or 2, and each
+AUC sum is halved once.  So all sums are exact (whole numbers of halves), and
+the divisions and means see fixed orders (units observation- or
+pair-row-major, tasks run-major): results reproduce bit-for-bit from
+(dataset, config, seed).  A batched trainer's scores can move in the last
+bits with the tile size (BLAS picks kernels by shape), which changes a loss
+only when a score sits on the threshold or on another score; that is why the
+tile size is a constant and the tiles are aligned to task 0.
 
 The ten public ``err_*`` / ``auc_*`` functions are thin wrappers: each builds
 an :class:`EstimatorConfig` and hands it to :func:`variant_values`, which
@@ -112,6 +118,7 @@ from cvlab.resampling import (
     SamplingModel,
     bootstrap_counts_matrix,
     bootstrap_counts_rows,
+    derive_rng,
     derive_seed,
     derive_seeds,
     make_partition,
@@ -360,8 +367,10 @@ def _estimate(dataset, trainer, metric, weights, tasks, context, tasks_per_run=1
     training each of ``tasks`` tasks once, in one pass over tiles: each tile
     builds its weights through ``weights(tile)`` (the (tile tasks, n1+n2)
     weights of a slice of tasks, following ``dataset.pooled()``: class 1, then
-    class 2), trains, and is summed before the next is built.  Every task must
-    train on both classes; the callers guarantee it."""
+    class 2), trains, and is summed before the next is built.  ``weights`` is
+    called once per tile, in task order, so it may draw each tile's rows from
+    a stream it continues.  Every task must train on both classes; the
+    callers guarantee it."""
     features, labels = dataset.pooled()
     step = max(1, TASK_TILE_CELLS // dataset.n)
 
@@ -424,27 +433,32 @@ def _one_class_rows(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.flatnonzero((per_class <= 0).any(axis=1))
 
 
-def _redraw_one_class_rows(counts: np.ndarray, labels, model: SamplingModel, seed: int) -> None:
-    """Redraw, in place, each replicate row b that lost a class.
+def _redraw_one_class_rows(counts: np.ndarray, labels, model: SamplingModel, seed: int,
+                           first: int = 0) -> None:
+    """Redraw, in place, each replicate row that lost a class; row 0 is
+    replicate ``first``.
 
-    Attempt a redraws row b from ``derive_seed(seed, f"retry-{b}", a)``.  The
-    attempts run in rounds: round a redraws every row still one-class, all
-    from one ``derive_seeds`` and one ``bootstrap_counts_rows`` pass.
+    Attempt a redraws replicate b from ``derive_seed(seed, f"retry-{b}", a)``.
+    The attempts run in rounds: round a redraws every row still one-class,
+    all from one ``derive_seeds`` and one ``bootstrap_counts_rows`` pass,
+    through one Philox generator built for the whole redraw.
     """
     rows = _one_class_rows(counts, labels)
+    if not rows.size:
+        return
+    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed to every row's stream
     for attempt in range(1, MAX_ONE_CLASS_RETRIES + 1):
-        if not rows.size:
-            return
-        seeds = derive_seeds(seed, [f"retry-{b}" for b in rows], attempt)
-        retry = bootstrap_counts_rows(counts.shape[1], model, seeds)
+        seeds = derive_seeds(seed, [f"retry-{first + b}" for b in rows], attempt)
+        retry = bootstrap_counts_rows(counts.shape[1], model, seeds, rng)
         still = np.zeros(rows.size, dtype=bool)
         still[_one_class_rows(retry, labels)] = True
         counts[rows[~still]] = retry[~still]
         rows = rows[still]
-    if rows.size:
-        raise EstimationError(
-            f"replicate {rows[0]}: still one-class after {MAX_ONE_CLASS_RETRIES} redraws"
-        )
+        if not rows.size:
+            return
+    raise EstimationError(
+        f"replicate {first + rows[0]}: still one-class after {MAX_ONE_CLASS_RETRIES} redraws"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +536,13 @@ def variant_values(
     :class:`DomainError` naming its config key, raised before any bound.
     The estimator resamples parts: the pooled observations for error; class 1
     and class 2 for AUC, each from the derived seed ``derive_seed(seed,
-    "classC")``.  LOOB draws B replicate counts per part (an error replicate
-    that lost a class is redrawn).  The other versions build one fold map per
-    part, per run for CVKR and CVKM (CVN has K = the part size, CVK applies
-    ``perms``, one permutation or None per part), and train one task per
-    fold of the parts' fold grid, class-1 fold major; CVKM tests fold 1 of
-    each part only, and the reduced CVK AUC variant the diagonal fold pairs.
+    "classC")``.  LOOB draws B replicate counts per part, tile by tile from
+    the part's one "bootstrap" stream (an error replicate that lost a class is
+    redrawn).  The other versions build one fold map per part, per run for
+    CVKR and CVKM (CVN has K = the part size, CVK applies ``perms``, one
+    permutation or None per part), and train one task per fold of the parts'
+    fold grid, class-1 fold major; CVKM tests fold 1 of each part only, and
+    the reduced CVK AUC variant the diagonal fold pairs.
     """
     name, fields = _DISPATCH[cfg.metric, cfg.version]
     for field in fields.split():
@@ -554,14 +569,19 @@ def variant_values(
         return derive_seed(cfg.seed, f"class{c + 1}") if auc else cfg.seed
 
     if cfg.version is Version.LOOB:
-        counts = [
-            bootstrap_counts_matrix(n, cfg.n_bootstrap, cfg.sampling, part_seed(c))
-            for c, n in enumerate(sizes)
-        ]
-        if not auc:
-            _redraw_one_class_rows(counts[0], dataset.labels, cfg.sampling, cfg.seed)
-        weights = np.hstack(counts) if auc else counts[0]  # hstack would copy the one part
-        return _estimate(dataset, trainer, cfg.metric, lambda tile: weights[tile], len(weights),
+        rngs = [derive_rng(part_seed(c), "bootstrap") for c in range(len(sizes))]
+        replicates = range(cfg.n_bootstrap)
+
+        def weights(tile):
+            b = replicates[tile]
+            counts = [bootstrap_counts_matrix(n, len(b), cfg.sampling, rng)
+                      for n, rng in zip(sizes, rngs)]
+            if auc:
+                return np.hstack(counts)
+            _redraw_one_class_rows(counts[0], dataset.labels, cfg.sampling, cfg.seed, b.start)
+            return counts[0]
+
+        return _estimate(dataset, trainer, cfg.metric, weights, cfg.n_bootstrap,
                          "replicate {}".format, th=cfg.th, pooled=pooled)
     if cfg.version in (Version.CVN, Version.CVK):
         perms = (None,) * len(sizes) if perms is None else perms

@@ -35,7 +35,15 @@ one-class redraw of the estimators derives, per round of retries, every
 retry seed (``derive_seeds``) in one pass and the Philox keys of those seeds
 (``bootstrap_counts_rows``) in another.  Each row is then drawn through one
 Philox generator re-keyed to the start of its stream
-(``_rekeyed_streams``), so the rows are those of one generator per stream.
+(``_rekeyed_streams``), so the rows are those of one generator per stream;
+one such generator serves every round of a redraw.
+
+A bootstrap stream splits: drawn in consecutive row blocks from one
+generator, ``integers(0, n, (B, n))`` (ORDERED) and ``random((B, 2n-1))``
+(UNORDERED_MULTISET) give the rows of one whole draw.  So the estimators
+draw each training tile's replicates as its turn comes, continuing one
+generator per part (``bootstrap_counts_matrix`` takes it in place of a
+seed), and B x n counts are never held at once.
 """
 
 from __future__ import annotations
@@ -212,17 +220,20 @@ def derive_seeds(seed: int, tags: Sequence[str], counters) -> np.ndarray:
     return (low | high << 32) >> 1
 
 
-def _rekeyed_streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
+def _rekeyed_streams(
+    keys: np.ndarray, rng: np.random.Generator | None = None
+) -> Iterator[np.random.Generator]:
     """For each Philox key in turn, a generator at the start of its stream.
 
-    One Philox generator is re-keyed to a fresh stream's state (the key,
-    counter 0, an empty buffer) before each yield; draw from it before the
-    next.  The state is held in Python ints, which the state setter reads
-    faster than numpy scalars; each key is converted as its turn comes, so
-    no list of all M keys is held.
+    One Philox generator, ``rng`` or one built here, is re-keyed to a fresh
+    stream's state (the key, counter 0, an empty buffer) before each yield;
+    draw from it before the next.  The state is held in Python ints, which
+    the state setter reads faster than numpy scalars; each key is converted
+    as its turn comes, so no list of all M keys is held.
     """
-    bit_generator = np.random.Philox(key=keys[0])
-    rng = np.random.Generator(bit_generator)
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(key=keys[0]))
+    bit_generator = rng.bit_generator
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": None},
@@ -296,20 +307,33 @@ def _replicate_counts(n: int, model: SamplingModel, rngs, rows: int) -> np.ndarr
     return decode(draws[0] if len(draws) == 1 else np.concatenate(draws), n)
 
 
-def bootstrap_counts_matrix(n: int, draws: int, model: SamplingModel, seed: int) -> np.ndarray:
-    """(draws, n) matrix of replicate counts, all rows from one Philox stream."""
+def bootstrap_counts_matrix(
+    n: int, draws: int, model: SamplingModel, seed: int | np.random.Generator
+) -> np.ndarray:
+    """(draws, n) matrix of replicate counts, all rows from one Philox stream.
+
+    ``seed`` is a master seed, whose "bootstrap" stream is drawn from its
+    start, or a generator of such a stream to continue.  The stream splits:
+    consecutive calls on ``derive_rng(seed, "bootstrap")`` give, stacked, the
+    rows of one call with their ``draws`` summed.
+    """
     if n < 2:
         raise DomainError("bootstrap requires n >= 2")
     if draws < 1:
         raise DomainError("draws must be >= 1")
-    return _replicate_counts(n, model, [derive_rng(seed, "bootstrap")], draws)
+    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "bootstrap")
+    return _replicate_counts(n, model, [rng], draws)
 
 
-def bootstrap_counts_rows(n: int, model: SamplingModel, seeds: np.ndarray) -> np.ndarray:
+def bootstrap_counts_rows(
+    n: int, model: SamplingModel, seeds: np.ndarray, rng: np.random.Generator | None = None
+) -> np.ndarray:
     """(len(seeds), n): row i is ``bootstrap_counts_matrix(n, 1, model, seeds[i])``.
 
     ``seeds`` is a non-empty uint64 array.  The keys of all its "bootstrap"
     streams come from one ``_philox_keys`` pass, and every row is drawn by
-    one re-keyed Philox generator.
+    one re-keyed Philox generator: ``rng``, whose state is overwritten, so a
+    caller drawing batch after batch builds it once, or one built per call.
     """
-    return _replicate_counts(n, model, _rekeyed_streams(_philox_keys(seeds, "bootstrap", 0)), 1)
+    keys = _philox_keys(seeds, "bootstrap", 0)
+    return _replicate_counts(n, model, _rekeyed_streams(keys, rng), 1)

@@ -139,7 +139,9 @@ def _weighted_class_moments(X, labels, counts):
 
 def _linear_batch_scores(directions, mean1, mean2, X_eval):
     mid = 0.5 * (mean1 + mean2)
-    return directions @ X_eval.T - (directions * mid).sum(axis=1, keepdims=True)
+    scores = directions @ X_eval.T
+    scores -= (directions * mid).sum(axis=1, keepdims=True)
+    return scores
 
 
 class NearestMeanTrainer(Trainer):
@@ -198,10 +200,14 @@ class LdaTrainer(Trainer):
             raise EstimationError("lda needs at least three observations")
         # One (B, p, p) buffer updated in place: second moments, scatter, covariance.
         # The second moments are one GEMM: counts (B, n) @ outer products (n, p*p).
+        # Each class's n_k m_k m_k^T is subtracted one row of p at a time, as
+        # (n_k m_ki) m_kj, so no second (B, p, p) array is made.
         n, p = X.shape
         cov = (counts @ (X[:, :, None] * X[:, None, :]).reshape(n, p * p)).reshape(-1, p, p)
-        cov -= n1[:, None, None] * mean1[:, :, None] * mean1[:, None, :]
-        cov -= n2[:, None, None] * mean2[:, :, None] * mean2[:, None, :]
+        for size, mean in ((n1, mean1), (n2, mean2)):
+            scaled = size[:, None] * mean
+            for i in range(p):
+                cov[:, i, :] -= scaled[:, i, None] * mean
         cov /= (total - 2.0)[:, None, None]
         cov += self.ridge * np.eye(p)
         try:

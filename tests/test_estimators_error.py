@@ -7,6 +7,11 @@ scoring path entirely.  The oracles share only the partition / replicate
 definitions with the code under test, since those define the estimand.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -412,6 +417,36 @@ class TestErrLoob:
             err_loob(SEPARABLE, NearestMeanTrainer(), 0.0, 0, 1)
 
 
+class TestLoobMemory:
+    def test_peak_memory_stays_bounded_in_a_fresh_process(self):
+        """LOOB error (LDA, p = 5) at n1 = n2 = 1000 and B = 10000: the whole
+        (B, n) count matrix and its draw would peak near 340 MB, one tile's
+        draw near 50 MB.  The peak is the process's own VmHWM: on Linux,
+        ru_maxrss after exec also holds the peak of the process that spawned
+        it."""
+        script = (
+            "import numpy as np\n"
+            "from cvlab.core import StratifiedDataset\n"
+            "from cvlab.estimators import err_loob\n"
+            "from cvlab.simlab import LdaTrainer\n"
+            "rng = np.random.default_rng(0)\n"
+            "ds = StratifiedDataset(rng.normal(0, 1, (1000, 5)), rng.normal(0.5, 1, (1000, 5)))\n"
+            "value = err_loob(ds, LdaTrainer(1e-6), 0.0, 10000, 3).value\n"
+            "with open('/proc/self/status') as status:\n"
+            "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+            "print(peak, repr(value))\n"
+        )
+        src = str(Path(estimators.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_kib, value = proc.stdout.split()
+        assert int(peak_kib) < 100 * 1024
+        assert value == "0.28337732683932143"  # the value of one whole (B, n) draw
+
+
 class TestOneClassRedraw:
     """The redraw against the per-row reference in ``oracles``."""
 
@@ -682,6 +717,37 @@ class TestTiles:
         with pytest.raises(EstimationError) as caught:
             estimate(FailingOnCall(call))
         assert str(caught.value) == f"trainer failed on {message}: no convergence"
+
+    # a 3-vs-1 pool sheds its single class-2 point in about a third of the replicates
+    THREE_VS_ONE = StratifiedDataset(np.array([[-1.0], [-0.5], [-0.2]]), np.array([[1.0]]))
+    # (model, seed, the first replicate still one-class after one redraw)
+    EXHAUSTED = [(SamplingModel.ORDERED, 6, 10), (SamplingModel.UNORDERED_MULTISET, 3, 13)]
+
+    @pytest.mark.parametrize("model, seed, replicate", EXHAUSTED, ids=["ordered", "multiset"])
+    def test_exhausted_redraw_in_a_later_tile_names_its_global_replicate(self, monkeypatch,
+                                                                        model, seed, replicate):
+        monkeypatch.setattr(estimators, "MAX_ONE_CLASS_RETRIES", 1)
+        monkeypatch.setattr(estimators, "TASK_TILE_CELLS", 2 * self.THREE_VS_ONE.n)
+        message = f"replicate {replicate}: still one-class after 1 redraws"
+        counts = bootstrap_counts_matrix(4, 20, model, seed)
+        with pytest.raises(EstimationError, match=f"^{message}$"):
+            redraw_one_class_rows(counts, self.THREE_VS_ONE.pooled()[1], model, seed, 1)
+        trainer = FailingOnCall(0)  # never fails; counts its trainings
+        with pytest.raises(EstimationError) as caught:
+            err_loob(self.THREE_VS_ONE, trainer, 0.0, 20, seed, model)
+        assert str(caught.value) == message
+        # the replicate's tile is drawn after the tiles before it trained
+        assert trainer.calls == replicate - replicate % 2
+
+    @pytest.mark.parametrize("model, seed, replicate", EXHAUSTED, ids=["ordered", "multiset"])
+    @pytest.mark.parametrize("call", [1, 3])
+    def test_trainer_failure_in_an_earlier_tile_wins_over_an_exhausted_redraw(
+            self, monkeypatch, model, seed, replicate, call):
+        monkeypatch.setattr(estimators, "MAX_ONE_CLASS_RETRIES", 1)
+        monkeypatch.setattr(estimators, "TASK_TILE_CELLS", 2 * self.THREE_VS_ONE.n)
+        with pytest.raises(EstimationError) as caught:
+            err_loob(self.THREE_VS_ONE, FailingOnCall(call), 0.0, 20, seed, model)
+        assert str(caught.value) == f"trainer failed on replicate {call - 1}: no convergence"
 
 
 # (metric, version, estimator name, field) for each size or seed an estimator takes

@@ -185,6 +185,25 @@ class TestBootstrapSampling:
         want = [bootstrap_counts_matrix(7, 1, model, int(s))[0] for s in seeds]
         np.testing.assert_array_equal(rows, want)
 
+    @pytest.mark.parametrize("model", list(SamplingModel))
+    def test_one_generator_serves_batch_after_batch(self, model):
+        seeds = derive_seeds(3, [f"row-{i}" for i in range(40)], 1)
+        rng = np.random.Generator(np.random.Philox(key=0))
+        rng.integers(0, 3, size=3)  # a used generator: its state is overwritten
+        batches = [bootstrap_counts_rows(7, model, seeds[s : s + 9], rng) for s in range(0, 40, 9)]
+        np.testing.assert_array_equal(np.concatenate(batches), bootstrap_counts_rows(7, model, seeds))
+
+    @pytest.mark.parametrize("model", list(SamplingModel))
+    @pytest.mark.parametrize("n, draws, tile", [(200, 10000, 1310), (20, 200, 7), (7, 1000, 1),
+                                                (40, 64, 3)])
+    def test_tile_draws_continue_one_stream(self, model, n, draws, tile):
+        """Consecutive blocks drawn from one generator are the rows of one draw."""
+        rng = derive_rng(5, "bootstrap")
+        tiles = [bootstrap_counts_matrix(n, len(range(draws)[s : s + tile]), model, rng)
+                 for s in range(0, draws, tile)]
+        np.testing.assert_array_equal(np.concatenate(tiles),
+                                      bootstrap_counts_matrix(n, draws, model, 5))
+
     def test_replicate_invariants(self):
         counts = bootstrap_counts_matrix(6, 200, SamplingModel.UNORDERED_MULTISET, seed=3)
         assert (counts >= 0).all()
