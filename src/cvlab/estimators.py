@@ -434,31 +434,28 @@ def _one_class_rows(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _redraw_one_class_rows(counts: np.ndarray, labels, model: SamplingModel, seed: int,
-                           first: int = 0) -> None:
+                           first: int) -> None:
     """Redraw, in place, each replicate row that lost a class; row 0 is
     replicate ``first``.
 
     Attempt a redraws replicate b from ``derive_seed(seed, f"retry-{b}", a)``.
     The attempts run in rounds: round a redraws every row still one-class,
-    all from one ``derive_seeds`` and one ``bootstrap_counts_rows`` pass,
-    through one Philox generator built for the whole redraw.
+    all from one ``derive_seeds`` and one ``bootstrap_counts_rows`` pass.
     """
     rows = _one_class_rows(counts, labels)
-    if not rows.size:
-        return
-    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed to every row's stream
     for attempt in range(1, MAX_ONE_CLASS_RETRIES + 1):
+        if not rows.size:
+            return
         seeds = derive_seeds(seed, [f"retry-{first + b}" for b in rows], attempt)
-        retry = bootstrap_counts_rows(counts.shape[1], model, seeds, rng)
+        retry = bootstrap_counts_rows(counts.shape[1], model, seeds)
         still = np.zeros(rows.size, dtype=bool)
         still[_one_class_rows(retry, labels)] = True
         counts[rows[~still]] = retry[~still]
         rows = rows[still]
-        if not rows.size:
-            return
-    raise EstimationError(
-        f"replicate {first + rows[0]}: still one-class after {MAX_ONE_CLASS_RETRIES} redraws"
-    )
+    if rows.size:
+        raise EstimationError(
+            f"replicate {first + rows[0]}: still one-class after {MAX_ONE_CLASS_RETRIES} redraws"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,7 @@ one-class redraw of the estimators derives, per round of retries, every
 retry seed (``derive_seeds``) in one pass and the Philox keys of those seeds
 (``bootstrap_counts_rows``) in another.  Each row is then drawn through one
 Philox generator re-keyed to the start of its stream
-(``_rekeyed_streams``), so the rows are those of one generator per stream;
-one such generator serves every round of a redraw.
+(``_rekeyed_streams``), so the rows are those of one generator per stream.
 
 A bootstrap stream splits: drawn in consecutive row blocks from one
 generator, ``integers(0, n, (B, n))`` (ORDERED) and ``random((B, 2n-1))``
@@ -220,20 +219,17 @@ def derive_seeds(seed: int, tags: Sequence[str], counters) -> np.ndarray:
     return (low | high << 32) >> 1
 
 
-def _rekeyed_streams(
-    keys: np.ndarray, rng: np.random.Generator | None = None
-) -> Iterator[np.random.Generator]:
+def _rekeyed_streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
     """For each Philox key in turn, a generator at the start of its stream.
 
-    One Philox generator, ``rng`` or one built here, is re-keyed to a fresh
-    stream's state (the key, counter 0, an empty buffer) before each yield;
-    draw from it before the next.  The state is held in Python ints, which
-    the state setter reads faster than numpy scalars; each key is converted
-    as its turn comes, so no list of all M keys is held.
+    One Philox generator is re-keyed to a fresh stream's state (the key,
+    counter 0, an empty buffer) before each yield; draw from it before the
+    next.  The state is held in Python ints, which the state setter reads
+    faster than numpy scalars; each key is converted as its turn comes, so
+    no list of all M keys is held.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=keys[0]))
-    bit_generator = rng.bit_generator
+    bit_generator = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bit_generator)
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": None},
@@ -325,15 +321,11 @@ def bootstrap_counts_matrix(
     return _replicate_counts(n, model, [rng], draws)
 
 
-def bootstrap_counts_rows(
-    n: int, model: SamplingModel, seeds: np.ndarray, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def bootstrap_counts_rows(n: int, model: SamplingModel, seeds: np.ndarray) -> np.ndarray:
     """(len(seeds), n): row i is ``bootstrap_counts_matrix(n, 1, model, seeds[i])``.
 
     ``seeds`` is a non-empty uint64 array.  The keys of all its "bootstrap"
     streams come from one ``_philox_keys`` pass, and every row is drawn by
-    one re-keyed Philox generator: ``rng``, whose state is overwritten, so a
-    caller drawing batch after batch builds it once, or one built per call.
+    one re-keyed Philox generator.
     """
-    keys = _philox_keys(seeds, "bootstrap", 0)
-    return _replicate_counts(n, model, _rekeyed_streams(keys, rng), 1)
+    return _replicate_counts(n, model, _rekeyed_streams(_philox_keys(seeds, "bootstrap", 0)), 1)

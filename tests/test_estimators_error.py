@@ -456,7 +456,7 @@ class TestOneClassRedraw:
 
         def redraw():
             rows = counts.copy()
-            _redraw_one_class_rows(rows, labels, model, seed)
+            _redraw_one_class_rows(rows, labels, model, seed, 0)
             return rows
 
         def reference():
@@ -496,7 +496,7 @@ class TestOneClassRedraw:
     def test_no_row_to_redraw_leaves_counts(self):
         labels = np.repeat([1, 2], (5, 5))
         counts = np.ones((3, 10), dtype=int)
-        _redraw_one_class_rows(counts, labels, SamplingModel.ORDERED, 0)
+        _redraw_one_class_rows(counts, labels, SamplingModel.ORDERED, 0, 0)
         np.testing.assert_array_equal(counts, 1)
 
     def test_redraw_builds_no_seed_sequence(self, monkeypatch):
@@ -510,7 +510,7 @@ class TestOneClassRedraw:
             return seed_sequence(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "SeedSequence", counting)
-        _redraw_one_class_rows(counts, labels, SamplingModel.ORDERED, 0)
+        _redraw_one_class_rows(counts, labels, SamplingModel.ORDERED, 0, 0)
         assert built == []
         derive_seed(0, "retry-0", 1)  # the count sees the per-row derivation
         assert len(built) == 1

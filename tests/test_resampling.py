@@ -186,14 +186,6 @@ class TestBootstrapSampling:
         np.testing.assert_array_equal(rows, want)
 
     @pytest.mark.parametrize("model", list(SamplingModel))
-    def test_one_generator_serves_batch_after_batch(self, model):
-        seeds = derive_seeds(3, [f"row-{i}" for i in range(40)], 1)
-        rng = np.random.Generator(np.random.Philox(key=0))
-        rng.integers(0, 3, size=3)  # a used generator: its state is overwritten
-        batches = [bootstrap_counts_rows(7, model, seeds[s : s + 9], rng) for s in range(0, 40, 9)]
-        np.testing.assert_array_equal(np.concatenate(batches), bootstrap_counts_rows(7, model, seeds))
-
-    @pytest.mark.parametrize("model", list(SamplingModel))
     @pytest.mark.parametrize("n, draws, tile", [(200, 10000, 1310), (20, 200, 7), (7, 1000, 1),
                                                 (40, 64, 3)])
     def test_tile_draws_continue_one_stream(self, model, n, draws, tile):
