@@ -274,20 +274,17 @@ def cmd_estimate(values: dict, config: RunConfig) -> int:
 
 
 def run_verify(
-    n_max: int,
-    pmf: Callable[[int, int, int], Fraction] | None = None,
-    out: Callable[[str], None] = print,
+    n_max: int, pmf: Callable[[int, int, int], Fraction] = combinatorics.pmf_unseen_count
 ) -> bool:
     """PASS/FAIL line per identity per n; ``pmf`` is a test hook."""
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
-    kwargs = {} if pmf is None else {"pmf": pmf}
     all_ok = True
     for n in range(2, n_max + 1):
-        for name, ok in combinatorics.identity_checks(n, **kwargs):
+        for name, ok in combinatorics.identity_checks(n, pmf):
             all_ok &= ok
-            out(f"{'PASS' if ok else 'FAIL'} n={n} {name}")
-    out(f"{'PASS' if all_ok else 'FAIL'} overall (n_max={n_max})")
+            print(f"{'PASS' if ok else 'FAIL'} n={n} {name}")
+    print(f"{'PASS' if all_ok else 'FAIL'} overall (n_max={n_max})")
     return all_ok
 
 

@@ -70,12 +70,14 @@ hook, or task by task on materialized subsets.  A tile's weights, scores and
 losses are built, summed and dropped before the next tile trains.  Fold
 tasks build their weights from the fold maps; LOOB draws each tile's
 replicates when the tile's turn comes, continuing one bootstrap generator
-per part, which gives the rows of one whole (B, n) draw.  So beyond the
-inputs and the fold maps, the memory of an estimate is bounded by one tile
-of about TASK_TILE_CELLS cells, whatever the number of tasks (CVN AUC has
-n1*n2, LOOB B).  An estimate is one pass: resample, check, then train and sum
-each tile once.  A task that would train on one class is caught where the
-resampling can make it: an error fold task from its run's fold ids, before
+per part, which gives the rows of one whole (B, n) draw.  An AUC tile's
+pairs are scored in blocks of its tasks under the same bound:
+``max(1, TASK_TILE_CELLS // m)`` tasks of m gathered pairs each.  So beyond
+the inputs and the fold maps, the memory of an estimate is bounded by one
+tile of about TASK_TILE_CELLS cells, whatever the number of tasks (CVN AUC
+has n1*n2, LOOB B).  An estimate is one pass: resample, check, then train
+and sum each tile once.  A task that would train on one class is caught
+where the resampling can make it: an error fold task from its run's fold ids, before
 the first tile trains; an error replicate by the redraw above, as its tile
 is drawn.  So a replicate whose redraws run out raises after the tiles
 before its own have trained, and a trainer failure in one of those tiles
@@ -93,9 +95,10 @@ The ten public ``err_*`` / ``auc_*`` functions are thin wrappers: each builds
 an :class:`EstimatorConfig` and hands it to :func:`variant_values`, which
 checks it (an unset size or seed, then the bounds) and computes both
 variants, and to ``_run``, which asks for the pooled variant only when it
-reports it, picks the requested one and echoes the config.  :func:`run` only
-dispatches: it looks the public name up at call time, so a tracer that
-rebinds an estimator in this module also sees the calls ``run`` makes.
+reports it, picks the requested one and echoes the config.  :func:`run`
+refuses a variant or strict setting that the version's function does not
+take, then dispatches: it looks the public name up at call time, so a tracer
+that rebinds an estimator in this module also sees the calls ``run`` makes.
 """
 
 from __future__ import annotations
@@ -127,14 +130,12 @@ from cvlab.resampling import (
 
 MAX_ONE_CLASS_RETRIES = 100
 
-# Upper bound on the (task, observation) cells of one training tile: a tile
-# holds max(1, TASK_TILE_CELLS // n) tasks, so the weights and scores alive at
-# once stay about this size however many tasks an estimator trains.
+# Upper bound on the cells of one block of tasks: a training tile holds
+# max(1, TASK_TILE_CELLS // n) tasks of n (task, observation) cells, and an AUC
+# pair block inside it max(1, TASK_TILE_CELLS // m) tasks of m gathered
+# (task, pair) cells.  So the arrays alive at once stay about this size
+# however many tasks an estimator trains.
 TASK_TILE_CELLS = 1 << 18
-
-# Upper bound on the gathered (task, pair) cells that one AUC block scores at
-# once.  Pair blocks nest inside a training tile: they split the tile's tasks.
-AUC_BLOCK_CELLS = 1 << 18
 
 
 class EstimationError(RuntimeError):
@@ -323,8 +324,9 @@ def _pair_sums(scores: np.ndarray, test: np.ndarray, n1: int, pooled: bool):
     Each task's untested scores are padded, class 1 with +inf and class 2
     with -inf, so a padded cell scores 0 against the finite tested scores.
     Sorted, a task's padding comes last in class 1 and first in class 2, so
-    each class is cut to the most observations any task tests.  A block
-    scores at most about AUC_BLOCK_CELLS of these pairs in one
+    each class is cut to the most observations any task tests.  A block of
+    ``max(1, TASK_TILE_CELLS // m)`` tasks, m being the gathered pairs per
+    task, the bound the training tiles use, is scored in one
     ``pairwise_kernel`` call, whose doubled int8 cells sum to exact integers;
     each integer sum is halved once.  A task testing m1 and m2 observations
     of the two classes tests m1 * m2 pairs.  Only if ``pooled`` are the cells
@@ -349,7 +351,7 @@ def _pair_sums(scores: np.ndarray, test: np.ndarray, n1: int, pooled: bool):
         gather(slice(None, n1), np.inf), gather(slice(n1, None), -np.inf)
     )
     hits = m1 * m2
-    step = max(1, AUC_BLOCK_CELLS // (s1.shape[1] * s2.shape[1]))
+    step = max(1, TASK_TILE_CELLS // (s1.shape[1] * s2.shape[1]))
     for start in range(0, len(test), step):
         block = slice(start, start + step)
         twice = pairwise_kernel(s1[block], s2[block])
@@ -804,9 +806,17 @@ def auc_lpobs(
 def run(dataset: StratifiedDataset, trainer: Trainer, cfg: EstimatorConfig) -> EstimatorReport:
     """Run the estimator selected by ``cfg`` on ``dataset``.
 
-    Calls the public function by its name, looked up at call time, so that
-    rebinding an estimator in this module (as a tracer does) reroutes
-    ``run``.  Its config checks are those of :func:`variant_values`.
+    A ``variant`` or ``strict`` that differs from its :class:`EstimatorConfig`
+    default, where the version's function does not take that field (CVN's
+    variant; strict on CVN, CVK and CVKR), is a :class:`DomainError` naming
+    the key: it would otherwise be dropped silently.  Calls the public
+    function by its name, looked up at call time, so that rebinding an
+    estimator in this module (as a tracer does) reroutes ``run``.  Its other
+    config checks are those of :func:`variant_values`.
     """
     name, fields = _DISPATCH[cfg.metric, cfg.version]
-    return globals()[name](dataset, trainer, *(getattr(cfg, f) for f in fields.split()))
+    fields = fields.split()
+    for field in ("variant", "strict"):
+        if field not in fields and getattr(cfg, field) != getattr(EstimatorConfig, field):
+            raise DomainError(f"{name} does not take '{field}'")
+    return globals()[name](dataset, trainer, *(getattr(cfg, f) for f in fields))

@@ -161,7 +161,15 @@ class NearestMeanTrainer(Trainer):
 
 
 class LdaTrainer(Trainer):
-    """Fisher rule with pooled covariance (divide by n1+n2-2) plus a ridge."""
+    """Fisher rule with pooled covariance (divide by n1+n2-2) plus a ridge.
+
+    ``train`` and the batched ``weighted_scores`` share one fit rule
+    (``_directions``), with n1+n2 the number of observations a task trains
+    on: for the batch, each task's summed weights, the size of the subset
+    ``train`` would see.  Either fit refuses fewer than three observations,
+    and, without a ridge, n1+n2-2 < p, where the pooled covariance is
+    singular.
+    """
 
     def __init__(self, ridge: float = 0.0):
         if not 0 <= ridge < math.inf:
@@ -172,32 +180,38 @@ class LdaTrainer(Trainer):
     def name(self) -> str:
         return f"lda(ridge={self.ridge:g})"
 
-    def train(self, dataset: StratifiedDataset) -> ScoringRule:
-        n1, n2, p = dataset.n1, dataset.n2, dataset.p
-        if n1 + n2 < 3:
+    def _directions(self, scatter, total, diff) -> np.ndarray:
+        """Solutions of (scatter / (total - 2) + ridge I) w = diff, one per
+        leading index of ``scatter`` ((..., p, p), overwritten) and ``diff``
+        ((..., p)); ``total`` is the observation count of each fit."""
+        total = np.asarray(total, dtype=float)
+        p = diff.shape[-1]
+        if np.any(total < 3):
             raise EstimationError("lda needs at least three observations")
-        if self.ridge == 0.0 and n1 + n2 - 2 < p:
+        if self.ridge == 0.0 and np.any(total - 2 < p):
             raise EstimationError("pooled covariance is singular; set a ridge")
+        scatter /= (total - 2.0)[..., None, None]
+        scatter += self.ridge * np.eye(p)
+        try:
+            directions = np.linalg.solve(scatter, diff[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise EstimationError(f"singular pooled covariance: {exc}") from exc
+        if not np.all(np.isfinite(directions)):
+            raise EstimationError("lda produced non-finite coefficients")
+        return directions
+
+    def train(self, dataset: StratifiedDataset) -> ScoringRule:
         m1 = dataset.class1.mean(axis=0)
         m2 = dataset.class2.mean(axis=0)
         c1 = dataset.class1 - m1
         c2 = dataset.class2 - m2
-        cov = (c1.T @ c1 + c2.T @ c2) / (n1 + n2 - 2) + self.ridge * np.eye(p)
-        try:
-            w = np.linalg.solve(cov, m2 - m1)
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError(f"singular pooled covariance: {exc}") from exc
-        if not np.all(np.isfinite(w)):
-            raise EstimationError("lda produced non-finite coefficients")
+        w = self._directions(c1.T @ c1 + c2.T @ c2, dataset.n, m2 - m1)
         return LinearScoringRule(w, -float(w @ (m1 + m2)) / 2.0)
 
     def weighted_scores(self, X, labels, counts, X_eval) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         counts = np.asarray(counts, dtype=float)
         n1, n2, mean1, mean2 = _weighted_class_moments(X, labels, counts)
-        total = counts.sum(axis=1)
-        if np.any(total < 3):
-            raise EstimationError("lda needs at least three observations")
         # One (B, p, p) buffer updated in place: second moments, scatter, covariance.
         # The second moments are one GEMM: counts (B, n) @ outer products (n, p*p).
         # Each class's n_k m_k m_k^T is subtracted one row of p at a time, as
@@ -208,14 +222,7 @@ class LdaTrainer(Trainer):
             scaled = size[:, None] * mean
             for i in range(p):
                 cov[:, i, :] -= scaled[:, i, None] * mean
-        cov /= (total - 2.0)[:, None, None]
-        cov += self.ridge * np.eye(p)
-        try:
-            directions = np.linalg.solve(cov, (mean2 - mean1)[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise EstimationError(f"singular pooled covariance: {exc}") from exc
-        if not np.all(np.isfinite(directions)):
-            raise EstimationError("lda produced non-finite coefficients")
+        directions = self._directions(cov, counts.sum(axis=1), mean2 - mean1)
         return _linear_batch_scores(directions, mean1, mean2, np.asarray(X_eval, dtype=float))
 
 
@@ -466,8 +473,6 @@ def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
         raise EstimationError(
             f"{aborted}/{config.trials} trials aborted (more than 1%)"
         )
-    if len(triples) < 2:
-        raise EstimationError("fewer than two usable trials")
     arr = np.array(triples, dtype=float)
     reports = [
         analysis.decompose(analysis.PairedPerformanceSample(s=arr[:, 0], s_hat=values))
@@ -521,10 +526,12 @@ def run_ratio_curve(
     The (n1, seed) units are independent, and run across the CPUs this
     process may use, in a process pool with OpenBLAS held to one thread per
     worker (see :func:`_map_units`); they run inline where there is one
-    CPU, one unit, or no OpenBLAS thread control.  Results are merged in
-    unit order (grid, then seeds), so every mean sees the same floats in
-    the same order either way.  The first failing unit in that order raises
-    its own exception.
+    CPU, one unit, or no OpenBLAS thread control.  Each n1's units are read
+    when its turn comes, in unit order (grid, then seeds), into one
+    (seeds, 2) array, and each variant's mean is taken over its own column,
+    so every mean sees the same floats in the same order either way.  The
+    first failing unit in that order raises its own exception, unless an
+    earlier n1's pooled mean is zero, which raises first.
     """
     n1_grid = list(n1_grid)
     seeds = list(seeds)
@@ -544,19 +551,11 @@ def run_ratio_curve(
         ))
         return values.pick(Variant.POOLED)[0], values.pick(Variant.PARTITIONED)[0]
 
-    return _ratio_points(n1_grid, len(seeds), model, _map_units(unit, len(units)))
-
-
-def _ratio_points(n1_grid, n_seeds: int, model: SamplingModel, results) -> list[RatioPoint]:
-    """The curve from the units' (pooled, partitioned) values, read in unit order."""
+    results = _map_units(unit, len(units))
     points = []
     for n1 in n1_grid:
-        pooled_values = np.empty(n_seeds, dtype=float)
-        partitioned_values = np.empty(n_seeds, dtype=float)
-        for idx in range(n_seeds):
-            pooled_values[idx], partitioned_values[idx] = next(results)
-        pooled_mean = float(pooled_values.mean())
-        partitioned_mean = float(partitioned_values.mean())
+        values = np.array([next(results) for _ in seeds], dtype=float)
+        pooled_mean, partitioned_mean = (float(column.mean()) for column in values.T)
         if pooled_mean == 0.0:
             raise EstimationError(f"n1={n1}: pooled error mean is zero, ratio undefined")
         points.append(

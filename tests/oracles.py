@@ -5,14 +5,21 @@ transcription of its definition: a scalar rank kernel, sums over the exact
 out-of-bag pmf, the decomposition residual, the enumerated B -> infinity
 limits of the leave-one-out bootstrap variants, the AUC pair sums from masked
 float kernel cells, the one-class rule on dense task weights, and the
-one-class redraw replicate by replicate.
+one-class redraw replicate by replicate.  One probe measures rather than
+computes: the peak memory of a script run in a fresh interpreter, read from
+the child's own ``VmHWM``.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
+import cvlab
 from cvlab.analysis import PairedPerformanceSample, decompose
 from cvlab.combinatorics import pmf_unseen_count
 from cvlab.core import DomainError
@@ -150,3 +157,28 @@ def redraw_one_class_rows(
         else:
             raise EstimationError(f"replicate {b}: still one-class after {max_retries} redraws")
     return counts
+
+
+def fresh_process_peak(script: str) -> tuple[int, str]:
+    """(peak KiB, stdout) of ``script`` run in a fresh interpreter with the
+    ``cvlab`` source on its path.
+
+    The peak is the child's own VmHWM, read from ``/proc/self/status`` after
+    the script and printed last (Linux only).  ``ru_maxrss`` would not do: on
+    Linux a child's ru_maxrss after exec also holds the peak of the process
+    that spawned it, so under pytest it can read pytest's own peak.
+    """
+    probe = (
+        "\nwith open('/proc/self/status') as _status:\n"
+        "    print(next(line.split()[1] for line in _status if line.startswith('VmHWM:')))\n"
+    )
+    src = str(Path(cvlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script + probe], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    if proc.returncode:
+        raise RuntimeError(f"script failed:\n{proc.stderr}")
+    out, peak = proc.stdout.rstrip("\n").rpartition("\n")[::2]
+    return int(peak), out

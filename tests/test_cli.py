@@ -100,6 +100,29 @@ class TestEstimate:
         assert cli.main(["estimate", str(config)]) == 2
         assert "needs 'seed'" in capsys.readouterr().err
 
+    def test_cvn_reduced_variant_exits_2_and_writes_nothing(self, tmp_path, dataset_csv, capsys):
+        out = tmp_path / "cvn.json"
+        config = write_config(
+            tmp_path,
+            "cvn-reduced.ini",
+            f"""
+[estimator]
+version = CVN
+variant = reduced
+metric = auc
+
+[trainer]
+id = nearest-mean
+
+[io]
+dataset = {dataset_csv}
+out_json = {out}
+""",
+        )
+        assert cli.main(["estimate", str(config)]) == 2
+        assert "auc_cvn does not take 'variant'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_estimation_failure_exits_3(self, tmp_path, dataset_csv):
         # ridgeless LDA on 1-D six points: leave-one-out can produce a
         # zero-variance class pair... use a singular setting instead

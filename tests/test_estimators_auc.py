@@ -5,11 +5,6 @@ replicates that call ``trainer.train`` on materialized subsets and average
 the rank kernel by hand.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,7 +37,7 @@ from cvlab.resampling import (
     repeated_partitions,
 )
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
-from oracles import float_pair_sums, mw_kernel
+from oracles import float_pair_sums, fresh_process_peak, mw_kernel
 
 
 class ConstantScoreTrainer(Trainer):
@@ -391,6 +386,8 @@ class TestAucLpobs:
 
 class TestPairBlocks:
     def test_one_task_per_block_gives_identical_values(self, monkeypatch):
+        """With TASK_TILE_CELLS = 1 every training tile and every pair block
+        holds one task."""
         trainer = LdaTrainer(1e-6)
         calls = [
             lambda: auc_cvn(FOUR_BY_FOUR, trainer),
@@ -405,7 +402,7 @@ class TestPairBlocks:
             lambda: auc_lpobs(OVERLAP, trainer, 30, 2, variant=Variant.PARTITIONED),
         ]
         default = [call() for call in calls]
-        monkeypatch.setattr(estimators, "AUC_BLOCK_CELLS", 1)
+        monkeypatch.setattr(estimators, "TASK_TILE_CELLS", 1)
         blocked = [call() for call in calls]
         for a, b in zip(default, blocked):
             assert repr(a.value) == repr(b.value)
@@ -431,13 +428,13 @@ class TestPairSums:
     """The doubled integer kernel with padding gives the masked float cells'
     sums exactly, block by block."""
 
-    @pytest.mark.parametrize("block_cells", [1, estimators.AUC_BLOCK_CELLS])
+    @pytest.mark.parametrize("block_cells", [1, estimators.TASK_TILE_CELLS])
     @given(scores_and_test_masks(), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_matches_float_cell_oracle(self, block_cells, case, pooled):
         scores, test, n1 = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(estimators, "AUC_BLOCK_CELLS", block_cells)
+            patch.setattr(estimators, "TASK_TILE_CELLS", block_cells)
             blocks = list(estimators._pair_sums(scores, test, n1, pooled))
         expected = list(float_pair_sums(scores, test, n1, block_cells))
         assert len(blocks) == len(expected)
@@ -455,7 +452,6 @@ class TestTileMemory:
         """Leave-pair-out CV at n1 = n2 = 200 trains 40000 tasks; its whole
         (task, observation) grid would peak near 600 MB, one tile near 50 MB."""
         script = (
-            "import resource\n"
             "import numpy as np\n"
             "from cvlab.core import StratifiedDataset\n"
             "from cvlab.estimators import auc_cvn\n"
@@ -463,15 +459,9 @@ class TestTileMemory:
             "rng = np.random.default_rng(0)\n"
             "ds = StratifiedDataset(rng.normal(0, 1, (200, 5)), rng.normal(0.5, 1, (200, 5)))\n"
             "auc_cvn(ds, LdaTrainer(1e-6))\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
-        src = str(Path(estimators.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) < 150 * 1024  # ru_maxrss is in KiB on Linux
+        peak_kib, _ = fresh_process_peak(script)
+        assert peak_kib < 150 * 1024
 
 
 class TestReportContract:

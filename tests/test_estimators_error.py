@@ -7,11 +7,6 @@ scoring path entirely.  The oracles share only the partition / replicate
 definitions with the code under test, since those define the estimand.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,7 +47,7 @@ from cvlab.resampling import (
     repeated_partitions,
 )
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
-from oracles import one_class_tasks, redraw_one_class_rows
+from oracles import fresh_process_peak, one_class_tasks, redraw_one_class_rows
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +416,7 @@ class TestLoobMemory:
     def test_peak_memory_stays_bounded_in_a_fresh_process(self):
         """LOOB error (LDA, p = 5) at n1 = n2 = 1000 and B = 10000: the whole
         (B, n) count matrix and its draw would peak near 340 MB, one tile's
-        draw near 50 MB.  The peak is the process's own VmHWM: on Linux,
-        ru_maxrss after exec also holds the peak of the process that spawned
-        it."""
+        draw near 50 MB."""
         script = (
             "import numpy as np\n"
             "from cvlab.core import StratifiedDataset\n"
@@ -431,19 +424,10 @@ class TestLoobMemory:
             "from cvlab.simlab import LdaTrainer\n"
             "rng = np.random.default_rng(0)\n"
             "ds = StratifiedDataset(rng.normal(0, 1, (1000, 5)), rng.normal(0.5, 1, (1000, 5)))\n"
-            "value = err_loob(ds, LdaTrainer(1e-6), 0.0, 10000, 3).value\n"
-            "with open('/proc/self/status') as status:\n"
-            "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
-            "print(peak, repr(value))\n"
+            "print(repr(err_loob(ds, LdaTrainer(1e-6), 0.0, 10000, 3).value))\n"
         )
-        src = str(Path(estimators.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        peak_kib, value = proc.stdout.split()
-        assert int(peak_kib) < 100 * 1024
+        peak_kib, value = fresh_process_peak(script)
+        assert peak_kib < 100 * 1024
         assert value == "0.28337732683932143"  # the value of one whole (B, n) draw
 
 
@@ -777,6 +761,67 @@ class TestUnsetParameters:
         with pytest.raises(DomainError) as caught:
             variant_values(EIGHT_POINT, NearestMeanTrainer(), cfg)
         assert str(caught.value) == f"{version.value} needs '{estimators._CONFIG_KEYS[field]}'"
+
+
+rng_twelve = np.random.default_rng(12)
+TWELVE_POINT = StratifiedDataset(rng_twelve.normal(0, 1, (6, 2)), rng_twelve.normal(0.7, 1, (6, 2)))
+
+# A value other than the default for each field an estimator takes; the
+# public functions take ``sampling`` as ``model``.
+RUN_FIELDS = {
+    "th": 0.25, "n_folds": 4, "n_folds1": 3, "n_folds2": 2, "repetitions": 3, "n_bootstrap": 9,
+    "seed": 7, "sampling": SamplingModel.UNORDERED_MULTISET, "strict": True,
+}
+RUN_CASES = [
+    (metric, version, name, variant)
+    for (metric, version), (name, fields) in estimators._DISPATCH.items()
+    for variant in (tuple(Variant) if "variant" in fields.split() else (Variant.POOLED,))
+]
+
+
+def report_outcome(call):
+    """(value, excluded count, JSON dict) of ``call()``, or its exception's
+    type and message."""
+    try:
+        report = call()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return repr(report.value), report.excluded_count, report.to_json_dict()
+
+
+class TestRun:
+    """``run`` forwards every field its function takes and refuses the rest."""
+
+    @pytest.mark.parametrize("metric, version, name, variant", RUN_CASES,
+                             ids=[f"{c[2]}-{c[3].value}" for c in RUN_CASES])
+    def test_matches_the_public_function(self, metric, version, name, variant):
+        fields = [f for f in estimators._DISPATCH[metric, version][1].split() if f != "variant"]
+        given = {f: RUN_FIELDS[f] for f in fields}
+        if variant is not Variant.POOLED:
+            given["variant"] = variant
+        cfg = EstimatorConfig(version, metric, **given)
+        kwargs = {"model" if f == "sampling" else f: v for f, v in given.items()}
+        trainer = NearestMeanTrainer()
+        want = report_outcome(lambda: getattr(estimators, name)(TWELVE_POINT, trainer, **kwargs))
+        assert report_outcome(lambda: estimators.run(TWELVE_POINT, trainer, cfg)) == want
+
+    @pytest.mark.parametrize("metric, version, field, value", [
+        (Metric.ERROR, Version.CVN, "variant", Variant.PARTITIONED),
+        (Metric.AUC, Version.CVN, "variant", Variant.REDUCED),
+        (Metric.ERROR, Version.CVN, "strict", True),
+        (Metric.AUC, Version.CVN, "strict", True),
+        (Metric.ERROR, Version.CVK, "strict", True),
+        (Metric.AUC, Version.CVK, "strict", True),
+        (Metric.ERROR, Version.CVKR, "strict", True),
+        (Metric.AUC, Version.CVKR, "strict", True),
+    ])
+    def test_refuses_a_field_its_function_does_not_take(self, metric, version, field, value):
+        cfg = EstimatorConfig(version, metric, n_folds=2, n_folds1=2, n_folds2=2, repetitions=1,
+                              seed=0, **{field: value})
+        name = estimators._DISPATCH[metric, version][0]
+        with pytest.raises(DomainError) as caught:
+            estimators.run(TWELVE_POINT, NearestMeanTrainer(), cfg)
+        assert str(caught.value) == f"{name} does not take '{field}'"
 
 
 def divisor_of(n):

@@ -6,8 +6,9 @@ annotation, a string annotation, a decorator, a default) or lists it in
 ``__all__``.  ``from __future__`` imports and import statements carrying a
 ``# noqa`` comment are exempt.
 
-Every public top-level function or class in ``src/cvlab/`` must be referenced
-from ``src/cvlab/`` outside its own definition, or be listed in
+Every public top-level name in ``src/cvlab/`` (a function, a class or an
+assigned name such as a constant) must be referenced from ``src/cvlab/``
+outside its own definition, or be listed in
 ``UNREFERENCED_ALLOWED`` with the reason it stays.  A reference is a name, an
 attribute, an imported name or a string that is exactly the identifier (as
 ``estimators._DISPATCH`` names the estimators); a symbol only tests use has to
@@ -169,11 +170,10 @@ def _unreferenced(sources: dict[str, str], wanted) -> list[str]:
 
 
 def unreferenced_symbols(sources: dict[str, str]) -> list[str]:
-    """"module.name" of each public top-level function or class of ``sources``
-    ({module: source}) that no top-level statement but its own refers to."""
-    return _unreferenced(
-        sources, lambda node, name: isinstance(node, DEFINITIONS) and not name.startswith("_")
-    )
+    """"module.name" of each public top-level name of ``sources`` ({module:
+    source}), a function, a class or an assigned name, that no top-level
+    statement but its own refers to."""
+    return _unreferenced(sources, lambda node, name: not name.startswith("_"))
 
 
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
@@ -200,9 +200,16 @@ class TestUnreferencedSymbols:
             ({"a": "def f(): pass\ndef g():\n    return f()\n"}, ["a.g"]),
             ({"a": "def f(): pass\n", "b": "from a import f\n"}, []),
             ({"a": "def f(): pass\n", "b": "import a\na.f()\n"}, []),
-            ({"a": "def f(): pass\nTABLE = {'key': 'f'}\n"}, []),
-            ({"a": "def f(): pass\nDOC = 'calls f once'\n"}, ["a.f"]),
+            ({"a": "def f(): pass\nTABLE = {'key': 'f'}\n"}, ["a.TABLE"]),
+            ({"a": "def f(): pass\nDOC = 'calls f once'\n"}, ["a.DOC", "a.f"]),
             ({"a": "def _g():\n    def h(): pass\n    return h\n"}, []),
+            ({"a": "X = 1\n"}, ["a.X"]),
+            ({"a": "X: int = 1\n"}, ["a.X"]),
+            ({"a": "A, B = 1, 2\nprint(A)\n"}, ["a.B"]),
+            ({"a": "X = 1\ndef _f():\n    return X\n"}, []),
+            ({"a": "X = 1\n", "b": "from a import X\n"}, []),
+            ({"a": "X = 1\n", "b": "import a\na.X\n"}, []),
+            ({"a": "_X = 1\n__all__ = []\n"}, []),
         ],
     )
     def test_checker(self, sources, want):

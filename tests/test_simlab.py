@@ -187,6 +187,60 @@ class TestWeightedBatchHook:
             np.testing.assert_allclose(batch[r], rule.score_many(X), atol=1e-9)
 
 
+class UnbatchedLda(Trainer):
+    """Ridgeless LDA without ``weighted_scores``: tasks are trained one by one."""
+
+    name = "unbatched-lda"
+
+    def train(self, dataset):
+        return LdaTrainer().train(dataset)
+
+
+def _two_normal(n, p, seed):
+    rng = np.random.default_rng(seed)
+    return StratifiedDataset(rng.normal(0, 1, (n, p)), rng.normal(0.5, 1, (n, p)))
+
+
+class TestLdaFitRule:
+    """``train`` and the batched ``weighted_scores`` refuse the same fits."""
+
+    SINGULAR = "pooled covariance is singular; set a ridge"
+
+    @pytest.mark.parametrize("estimate", [
+        lambda ds, trainer: estimators.err_loob(ds, trainer, 0.0, 50, 1),
+        lambda ds, trainer: estimators.auc_cvk(ds, trainer, 2, 2),
+        lambda ds, trainer: estimators.auc_lpobs(ds, trainer, 50, 1),
+    ], ids=["err_loob", "auc_cvk", "auc_lpobs"])
+    def test_both_paths_refuse_a_ridgeless_fit_below_p_plus_two(self, estimate):
+        ds = _two_normal(6, 20, 0)
+        with pytest.raises(EstimationError) as batched:
+            estimate(ds, LdaTrainer())
+        assert str(batched.value) == self.SINGULAR
+        with pytest.raises(EstimationError) as unbatched:
+            estimate(ds, UnbatchedLda())
+        assert str(unbatched.value).endswith(f": {self.SINGULAR}")
+
+    def test_weighted_scores_refuses_what_train_refuses(self):
+        ds = _two_normal(3, 5, 1)  # 6 observations, 6 - 2 < 5
+        X, labels = ds.pooled()
+        with pytest.raises(EstimationError, match=self.SINGULAR):
+            LdaTrainer().train(ds)
+        with pytest.raises(EstimationError, match=self.SINGULAR):
+            LdaTrainer().weighted_scores(X, labels, np.ones((1, ds.n)), X)
+        # a ridge lifts the rule on both paths
+        LdaTrainer(1e-3).train(ds)
+        LdaTrainer(1e-3).weighted_scores(X, labels, np.ones((1, ds.n)), X)
+
+    def test_both_paths_fit_at_p_plus_two(self):
+        ds = _two_normal(3, 4, 2)  # 6 observations, 6 - 2 == 4
+        X, labels = ds.pooled()
+        batch = LdaTrainer().weighted_scores(X, labels, np.ones((1, ds.n)), X)
+        np.testing.assert_allclose(batch[0], LdaTrainer().train(ds).score_many(X), atol=1e-9)
+        folds = _two_normal(6, 4, 3)  # each K1 = K2 = 2 fold task trains on 6 of 12
+        batched = estimators.auc_cvk(folds, LdaTrainer(), 2, 2).value
+        assert batched == estimators.auc_cvk(folds, UnbatchedLda(), 2, 2).value
+
+
 class TestTrainerRegistry:
     def test_lookup(self):
         assert trainer_from_id("nearest-mean", {}).name == "nearest-mean"
