@@ -126,9 +126,10 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
 # before a handler starts, so a missing required key exits 2 with nothing run
 # or written.  Each [estimator] key names an EstimatorConfig field
 # (``estimators._CONFIG_KEYS`` maps the ones spelled differently), and
-# ``estimators.variant_values`` rejects a missing size or seed.  A campaign
-# derives each trial's estimator seed, so only ``estimate`` takes [estimator]
-# seed.
+# EstimatorConfig checks every estimator rule when the handler builds it,
+# before any data is read or trial run; ``estimators.variant_values`` rejects
+# a missing seed.  A campaign derives each trial's estimator seed, so only
+# ``estimate`` takes [estimator] seed.
 _ESTIMATOR_KEYS = {
     "version": "version", "variant": "variant?", "metric": "metric",
     "th": "float?", "K": "int?", "K1": "int?", "K2": "int?", "M": "int?",

@@ -92,13 +92,15 @@ only when a score sits on the threshold or on another score; that is why the
 tile size is a constant and the tiles are aligned to task 0.
 
 The ten public ``err_*`` / ``auc_*`` functions are thin wrappers: each builds
-an :class:`EstimatorConfig` and hands it to :func:`variant_values`, which
-checks it (an unset size or seed, then the bounds) and computes both
-variants, and to ``_run``, which asks for the pooled variant only when it
-reports it, picks the requested one and echoes the config.  :func:`run`
-refuses a variant or strict setting that the version's function does not
-take, then dispatches: it looks the public name up at call time, so a tracer
-that rebinds an estimator in this module also sees the calls ``run`` makes.
+an :class:`EstimatorConfig`, which checks every config rule as it is made,
+so a bad config is refused before any resampling or training.  ``_run``
+hands it to :func:`variant_values`, which checks only what a config cannot
+(an unset seed, which campaigns set per trial, and AUC class sizes) and
+computes both variants, asking for the pooled one only when it is reported;
+``_run`` then picks the requested variant and echoes the config.
+:func:`run` only dispatches: it looks the public name up at call time, so a
+tracer that rebinds an estimator in this module also sees the calls ``run``
+makes.
 """
 
 from __future__ import annotations
@@ -269,18 +271,18 @@ class VariantValues:
     unit: str
 
     def pick(self, variant: Variant, strict: bool = False) -> tuple[float, int]:
-        """(value, excluded count) of ``variant``; raises where it is undefined."""
+        """(value, excluded count) of ``variant``: the pooled value, or else the
+        partitioned one (the reduced variant is partitioned over its diagonal
+        tasks).  Raises where no unit or task was tested."""
         if variant is Variant.POOLED:
             if strict and self.uncovered:
                 raise CoverageError(f"{self.uncovered} {self.unit}(s) never tested")
             if self.pooled is None:
                 raise EstimationError(f"no {self.unit} was ever tested")
             return self.pooled, self.uncovered
-        if variant is Variant.PARTITIONED:
-            if self.partitioned is None:
-                raise EstimationError(f"no task tested any {self.unit}")
-            return self.partitioned, self.skipped
-        raise DomainError(f"variant {variant.value} not defined for this estimator")
+        if self.partitioned is None:
+            raise EstimationError(f"no task tested any {self.unit}")
+        return self.partitioned, self.skipped
 
 
 def _ratio_of_sums(sums: Iterable[tuple], tasks_per_run: int, unit: str,
@@ -467,7 +469,18 @@ def _redraw_one_class_rows(counts: np.ndarray, labels, model: SamplingModel, see
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Everything needed to run one estimator; the CLI parses into this."""
+    """Everything needed to run one estimator; the CLI parses into this.
+
+    Every config rule is checked here, when the config is made, in this
+    order, each a :class:`DomainError`: ``th`` is finite; a variant or strict
+    other than its default, where the version's function does not take it
+    (CVN's variant; strict on CVN, CVK and CVKR), names that key; a size the
+    version takes (K, or K1 and K2, M, B) is set; the bounds K >= 2, M >= 1
+    and B >= 1 hold; the reduced variant has K1 == K2; and reduced is asked
+    only of AUC CVK.  Fields the version does not take are not checked.  The
+    seed may be left unset here (a campaign sets it per trial);
+    :func:`variant_values` demands it.
+    """
 
     version: Version
     metric: Metric
@@ -485,6 +498,27 @@ class EstimatorConfig:
     def __post_init__(self):
         if not math.isfinite(self.th):
             raise DomainError("th must be finite")
+        name, fields = _DISPATCH[self.metric, self.version]
+        fields = fields.split()
+        for field in ("variant", "strict"):
+            if field not in fields and getattr(self, field) != getattr(EstimatorConfig, field):
+                raise DomainError(f"{name} does not take '{field}'")
+        sizes = [f for f in fields if f in _CONFIG_KEYS and f != "seed"]
+        for field in sizes:
+            if getattr(self, field) is None:
+                raise DomainError(f"{self.version.value} needs '{_CONFIG_KEYS[field]}'")
+        folds = [f for f in sizes if f.startswith("n_folds")]
+        if "n_bootstrap" in sizes and self.n_bootstrap < 1:
+            raise DomainError(f"{name} requires B >= 1")
+        if any(getattr(self, f) < 2 for f in folds):
+            bounds = " and ".join(f"{_CONFIG_KEYS[f]} >= 2" for f in folds)
+            raise DomainError(f"{name} requires {bounds}")
+        if "repetitions" in sizes and self.repetitions < 1:
+            raise DomainError(f"{name} requires M >= 1")
+        if self.reduced and self.n_folds1 != self.n_folds2:
+            raise DomainError("reduced variant requires K1 == K2")
+        if self.variant is Variant.REDUCED and not self.reduced:
+            raise DomainError("variant reduced not defined for this estimator")
 
     @property
     def reduced(self) -> bool:
@@ -494,8 +528,9 @@ class EstimatorConfig:
         )
 
 
-# Config field -> its [estimator] key, for the fields that ``variant_values``
-# demands of the versions that take them; every other field is its own key.
+# Config field -> its [estimator] key, for the sizes that ``EstimatorConfig``
+# and the seed that ``variant_values`` demand of the versions that take them;
+# every other field is its own key.
 _CONFIG_KEYS = {
     "n_folds": "K", "n_folds1": "K1", "n_folds2": "K2", "repetitions": "M", "n_bootstrap": "B",
     "seed": "seed",
@@ -531,8 +566,10 @@ def variant_values(
     With ``pooled`` False only the partitioned variant is computed, and the
     pooled one is None.
 
-    A size or seed the version takes but ``cfg`` leaves unset is a
-    :class:`DomainError` naming its config key, raised before any bound.
+    ``cfg`` was checked when it was made; what it cannot check is checked
+    here, before any resampling: an unset seed the version takes is a
+    :class:`DomainError` naming its config key, as is an AUC dataset with
+    n1 < 2 or n2 < 2.
     The estimator resamples parts: the pooled observations for error; class 1
     and class 2 for AUC, each from the derived seed ``derive_seed(seed,
     "classC")``.  LOOB draws B replicate counts per part, tile by tile from
@@ -543,26 +580,14 @@ def variant_values(
     fold grid, class-1 fold major; CVKM tests fold 1 of each part only, and
     the reduced CVK AUC variant the diagonal fold pairs.
     """
-    name, fields = _DISPATCH[cfg.metric, cfg.version]
-    for field in fields.split():
-        if field in _CONFIG_KEYS and getattr(cfg, field) is None:
-            raise DomainError(f"{cfg.version.value} needs '{_CONFIG_KEYS[field]}'")
+    if "seed" in _DISPATCH[cfg.metric, cfg.version][1].split() and cfg.seed is None:
+        raise DomainError(f"{cfg.version.value} needs 'seed'")
     auc = cfg.metric is Metric.AUC
     if auc and (dataset.n1 < 2 or dataset.n2 < 2):
         raise DomainError("AUC estimators require n1 >= 2 and n2 >= 2")
     sizes = (dataset.n1, dataset.n2) if auc else (dataset.n,)
-    fold_fields = ("n_folds1", "n_folds2") if auc else ("n_folds",)
-    ks = tuple(getattr(cfg, f) for f in fold_fields)
-    if cfg.version is Version.LOOB:
-        if cfg.n_bootstrap < 1:
-            raise DomainError(f"{name} requires B >= 1")
-    elif cfg.version is Version.CVN:
-        ks = sizes
-    elif min(ks) < 2:
-        bounds = " and ".join(f"{_CONFIG_KEYS[f]} >= 2" for f in fold_fields)
-        raise DomainError(f"{name} requires {bounds}")
-    if cfg.version in (Version.CVKR, Version.CVKM) and cfg.repetitions < 1:
-        raise DomainError(f"{name} requires M >= 1")
+    ks = sizes if cfg.version is Version.CVN else (
+        (cfg.n_folds1, cfg.n_folds2) if auc else (cfg.n_folds,))
 
     def part_seed(c):
         return derive_seed(cfg.seed, f"class{c + 1}") if auc else cfg.seed
@@ -590,21 +615,17 @@ def variant_values(
             repeated_partitions(n, k, cfg.repetitions, part_seed(c))
             for c, (n, k) in enumerate(zip(sizes, ks))
         ]
-    if cfg.reduced and ks[0] != ks[1]:
-        raise DomainError("reduced variant requires K1 == K2")
     grid = (1,) * len(ks) if cfg.version is Version.CVKM else ks[:1] if cfg.reduced else ks
     folds = [a.ravel() + 1 for a in np.indices(grid)] * (2 if cfg.reduced else 1)
     return _fold_tasks(dataset, trainer, cfg.metric, maps, folds, cfg.th, pooled)
 
 
 def _run(dataset, trainer, cfg: EstimatorConfig, perms=None) -> EstimatorReport:
-    """The report of ``cfg``'s variant (the reduced one is partitioned over the
-    diagonal tasks), echoing the dataset sizes, the trainer and the config
-    fields the public function takes, other than variant and strict.  The
-    pooled variant is computed only if it is the one reported."""
-    variant = Variant.PARTITIONED if cfg.reduced else cfg.variant
-    values = variant_values(dataset, trainer, cfg, perms, pooled=variant is Variant.POOLED)
-    value, excluded = values.pick(variant, cfg.strict)
+    """The report of ``cfg``'s variant, echoing the dataset sizes, the trainer
+    and the config fields the public function takes, other than variant and
+    strict.  The pooled variant is computed only if it is the one reported."""
+    values = variant_values(dataset, trainer, cfg, perms, pooled=cfg.variant is Variant.POOLED)
+    value, excluded = values.pick(cfg.variant, cfg.strict)
     echo = {"n1": dataset.n1, "n2": dataset.n2, "trainer": trainer.name}
     for field in _DISPATCH[cfg.metric, cfg.version][1].split():
         if field not in ("variant", "strict"):
@@ -806,17 +827,10 @@ def auc_lpobs(
 def run(dataset: StratifiedDataset, trainer: Trainer, cfg: EstimatorConfig) -> EstimatorReport:
     """Run the estimator selected by ``cfg`` on ``dataset``.
 
-    A ``variant`` or ``strict`` that differs from its :class:`EstimatorConfig`
-    default, where the version's function does not take that field (CVN's
-    variant; strict on CVN, CVK and CVKR), is a :class:`DomainError` naming
-    the key: it would otherwise be dropped silently.  Calls the public
-    function by its name, looked up at call time, so that rebinding an
-    estimator in this module (as a tracer does) reroutes ``run``.  Its other
-    config checks are those of :func:`variant_values`.
+    Holds no check: :class:`EstimatorConfig` checked ``cfg`` when it was
+    made.  Calls the public function by its name, looked up at call time, so
+    that rebinding an estimator in this module (as a tracer does) reroutes
+    ``run``.
     """
     name, fields = _DISPATCH[cfg.metric, cfg.version]
-    fields = fields.split()
-    for field in ("variant", "strict"):
-        if field not in fields and getattr(cfg, field) != getattr(EstimatorConfig, field):
-            raise DomainError(f"{name} does not take '{field}'")
-    return globals()[name](dataset, trainer, *(getattr(cfg, f) for f in fields))
+    return globals()[name](dataset, trainer, *(getattr(cfg, f) for f in fields.split()))

@@ -284,6 +284,33 @@ class TestSimulate:
         assert cli.main(["simulate", str(config)]) == 0
 
 
+class CampaignStarted(Exception):
+    """Raised by the stand-in for ``simlab.run_weak_correlation``."""
+
+
+class TestSimulateConfigErrors:
+    """A bad [estimator] section is refused before any trial runs."""
+
+    @pytest.mark.parametrize("estimator, message", [
+        ("version = CVN\nvariant = partitioned\nmetric = error\n",
+         "err_cvn does not take 'variant'"),
+        ("version = CVKR\nvariant = reduced\nmetric = error\nK = 2\nM = 3\n",
+         "variant reduced not defined for this estimator"),
+        ("version = CVKM\nmetric = auc\nM = 3\n", "CVKM needs 'K1'"),
+    ], ids=["cvn-partitioned", "cvkr-reduced", "cvkm-no-k"])
+    def test_exits_2_without_a_trial(self, tmp_path, capsys, monkeypatch, estimator, message):
+        def campaign(*args, **kwargs):
+            raise CampaignStarted
+
+        monkeypatch.setattr(simlab, "run_weak_correlation", campaign)
+        out = tmp_path / "out"
+        paths = {k: out / f"{k}.csv" for k in ("table", "triples", "manifest")}
+        text = SIMULATE_TEMPLATE.format(**paths) + "\n[estimator]\n" + estimator
+        assert cli.main(["simulate", str(write_config(tmp_path, "sim.ini", text))]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRatioCurve:
     def test_smoke_and_determinism(self, tmp_path):
         out = tmp_path / "ratio.csv"

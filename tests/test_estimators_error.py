@@ -531,8 +531,8 @@ class TestErrorPaths:
          "auc_cvkr requires M >= 1"),
     ])
     def test_bounds_name_the_config_key(self, metric, sizes, message):
-        cfg = EstimatorConfig(Version.CVKR, metric, seed=0, **{"repetitions": 1, **sizes})
         with pytest.raises(DomainError) as caught:
+            cfg = EstimatorConfig(Version.CVKR, metric, seed=0, **{"repetitions": 1, **sizes})
             variant_values(EIGHT_POINT, NearestMeanTrainer(), cfg)
         assert str(caught.value) == message
 
@@ -611,11 +611,13 @@ class TestNonFiniteScores:
         assert str(caught.value) == f"trainer gave a non-finite score on {message}"
 
 
-# (metric, version, variant) for each variant ``_run`` can report
+# (metric, version, variant) for each variant ``_run`` can report: CVN takes
+# no variant, and only AUC CVK has the reduced one
 SWITCH_CASES = [
     (metric, version, variant)
     for metric, version in estimators._DISPATCH
     for variant in Variant
+    if variant is Variant.POOLED or version is not Version.CVN
     if variant is not Variant.REDUCED or (metric, version) == (Metric.AUC, Version.CVK)
 ]
 
@@ -757,10 +759,54 @@ class TestUnsetParameters:
     @pytest.mark.parametrize("metric, version, name, field", UNSET_CASES, ids=UNSET_IDS)
     def test_variant_values(self, metric, version, name, field):
         sizes = {"n_folds": 2, "n_folds1": 2, "n_folds2": 2, "repetitions": 1, "n_bootstrap": 1}
-        cfg = EstimatorConfig(version, metric, **{**sizes, "seed": 0, field: None})
         with pytest.raises(DomainError) as caught:
+            cfg = EstimatorConfig(version, metric, **{**sizes, "seed": 0, field: None})
             variant_values(EIGHT_POINT, NearestMeanTrainer(), cfg)
         assert str(caught.value) == f"{version.value} needs '{estimators._CONFIG_KEYS[field]}'"
+
+
+class CountingTrainer(Trainer):
+    """Nearest-mean without the batched hook, counting its trainings."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.tasks = 0
+
+    def train(self, dataset):
+        self.tasks += 1
+        return NearestMeanTrainer().train(dataset)
+
+
+class TestReducedIsAucCvkOnly:
+    """Only AUC CVK has a reduced variant; any other reduced config is refused
+    when it is made, so no task trains."""
+
+    @pytest.mark.parametrize("metric, version", [
+        key for key in estimators._DISPATCH if key != (Metric.AUC, Version.CVK)
+    ], ids=lambda v: v.value)
+    def test_config_refuses_it(self, metric, version):
+        name = estimators._DISPATCH[metric, version][0]
+        message = (f"{name} does not take 'variant'" if version is Version.CVN
+                   else "variant reduced not defined for this estimator")
+        with pytest.raises(DomainError) as caught:
+            EstimatorConfig(version, metric, Variant.REDUCED, n_folds=2, n_folds1=2, n_folds2=2,
+                            repetitions=1, n_bootstrap=1, seed=0)
+        assert str(caught.value) == message
+
+    CALLS = [
+        ("err_cvk", {}), ("err_cvkr", {"repetitions": 20}), ("err_cvkm", {"repetitions": 20}),
+        ("err_loob", {"n_bootstrap": 40}), ("auc_cvkr", {"repetitions": 20}),
+        ("auc_cvkm", {"repetitions": 20}), ("auc_lpobs", {"n_bootstrap": 40}),
+    ]
+
+    @pytest.mark.parametrize("name, sizes", CALLS, ids=[name for name, _ in CALLS])
+    def test_public_function_trains_nothing(self, name, sizes):
+        trainer = CountingTrainer()
+        with pytest.raises(DomainError) as caught:
+            getattr(estimators, name)(EIGHT_POINT, trainer, variant=Variant.REDUCED, **sizes)
+        assert str(caught.value) == "variant reduced not defined for this estimator"
+        assert trainer.tasks == 0
 
 
 rng_twelve = np.random.default_rng(12)
@@ -799,11 +845,12 @@ class TestRun:
         given = {f: RUN_FIELDS[f] for f in fields}
         if variant is not Variant.POOLED:
             given["variant"] = variant
-        cfg = EstimatorConfig(version, metric, **given)
         kwargs = {"model" if f == "sampling" else f: v for f, v in given.items()}
         trainer = NearestMeanTrainer()
         want = report_outcome(lambda: getattr(estimators, name)(TWELVE_POINT, trainer, **kwargs))
-        assert report_outcome(lambda: estimators.run(TWELVE_POINT, trainer, cfg)) == want
+        got = report_outcome(
+            lambda: estimators.run(TWELVE_POINT, trainer, EstimatorConfig(version, metric, **given)))
+        assert got == want
 
     @pytest.mark.parametrize("metric, version, field, value", [
         (Metric.ERROR, Version.CVN, "variant", Variant.PARTITIONED),
@@ -816,10 +863,10 @@ class TestRun:
         (Metric.AUC, Version.CVKR, "strict", True),
     ])
     def test_refuses_a_field_its_function_does_not_take(self, metric, version, field, value):
-        cfg = EstimatorConfig(version, metric, n_folds=2, n_folds1=2, n_folds2=2, repetitions=1,
-                              seed=0, **{field: value})
         name = estimators._DISPATCH[metric, version][0]
         with pytest.raises(DomainError) as caught:
+            cfg = EstimatorConfig(version, metric, n_folds=2, n_folds1=2, n_folds2=2,
+                                  repetitions=1, seed=0, **{field: value})
             estimators.run(TWELVE_POINT, NearestMeanTrainer(), cfg)
         assert str(caught.value) == f"{name} does not take '{field}'"
 
