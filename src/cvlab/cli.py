@@ -6,10 +6,14 @@ headers and ``key = value`` lines.  ``_SCHEMAS`` is the whole input contract:
 :func:`main` validates the config against it once, before any handler runs,
 and hands each handler the validated sections.  Unknown sections or keys, bad
 values and missing required keys are thus all rejected before any work, so
-such a config exits 2 with nothing run or written.  A seed is mandatory for
-any randomized run.  Outputs are written atomically (temp file + rename) so
-re-running a config overwrites rather than appends, and a fixed seed
-reproduces every output byte for byte.
+such a config exits 2 with nothing run or written.  A handler then builds its
+estimator config, trainer and campaign before it reads any data or runs any
+trial or unit, and they refuse a key the chosen estimator version or trainer
+does not take and sizes the estimator cannot run on: every input is used or
+refused before any work.  A seed is mandatory for any randomized run.
+Outputs are written atomically (temp file + rename) so re-running a config
+overwrites rather than appends, and a fixed seed reproduces every output
+byte for byte.
 
 Exit codes: 0 success, 1 when ``verify`` finds an identity that fails,
 2 configuration or input error, 3 estimation error.
@@ -127,9 +131,11 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
 # or written.  Each [estimator] key names an EstimatorConfig field
 # (``estimators._CONFIG_KEYS`` maps the ones spelled differently), and
 # EstimatorConfig checks every estimator rule when the handler builds it,
-# before any data is read or trial run; ``estimators.variant_values`` rejects
-# a missing seed.  A campaign derives each trial's estimator seed, so only
-# ``estimate`` takes [estimator] seed.
+# before any data is read or trial run, refusing a key its version does not
+# take; ``estimators.variant_values`` rejects a missing seed.  A campaign
+# derives each trial's estimator seed, so only ``estimate`` takes [estimator]
+# seed.  The [trainer] keys other than id are keywords of the trainer class,
+# and ``simlab.trainer_from_id`` refuses one it does not take.
 _ESTIMATOR_KEYS = {
     "version": "version", "variant": "variant?", "metric": "metric",
     "th": "float?", "K": "int?", "K1": "int?", "K2": "int?", "M": "int?",

@@ -92,12 +92,14 @@ only when a score sits on the threshold or on another score; that is why the
 tile size is a constant and the tiles are aligned to task 0.
 
 The ten public ``err_*`` / ``auc_*`` functions are thin wrappers: each builds
-an :class:`EstimatorConfig`, which checks every config rule as it is made,
-so a bad config is refused before any resampling or training.  ``_run``
-hands it to :func:`variant_values`, which checks only what a config cannot
-(an unset seed, which campaigns set per trial, and AUC class sizes) and
-computes both variants, asking for the pooled one only when it is reported;
-``_run`` then picks the requested variant and echoes the config.
+an :class:`EstimatorConfig`, which checks every config rule as it is made
+and refuses any field its version does not take, so a bad config is refused
+before any resampling or training.  ``_run`` hands it to
+:func:`variant_values`, which checks only what a config cannot (an unset
+seed, which campaigns set per trial, and the class sizes, through
+:func:`_checked_parts`, which a campaign also calls once before its first
+trial) and computes both variants, asking for the pooled one only when it is
+reported; ``_run`` then picks the requested variant and echoes the config.
 :func:`run` only dispatches: it looks the public name up at call time, so a
 tracer that rebinds an estimator in this module also sees the calls ``run``
 makes.
@@ -106,7 +108,7 @@ makes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -121,6 +123,7 @@ from cvlab.core import (
 )
 from cvlab.resampling import (
     SamplingModel,
+    _fold_size,
     bootstrap_counts_matrix,
     bootstrap_counts_rows,
     derive_rng,
@@ -472,14 +475,18 @@ class EstimatorConfig:
     """Everything needed to run one estimator; the CLI parses into this.
 
     Every config rule is checked here, when the config is made, in this
-    order, each a :class:`DomainError`: ``th`` is finite; a variant or strict
-    other than its default, where the version's function does not take it
-    (CVN's variant; strict on CVN, CVK and CVKR), names that key; a size the
-    version takes (K, or K1 and K2, M, B) is set; the bounds K >= 2, M >= 1
-    and B >= 1 hold; the reduced variant has K1 == K2; and reduced is asked
-    only of AUC CVK.  Fields the version does not take are not checked.  The
-    seed may be left unset here (a campaign sets it per trial);
-    :func:`variant_values` demands it.
+    order, each a :class:`DomainError`: ``th`` is finite; a field the
+    version's function does not take (see ``_DISPATCH``) is left at its
+    default, or else it is refused as ``<function> does not take '<key>'``,
+    with its [estimator] key; a size the version takes (K, or K1 and K2, M,
+    B) is set; the bounds K >= 2, M >= 1 and B >= 1 hold; the reduced variant
+    has K1 == K2; and reduced is asked only of AUC CVK.  So a config names
+    only what its version uses, with two exceptions.  A field set to its
+    default passes, as the config cannot tell it from one left out.  The seed
+    is never refused, since a campaign stamps one on every trial whatever the
+    version; it may also be left unset here, and :func:`variant_values`
+    demands it of the versions that take it.  The class sizes are checked by
+    :func:`_checked_parts`.
     """
 
     version: Version
@@ -498,12 +505,14 @@ class EstimatorConfig:
     def __post_init__(self):
         if not math.isfinite(self.th):
             raise DomainError("th must be finite")
-        name, fields = _DISPATCH[self.metric, self.version]
-        fields = fields.split()
-        for field in ("variant", "strict"):
-            if field not in fields and getattr(self, field) != getattr(EstimatorConfig, field):
-                raise DomainError(f"{name} does not take '{field}'")
-        sizes = [f for f in fields if f in _CONFIG_KEYS and f != "seed"]
+        name, taken = _DISPATCH[self.metric, self.version]
+        taken = taken.split()
+        exempt = {"version", "metric", "seed", *taken}
+        for field in fields(self):
+            if field.name not in exempt and getattr(self, field.name) != field.default:
+                key = _CONFIG_KEYS.get(field.name, field.name)
+                raise DomainError(f"{name} does not take '{key}'")
+        sizes = [f for f in taken if f in _CONFIG_KEYS and f != "seed"]
         for field in sizes:
             if getattr(self, field) is None:
                 raise DomainError(f"{self.version.value} needs '{_CONFIG_KEYS[field]}'")
@@ -530,7 +539,8 @@ class EstimatorConfig:
 
 # Config field -> its [estimator] key, for the sizes that ``EstimatorConfig``
 # and the seed that ``variant_values`` demand of the versions that take them;
-# every other field is its own key.
+# every other field is its own key.  The messages that name a refused field
+# or an unset size or seed spell it through this map.
 _CONFIG_KEYS = {
     "n_folds": "K", "n_folds1": "K1", "n_folds2": "K2", "repetitions": "M", "n_bootstrap": "B",
     "seed": "seed",
@@ -539,7 +549,8 @@ _CONFIG_KEYS = {
 
 # (metric, version) -> (estimator name, the config fields it takes after the
 # trainer, in order).  The fields other than variant and strict are echoed
-# in the report's config.
+# in the report's config.  ``EstimatorConfig`` refuses any other field, the
+# seed aside, that is set to other than its default.
 _DISPATCH = {
     (Metric.ERROR, Version.CVN): ("err_cvn", "th"),
     (Metric.ERROR, Version.CVK): ("err_cvk", "th n_folds variant"),
@@ -552,6 +563,31 @@ _DISPATCH = {
     (Metric.AUC, Version.CVKM): ("auc_cvkm", "n_folds1 n_folds2 repetitions seed variant strict"),
     (Metric.AUC, Version.LOOB): ("auc_lpobs", "n_bootstrap seed sampling variant strict"),
 }
+
+
+def _checked_parts(cfg: EstimatorConfig, n1: int, n2: int) -> tuple[tuple, tuple | None]:
+    """(part sizes, fold counts) of ``cfg`` on classes of n1 and n2
+    observations, after checking that the sizes suit it.
+
+    The parts are class 1 and class 2 for AUC, the n = n1 + n2 pooled
+    observations for error.  Each part's fold count is K (K1 and K2 for AUC),
+    or the part size for CVN; LOOB has none.  Refused, each a
+    :class:`DomainError`: an AUC estimator on n1 < 2 or n2 < 2, and a fold
+    count that does not divide its part, by the partition code's own check.
+    :func:`variant_values` calls this for each dataset; a campaign calls it
+    once for its spec, before its first trial.
+    """
+    auc = cfg.metric is Metric.AUC
+    if auc and (n1 < 2 or n2 < 2):
+        raise DomainError("AUC estimators require n1 >= 2 and n2 >= 2")
+    sizes = (n1, n2) if auc else (n1 + n2,)
+    if cfg.version is Version.LOOB:
+        return sizes, None
+    ks = sizes if cfg.version is Version.CVN else (
+        (cfg.n_folds1, cfg.n_folds2) if auc else (cfg.n_folds,))
+    for n, k in zip(sizes, ks):
+        _fold_size(n, k)
+    return sizes, ks
 
 
 def variant_values(
@@ -568,8 +604,8 @@ def variant_values(
 
     ``cfg`` was checked when it was made; what it cannot check is checked
     here, before any resampling: an unset seed the version takes is a
-    :class:`DomainError` naming its config key, as is an AUC dataset with
-    n1 < 2 or n2 < 2.
+    :class:`DomainError` naming its config key, and the dataset's class
+    sizes must suit ``cfg`` (see :func:`_checked_parts`).
     The estimator resamples parts: the pooled observations for error; class 1
     and class 2 for AUC, each from the derived seed ``derive_seed(seed,
     "classC")``.  LOOB draws B replicate counts per part, tile by tile from
@@ -583,11 +619,7 @@ def variant_values(
     if "seed" in _DISPATCH[cfg.metric, cfg.version][1].split() and cfg.seed is None:
         raise DomainError(f"{cfg.version.value} needs 'seed'")
     auc = cfg.metric is Metric.AUC
-    if auc and (dataset.n1 < 2 or dataset.n2 < 2):
-        raise DomainError("AUC estimators require n1 >= 2 and n2 >= 2")
-    sizes = (dataset.n1, dataset.n2) if auc else (dataset.n,)
-    ks = sizes if cfg.version is Version.CVN else (
-        (cfg.n_folds1, cfg.n_folds2) if auc else (cfg.n_folds,))
+    sizes, ks = _checked_parts(cfg, dataset.n1, dataset.n2)
 
     def part_seed(c):
         return derive_seed(cfg.seed, f"class{c + 1}") if auc else cfg.seed
@@ -832,5 +864,5 @@ def run(dataset: StratifiedDataset, trainer: Trainer, cfg: EstimatorConfig) -> E
     that rebinding an estimator in this module (as a tracer does) reroutes
     ``run``.
     """
-    name, fields = _DISPATCH[cfg.metric, cfg.version]
-    return globals()[name](dataset, trainer, *(getattr(cfg, f) for f in fields.split()))
+    name, taken = _DISPATCH[cfg.metric, cfg.version]
+    return globals()[name](dataset, trainer, *(getattr(cfg, f) for f in taken.split()))

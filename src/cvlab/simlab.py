@@ -45,6 +45,7 @@ operations.
 from __future__ import annotations
 
 import ctypes
+import inspect
 import math
 import os
 from dataclasses import dataclass, replace
@@ -172,9 +173,9 @@ class LdaTrainer(Trainer):
     """
 
     def __init__(self, ridge: float = 0.0):
-        if not 0 <= ridge < math.inf:
-            raise DomainError("ridge must be finite and >= 0")
         self.ridge = float(ridge)
+        if not 0 <= self.ridge < math.inf:
+            raise DomainError("ridge must be finite and >= 0")
 
     @property
     def name(self) -> str:
@@ -226,21 +227,26 @@ class LdaTrainer(Trainer):
         return _linear_batch_scores(directions, mean1, mean2, np.asarray(X_eval, dtype=float))
 
 
-_TRAINERS = {
-    "nearest-mean": lambda params: NearestMeanTrainer(),
-    "lda": lambda params: LdaTrainer(ridge=float(params.get("ridge", 0.0))),
-}
+_TRAINERS = {"nearest-mean": NearestMeanTrainer, "lda": LdaTrainer}
 
 
 def trainer_from_id(trainer_id: str, params: dict | None = None) -> Trainer:
-    """Look up a built-in trainer by identifier ('lda', 'nearest-mean')."""
+    """The built-in trainer ``trainer_id`` ('lda', 'nearest-mean'), made with
+    the keys of ``params`` other than ``id`` as keywords.  A key its class
+    does not take is a :class:`DomainError` naming it
+    (``nearest-mean does not take 'ridge'``), as is an unknown id."""
     try:
-        factory = _TRAINERS[trainer_id]
+        cls = _TRAINERS[trainer_id]
     except KeyError:
         raise DomainError(
             f"unknown trainer '{trainer_id}' (known: {sorted(_TRAINERS)})"
         ) from None
-    return factory(params or {})
+    kwargs = {k: v for k, v in (params or {}).items() if k != "id"}
+    taken = inspect.signature(cls).parameters
+    for key in kwargs:
+        if key not in taken:
+            raise DomainError(f"{trainer_id} does not take '{key}'")
+    return cls(**kwargs)
 
 
 def true_conditional_performance(
@@ -284,7 +290,12 @@ DEFAULT_ESTIMATOR = EstimatorConfig(
 
 @dataclass(frozen=True)
 class WeakCorrConfig:
-    """Configuration of one weak-correlation campaign."""
+    """Configuration of one weak-correlation campaign.
+
+    Checked when it is made, so a bad campaign is refused before its first
+    trial: the trial and test counts, and the spec's class sizes against the
+    estimator (``estimators._checked_parts``: AUC needs two of each class,
+    and a fold count must divide the observations it splits)."""
 
     spec: MultinormalSpec
     trials: int
@@ -298,6 +309,7 @@ class WeakCorrConfig:
             raise DomainError("trials must be >= 2")
         if self.test_per_class < 1:
             raise DomainError("test_per_class must be >= 1")
+        estimators._checked_parts(self.estimator, self.spec.n1, self.spec.n2)
 
 
 @dataclass(frozen=True)
@@ -498,11 +510,15 @@ class RatioPoint:
     model: SamplingModel
 
 
+def _ratio_curve_spec(n1: int) -> MultinormalSpec:
+    """The multinormal model at p = 1, delta = 1, with n1 points in each class."""
+    return MultinormalSpec(p=1, delta=1.0, n1=n1, n2=n1)
+
+
 def ratio_curve_dataset(n1: int, seed: int) -> StratifiedDataset:
     """One-dimensional two-normal draw (means 0 and 1, unit variance): the
     multinormal model at p = 1, delta = 1, with n1 points in each class."""
-    spec = MultinormalSpec(p=1, delta=1.0, n1=n1, n2=n1)
-    return spec.sample(n1, n1, derive_rng(seed, "ratio-data"))
+    return _ratio_curve_spec(n1).sample(n1, n1, derive_rng(seed, "ratio-data"))
 
 
 def run_ratio_curve(
@@ -517,8 +533,11 @@ def run_ratio_curve(
     For each n1 (with n2 = n1), every seed draws a fresh dataset; one
     :func:`cvlab.estimators.variant_values` call with a LOOB error config
     (threshold 0, seed ``derive_seed(seed, "ratio-est")``) trains its B
-    replicates once and returns both variants.  The ratio is the seed-mean
-    of the partitioned variant over the seed-mean of the pooled variant.
+    replicates once and returns both variants.  That config is made once,
+    without a seed, and each grid n1 is checked as a dataset spec, before the
+    first unit runs: so a bad B or n1 is refused at once, and each unit sets
+    only the seed.  The ratio is the seed-mean of the partitioned variant
+    over the seed-mean of the pooled variant.
     ``ratio_theory`` is the published closed form (2n-2)/(2n-1) with
     n = 2*n1, reported for comparison; it is not the B -> infinity limit of
     ``ratio_empirical``, which lies above it.
@@ -537,18 +556,17 @@ def run_ratio_curve(
     seeds = list(seeds)
     if not n1_grid or not seeds:
         raise DomainError("both the n1 grid and the seed list must be non-empty")
-    if n_bootstrap < 1:
-        raise DomainError("B must be >= 1")
+    cfg = EstimatorConfig(Version.LOOB, Metric.ERROR, n_bootstrap=n_bootstrap, sampling=model)
+    for n1 in n1_grid:
+        _ratio_curve_spec(n1)
 
     units = [(n1, seed) for n1 in n1_grid for seed in seeds]
 
     def unit(index):
         n1, seed = units[index]
         dataset = ratio_curve_dataset(n1, seed)
-        values = estimators.variant_values(dataset, trainer, EstimatorConfig(
-            Version.LOOB, Metric.ERROR, n_bootstrap=n_bootstrap, sampling=model,
-            seed=derive_seed(seed, "ratio-est"),
-        ))
+        est_cfg = replace(cfg, seed=derive_seed(seed, "ratio-est"))
+        values = estimators.variant_values(dataset, trainer, est_cfg)
         return values.pick(Variant.POOLED)[0], values.pick(Variant.PARTITIONED)[0]
 
     results = _map_units(unit, len(units))

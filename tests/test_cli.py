@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -289,16 +290,27 @@ class CampaignStarted(Exception):
 
 
 class TestSimulateConfigErrors:
-    """A bad [estimator] section is refused before any trial runs."""
+    """A bad [estimator] or [trainer] section, or class sizes the estimator
+    cannot run on, is refused before any trial runs."""
 
-    @pytest.mark.parametrize("estimator, message", [
-        ("version = CVN\nvariant = partitioned\nmetric = error\n",
+    @pytest.mark.parametrize("estimator, edit, message", [
+        ("version = CVN\nvariant = partitioned\nmetric = error\n", None,
          "err_cvn does not take 'variant'"),
-        ("version = CVKR\nvariant = reduced\nmetric = error\nK = 2\nM = 3\n",
+        ("version = CVKR\nvariant = reduced\nmetric = error\nK = 2\nM = 3\n", None,
          "variant reduced not defined for this estimator"),
-        ("version = CVKM\nmetric = auc\nM = 3\n", "CVKM needs 'K1'"),
-    ], ids=["cvn-partitioned", "cvkr-reduced", "cvkm-no-k"])
-    def test_exits_2_without_a_trial(self, tmp_path, capsys, monkeypatch, estimator, message):
+        ("version = CVKM\nmetric = auc\nM = 3\n", None, "CVKM needs 'K1'"),
+        ("version = LOOB\nmetric = auc\nB = 20\nK = 7\nth = 3.5\n", None,
+         "auc_lpobs does not take 'th'"),
+        ("version = CVK\nmetric = auc\nK1 = 2\nK2 = 2\n", ("n1 = 6", "n1 = 1"),
+         "AUC estimators require n1 >= 2 and n2 >= 2"),
+        ("version = CVK\nmetric = error\nK = 3\n", ("n1 = 6\nn2 = 6", "n1 = 20\nn2 = 20"),
+         "K=3 does not divide n=40"),
+        ("", ("id = nearest-mean", "id = nearest-mean\nridge = 5"),
+         "nearest-mean does not take 'ridge'"),
+    ], ids=["cvn-partitioned", "cvkr-reduced", "cvkm-no-k", "loob-auc-th", "auc-n1-1",
+            "cvk-k3-n40", "nearest-mean-ridge"])
+    def test_exits_2_without_a_trial(self, tmp_path, capsys, monkeypatch, estimator, edit,
+                                     message):
         def campaign(*args, **kwargs):
             raise CampaignStarted
 
@@ -306,8 +318,32 @@ class TestSimulateConfigErrors:
         out = tmp_path / "out"
         paths = {k: out / f"{k}.csv" for k in ("table", "triples", "manifest")}
         text = SIMULATE_TEMPLATE.format(**paths) + "\n[estimator]\n" + estimator
+        if edit:
+            text = text.replace(*edit)
         assert cli.main(["simulate", str(write_config(tmp_path, "sim.ini", text))]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRatioCurveConfigErrors:
+    """A bad B or grid n1 is refused before the first unit draws its data."""
+
+    @pytest.mark.parametrize("grid, b, message", [
+        ("5 0", 2000, "class sizes must be >= 1"),
+        ("5", 0, "err_loob requires B >= 1"),
+    ], ids=["n1-0", "b-0"])
+    def test_exits_2_without_a_unit(self, tmp_path, capsys, monkeypatch, grid, b, message):
+        def dataset(*args):
+            raise AssertionError("a unit drew its dataset")
+
+        monkeypatch.setattr(simlab, "ratio_curve_dataset", dataset)
+        out = tmp_path / "ratio.csv"
+        text = (
+            f"[curve]\nn1_grid = {grid}\nB = {b}\nreplicates = 50\nseed = 3\n\n"
+            f"[trainer]\nid = lda\nridge = 1e-6\n\n[io]\nout_csv = {out}\n"
+        )
+        assert cli.main(["ratio-curve", str(write_config(tmp_path, "curve.ini", text))]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 
@@ -714,8 +750,18 @@ class TestBoundMessages:
             f"[trainer]\nid = nearest-mean\n\n[io]\nout_csv = {out}\n"
         )
         assert cli.main(["ratio-curve", str(write_config(tmp_path, "curve.ini", text))]) == 2
-        assert capsys.readouterr().err == "error: B must be >= 1\n"
+        assert capsys.readouterr().err == "error: err_loob requires B >= 1\n"
         assert not out.exists()
+
+
+class TestEstimatorKeys:
+    def test_schema_keys_are_the_config_fields(self):
+        """The [estimator] keys are the EstimatorConfig fields other than the
+        seed, spelled through ``_CONFIG_KEYS``; ``estimate`` adds only seed."""
+        fields = [f.name for f in dataclasses.fields(estimators.EstimatorConfig)]
+        keys = {estimators._CONFIG_KEYS.get(f, f) for f in fields if f != "seed"}
+        assert set(cli._ESTIMATOR_KEYS) == keys
+        assert cli._SCHEMAS["estimate"]["estimator"] == {**cli._ESTIMATOR_KEYS, "seed": "int?"}
 
 
 class TestConfigParsing:

@@ -2,19 +2,21 @@
 
 Each example writes a config built from one subcommand's schema keys, a
 dataset CSV and a decompose pairs CSV, then runs the subcommand.  Half of the
-examples are clean (every key present with a plausible value), so that many
-runs get past parsing; the other half are noisy: they drop sections and keys,
-and mix in negative ints, junk values (non-ASCII and NUL text), odd paths and
-junk lines.  Whatever the input, ``main`` must return 0, 2 or 3 (or 1 for
-``verify``) and let no exception escape.  Every count that sizes a job (B, M,
-trials, replicates, n_max, test_per_class, p, the class sizes) stays at most
-12, so no example runs a large job.
+examples are clean (every key the run uses present with a plausible value:
+the [estimator] keys the drawn version takes, and ridge only for lda), so
+that many runs get past the config checks; the other half are noisy: they
+drop sections and keys, and mix in negative ints, junk values (non-ASCII and
+NUL text), odd paths and junk lines.  Whatever the input, ``main`` must
+return 0, 2 or 3 (or 1 for ``verify``) and let no exception escape.  Every
+count that sizes a job (B, M, trials, replicates, n_max, test_per_class, p,
+the class sizes) stays at most 12, so no example runs a large job.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cvlab import cli
+from cvlab import cli, estimators
+from cvlab.estimators import Metric, Version
 
 SMALL_INTS = st.integers(min_value=-3, max_value=12)
 POSITIVE_INTS = st.integers(min_value=1, max_value=12)
@@ -57,6 +59,21 @@ def typed_value(draw, section, key, kind, noisy):
     return str(draw(ints))
 
 
+FIELD_OF = {key: field for field, key in estimators._CONFIG_KEYS.items()}
+
+
+def used(section, values, key) -> bool:
+    """Whether the run uses ``key`` of a section whose drawn ``values`` are
+    given: an [estimator] key that the drawn version takes (or the version,
+    metric or seed), and ridge only for lda."""
+    if section == "trainer":
+        return key != "ridge" or values["id"] == "lda"
+    if section != "estimator" or key in ("version", "metric", "seed"):
+        return True
+    version, metric = Version(values["version"].upper()), Metric(values["metric"])
+    return FIELD_OF.get(key, key) in estimators._DISPATCH[metric, version][1].split()
+
+
 def config_text(draw, subcommand, noisy):
     lines = []
     for name, keys in cli._SCHEMAS[subcommand].items():
@@ -64,10 +81,12 @@ def config_text(draw, subcommand, noisy):
             continue
         section = name.rstrip("?")  # "?" marks an optional section or key
         lines.append(f"[{section}]")
+        values = {}
         for key, kind in keys.items():
             if not (noisy and rarely(draw)):
-                value = typed_value(draw, section, key, kind.rstrip("?"), noisy)
-                lines.append(f"{key} = {value}")
+                values[key] = typed_value(draw, section, key, kind.rstrip("?"), noisy)
+        lines += [f"{key} = {value}" for key, value in values.items()
+                  if noisy or used(section, values, key)]
     while noisy and rarely(draw):
         lines.insert(draw(st.integers(0, len(lines))), draw(JUNK_LINES))
     return "\n".join(lines) + "\n"

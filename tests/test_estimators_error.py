@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvlab import estimators
+from cvlab import cli, estimators
 from cvlab.combinatorics import prob_some_unseen
 from cvlab.core import (
     DivisibilityError,
@@ -611,6 +611,13 @@ class TestNonFiniteScores:
         assert str(caught.value) == f"trainer gave a non-finite score on {message}"
 
 
+def taken(metric, version, values):
+    """The entries of ``values`` whose fields the (metric, version) estimator
+    takes: a config may set no other."""
+    fields = estimators._DISPATCH[metric, version][1].split()
+    return {field: value for field, value in values.items() if field in fields}
+
+
 # (metric, version, variant) for each variant ``_run`` can report: CVN takes
 # no variant, and only AUC CVK has the reduced one
 SWITCH_CASES = [
@@ -629,8 +636,9 @@ class TestPooledSwitch:
     @pytest.mark.parametrize("metric, version, variant", SWITCH_CASES,
                              ids=[f"{m.value}-{v.value}-{w.value}" for m, v, w in SWITCH_CASES])
     def test_run_matches_both_variants(self, monkeypatch, metric, version, variant):
-        cfg = EstimatorConfig(version, metric, variant, n_folds=3, n_folds1=3, n_folds2=3,
-                              repetitions=4, n_bootstrap=20, seed=5)
+        cfg = EstimatorConfig(version, metric, variant, **taken(metric, version, {
+            "n_folds": 3, "n_folds1": 3, "n_folds2": 3, "repetitions": 4, "n_bootstrap": 20,
+            "seed": 5}))
         both = variant_values(SIX_POINT, NearestMeanTrainer(), cfg)
         asked = []
 
@@ -758,9 +766,11 @@ class TestUnsetParameters:
 
     @pytest.mark.parametrize("metric, version, name, field", UNSET_CASES, ids=UNSET_IDS)
     def test_variant_values(self, metric, version, name, field):
-        sizes = {"n_folds": 2, "n_folds1": 2, "n_folds2": 2, "repetitions": 1, "n_bootstrap": 1}
+        sizes = taken(metric, version, {
+            "n_folds": 2, "n_folds1": 2, "n_folds2": 2, "repetitions": 1, "n_bootstrap": 1,
+            "seed": 0})
         with pytest.raises(DomainError) as caught:
-            cfg = EstimatorConfig(version, metric, **{**sizes, "seed": 0, field: None})
+            cfg = EstimatorConfig(version, metric, **{**sizes, field: None})
             variant_values(EIGHT_POINT, NearestMeanTrainer(), cfg)
         assert str(caught.value) == f"{version.value} needs '{estimators._CONFIG_KEYS[field]}'"
 
@@ -790,8 +800,9 @@ class TestReducedIsAucCvkOnly:
         message = (f"{name} does not take 'variant'" if version is Version.CVN
                    else "variant reduced not defined for this estimator")
         with pytest.raises(DomainError) as caught:
-            EstimatorConfig(version, metric, Variant.REDUCED, n_folds=2, n_folds1=2, n_folds2=2,
-                            repetitions=1, n_bootstrap=1, seed=0)
+            EstimatorConfig(version, metric, Variant.REDUCED, **taken(metric, version, {
+                "n_folds": 2, "n_folds1": 2, "n_folds2": 2, "repetitions": 1, "n_bootstrap": 1,
+                "seed": 0}))
         assert str(caught.value) == message
 
     CALLS = [
@@ -823,6 +834,14 @@ RUN_CASES = [
     for (metric, version), (name, fields) in estimators._DISPATCH.items()
     for variant in (tuple(Variant) if "variant" in fields.split() else (Variant.POOLED,))
 ]
+# (metric, version, field) for each field other than the seed that an
+# estimator does not take: 56 of the 90 pairs
+UNTAKEN_CASES = [
+    (metric, version, field)
+    for (metric, version), (_, fields) in estimators._DISPATCH.items()
+    for field in ("variant", *RUN_FIELDS)
+    if field != "seed" and field not in fields.split()
+]
 
 
 def report_outcome(call):
@@ -836,7 +855,8 @@ def report_outcome(call):
 
 
 class TestRun:
-    """``run`` forwards every field its function takes and refuses the rest."""
+    """``run`` forwards every field its function takes; a config that sets
+    any other is refused when it is made."""
 
     @pytest.mark.parametrize("metric, version, name, variant", RUN_CASES,
                              ids=[f"{c[2]}-{c[3].value}" for c in RUN_CASES])
@@ -852,23 +872,33 @@ class TestRun:
             lambda: estimators.run(TWELVE_POINT, trainer, EstimatorConfig(version, metric, **given)))
         assert got == want
 
-    @pytest.mark.parametrize("metric, version, field, value", [
-        (Metric.ERROR, Version.CVN, "variant", Variant.PARTITIONED),
-        (Metric.AUC, Version.CVN, "variant", Variant.REDUCED),
-        (Metric.ERROR, Version.CVN, "strict", True),
-        (Metric.AUC, Version.CVN, "strict", True),
-        (Metric.ERROR, Version.CVK, "strict", True),
-        (Metric.AUC, Version.CVK, "strict", True),
-        (Metric.ERROR, Version.CVKR, "strict", True),
-        (Metric.AUC, Version.CVKR, "strict", True),
-    ])
-    def test_refuses_a_field_its_function_does_not_take(self, metric, version, field, value):
-        name = estimators._DISPATCH[metric, version][0]
+    @pytest.mark.parametrize("metric, version, field", UNTAKEN_CASES,
+                             ids=[f"{m.value}-{v.value}-{f}" for m, v, f in UNTAKEN_CASES])
+    def test_refuses_a_field_its_function_does_not_take(self, tmp_path, capsys, metric, version,
+                                                        field):
+        """Refused when the config is made, and by ``cvlab estimate`` before
+        it reads the dataset (the file does not exist) or writes a file."""
+        name, fields = estimators._DISPATCH[metric, version]
+        given = {f: RUN_FIELDS[f] for f in fields.split() if f != "variant"}
+        given[field] = RUN_FIELDS.get(
+            field, Variant.PARTITIONED if metric is Metric.ERROR else Variant.REDUCED)
+        message = f"{name} does not take '{estimators._CONFIG_KEYS.get(field, field)}'"
         with pytest.raises(DomainError) as caught:
-            cfg = EstimatorConfig(version, metric, n_folds=2, n_folds1=2, n_folds2=2,
-                                  repetitions=1, seed=0, **{field: value})
-            estimators.run(TWELVE_POINT, NearestMeanTrainer(), cfg)
-        assert str(caught.value) == f"{name} does not take '{field}'"
+            EstimatorConfig(version, metric, **given)
+        assert str(caught.value) == message
+
+        keys = [f"{estimators._CONFIG_KEYS.get(f, f)} = {getattr(v, 'value', v)}"
+                for f, v in given.items()]
+        out = tmp_path / "out"
+        config = tmp_path / "est.ini"
+        config.write_text("\n".join([
+            "[estimator]", f"version = {version.value}", f"metric = {metric.value}", *keys,
+            "[trainer]", "id = nearest-mean",
+            "[io]", f"dataset = {tmp_path / 'data.csv'}", f"out_json = {out / 'est.json'}",
+        ]) + "\n", encoding="utf-8")
+        assert cli.main(["estimate", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def divisor_of(n):

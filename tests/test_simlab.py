@@ -445,10 +445,11 @@ class TestRatioCurve:
                 run_ratio_curve(grid, NearestMeanTrainer(), 10, SamplingModel.ORDERED, [1])
 
 
-class FailOnFourPerClass(LdaTrainer):
+class FailOnFourOrFivePerClass(LdaTrainer):
     """LDA that fails on every ratio-curve dataset with n1 = 4, naming it by
-    its first feature; on ``slow_x0`` it first sleeps, so that later failing
-    units finish before it."""
+    its first feature, and on ``slow_x0`` it first sleeps, so that later
+    failing units finish before it; it fails at once on every one with n1 = 5,
+    with another message."""
 
     def __init__(self, slow_x0: float):
         super().__init__(1e-6)
@@ -459,6 +460,8 @@ class FailOnFourPerClass(LdaTrainer):
             if X[0, 0] == self.slow_x0:
                 time.sleep(0.3)
             raise EstimationError(f"unit with x0={X[0, 0]!r} failed")
+        if len(labels) == 10:
+            raise EstimationError("a later unit failed")
         return super().weighted_scores(X, labels, counts, X_eval)
 
 
@@ -531,9 +534,10 @@ class TestRatioCurveWorkers:
 
     def test_first_failing_unit_in_unit_order_wins(self, monkeypatch):
         # Units in order: n1 = 3 (all pass), n1 = 4 (all fail, the first one
-        # slowly), n1 = -2 (each fails with a DomainError).
+        # slowly), n1 = 5 (each fails at once).
         first = ratio_curve_dataset(4, 11).class1[0, 0]
-        args = ([3, 4, -2], FailOnFourPerClass(first), 20, SamplingModel.ORDERED, [11, 12, 13])
+        args = ([3, 4, 5], FailOnFourOrFivePerClass(first), 20, SamplingModel.ORDERED,
+                [11, 12, 13])
         raised = {}
         for cpus in (1, 3):
             with pytest.raises(EstimationError) as info:
