@@ -66,17 +66,22 @@ one SeedSequence per row.
 Tasks are trained in tiles of ``max(1, TASK_TILE_CELLS // n)`` consecutive
 tasks, aligned to task 0, each scored in one :func:`task_scores` call:
 batched through a trainer's ``weighted_scores(X, labels, weights, X_eval)``
-hook, or task by task on materialized subsets.  A tile's weights, scores and
-losses are built, summed and dropped before the next tile trains.  Fold
-tasks build their weights from the fold maps; LOOB draws each tile's
-replicates when the tile's turn comes, continuing one bootstrap generator
-per part, which gives the rows of one whole (B, n) draw.  An AUC tile's
-pairs are scored in blocks of its tasks under the same bound:
-``max(1, TASK_TILE_CELLS // m)`` tasks of m gathered pairs each.  So beyond
-the inputs and the fold maps, the memory of an estimate is bounded by one
-tile of about TASK_TILE_CELLS cells, whatever the number of tasks (CVN AUC
-has n1*n2, LOOB B).  An estimate is one pass: resample, check, then train
-and sum each tile once.  A task that would train on one class is caught
+hook, or task by task on materialized subsets.  A tile's weights are
+float64, the dtype the batched trainers compute in, so training makes no
+second copy of them; its weights, scores, test mask and losses are built,
+summed and dropped before the next tile's weights are built.  Fold tasks
+build their weights from the fold maps (a repeated-CV map is an (M, n)
+array in the smallest signed integer dtype that holds n: int8 up to
+n = 127, int16 up to 32767); LOOB draws each tile's replicates when the
+tile's turn comes, continuing one bootstrap generator per part, which gives
+the rows of one whole (B, n) draw.  An AUC tile's pairs are scored in
+blocks of its tasks under the same
+bound, ``max(1, TASK_TILE_CELLS // m)`` tasks of m gathered pairs each, and
+streamed to the sums one block at a time.  So beyond the inputs and the
+fold maps, the memory of an estimate is bounded by one tile of about
+TASK_TILE_CELLS cells, whatever the number of tasks (CVN AUC has n1*n2,
+LOOB B).  An estimate is one pass: resample, check, then train and sum each
+tile once.  A task that would train on one class is caught
 where the resampling can make it: an error fold task from its run's fold ids, before
 the first tile trains; an error replicate by the redraw above, as its tile
 is drawn.  So a replicate whose redraws run out raises after the tiles
@@ -229,10 +234,12 @@ def task_scores(
 
     ``weights`` is (tasks, n): row r gives the multiplicity of each pooled
     observation in task r's training set (0/1 for fold complements, counts
-    for bootstrap replicates); every row trains on both classes.  A trainer
-    failure names the task through ``context(r)``.  Returns a (tasks, n)
-    float matrix of finite scores: a NaN or infinite score raises
-    :class:`EstimationError` naming its task.
+    for bootstrap replicates); every row trains on both classes.  The
+    estimators pass float64 weights, the dtype a batched trainer computes
+    in, so the batch makes no copy of them; the task-by-task loop reads each
+    row as integer counts.  A trainer failure names the task through
+    ``context(r)``.  Returns a (tasks, n) float matrix of finite scores: a
+    NaN or infinite score raises :class:`EstimationError` naming its task.
     """
     weights = np.asarray(weights)
     weighted = getattr(trainer, "weighted_scores", None)
@@ -249,7 +256,7 @@ def task_scores(
         scores = np.empty(weights.shape, dtype=float)
         index = np.arange(weights.shape[1])
         for r in range(weights.shape[0]):
-            reps = np.repeat(index, weights[r])
+            reps = np.repeat(index, weights[r].astype(int))
             subset = StratifiedDataset(
                 features[reps][labels[reps] == 1], features[reps][labels[reps] == 2]
             )
@@ -373,28 +380,31 @@ def _estimate(dataset, trainer, metric, weights, tasks, context, tasks_per_run=1
     """Both variants (the partitioned one only, unless ``pooled``) after
     training each of ``tasks`` tasks once, in one pass over tiles: each tile
     builds its weights through ``weights(tile)`` (the (tile tasks, n1+n2)
-    weights of a slice of tasks, following ``dataset.pooled()``: class 1, then
-    class 2), trains, and is summed before the next is built.  ``weights`` is
-    called once per tile, in task order, so it may draw each tile's rows from
-    a stream it continues.  Every task must train on both classes; the
-    callers guarantee it."""
+    float64 weights of a slice of tasks, following ``dataset.pooled()``:
+    class 1, then class 2), trains, and is summed, its arrays dropped, before
+    the next is built.  ``weights`` is called once per tile, in task order,
+    so it may draw each tile's rows from a stream it continues.  Every task
+    must train on both classes; the callers guarantee it."""
     features, labels = dataset.pooled()
     step = max(1, TASK_TILE_CELLS // dataset.n)
 
-    def blocks():
-        for start in range(0, tasks, step):
-            w = weights(slice(start, start + step))
-            scores = task_scores(trainer, features, labels, w, lambda r: context(start + r))
-            test = w == 0  # built after training, so it is not alive during it
-            if metric is Metric.AUC:
-                yield from _pair_sums(scores, test, dataset.n1, pooled)
-                continue
-            loss = zero_one_losses(scores, labels, th) & test
-            sums = (loss.sum(axis=1), test.sum(axis=1))
-            yield sums + ((loss.sum(axis=0), test.sum(axis=0)) if pooled else ())
+    def tile(start):
+        """The ``_ratio_of_sums`` blocks of the tile at ``start``.  Its arrays
+        are this frame's, so they die when it returns; an AUC tile's scores
+        and test mask live on in its pair-block generator until that runs
+        out."""
+        w = weights(slice(start, start + step))
+        scores = task_scores(trainer, features, labels, w, lambda r: context(start + r))
+        test = w == 0  # built after training, so it is not alive during it
+        if metric is Metric.AUC:
+            return _pair_sums(scores, test, dataset.n1, pooled)
+        loss = zero_one_losses(scores, labels, th) & test
+        sums = (loss.sum(axis=1), test.sum(axis=1))
+        return [sums + ((loss.sum(axis=0), test.sum(axis=0)) if pooled else ())]
 
+    blocks = (block for start in range(0, tasks, step) for block in tile(start))
     unit = "pair" if metric is Metric.AUC else "observation"
-    return _ratio_of_sums(blocks(), tasks_per_run, unit, pooled)
+    return _ratio_of_sums(blocks, tasks_per_run, unit, pooled)
 
 
 def _fold_tasks(dataset, trainer, metric, assigns, folds, th=0.0, pooled=True) -> VariantValues:
@@ -417,7 +427,7 @@ def _fold_tasks(dataset, trainer, metric, assigns, folds, th=0.0, pooled=True) -
         r = tasks[tile]
         return np.concatenate(
             [m[r // per_run] != f[r % per_run, None] for m, f in zip(maps, folds)], axis=1
-        ).astype(int)
+        ).astype(float)
 
     def context(r):
         held = ", ".join(str(f[r % per_run]) for f in folds)
@@ -633,9 +643,9 @@ def variant_values(
             counts = [bootstrap_counts_matrix(n, len(b), cfg.sampling, rng)
                       for n, rng in zip(sizes, rngs)]
             if auc:
-                return np.hstack(counts)
+                return np.hstack(counts, dtype=float)
             _redraw_one_class_rows(counts[0], dataset.labels, cfg.sampling, cfg.seed, b.start)
-            return counts[0]
+            return counts[0].astype(float)
 
         return _estimate(dataset, trainer, cfg.metric, weights, cfg.n_bootstrap,
                          "replicate {}".format, th=cfg.th, pooled=pooled)

@@ -34,8 +34,10 @@ repeated-CV maps derive the Philox keys of all M streams in one pass.  The
 one-class redraw of the estimators derives, per round of retries, every
 retry seed (``derive_seeds``) in one pass and the Philox keys of those seeds
 (``bootstrap_counts_rows``) in another.  Each row is then drawn through one
-Philox generator re-keyed to the start of its stream
-(``_rekeyed_streams``), so the rows are those of one generator per stream.
+Philox bit generator re-keyed to the start of its stream
+(``_rekeyed_streams``), so the rows are those of one generator per stream:
+a redraw row through a ``Generator``, a map row shuffled through a legacy
+``RandomState``, whose shuffle draws as the ``Generator``'s does.
 
 A bootstrap stream splits: drawn in consecutive row blocks from one
 generator, ``integers(0, n, (B, n))`` (ORDERED) and ``random((B, 2n-1))``
@@ -219,17 +221,19 @@ def derive_seeds(seed: int, tags: Sequence[str], counters) -> np.ndarray:
     return (low | high << 32) >> 1
 
 
-def _rekeyed_streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
-    """For each Philox key in turn, a generator at the start of its stream.
+def _rekeyed_streams(keys: np.ndarray, wrap) -> Iterator:
+    """For each Philox key in turn, ``wrap`` (``np.random.Generator`` or
+    ``np.random.RandomState``) of a Philox bit generator at the start of its
+    stream.
 
-    One Philox generator is re-keyed to a fresh stream's state (the key,
-    counter 0, an empty buffer) before each yield; draw from it before the
-    next.  The state is held in Python ints, which the state setter reads
-    faster than numpy scalars; each key is converted as its turn comes, so
-    no list of all M keys is held.
+    One Philox bit generator, wrapped once, is re-keyed to a fresh stream's
+    state (the key, counter 0, an empty buffer) before each yield; draw from
+    it before the next.  The state is held in Python ints, which the state
+    setter reads faster than numpy scalars; each key is converted as its turn
+    comes, so no list of all M keys is held.
     """
     bit_generator = np.random.Philox(key=keys[0])
-    rng = np.random.Generator(bit_generator)
+    rng = wrap(bit_generator)
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": None},
@@ -247,17 +251,28 @@ def _rekeyed_streams(keys: np.ndarray) -> Iterator[np.random.Generator]:
 def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np.ndarray:
     """(M, n) fold ids; row m maps ``random_permutation(n, seed, m)``.
 
-    All M stream keys come from one ``_philox_keys`` pass, and every row is
-    shuffled by one re-keyed Philox generator.
+    The map is held in the smallest signed integer dtype that holds n, and
+    is the only (M, n) array made: its rows of images less one, 0..n-1, are
+    shuffled and then mapped to fold ids in place.  A shuffle permutes
+    positions whatever the values and the itemsize, so the rows are those of
+    the int64 permutations.  All M stream keys come from one
+    ``_philox_keys`` pass, and every row is shuffled by one re-keyed Philox
+    bit generator through a legacy ``RandomState``, whose ``shuffle`` draws
+    as ``Generator.shuffle`` does (Fisher-Yates on the same bounded 32-bit
+    draws) with less overhead per call.
     """
     if repetitions < 1:
         raise DomainError("repetitions must be >= 1")
     size = _fold_size(n, n_folds)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= n)
     keys = _philox_keys(seed, "partition", np.arange(repetitions))
-    images = np.tile(np.arange(1, n + 1), (repetitions, 1))
-    for rng, row in zip(_rekeyed_streams(keys), images):
+    images = np.empty((repetitions, n), dtype)
+    images[:] = np.arange(n, dtype=dtype)  # the images 1..n, less one
+    for rng, row in zip(_rekeyed_streams(keys, np.random.RandomState), images):
         rng.shuffle(row)
-    return (images - 1) // size + 1
+    images //= size
+    images += 1
+    return images
 
 
 def enumerate_multiset_counts(n: int) -> np.ndarray:
@@ -328,4 +343,5 @@ def bootstrap_counts_rows(n: int, model: SamplingModel, seeds: np.ndarray) -> np
     streams come from one ``_philox_keys`` pass, and every row is drawn by
     one re-keyed Philox generator.
     """
-    return _replicate_counts(n, model, _rekeyed_streams(_philox_keys(seeds, "bootstrap", 0)), 1)
+    keys = _philox_keys(seeds, "bootstrap", 0)
+    return _replicate_counts(n, model, _rekeyed_streams(keys, np.random.Generator), 1)

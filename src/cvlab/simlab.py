@@ -211,12 +211,13 @@ class LdaTrainer(Trainer):
 
     def weighted_scores(self, X, labels, counts, X_eval) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        counts = np.asarray(counts, dtype=float)
+        counts = np.asarray(counts, dtype=float)  # the estimators pass float64: no copy
         n1, n2, mean1, mean2 = _weighted_class_moments(X, labels, counts)
         # One (B, p, p) buffer updated in place: second moments, scatter, covariance.
         # The second moments are one GEMM: counts (B, n) @ outer products (n, p*p).
         # Each class's n_k m_k m_k^T is subtracted one row of p at a time, as
-        # (n_k m_ki) m_kj, so no second (B, p, p) array is made.
+        # (n_k m_ki) m_kj, so no second (B, p, p) array is made.  The buffer is
+        # dropped once the directions are solved, before the scores are made.
         n, p = X.shape
         cov = (counts @ (X[:, :, None] * X[:, None, :]).reshape(n, p * p)).reshape(-1, p, p)
         for size, mean in ((n1, mean1), (n2, mean2)):
@@ -224,6 +225,7 @@ class LdaTrainer(Trainer):
             for i in range(p):
                 cov[:, i, :] -= scaled[:, i, None] * mean
         directions = self._directions(cov, counts.sum(axis=1), mean2 - mean1)
+        del cov
         return _linear_batch_scores(directions, mean1, mean2, np.asarray(X_eval, dtype=float))
 
 

@@ -5,15 +5,17 @@ transcription of its definition: a scalar rank kernel, sums over the exact
 out-of-bag pmf, the decomposition residual, the enumerated B -> infinity
 limits of the leave-one-out bootstrap variants, the AUC pair sums from masked
 float kernel cells, the one-class rule on dense task weights, and the
-one-class redraw replicate by replicate.  One probe measures rather than
-computes: the peak memory of a script run in a fresh interpreter, read from
-the child's own ``VmHWM``.
+one-class redraw replicate by replicate.  Two probes measure rather than
+compute: the peak memory of a script run in a fresh interpreter, read from
+the child's own ``VmHWM``, and the traced (``tracemalloc``) peak of a call
+in this one.
 """
 
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -182,3 +184,20 @@ def fresh_process_peak(script: str) -> tuple[int, str]:
         raise RuntimeError(f"script failed:\n{proc.stderr}")
     out, peak = proc.stdout.rstrip("\n").rpartition("\n")[::2]
     return int(peak), out
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``tracemalloc`` traced while ``call()`` ran, above
+    those traced when it began; numpy traces its array buffers.  The result
+    is held until the peak is read, so a returned array counts."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()  # noqa: F841  (held while the peak is read)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()

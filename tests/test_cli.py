@@ -14,6 +14,7 @@ from cvlab.combinatorics import pmf_unseen_count
 from cvlab.core import StratifiedDataset, write_dataset_csv
 from cvlab.estimators import err_cvn
 from cvlab.simlab import NearestMeanTrainer
+from oracles import fresh_process_peak
 
 SIX_POINT = StratifiedDataset(
     np.array([[-1.1], [0.2], [0.9]]), np.array([[-0.3], [0.8], [1.7]])
@@ -762,6 +763,18 @@ class TestEstimatorKeys:
         keys = {estimators._CONFIG_KEYS.get(f, f) for f in fields if f != "seed"}
         assert set(cli._ESTIMATOR_KEYS) == keys
         assert cli._SCHEMAS["estimate"]["estimator"] == {**cli._ESTIMATOR_KEYS, "seed": "int?"}
+
+
+class TestImportCost:
+    def test_import_leaves_numpy_random_and_multiprocessing_unloaded(self):
+        """Every CLI call pays for what ``import cvlab.cli`` loads, so the
+        modules that only some runs use load when a run first needs them."""
+        script = (
+            "import sys\nimport cvlab.cli\n"
+            "print(sorted(m for m in ('numpy.random', 'multiprocessing') if m in sys.modules))\n"
+        )
+        _, loaded = fresh_process_peak(script)
+        assert loaded == "[]"
 
 
 class TestConfigParsing:

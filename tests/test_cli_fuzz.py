@@ -6,7 +6,8 @@ examples are clean (every key the run uses present with a plausible value:
 the [estimator] keys the drawn version takes, and ridge only for lda), so
 that many runs get past the config checks; the other half are noisy: they
 drop sections and keys, and mix in negative ints, junk values (non-ASCII and
-NUL text), odd paths and junk lines.  Whatever the input, ``main`` must
+NUL text), odd paths and junk lines.  Every [io] path, junk or odd, lies in
+the example's own temporary directory.  Whatever the input, ``main`` must
 return 0, 2 or 3 (or 1 for ``verify``) and let no exception escape.  Every
 count that sizes a job (B, M, trials, replicates, n_max, test_per_class, p,
 the class sizes) stays at most 12, so no example runs a large job.
@@ -43,12 +44,18 @@ def rarely(draw) -> bool:
 
 
 def typed_value(draw, section, key, kind, noisy):
-    """A value of the schema's type for (section, key)."""
-    if noisy and rarely(draw):
-        return draw(JUNK)
+    """A value of the schema's type for (section, key).  An [io] value is a
+    path under ``{tmp}/``, so no run writes outside the example's directory;
+    a noisy one is rarely a junk name or an odd path there."""
     if section == "io":
         name = {"dataset": "data.csv", "input": "pairs.csv"}.get(key, f"out/{key}")
-        return "{tmp}/" + (draw(ODD_PATHS) if noisy and rarely(draw) else name)
+        if noisy and rarely(draw):
+            name = draw(JUNK)
+        elif noisy and rarely(draw):
+            name = draw(ODD_PATHS)
+        return "{tmp}/" + name
+    if noisy and rarely(draw):
+        return draw(JUNK)
     if kind == "float" and noisy:
         return draw(NUMBERS)
     if kind in ENUMS:
@@ -128,6 +135,21 @@ def cli_run(draw):
     noisy = draw(st.booleans())
     return (subcommand, config_text(draw, subcommand, noisy), dataset_text(draw, noisy),
             pairs_text(draw, noisy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_io_values_stay_under_tmp(data):
+    subcommand = data.draw(st.sampled_from(sorted(cli._SCHEMAS)))
+    text = config_text(data.draw, subcommand, data.draw(st.booleans()))
+    io_keys = cli._SCHEMAS[subcommand].get("io", {})
+    section = None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        key, sep, value = line.partition(" = ")
+        if section == "io" and sep and key in io_keys:
+            assert value.startswith("{tmp}/"), line
 
 
 @settings(max_examples=150, deadline=None,

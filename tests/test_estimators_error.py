@@ -47,7 +47,7 @@ from cvlab.resampling import (
     repeated_partitions,
 )
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
-from oracles import fresh_process_peak, one_class_tasks, redraw_one_class_rows
+from oracles import fresh_process_peak, one_class_tasks, redraw_one_class_rows, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +429,36 @@ class TestLoobMemory:
         peak_kib, value = fresh_process_peak(script)
         assert peak_kib < 100 * 1024
         assert value == "0.28337732683932143"  # the value of one whole (B, n) draw
+
+
+class TestTracedTileMemory:
+    """An estimate holds one tile's arrays at a time: on 100 + 100
+    observations (p = 20), after a warm-up call, six tiles of tasks peak
+    (``tracemalloc``) as one tile does.  Only a fold estimator's map, which is
+    made whole before the first tile, grows with the tasks."""
+
+    _rng = np.random.default_rng(0)
+    DATA = StratifiedDataset(_rng.normal(0, 1, (100, 20)), _rng.normal(0.3, 1, (100, 20)))
+    TILE = estimators.TASK_TILE_CELLS // DATA.n
+    TRAINERS = [LdaTrainer(1e-6), NearestMeanTrainer()]
+
+    def peaks(self, estimate):
+        """Traced peaks of ``estimate(tasks)`` at one tile and at six tiles."""
+        estimate(self.TILE)
+        one = traced_peak(lambda: estimate(self.TILE))
+        return one, traced_peak(lambda: estimate(6 * self.TILE))
+
+    @pytest.mark.parametrize("trainer", TRAINERS, ids=lambda t: t.name)
+    @pytest.mark.parametrize("loob", [err_loob, auc_lpobs], ids=lambda f: f.__name__)
+    def test_loob_six_tiles_peak_as_one(self, loob, trainer):
+        one, six = self.peaks(lambda b: loob(self.DATA, trainer, n_bootstrap=b, seed=3))
+        assert six <= 1.1 * one, (one, six)
+
+    @pytest.mark.parametrize("trainer", TRAINERS, ids=lambda t: t.name)
+    def test_cvkm_grows_by_its_fold_map(self, trainer):
+        one, six = self.peaks(lambda m: err_cvkm(self.DATA, trainer, 0.0, 2, m, 3))
+        fold_map_growth = 5 * self.TILE * repeated_partitions(self.DATA.n, 2, 1, 0).nbytes
+        assert six - one <= fold_map_growth + 0.5e6, (one, six, fold_map_growth)
 
 
 class TestOneClassRedraw:

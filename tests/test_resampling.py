@@ -21,6 +21,7 @@ from cvlab.resampling import (
     random_permutation,
     repeated_partitions,
 )
+from oracles import traced_peak
 
 
 class TestMakePartition:
@@ -106,6 +107,29 @@ class TestRepeatedPartitions:
         for assign in rp:
             for k in range(1, 7):
                 assert np.flatnonzero(assign == k).size == 1
+
+
+class TestRepeatedPartitionsMemory:
+    """The map is the only (M, n) array ``repeated_partitions`` makes, held in
+    the smallest signed integer dtype that holds n."""
+
+    @pytest.mark.parametrize("n,folds,dtype", [(2, 2, np.int8), (127, 127, np.int8),
+                                               (128, 2, np.int16), (300, 3, np.int16)])
+    def test_compact_map_is_its_only_row_array(self, n, folds, dtype):
+        reps, seed = 2000, 9
+        repeated_partitions(n, folds, 1, seed)
+        rp = repeated_partitions(n, folds, reps, seed)
+        assert rp.dtype == dtype
+        for m in range(0, reps, 97):
+            want = make_partition(n, folds, random_permutation(n, seed, m))
+            assert want.dtype == np.int64
+            np.testing.assert_array_equal(rp[m], want)
+        peak = traced_peak(lambda: repeated_partitions(n, folds, reps, seed))
+        # The M stream keys (16 bytes each) are derived in one pass, before the
+        # map is made; at small n that pass, not the map, sets the peak.  Past
+        # the larger of the two, a tenth of a map is allowed.
+        keys = traced_peak(lambda: _philox_keys(seed, "partition", np.arange(reps)))
+        assert peak <= max(keys, 16 * reps + rp.nbytes) + 0.1 * rp.nbytes, (peak, keys)
 
 
 class TestPhiloxKeys:
