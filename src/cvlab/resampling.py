@@ -30,7 +30,8 @@ streams can be drawn in any order without interfering.
 Where many streams are drawn at once, ``_seed_sequence_state`` transcribes
 SeedSequence's mixing over arrays: every stream's words come from one
 vectorised pass, the same words one SeedSequence per stream gives.  The
-repeated-CV maps derive the Philox keys of all M streams in one pass.  The
+repeated-CV maps derive the Philox keys of their M streams in passes of
+``_KEY_BLOCK`` rows, so that the pass never outgrows a compact map.  The
 one-class redraw of the estimators derives, per round of retries, every
 retry seed (``derive_seeds``) in one pass and the Philox keys of those seeds
 (``bootstrap_counts_rows``) in another.  Each row is then drawn through one
@@ -141,6 +142,9 @@ def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
 
 _OUTPUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, _POOL_SIZE)
 _OTHER_WORDS = [np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE)]
+# Rows whose stream keys one pass derives in repeated_partitions: a pass
+# peaks at about 90 bytes a row, so 256 rows hold it near 24 KB.
+_KEY_BLOCK = 256
 
 
 def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -221,10 +225,10 @@ def derive_seeds(seed: int, tags: Sequence[str], counters) -> np.ndarray:
     return (low | high << 32) >> 1
 
 
-def _rekeyed_streams(keys: np.ndarray, wrap) -> Iterator:
-    """For each Philox key in turn, ``wrap`` (``np.random.Generator`` or
-    ``np.random.RandomState``) of a Philox bit generator at the start of its
-    stream.
+def _rekeyed_streams(keys, wrap) -> Iterator:
+    """For each Philox key in turn (``keys`` yields (2,) uint64 arrays),
+    ``wrap`` (``np.random.Generator`` or ``np.random.RandomState``) of a
+    Philox bit generator at the start of its stream.
 
     One Philox bit generator, wrapped once, is re-keyed to a fresh stream's
     state (the key, counter 0, an empty buffer) before each yield; draw from
@@ -232,7 +236,7 @@ def _rekeyed_streams(keys: np.ndarray, wrap) -> Iterator:
     setter reads faster than numpy scalars; each key is converted as its turn
     comes, so no list of all M keys is held.
     """
-    bit_generator = np.random.Philox(key=keys[0])
+    bit_generator = np.random.Philox(key=0)
     rng = wrap(bit_generator)
     state = {
         "bit_generator": "Philox",
@@ -255,17 +259,25 @@ def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np
     is the only (M, n) array made: its rows of images less one, 0..n-1, are
     shuffled and then mapped to fold ids in place.  A shuffle permutes
     positions whatever the values and the itemsize, so the rows are those of
-    the int64 permutations.  All M stream keys come from one
-    ``_philox_keys`` pass, and every row is shuffled by one re-keyed Philox
-    bit generator through a legacy ``RandomState``, whose ``shuffle`` draws
-    as ``Generator.shuffle`` does (Fisher-Yates on the same bounded 32-bit
-    draws) with less overhead per call.
+    the int64 permutations.  The stream keys come from one ``_philox_keys``
+    pass per ``_KEY_BLOCK`` rows, as those rows' turn comes, and every row is
+    shuffled by one re-keyed Philox bit generator through a legacy
+    ``RandomState``, whose ``shuffle`` draws as ``Generator.shuffle`` does
+    (Fisher-Yates on the same bounded 32-bit draws) with less overhead per
+    call.
     """
     if repetitions < 1:
         raise DomainError("repetitions must be >= 1")
     size = _fold_size(n, n_folds)
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= n)
-    keys = _philox_keys(seed, "partition", np.arange(repetitions))
+    _checked_seed(seed)  # now: the keys below are derived as their rows come
+    keys = (
+        key
+        for start in range(0, repetitions, _KEY_BLOCK)
+        for key in _philox_keys(
+            seed, "partition", np.arange(start, min(start + _KEY_BLOCK, repetitions), dtype=np.uint32)
+        )
+    )
     images = np.empty((repetitions, n), dtype)
     images[:] = np.arange(n, dtype=dtype)  # the images 1..n, less one
     for rng, row in zip(_rekeyed_streams(keys, np.random.RandomState), images):

@@ -18,13 +18,13 @@ Two campaigns are provided:
   against 18/19 = 0.947.
 
 Both campaigns run their units (trials, or (n1, seed) pairs) across the CPUs
-this process may use, through one fork-context process pool
-(:func:`_map_units`), and read the results in unit order, so every table and
-curve is the same, bit for bit, on any number of CPUs.  While the pool lives,
-OpenBLAS is held to one thread, set before the fork so that every worker
-inherits it: a worker's BLAS helper thread would otherwise spin against the
-other workers.  Where no OpenBLAS thread control is found, the units run
-inline.
+this process may use, through a fork map (:func:`_map_units`: one forked
+worker per CPU, each sending its values down its own pipe), and read the
+results in unit order, so every table and curve is the same, bit for bit, on
+any number of CPUs.  While the workers run, OpenBLAS is held to one thread,
+set before the fork so that every worker inherits it: a worker's BLAS helper
+thread would otherwise spin against the other workers.  Where no OpenBLAS
+thread control is found, the units run inline.
 
 Data model: class 1 is N(0, I_p), class 2 is N(c * 1, I_p) with
 c = delta / sqrt(p), so the Mahalanobis separation is delta and the
@@ -44,12 +44,14 @@ operations.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import inspect
 import math
 import os
+import pickle
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -374,67 +376,78 @@ def _blas_thread_controls() -> list:
     return controls
 
 
-# A pool worker's unit function.  It reaches the worker by fork, as the pool
-# initializer's argument, so it is never pickled; the parent never sets it.
-_worker_unit = None
-
-
-def _adopt_unit(unit) -> None:
-    global _worker_unit
-    _worker_unit = unit
-
-
-def _run_adopted_unit(index: int):
-    """``(value,)`` of the unit, or None where it raised.  The exception itself
-    is not sent: one that cannot be unpickled would stop the pool's result
-    thread, and the parent would wait forever."""
+def _run_share(unit, indices: range, sink) -> NoReturn:
+    """A fork map worker: pickles ``(unit(i),)``, or None where it raised, of
+    each index into ``sink`` in one list, and leaves by ``os._exit``, so it
+    runs no ``atexit`` handler and flushes no stdio buffer it inherited."""
     try:
-        return (_worker_unit(index),)
-    except Exception:
-        return None
+        values = []
+        for i in indices:
+            try:
+                values.append((unit(i),))
+            except Exception:
+                values.append(None)
+        pickle.dump(values, sink)
+        sink.flush()
+    finally:
+        os._exit(0)
 
 
 def _map_units(unit, count: int) -> Iterator:
     """``unit(0), ..., unit(count - 1)``, the units run across the CPUs this
     process may use.
 
-    The units run in a fork-context process pool, made and joined inside the
-    call.  Workers inherit ``unit`` and all it refers to, so only indices and
-    values are pickled (as with any fork, a caller's other threads must not
-    hold locks meanwhile).  Every unit runs before the call returns, and the
-    values are read in unit order: the caller sees the serial values, bit for
-    bit.  A unit that raised in a worker runs again here when its turn is
-    read, to raise its own exception.
+    The units run in a fork map: W = min(CPUs, count) workers forked in the
+    call, worker w running units w, w + W, ... and pickling their values
+    down its own pipe.  Workers inherit ``unit`` and all it refers to (as
+    with any fork, a caller's other threads must not hold locks meanwhile).
+    The pipes are read in worker order, each worker reaped after its pipe,
+    and the values in unit order, so the caller sees the serial values, bit
+    for bit.  A unit that raised in a worker runs again here when its turn
+    is read, to raise its own exception, as does every unit of a worker
+    that died (say, by the OOM killer) or whose values could not be sent.
+    On a raise, every worker not yet reaped is killed and reaped.
 
-    While the pool lives, every loaded OpenBLAS runs one thread.  The count
+    While the workers run, every loaded OpenBLAS runs one thread.  The count
     is set in this process before the fork, so that workers inherit it, and
-    set back after the join, on return and on raise.  A worker's BLAS helper
-    thread would spin against the other workers, and a count set inside a
-    worker makes OpenBLAS re-create its thread pool, which spins the same
-    way.  So where there is one usable CPU, one unit, or no OpenBLAS thread
-    control, the units run inline, as they are read.
+    set back on return and on raise.  A worker's BLAS helper thread would
+    spin against the other workers, and a count set inside a worker makes
+    OpenBLAS re-create its thread pool, which spins the same way.  So where
+    there is one usable CPU, one unit, or no OpenBLAS thread control, the
+    units run inline, as they are read.
     """
     workers = min(_usable_cpus(), count)
     blas = _blas_thread_controls() if workers > 1 else []
     if not blas:
         return map(unit, range(count))
-    import multiprocessing  # here, not at the top: it costs every import of cvlab
-
     threads = [get() for get, _ in blas]
     for _, set_threads in blas:
         set_threads(1)
+    pipes, pids = [], []  # read ends; workers not yet reaped
     try:
-        pool = multiprocessing.get_context("fork").Pool(workers, _adopt_unit, (unit,))
-        try:
-            # About four chunks per worker, as Pool.map's default: fewer round
-            # trips.  Every result is read before the pool is terminated: a
-            # worker ended while it sends a result can leave the pool's queue
-            # lock held, and terminate() then waits forever.
-            results = list(pool.imap(_run_adopted_unit, range(count), -(-count // (4 * workers))))
-        finally:
-            pool.terminate()
-            pool.join()
+        for w in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as sink:
+                pid = os.fork()
+                if not pid:
+                    _run_share(unit, range(w, count, workers), sink)
+            pids.append(pid)
+        results = [None] * count
+        for w, pipe in enumerate(pipes):
+            with contextlib.suppress(Exception):  # a worker died, or its values cannot be read
+                results[w::workers] = pickle.load(pipe)
+            os.waitpid(pids.pop(0), 0)
+    except BaseException:
+        import signal  # here, not at the top: it costs every CLI call about 0.07 MB
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
     finally:
+        for pipe in pipes:
+            pipe.close()
         for (_, set_threads), old in zip(blas, threads):
             set_threads(old)
     return (unit(i) if r is None else r[0] for i, r in enumerate(results))
@@ -449,7 +462,7 @@ def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
     one pass.  Trials whose estimator run fails are dropped and counted; the
     run aborts if more than 1% of trials fail.
 
-    The trials run across the CPUs this process may use, in a process pool
+    The trials run across the CPUs this process may use, in a fork map
     with OpenBLAS held to one thread per worker (see :func:`_map_units`);
     they run inline where there is one CPU or no OpenBLAS thread control.
     Their values are read in trial order, so the table and the triples are
@@ -545,7 +558,7 @@ def run_ratio_curve(
     ``ratio_empirical``, which lies above it.
 
     The (n1, seed) units are independent, and run across the CPUs this
-    process may use, in a process pool with OpenBLAS held to one thread per
+    process may use, in a fork map with OpenBLAS held to one thread per
     worker (see :func:`_map_units`); they run inline where there is one
     CPU, one unit, or no OpenBLAS thread control.  Each n1's units are read
     when its turn comes, in unit order (grid, then seeds), into one

@@ -1,15 +1,13 @@
-import multiprocessing
-
 import pytest
+
+from oracles import children_left
 
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a multiprocessing child running (and end the child)."""
+    """Fail a test that leaves a child process, live or unreaped (and end and
+    reap the child)."""
     yield
-    left = multiprocessing.active_children()
-    for child in left:
-        child.terminate()
-        child.join(5)
+    left = children_left()
     if left:
-        pytest.fail(f"child processes left running: {left}")
+        pytest.fail(f"child processes left: {left}")

@@ -8,11 +8,12 @@ float kernel cells, the one-class rule on dense task weights, and the
 one-class redraw replicate by replicate.  Two probes measure rather than
 compute: the peak memory of a script run in a fresh interpreter, read from
 the child's own ``VmHWM``, and the traced (``tracemalloc``) peak of a call
-in this one.
+in this one.  One check looks for child processes left behind.
 """
 
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -201,3 +202,25 @@ def traced_peak(call) -> int:
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def children_left() -> list[int]:
+    """Pids of this process's children, live or exited but unreaped; each is
+    ended (SIGKILL) and reaped, so a second call returns [].
+
+    ``os.waitpid(-1, WNOHANG)`` raising ChildProcessError means there is no
+    child; a live one is found in ``/proc/self/task/*/children`` (Linux).
+    Callers of ``subprocess`` reap their own children, so they leave none.
+    """
+    left = []
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return left
+        if not pid:  # only live children: end them, then reap one
+            for task in Path("/proc/self/task").glob("*/children"):
+                for child in task.read_text().split():
+                    os.kill(int(child), signal.SIGKILL)
+            pid, _ = os.waitpid(-1, 0)
+        left.append(pid)

@@ -776,6 +776,26 @@ class TestImportCost:
         _, loaded = fresh_process_peak(script)
         assert loaded == "[]"
 
+    def test_fork_map_leaves_multiprocessing_and_signal_unloaded(self, tmp_path):
+        """A campaign's units run in a fork map of ``os.fork`` and pipes,
+        so a pooled ``simulate`` or ``ratio-curve`` loads no multiprocessing;
+        nor ``signal``, which only a map that raises needs."""
+        paths = {name: tmp_path / f"{name}.csv" for name in ("table", "triples", "manifest")}
+        simulate = write_config(tmp_path, "sim.ini", SIMULATE_TEMPLATE.format(**paths))
+        curve = write_config(tmp_path, "curve.ini", (
+            "[curve]\nn1_grid = 3, 5\nB = 40\nsampling = ordered\nreplicates = 3\nseed = 17\n"
+            f"[trainer]\nid = lda\nridge = 1e-6\n[io]\nout_csv = {tmp_path / 'ratio.csv'}\n"
+        ))
+        script = (
+            "import sys\nfrom cvlab import cli, simlab\n"
+            "simlab._usable_cpus = lambda: 3\n"
+            f"assert cli.main(['simulate', {str(simulate)!r}]) == 0\n"
+            f"assert cli.main(['ratio-curve', {str(curve)!r}]) == 0\n"
+            "print(sorted(m for m in ('multiprocessing', 'signal') if m in sys.modules))\n"
+        )
+        _, loaded = fresh_process_peak(script)
+        assert loaded.splitlines()[-1] == "[]"
+
 
 class TestConfigParsing:
     def test_unknown_section_rejected(self, tmp_path):

@@ -9,6 +9,7 @@ from cvlab.combinatorics import inclusion_probability, pmf_unseen_count
 from cvlab.core import DivisibilityError, DomainError
 from cvlab.resampling import (
     SamplingModel,
+    _KEY_BLOCK,
     _philox_keys,
     bootstrap_counts_matrix,
     bootstrap_counts_rows,
@@ -125,11 +126,27 @@ class TestRepeatedPartitionsMemory:
             assert want.dtype == np.int64
             np.testing.assert_array_equal(rp[m], want)
         peak = traced_peak(lambda: repeated_partitions(n, folds, reps, seed))
-        # The M stream keys (16 bytes each) are derived in one pass, before the
-        # map is made; at small n that pass, not the map, sets the peak.  Past
-        # the larger of the two, a tenth of a map is allowed.
+        # At most the larger of one key pass over all M rows and the M stream
+        # keys (16 bytes each) plus the map, plus a tenth of a map; the blocked
+        # key pass (test_key_pass_is_bounded_by_its_block) keeps inside it.
         keys = traced_peak(lambda: _philox_keys(seed, "partition", np.arange(reps)))
         assert peak <= max(keys, 16 * reps + rp.nbytes) + 0.1 * rp.nbytes, (peak, keys)
+
+    def test_key_pass_is_bounded_by_its_block(self):
+        # At n = 2 the int8 map is 2 bytes a row, and a key pass about 90.
+        n, folds, reps, seed = 2, 2, 20000, 9
+        rp = repeated_partitions(n, folds, reps, seed)
+        for m in (0, _KEY_BLOCK - 1, _KEY_BLOCK, reps - 1):  # across a block boundary
+            np.testing.assert_array_equal(
+                rp[m], make_partition(n, folds, random_permutation(n, seed, m))
+            )
+        peak = traced_peak(lambda: repeated_partitions(n, folds, reps, seed))
+        block = traced_peak(lambda: _philox_keys(
+            seed, "partition", np.arange(_KEY_BLOCK, dtype=np.uint32)
+        ))
+        # The last block's keys live on while the next block's are derived;
+        # 8 KB covers the bit generator, its state and the loop's objects.
+        assert peak <= rp.nbytes + block + 16 * _KEY_BLOCK + 8192, (peak, block)
 
 
 class TestPhiloxKeys:

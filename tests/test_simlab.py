@@ -1,8 +1,12 @@
 import math
-import multiprocessing
 import os
+import pickle
+import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,7 @@ from cvlab.simlab import (
     trainer_from_id,
     true_conditional_performance,
 )
+from oracles import children_left
 
 TABLE_SPEC = MultinormalSpec(p=5, delta=0.8, n1=10, n2=10)
 
@@ -515,7 +520,7 @@ class UnscorableTrainer(Trainer):
 
 
 class TestRatioCurveWorkers:
-    """The (n1, seed) units run in a process pool; results merge in unit order."""
+    """The (n1, seed) units run in a fork map; results merge in unit order."""
 
     def run_with(self, monkeypatch, cpus, *args):
         monkeypatch.setattr(simlab, "_usable_cpus", lambda: cpus)
@@ -530,7 +535,7 @@ class TestRatioCurveWorkers:
         assert os.getpid() not in trainer.pids()
         assert [p.n1 for p in serial] == [3, 5]
         assert pooled == serial
-        assert multiprocessing.active_children() == []
+        assert children_left() == []
 
     def test_first_failing_unit_in_unit_order_wins(self, monkeypatch):
         # Units in order: n1 = 3 (all pass), n1 = 4 (all fail, the first one
@@ -543,7 +548,7 @@ class TestRatioCurveWorkers:
             with pytest.raises(EstimationError) as info:
                 self.run_with(monkeypatch, cpus, *args)
             raised[cpus] = info.value
-            assert multiprocessing.active_children() == []
+            assert children_left() == []
         assert str(raised[1]) == str(raised[3]) == f"unit with x0={first!r} failed"
         assert type(raised[1]) is type(raised[3]) is EstimationError
 
@@ -553,14 +558,14 @@ class TestRatioCurveWorkers:
         for cpus in (1, 3):
             with pytest.raises(EstimationError, match="^n1=3: pooled error mean is zero"):
                 self.run_with(monkeypatch, cpus, *args)
-            assert multiprocessing.active_children() == []
+            assert children_left() == []
 
     def test_exception_that_cannot_be_unpickled_is_raised(self, monkeypatch):
         args = ([4], UnscorableTrainer(), 10, SamplingModel.ORDERED, [1, 2])
         for cpus in (1, 3):
             with pytest.raises(UnpicklableError, match="^score_many-8$"):
                 self.run_with(monkeypatch, cpus, *args)
-            assert multiprocessing.active_children() == []
+            assert children_left() == []
 
 
 class AbortOnData(NearestMeanTrainer):
@@ -600,7 +605,7 @@ def trial_x0(config: WeakCorrConfig, trial: int) -> float:
 
 
 class TestCampaignWorkers:
-    """The campaign's trials run in a process pool; results merge in trial order."""
+    """The campaign's trials run in a fork map; results merge in trial order."""
 
     def run_with(self, monkeypatch, cpus, config):
         monkeypatch.setattr(simlab, "_usable_cpus", lambda: cpus)
@@ -629,7 +634,7 @@ class TestCampaignWorkers:
         np.testing.assert_array_equal(pooled.triples, serial.triples)
         assert pooled.rows == serial.rows
         assert pooled.aborted == serial.aborted == 0
-        assert multiprocessing.active_children() == []
+        assert children_left() == []
 
     def test_aborted_trials_are_dropped_and_counted(self, monkeypatch):
         config = WeakCorrConfig(
@@ -651,7 +656,7 @@ class TestCampaignWorkers:
         for cpus in (1, 3):
             with pytest.raises(EstimationError, match=r"^3/200 trials aborted \(more than 1%\)$"):
                 self.run_with(monkeypatch, cpus, config)
-            assert multiprocessing.active_children() == []
+            assert children_left() == []
 
     def test_first_trial_failing_otherwise_raises(self, monkeypatch):
         config = WeakCorrConfig(
@@ -665,7 +670,7 @@ class TestCampaignWorkers:
             with pytest.raises(RuntimeError) as info:
                 self.run_with(monkeypatch, cpus, config)
             raised[cpus] = info.value
-            assert multiprocessing.active_children() == []
+            assert children_left() == []
         assert str(raised[1]) == str(raised[3]) == f"trial with x0={first!r} failed"
         assert type(raised[1]) is type(raised[3]) is RuntimeError
 
@@ -709,9 +714,68 @@ def unit_logged_to(path):
     return unit
 
 
+KILLED_WORKER_SCRIPT = """
+import os, signal
+from cvlab import simlab
+
+parent = os.getpid()
+
+def unit(index):
+    if index == 1 and os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return index * index
+
+simlab._usable_cpus = lambda: 3
+simlab._blas_thread_controls = lambda: [(lambda: 1, lambda count: None)]
+print(list(simlab._map_units(unit, 6)))
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+class Unpicklable:
+    """A value that pickle refuses to send."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.n == self.n
+
+    def __reduce__(self):
+        raise pickle.PicklingError("not sent on purpose")
+
+
+class Unloadable(Unpicklable):
+    """A value that pickles, but that pickle cannot rebuild: its reduction
+    leaves out the constructor's argument."""
+
+    def __reduce__(self):
+        return Unloadable, ()
+
+
+@pytest.fixture
+def three_workers(monkeypatch):
+    """The fork map at three workers, with a stand-in BLAS thread control,
+    so that it forks whatever BLAS numpy uses."""
+    threads = [4]
+
+    def set_threads(count):
+        threads[0] = count
+
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(simlab, "_blas_thread_controls", lambda: [(lambda: threads[0], set_threads)])
+    yield
+    assert threads == [4]
+
+
 class TestUnitPool:
-    """The one pool path: OpenBLAS is held to one thread while the pool lives
-    (set before the fork), and the pool is terminated only once it is idle."""
+    """The one fork map path: OpenBLAS is held to one thread while the
+    workers run (set before the fork), worker w of W runs units w, w + W, ...,
+    and a unit whose worker died or whose value could not be sent runs again
+    here."""
 
     def test_lookup_finds_numpys_openblas(self):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -729,15 +793,21 @@ class TestUnitPool:
         with pytest.raises(KeyError, match="unit 4"):
             list(simlab._map_units(pid_and_blas_threads, 6))
         assert blas_threads() == before
-        assert multiprocessing.active_children() == []
+        assert children_left() == []
 
-        class NoFork:
-            def Pool(self, *args):
+        fork, forked = os.fork, []
+
+        def fork_once():
+            if forked:
                 raise BlockingIOError("fork: resource temporarily unavailable")
+            forked.append(fork())
+            return forked[-1]
 
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: NoFork())
+        monkeypatch.setattr(os, "fork", fork_once)
         with pytest.raises(BlockingIOError):
             simlab._map_units(pid_and_blas_threads, 4)
+        assert len(forked) == 1
+        assert children_left() == []  # the first worker was killed and reaped
         assert blas_threads() == before
 
     def test_units_run_inline_without_a_thread_control(self, monkeypatch):
@@ -747,12 +817,48 @@ class TestUnitPool:
         assert results == [(os.getpid(), [])] * 4
 
     def test_failure_is_raised_after_every_unit_ran(self, monkeypatch, tmp_path):
-        # The pool is terminated only once no worker is busy: a worker ended
-        # while it sends a result can leave the pool's queue lock held, and
-        # terminating the pool then waits forever.
+        # Every worker runs all of its units before the first value is read.
         monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
         path = tmp_path / "ran"
         with pytest.raises(KeyError, match="unit 0"):
             list(simlab._map_units(unit_logged_to(path), 12))
         assert sorted(map(int, path.read_text(encoding="utf-8").split())) == list(range(1, 12))
-        assert multiprocessing.active_children() == []
+        assert children_left() == []
+
+    def test_worker_w_runs_the_units_congruent_to_w(self, three_workers):
+        pids = list(simlab._map_units(lambda index: os.getpid(), 7))
+        assert os.getpid() not in pids
+        assert len(set(pids)) == 3
+        assert [pids.index(pid) for pid in pids] == [0, 1, 2, 0, 1, 2, 0]
+
+    def test_killed_worker_costs_time_not_a_hang(self):
+        # Worker 1 of 3 (units 1 and 4) SIGKILLs itself; both its units run
+        # again in the parent.  In a fresh process group, under a timeout, so
+        # that a map that hangs fails the test and is killed with its workers.
+        src = str(Path(simlab.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", KILLED_WORKER_SCRIPT], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src}, start_new_session=True,
+        )
+        try:
+            out, _ = proc.communicate(timeout=20)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the map still ran 20 s after a worker was killed")
+        assert out.split("\n")[:2] == [str([index * index for index in range(6)]), "no child left"]
+
+    @pytest.mark.parametrize("kind", [Unpicklable, Unloadable])
+    def test_value_that_cannot_be_sent_is_the_serial_value(self, three_workers, kind):
+        def unit(index):
+            if index == 5:
+                raise KeyError("unit 5")
+            return kind(index) if index == 2 else index
+
+        with pytest.raises(pickle.PicklingError if kind is Unpicklable else TypeError):
+            pickle.loads(pickle.dumps(kind(2)))
+        values = simlab._map_units(unit, 6)  # worker 2 of 3 runs units 2 and 5
+        assert [next(values) for _ in range(5)] == [0, 1, kind(2), 3, 4]
+        with pytest.raises(KeyError, match="unit 5"):
+            next(values)
+        assert children_left() == []
