@@ -31,7 +31,6 @@ import os
 import sys
 import tempfile
 from dataclasses import astuple, dataclass, fields
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -280,15 +279,13 @@ def cmd_estimate(values: dict, config: RunConfig) -> int:
     return 0
 
 
-def run_verify(
-    n_max: int, pmf: Callable[[int, int, int], Fraction] = combinatorics.pmf_unseen_count
-) -> bool:
-    """PASS/FAIL line per identity per n; ``pmf`` is a test hook."""
+def run_verify(n_max: int) -> bool:
+    """PASS/FAIL line per identity per n, then the overall verdict."""
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
     all_ok = True
     for n in range(2, n_max + 1):
-        for name, ok in combinatorics.identity_checks(n, pmf):
+        for name, ok in combinatorics.identity_checks(n):
             all_ok &= ok
             print(f"{'PASS' if ok else 'FAIL'} n={n} {name}")
     print(f"{'PASS' if all_ok else 'FAIL'} overall (n_max={n_max})")

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
 
 from cvlab.core import DomainError
 
@@ -99,21 +98,18 @@ def prob_some_unseen(n: int) -> Fraction:
     return 1 - pmf_unseen_count(n, n, 0)
 
 
-def identity_checks(n: int, pmf: Callable[[int, int, int], Fraction] = pmf_unseen_count) -> list[tuple[str, bool]]:
-    """Each appendix identity at size n, evaluated exactly: (name, holds).
-
-    ``pmf`` is replaceable so the verification harness can be shown to catch
-    a deliberately perturbed distribution.
-    """
+def identity_checks(n: int) -> list[tuple[str, bool]]:
+    """Each appendix identity at size n, evaluated exactly: (name, holds)."""
     if n < 1:
         raise DomainError("identity_checks requires n >= 1")
-    total = sum((pmf(n, n, k) for k in range(n)), start=Fraction(0))
-    mean = sum((k * pmf(n, n, k) for k in range(n)), start=Fraction(0))
-    inv_mean = sum((pmf(n, n, k) / (1 + k) for k in range(n)), start=Fraction(0))
+    pmf = [pmf_unseen_count(n, n, k) for k in range(n)]
+    total = sum(pmf, start=Fraction(0))
+    mean = sum((k * p for k, p in enumerate(pmf)), start=Fraction(0))
+    inv_mean = sum((p / (1 + k) for k, p in enumerate(pmf)), start=Fraction(0))
     return [
         ("pmf-normalization", total == 1),
         ("expected-unseen", mean == expected_unseen(n)),
         ("expected-inv-one-plus-unseen", inv_mean == expected_inv_one_plus_unseen(n)),
         ("inclusion-probability", 1 - mean / n == inclusion_probability(n)),
-        ("oob-weight-vs-prob-some-unseen", 1 - pmf(n, n, 0) == prob_some_unseen(n)),
+        ("oob-weight-vs-prob-some-unseen", 1 - pmf[0] == prob_some_unseen(n)),
     ]

@@ -201,21 +201,9 @@ class EstimatorReport:
             "metric": self.metric.value,
             "excluded_count": self.excluded_count,
         }
-        out.update({k: _plain(v) for k, v in sorted(self.config.items())})
+        for k, v in sorted(self.config.items()):
+            out[k] = v.value if isinstance(v, Enum) else v
         return out
-
-
-def _plain(v):
-    if isinstance(v, Enum):
-        return v.value
-    return v
-
-
-def _train(trainer: Trainer, subset: StratifiedDataset, context: str):
-    try:
-        return trainer.train(subset)
-    except Exception as exc:
-        raise EstimationError(f"trainer failed on {context}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +248,10 @@ def task_scores(
             subset = StratifiedDataset(
                 features[reps][labels[reps] == 1], features[reps][labels[reps] == 2]
             )
-            rule = _train(trainer, subset, context(r))
+            try:
+                rule = trainer.train(subset)
+            except Exception as exc:
+                raise EstimationError(f"trainer failed on {context(r)}: {exc}") from exc
             scores[r] = rule.score_many(features)
     finite = np.isfinite(scores).all(axis=1)
     if not finite.all():

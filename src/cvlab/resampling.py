@@ -6,7 +6,7 @@ A fold map is an int array of fold ids 1..K: (n,) for one run, (M, n) for M
 runs.  The canonical map over n observations (K divides n, folds of size
 n_K = n/K) puts observation i (1-based) in fold ceil(i / n_K).  A randomized
 map composes it with a uniform permutation; the repeated-CV maps take row m
-from permutation stream m.
+from permutation stream m (see Randomness).
 
 Bootstrap sampling models
 -------------------------
@@ -26,6 +26,12 @@ Every randomized operation takes an explicit integer master seed.  Stream
 seeds are derived as (master seed, crc32(stream tag), counter) through
 ``numpy.random.SeedSequence`` feeding a Philox generator, so independent
 streams can be drawn in any order without interfering.
+
+Row m of the repeated-CV map of (n, K, seed) composes the canonical map
+with the permutation ``derive_rng(seed, "partition", m).permutation(n) + 1``:
+the 1-based permutation that stream (seed, "partition", m) draws.  It is
+drawn, as below, through a re-keyed Philox bit generator and
+``RandomState.shuffle``, which give the same permutation.
 
 Where many streams are drawn at once, ``_seed_sequence_state`` transcribes
 SeedSequence's mixing over arrays: every stream's words come from one
@@ -52,7 +58,6 @@ from __future__ import annotations
 
 import zlib
 from enum import Enum
-from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -112,16 +117,6 @@ def make_partition(n: int, n_folds: int, perm: Sequence[int] | None = None) -> n
         if images.shape != (n,) or not np.array_equal(np.sort(images), np.arange(1, n + 1)):
             raise DomainError("perm must be a permutation of 1..n")
     return (images - 1) // size + 1
-
-
-def random_permutation(n: int, seed: int, counter: int = 0) -> np.ndarray:
-    """Uniform 1-based permutation from stream (seed, 'partition', counter).
-
-    The per-stream reference: row m of ``repeated_partitions`` matches
-    ``random_permutation(n, seed, m)`` bit for bit.
-    """
-    rng = derive_rng(seed, "partition", counter)
-    return rng.permutation(n) + 1
 
 
 # numpy.random.SeedSequence: pool of 4 uint32 words and its hash constants.
@@ -253,7 +248,8 @@ def _rekeyed_streams(keys, wrap) -> Iterator:
 
 
 def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np.ndarray:
-    """(M, n) fold ids; row m maps ``random_permutation(n, seed, m)``.
+    """(M, n) fold ids; row m is ``make_partition(n, n_folds, perm)`` of the
+    permutation ``perm = derive_rng(seed, "partition", m).permutation(n) + 1``.
 
     The map is held in the smallest signed integer dtype that holds n, and
     is the only (M, n) array made: its rows of images less one, 0..n-1, are
@@ -285,18 +281,6 @@ def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np
     images //= size
     images += 1
     return images
-
-
-def enumerate_multiset_counts(n: int) -> np.ndarray:
-    """(C(2n-1, n), n) array of all bootstrap count vectors, one row per index
-    multiset.
-
-    Decodes every n-subset of {0, ..., 2n-2} as the UNORDERED_MULTISET
-    sampler does: ascending element s_j becomes the multiset value s_j - j;
-    feasible for small n only.
-    """
-    subsets = np.array(list(combinations(range(2 * n - 1), n)), dtype=int)
-    return _row_histograms(subsets - np.arange(n), n)
 
 
 def _counts_from_uniform_keys(keys: np.ndarray, n: int) -> np.ndarray:

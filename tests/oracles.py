@@ -2,13 +2,16 @@
 
 Each one is written independently of the code under test, as a direct
 transcription of its definition: a scalar rank kernel, sums over the exact
-out-of-bag pmf, the decomposition residual, the enumerated B -> infinity
-limits of the leave-one-out bootstrap variants, the AUC pair sums from masked
-float kernel cells, the one-class rule on dense task weights, and the
-one-class redraw replicate by replicate.  Two probes measure rather than
-compute: the peak memory of a script run in a fresh interpreter, read from
-the child's own ``VmHWM``, and the traced (``tracemalloc``) peak of a call
-in this one.  One check looks for child processes left behind.
+out-of-bag pmf, the decomposition residual, the documented stream of each
+repeated-CV fold map, the multiset support of the bootstrap by direct
+enumeration (with 0/1 keys that make the sampler's decode walk it), the
+enumerated B -> infinity limits of the leave-one-out bootstrap variants,
+every K-fold map of a small dataset with its per-task losses (complete CV),
+the AUC pair sums from masked float kernel cells, the one-class rule on dense
+task weights, and the one-class redraw replicate by replicate.  Two probes
+measure rather than compute: the peak memory of a script run in a fresh
+interpreter, read from the child's own ``VmHWM``, and the traced
+(``tracemalloc``) peak of a call in this one.  One check looks for child processes left behind.
 """
 
 import math
@@ -18,6 +21,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +29,9 @@ import numpy as np
 import cvlab
 from cvlab.analysis import PairedPerformanceSample, decompose
 from cvlab.combinatorics import pmf_unseen_count
-from cvlab.core import DomainError
+from cvlab.core import DomainError, StratifiedDataset
 from cvlab.estimators import EstimationError
-from cvlab.resampling import bootstrap_counts_matrix, derive_seed, enumerate_multiset_counts
+from cvlab.resampling import bootstrap_counts_matrix, derive_rng, derive_seed
 
 
 def mw_kernel(a: float, b: float) -> float:
@@ -68,6 +72,35 @@ def inv_one_plus_unseen_by_summation(n: int) -> Fraction:
     )
 
 
+def random_permutation(n: int, seed: int, counter: int = 0) -> np.ndarray:
+    """The 1-based permutation that stream (seed, "partition", counter)
+    draws: the documented permutation of row ``counter`` of
+    ``repeated_partitions(n, K, M, seed)``."""
+    return derive_rng(seed, "partition", counter).permutation(n) + 1
+
+
+def enumerate_multiset_counts(n: int) -> np.ndarray:
+    """(C(2n-1, n), n): the count vector of every multiset of n indices in
+    0..n-1, one row each, the multisets in lexicographic order.
+
+    The stars-and-bars decode maps the n-subsets of {0, ..., 2n-2}, in
+    ``itertools.combinations`` order, to these rows in this order.
+    """
+    multisets = combinations_with_replacement(range(n), n)
+    return np.array([np.bincount(m, minlength=n) for m in multisets])
+
+
+def subset_keys(n: int) -> np.ndarray:
+    """(C(2n-1, n), 2n-1) float keys, one row per n-subset of {0, ..., 2n-2}
+    in ``itertools.combinations`` order: 0 at the subset, 1 elsewhere.  The
+    n smallest keys of a row sit at its subset."""
+    subsets = list(combinations(range(2 * n - 1), n))
+    keys = np.ones((len(subsets), 2 * n - 1))
+    for row, subset in zip(keys, subsets):
+        row[list(subset)] = 0
+    return keys
+
+
 def two_class_multisets(labels: np.ndarray) -> np.ndarray:
     """Every unordered-multiset replicate of the pooled sample that keeps both
     classes.  The one-class redraw is rejection sampling, so the accepted
@@ -93,6 +126,55 @@ def loob_limits(losses: np.ndarray, oob: np.ndarray) -> tuple[float, float]:
     usable = unseen > 0
     partitioned = float(((losses * oob).sum(axis=1)[usable] / unseen[usable]).mean())
     return pooled, partitioned
+
+
+def complete_cv(dataset, trainer, folds: tuple[int, ...], th: float = 0.0) -> dict:
+    """{fold map: its K-fold CV per-task losses as Fractions} over every
+    distinct fold map of ``dataset``.
+
+    ``folds`` holds one fold count per part: (K,) for error, whose one part
+    is the pooled observations, class 1 then class 2; (K1, K2) for AUC, whose
+    parts are class 1 and class 2.  A part's maps are the distinct
+    arrangements of its fold ids 1..K_c, n_c / K_c of each; a map of the
+    dataset is one map per part, keyed as the tuple of the parts' fold-id
+    tuples.  Task (k_1, ...) of a map, class-1 fold major, trains on all but
+    fold k_c of each part, and its loss is the mean over what it held out:
+    for error the zero-one loss of each held-out observation (a score >= th
+    predicts class 2), for AUC the kernel of each held-out (class-1, class-2)
+    pair (1 if the class-1 score is below the class-2 one, 1/2 on a tie).
+    The mean over maps of a map's mean task loss is complete CV.
+    """
+    auc = len(folds) == 2
+    features = np.vstack([dataset.class1, dataset.class2])
+    labels = np.repeat([1, 2], [dataset.n1, dataset.n2])
+    sizes = (dataset.n1, dataset.n2) if auc else (dataset.n,)
+    losses = {}
+
+    def loss(held):
+        """The loss of the task that holds out ``held``, one index tuple per part."""
+        if held not in losses:
+            out = np.concatenate([np.isin(np.arange(n), h) for n, h in zip(sizes, held)])
+            train = [features[~out & (labels == c)] for c in (1, 2)]
+            scores = trainer.train(StratifiedDataset(*train)).score_many(features[out])
+            tested = labels[out]
+            if auc:
+                s1, s2 = scores[tested == 1], scores[tested == 2]
+                twice = [2 * (a < b) + (a == b) for a in s1 for b in s2]
+                losses[held] = Fraction(int(sum(twice)), 2 * len(twice))
+            else:
+                losses[held] = Fraction(int(sum((scores >= th) != (tested == 2))), len(scores))
+        return losses[held]
+
+    def part_maps(n, k):
+        return sorted(set(permutations([f for f in range(1, k + 1) for _ in range(n // k)])))
+
+    per_map = {}
+    for fold_map in product(*(part_maps(n, k) for n, k in zip(sizes, folds))):
+        per_map[fold_map] = tuple(
+            loss(tuple(tuple(i for i, f in enumerate(m) if f == k) for m, k in zip(fold_map, task)))
+            for task in product(*(range(1, k + 1) for k in folds))
+        )
+    return per_map
 
 
 def float_pair_sums(scores: np.ndarray, test: np.ndarray, n1: int, block_cells: int):

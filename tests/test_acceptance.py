@@ -55,12 +55,7 @@ from cvlab.estimators import (
     err_cvkr,
     err_cvn,
 )
-from cvlab.resampling import (
-    SamplingModel,
-    derive_seed,
-    enumerate_multiset_counts,
-    random_permutation,
-)
+from cvlab.resampling import SamplingModel, derive_seed
 from cvlab.simlab import (
     LdaTrainer,
     MultinormalSpec,
@@ -71,10 +66,12 @@ from cvlab.simlab import (
     run_weak_correlation,
 )
 from oracles import (
+    enumerate_multiset_counts,
     identity_residual,
     inv_one_plus_unseen_by_summation,
     loob_limits,
     pmf_total,
+    random_permutation,
     two_class_multisets,
     unseen_mean_by_summation,
 )

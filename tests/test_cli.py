@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvlab import analysis, cli, estimators, simlab
+from cvlab import analysis, cli, combinatorics, estimators, simlab
 from cvlab.combinatorics import pmf_unseen_count
 from cvlab.core import StratifiedDataset, write_dataset_csv
 from cvlab.estimators import err_cvn
@@ -186,12 +186,13 @@ class TestVerify:
         assert "PASS n=20 expected-unseen" in out
         assert "FAIL" not in out
 
-    def test_perturbed_pmf_fails(self, capsys):
+    def test_perturbed_pmf_fails(self, capsys, monkeypatch):
         def bad(n, m, k):
-            value = pmf_unseen_count(n, m, k)
+            value = pmf_unseen_count(n, m, k)  # the real pmf, imported before the patch
             return value + Fraction(1, 7) if (k == 1 and n == 5) else value
 
-        assert not cli.run_verify(6, pmf=bad)
+        monkeypatch.setattr(combinatorics, "pmf_unseen_count", bad)
+        assert not cli.run_verify(6)
         assert "FAIL n=5" in capsys.readouterr().out
 
     def test_cli_exit_code(self, tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvlab import combinatorics
 from cvlab.combinatorics import (
     binom,
     expected_inv_one_plus_unseen,
@@ -24,8 +25,13 @@ from cvlab.combinatorics import (
     prob_some_unseen,
 )
 from cvlab.core import DomainError
-from cvlab.resampling import enumerate_multiset_counts
-from oracles import inv_one_plus_unseen_by_summation, pmf_total, unseen_mean_by_summation
+from cvlab.resampling import _counts_from_uniform_keys
+from oracles import (
+    inv_one_plus_unseen_by_summation,
+    pmf_total,
+    subset_keys,
+    unseen_mean_by_summation,
+)
 
 
 def unseen_distribution_by_enumeration(n: int, m: int) -> dict[int, Fraction]:
@@ -164,7 +170,7 @@ class TestEnumerationOracle:
         # walk the sampler's own stars-and-bars decode over all subsets
         freq: dict[int, int] = {}
         total = 0
-        for counts in enumerate_multiset_counts(n):
+        for counts in _counts_from_uniform_keys(subset_keys(n), n):
             unseen = int((counts == 0).sum())
             freq[unseen] = freq.get(unseen, 0) + 1
             total += 1
@@ -178,11 +184,12 @@ class TestIdentityChecks:
         for n in range(2, 40):
             assert all(ok for _, ok in identity_checks(n))
 
-    def test_perturbed_pmf_is_caught(self):
+    def test_perturbed_pmf_is_caught(self, monkeypatch):
         def bad_pmf(n, m, k):
-            value = pmf_unseen_count(n, m, k)
+            value = pmf_unseen_count(n, m, k)  # the real pmf, imported before the patch
             return value + Fraction(1, 1000) if k == 0 else value
 
-        results = dict(identity_checks(5, pmf=bad_pmf))
+        monkeypatch.setattr(combinatorics, "pmf_unseen_count", bad_pmf)
+        results = dict(identity_checks(5))
         assert not all(results.values())
         assert not results["pmf-normalization"]

@@ -33,11 +33,16 @@ from cvlab.resampling import (
     bootstrap_counts_matrix,
     derive_seed,
     make_partition,
-    random_permutation,
     repeated_partitions,
 )
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
-from oracles import float_pair_sums, fresh_process_peak, mw_kernel
+from oracles import (
+    complete_cv,
+    float_pair_sums,
+    fresh_process_peak,
+    mw_kernel,
+    random_permutation,
+)
 
 
 class ConstantScoreTrainer(Trainer):
@@ -382,6 +387,33 @@ class TestAucLpobs:
         a = auc_lpobs(FOUR_BY_FOUR, trainer, 40, 5).value
         b = auc_lpobs(FOUR_BY_FOUR, trainer, 40, 5).value
         assert a == b
+
+
+class TestCompleteCV:
+    """Repeated K1 x K2-fold AUC CV against complete CV, every distinct pair
+    of class fold maps enumerated with its per-fold-pair values as Fractions
+    (``oracles.complete_cv``); the lookups read the maps the estimator draws."""
+
+    @pytest.fixture(scope="class")
+    def per_map(self):
+        return complete_cv(FOUR_BY_FOUR, NearestMeanTrainer(), (2, 2))
+
+    def test_full_grid_reduced_diagonal_and_one_fold_pair_share_the_limit(self, per_map):
+        assert len(per_map) == 36  # 4! / (2! 2!) maps per class
+        full = sum(sum(values) / 4 for values in per_map.values()) / 36
+        assert sum((values[0] + values[3]) / 2 for values in per_map.values()) / 36 == full
+        assert sum(values[0] for values in per_map.values()) / 36 == full
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_partitioned_value_is_the_mean_over_the_drawn_maps(self, per_map, seed):
+        maps = [repeated_partitions(4, 2, 1000, derive_seed(seed, c)) for c in ("class1", "class2")]
+        drawn = [per_map[tuple(map(tuple, rows))] for rows in zip(*maps)]
+        cvkr = np.array([np.mean([float(v) for v in values]) for values in drawn]).mean()
+        cvkm = np.array([float(values[0]) for values in drawn]).mean()  # fold pair (1, 1)
+        trainer = NearestMeanTrainer()
+        for estimator, want in ((auc_cvkr, cvkr), (auc_cvkm, cvkm)):
+            report = estimator(FOUR_BY_FOUR, trainer, 2, 2, 1000, seed, Variant.PARTITIONED)
+            assert report.value == want
 
 
 class TestPairBlocks:

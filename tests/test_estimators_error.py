@@ -7,6 +7,8 @@ scoring path entirely.  The oracles share only the partition / replicate
 definitions with the code under test, since those define the estimand.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,11 +45,17 @@ from cvlab.resampling import (
     bootstrap_counts_matrix,
     derive_seed,
     make_partition,
-    random_permutation,
     repeated_partitions,
 )
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
-from oracles import fresh_process_peak, one_class_tasks, redraw_one_class_rows, traced_peak
+from oracles import (
+    complete_cv,
+    fresh_process_peak,
+    one_class_tasks,
+    random_permutation,
+    redraw_one_class_rows,
+    traced_peak,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,6 +1042,35 @@ class TestAsymptoticBehaviour:
         assert med_redundancy[20000] < med_redundancy[100]
         # successive-gap medians also decrease through the middle budget
         assert med_variant[20000] <= med_variant[1000] <= med_variant[100]
+
+
+class TestCompleteCV:
+    """Repeated K-fold CV against complete CV, every distinct fold map of the
+    convergence test's dataset enumerated with its per-fold losses as
+    Fractions (``oracles.complete_cv``).  Nothing here depends on how the
+    maps are drawn: the lookups read the maps the estimator draws."""
+
+    DATASET = StratifiedDataset(np.array([[-1.0], [0.2], [0.9]]), np.array([[-0.4], [0.5], [1.3]]))
+
+    @pytest.fixture(scope="class")
+    def per_map(self):
+        return complete_cv(self.DATASET, NearestMeanTrainer(), (3,))
+
+    def test_limit_is_complete_cv(self, per_map):
+        # 6! / (2! 2! 2!) labelled maps; CVKR's and CVKM's M -> infinity limits
+        assert len(per_map) == 90
+        assert sum(sum(losses) / 3 for losses in per_map.values()) / 90 == Fraction(7, 10)
+        assert sum(losses[0] for losses in per_map.values()) / 90 == Fraction(7, 10)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_partitioned_value_is_the_mean_over_the_drawn_maps(self, per_map, seed):
+        drawn = [per_map[(tuple(row),)] for row in repeated_partitions(6, 3, 1000, seed)]
+        cvkr = np.array([float(sum(losses) / 3) for losses in drawn]).mean()
+        cvkm = np.array([float(losses[0]) for losses in drawn]).mean()  # CVKM tests fold 1
+        trainer = NearestMeanTrainer()
+        for estimator, want in ((err_cvkr, cvkr), (err_cvkm, cvkm)):
+            report = estimator(self.DATASET, trainer, 0.0, 3, 1000, seed, Variant.PARTITIONED)
+            assert report.value == want
 
 
 class TestReportContract:

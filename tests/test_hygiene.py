@@ -1,7 +1,7 @@
 """Source hygiene checks that need nothing beyond the standard library.
 
-Every module under ``src/cvlab/`` and ``tests/`` must use each name it
-imports.  A name counts as used when the module reads it anywhere (an
+Every module under ``src/cvlab/``, ``tests/`` and ``tools/`` must use each
+name it imports.  A name counts as used when the module reads it anywhere (an
 annotation, a string annotation, a decorator, a default) or lists it in
 ``__all__``.  ``from __future__`` imports and import statements carrying a
 ``# noqa`` comment are exempt.
@@ -15,16 +15,19 @@ attribute, an imported name or a string that is exactly the identifier (as
 justify staying.  Every private top-level name there (a function, a class or
 an assigned name, not a dunder) must be referenced the same way, with no
 exceptions: a private name nothing in ``src/cvlab/`` uses is dead code.
+
+The code-line counter, ``tools/code_lines.py``, counts a small source exactly.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cvlab"
-MODULES = sorted([*(ROOT / "src" / "cvlab").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+MODULES = sorted(path for top in (SRC, ROOT / "tests", ROOT / "tools") for path in top.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -117,8 +120,6 @@ class TestUnusedImports:
 # to, with the reason it stays.
 UNREFERENCED_ALLOWED = {
     "core.write_dataset_csv": "writes the dataset CSV that read_dataset_csv reads",
-    "resampling.enumerate_multiset_counts": "the exact support of the multiset bootstrap model",
-    "resampling.random_permutation": "the documented stream of each repeated_partitions row",
 }
 
 
@@ -239,3 +240,40 @@ class TestUnreferencedPrivateNames:
     )
     def test_checker(self, sources, want):
         assert unreferenced_private_names(sources) == want
+
+
+COUNTED = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment
+
+
+# a comment line
+def f(x):
+    """One-line docstring."""
+    y = (x +
+         1)
+    return """a string,
+not a docstring"""
+
+
+class C:
+    """Class
+    docstring."""
+
+    z = 1
+'''
+
+
+class TestCodeLineCounter:
+    def test_counts_code_lines_only(self, tmp_path, capsys):
+        path = ROOT / "tools" / "code_lines.py"
+        spec = importlib.util.spec_from_file_location("code_lines", path)
+        code_lines = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(code_lines)
+        # import, def, the two lines of y, the two of the return, class, z
+        assert code_lines.count_code_lines(COUNTED) == 8
+        (tmp_path / "a.py").write_text(COUNTED, encoding="utf-8")
+        (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
+        assert code_lines.main([str(tmp_path)]) == 0
+        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["8", "1", "9"]

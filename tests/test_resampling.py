@@ -1,4 +1,4 @@
-from collections import Counter
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from cvlab.core import DivisibilityError, DomainError
 from cvlab.resampling import (
     SamplingModel,
     _KEY_BLOCK,
+    _counts_from_uniform_keys,
     _philox_keys,
     bootstrap_counts_matrix,
     bootstrap_counts_rows,
@@ -17,12 +18,10 @@ from cvlab.resampling import (
     derive_seed,
     derive_seed_sequence,
     derive_seeds,
-    enumerate_multiset_counts,
     make_partition,
-    random_permutation,
     repeated_partitions,
 )
-from oracles import traced_peak
+from oracles import enumerate_multiset_counts, random_permutation, subset_keys, traced_peak
 
 
 class TestMakePartition:
@@ -187,24 +186,24 @@ class TestPhiloxKeys:
 
 
 class TestStarsAndBars:
+    """The multiset sampler's decode, ``_counts_from_uniform_keys``, fed 0/1
+    keys whose zeros sit at each n-subset of {0, ..., 2n-2}, against the
+    multisets enumerated directly."""
+
     def test_decode_is_bijective_for_small_n(self):
         for n in (2, 3, 4, 5):
-            seen = Counter(tuple(c) for c in enumerate_multiset_counts(n))
-            import math
-
-            assert len(seen) == math.comb(2 * n - 1, n)
-            assert set(seen.values()) == {1}
-            for counts in seen:
-                assert sum(counts) == n
+            support = enumerate_multiset_counts(n)
+            assert len({tuple(row) for row in support}) == len(support) == math.comb(2 * n - 1, n)
+            assert (support.sum(axis=1) == n).all()
+            # row i of the decode is row i of the support: each multiset once
+            np.testing.assert_array_equal(_counts_from_uniform_keys(subset_keys(n), n), support)
 
     def test_decode_example(self):
-        # one row per 3-subset of {0..4}, in itertools.combinations order
-        counts = enumerate_multiset_counts(3)
-        assert counts.shape == (10, 3)
-        # the first subset, {0,1,2}, is the multiset {0,0,0}
-        assert list(counts[0]) == [3, 0, 0]
-        # the fifth, {0,2,4}, decodes to one copy of each index
-        assert list(counts[4]) == [1, 1, 1]
+        # ascending element s_j of the subset becomes the multiset value s_j - j
+        keys = np.ones((2, 5))
+        keys[0, [0, 1, 2]] = 0  # {0, 1, 2}: the multiset {0, 0, 0}
+        keys[1, [0, 2, 4]] = 0  # {0, 2, 4}: one copy of each index
+        np.testing.assert_array_equal(_counts_from_uniform_keys(keys, 3), [[3, 0, 0], [1, 1, 1]])
 
 
 class TestBootstrapSampling:

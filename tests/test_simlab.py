@@ -519,6 +519,36 @@ class UnscorableTrainer(Trainer):
         return UnscorableRule()
 
 
+# Each worker test takes a few seconds at most; a map that waits forever
+# fails at this deadline rather than stalling the suite.
+WORKER_TEST_DEADLINE_S = 60
+
+
+class DeadlinePassed(BaseException):
+    """A worker test outlived its deadline.  Not an ``Exception``, so no
+    ``except Exception`` under test swallows it, and the map ends and reaps
+    its workers as on any other raise."""
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test at WORKER_TEST_DEADLINE_S: SIGALRM's handler, which
+    Python runs in the main thread, raises :class:`DeadlinePassed` there.
+    Forked workers inherit no interval timer."""
+
+    def expire(signum, frame):
+        raise DeadlinePassed(f"still running after {WORKER_TEST_DEADLINE_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, WORKER_TEST_DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
 class TestRatioCurveWorkers:
     """The (n1, seed) units run in a fork map; results merge in unit order."""
 
@@ -604,6 +634,7 @@ def trial_x0(config: WeakCorrConfig, trial: int) -> float:
     return gen_multinormal(config.spec, derive_seed(config.seed, "trial-data", trial)).class1[0, 0]
 
 
+@pytest.mark.usefixtures("deadline")
 class TestCampaignWorkers:
     """The campaign's trials run in a fork map; results merge in trial order."""
 
@@ -771,6 +802,7 @@ def three_workers(monkeypatch):
     assert threads == [4]
 
 
+@pytest.mark.usefixtures("deadline")
 class TestUnitPool:
     """The one fork map path: OpenBLAS is held to one thread while the
     workers run (set before the fork), worker w of W runs units w, w + W, ...,
