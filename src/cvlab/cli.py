@@ -3,10 +3,12 @@
 Subcommands: ``estimate``, ``verify``, ``simulate``, ``ratio-curve``,
 ``decompose``.  Each takes a plain-text config file with ``[section]``
 headers and ``key = value`` lines.  ``_SCHEMAS`` is the whole input contract:
-:func:`main` validates the config against it once, before any handler runs,
-and hands each handler the validated sections.  Unknown sections or keys, bad
-values and missing required keys are thus all rejected before any work, so
-such a config exits 2 with nothing run or written.  A handler then builds its
+:func:`load_config` reads, checks and renders the config in one pass, before
+any handler runs, and :func:`main` hands the handler the converted sections
+and the canonical text.  Unknown sections or keys (``[DEFAULT]`` among them:
+it is an ordinary section here, so no section inherits its keys), bad values
+and missing required keys are thus all rejected before any work, so such a
+config exits 2 with nothing run or written.  A handler then builds its
 estimator config, trainer and campaign before it reads any data or runs any
 trial or unit, and they refuse a key the chosen estimator version or trainer
 does not take and sizes the estimator cannot run on: every input is used or
@@ -30,7 +32,8 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, fields
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -46,46 +49,6 @@ from cvlab.estimators import (
     Version,
 )
 from cvlab.resampling import SamplingModel, derive_seed
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A parsed config: subcommand plus canonical (section, key, value) text."""
-
-    subcommand: str
-    sections: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
-
-    def render(self) -> str:
-        lines = []
-        for name, items in self.sections:
-            lines.append(f"[{name}]")
-            for k, v in items:
-                lines.append(f"{k} = {v}")
-            lines.append("")
-        return "\n".join(lines)
-
-
-def parse_config_text(text: str, subcommand: str) -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keys are case-sensitive
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise DomainError(f"config parse error: {exc}") from exc
-    sections = tuple(
-        (name, tuple((k, v.strip()) for k, v in parser.items(name)))
-        for name in parser.sections()
-    )
-    return RunConfig(subcommand=subcommand, sections=sections)
-
-
-def load_config(path: str | Path, subcommand: str) -> RunConfig:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, subcommand)
 
 
 # ---------------------------------------------------------------------------
@@ -122,19 +85,21 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
 }
 
 # {section: {key: type name}}, the whole input contract of each subcommand.  A
-# type name ending in "?" marks a key that may be left out; every other key is
-# required.  A section name ending in "?" may be left out or left empty, and
-# then none of its keys is asked for: a simulate config without [estimator]
-# runs ``simlab.DEFAULT_ESTIMATOR``.  ``validate_config`` checks all of this
-# before a handler starts, so a missing required key exits 2 with nothing run
-# or written.  Each [estimator] key names an EstimatorConfig field
-# (``estimators._CONFIG_KEYS`` maps the ones spelled differently), and
-# EstimatorConfig checks every estimator rule when the handler builds it,
-# before any data is read or trial run, refusing a key its version does not
-# take; ``estimators.variant_values`` rejects a missing seed.  A campaign
-# derives each trial's estimator seed, so only ``estimate`` takes [estimator]
-# seed.  The [trainer] keys other than id are keywords of the trainer class,
-# and ``simlab.trainer_from_id`` refuses one it does not take.
+# type name ending in "?" marks a key that may be left out; every other key
+# is required.  A section name ending in "?" may be left out or left empty,
+# and then none of its keys is asked for: a simulate config without
+# [estimator] runs ``simlab.DEFAULT_ESTIMATOR``.  ``load_config`` reads,
+# checks and renders the config against this in one pass, before a handler
+# starts, and refuses [DEFAULT] as an unknown section, so an unknown or
+# missing key exits 2 with nothing run or written.  Each [estimator] key names
+# an EstimatorConfig field (``estimators._CONFIG_KEYS`` maps the ones spelled
+# differently), and EstimatorConfig checks every estimator rule when the
+# handler builds it, before any data is read or trial run, refusing a key its
+# version does not take; ``estimators.variant_values`` rejects a missing
+# seed.  A campaign derives each trial's estimator seed, so only ``estimate``
+# takes [estimator] seed.  The [trainer] keys other than id are keywords of
+# the trainer class, and ``simlab.trainer_from_id`` refuses one it does not
+# take.
 _ESTIMATOR_KEYS = {
     "version": "version", "variant": "variant?", "metric": "metric",
     "th": "float?", "K": "int?", "K1": "int?", "K2": "int?", "M": "int?",
@@ -171,33 +136,55 @@ _SCHEMAS: dict[str, dict[str, dict[str, str]]] = {
 }
 
 
-def validate_config(config: RunConfig) -> dict[str, dict[str, object]]:
-    """Reject unknown sections and keys, convert values per the schema, then
-    reject a missing required key.  Every schema section is in the result."""
-    schema = _SCHEMAS[config.subcommand]
+def load_config(path: str | Path, subcommand: str) -> tuple[dict[str, dict[str, object]], str]:
+    """Read, check and render the config at ``path`` in one pass.
+
+    Each section and key is checked against the subcommand's schema and its
+    value converted as it is read; then a missing required key is refused.
+    Returns the converted sections (every schema section is there, empty if
+    left out) and the canonical ``[section]`` / ``key = value`` text that the
+    simulate manifest echoes."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read config {path}: {exc}") from exc
+    # No header spells a line break, so [DEFAULT] is an ordinary section,
+    # refused as unknown, and no section inherits another's keys.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
+    parser.optionxform = str  # keys are case-sensitive
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise DomainError(f"config parse error: {exc}") from exc
+    schema = _SCHEMAS[subcommand]
     kinds = {name.rstrip("?"): keys for name, keys in schema.items()}
-    out: dict[str, dict[str, object]] = {}
-    for section, items in config.sections:
+    values: dict[str, dict[str, object]] = {}
+    lines = []
+    for section in parser.sections():
         if section not in kinds:
             raise DomainError(f"unknown config section [{section}]")
-        out[section] = {}
-        for key, raw in items:
+        values[section] = {}
+        lines.append(f"[{section}]")
+        for key, raw in parser.items(section):
+            raw = raw.strip()
             if key not in kinds[section]:
                 raise DomainError(f"unknown key '{key}' in section [{section}]")
-            converter = _CONVERTERS[kinds[section][key].rstrip("?")]
             try:
-                out[section][key] = converter(raw)
+                values[section][key] = _CONVERTERS[kinds[section][key].rstrip("?")](raw)
             except (ValueError, KeyError) as exc:
                 raise DomainError(f"[{section}] {key}: bad value '{raw}' ({exc})") from None
+            lines.append(f"{key} = {raw}")
+        lines.append("")
     for name, keys in schema.items():
         section = name.rstrip("?")
-        given = out.setdefault(section, {})
+        given = values.setdefault(section, {})
         if name.endswith("?") and not given:
             continue
         for key, kind in keys.items():
             if key not in given and not kind.endswith("?"):
                 raise DomainError(f"missing required key '{key}' in section [{section}]")
-    return out
+    return values, "\n".join(lines)
 
 
 def _estimator_config(section: dict) -> EstimatorConfig:
@@ -237,6 +224,8 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, Enum):
+        return value.value
     return str(value)
 
 
@@ -249,6 +238,11 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return buf.getvalue()
 
 
+def _records_csv(records: Sequence) -> str:
+    """One CSV row per dataclass record, under its field names."""
+    return _csv_text([f.name for f in fields(records[0])], [astuple(r) for r in records])
+
+
 def _json_text(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -258,17 +252,16 @@ def _write_payload(io_section: dict, payload: dict) -> None:
     if io_section.get("out_json"):
         _atomic_write(io_section["out_json"], _json_text(payload))
     if io_section.get("out_csv"):
-        keys = list(payload)
-        _atomic_write(io_section["out_csv"], _csv_text(keys, [[payload[k] for k in keys]]))
+        _atomic_write(io_section["out_csv"], _csv_text(list(payload), [list(payload.values())]))
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each takes the sections ``validate_config`` returned and
-# the parsed config, which only the simulate manifest reads.
+# Subcommand handlers: each takes the sections and the canonical text that
+# ``load_config`` returned; only the simulate manifest reads the text.
 # ---------------------------------------------------------------------------
 
 
-def cmd_estimate(values: dict, config: RunConfig) -> int:
+def cmd_estimate(values: dict, text: str) -> int:
     est_cfg = _estimator_config(values["estimator"])
     trainer = _trainer(values)
     dataset = read_dataset_csv(values["io"]["dataset"])
@@ -292,7 +285,7 @@ def run_verify(n_max: int) -> bool:
     return all_ok
 
 
-def cmd_verify(values: dict, config: RunConfig) -> int:
+def cmd_verify(values: dict, text: str) -> int:
     return 0 if run_verify(values["verify"]["n_max"]) else 1
 
 
@@ -306,11 +299,6 @@ def _campaign_from_config(values: dict) -> simlab.WeakCorrConfig:
     )
 
 
-def table_csv_text(result: simlab.WeakCorrResult) -> str:
-    header = [f.name for f in fields(simlab.ExperimentRow)]
-    return _csv_text(header, [astuple(row) for row in result.rows])
-
-
 def triples_csv_text(result: simlab.WeakCorrResult) -> str:
     rows = [
         [t, row[0], row[1], row[2]] for t, row in enumerate(result.triples)
@@ -322,18 +310,15 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def manifest_text(config: RunConfig, outputs: dict[str, str]) -> str:
-    lines = [config.render().rstrip("\n"), "", "[outputs]"]
-    for name, digest in sorted(outputs.items()):
-        lines.append(f"{name} = {digest}")
-    lines.append("")
-    return "\n".join(lines)
+def manifest_text(text: str, outputs: dict[str, str]) -> str:
+    digests = "".join(f"{name} = {digest}\n" for name, digest in sorted(outputs.items()))
+    return text.rstrip("\n") + "\n\n[outputs]\n" + digests
 
 
-def cmd_simulate(values: dict, config: RunConfig) -> int:
+def cmd_simulate(values: dict, text: str) -> int:
     campaign = _campaign_from_config(values)
     result = simlab.run_weak_correlation(campaign)
-    table = table_csv_text(result)
+    table = _records_csv(result.rows)
     triples = triples_csv_text(result)
     io_section = values["io"]
     _atomic_write(io_section["out_table"], table)
@@ -341,7 +326,7 @@ def cmd_simulate(values: dict, config: RunConfig) -> int:
     _atomic_write(
         io_section["out_manifest"],
         manifest_text(
-            config, {"table_sha256": _sha256(table), "triples_sha256": _sha256(triples)}
+            text, {"table_sha256": _sha256(table), "triples_sha256": _sha256(triples)}
         ),
     )
     for row in result.rows:
@@ -353,22 +338,12 @@ def cmd_simulate(values: dict, config: RunConfig) -> int:
     return 0
 
 
-RATIO_COLUMNS = ["n1", "ratio_empirical", "ratio_theory", "model"]
-
-
-def ratio_csv_text(points: list[simlab.RatioPoint]) -> str:
-    rows = [
-        [p.n1, p.ratio_empirical, p.ratio_theory, p.model.value] for p in points
-    ]
-    return _csv_text(RATIO_COLUMNS, rows)
-
-
-def cmd_ratio_curve(values: dict, config: RunConfig) -> int:
+def cmd_ratio_curve(values: dict, text: str) -> int:
     curve = values["curve"]
     model = curve.get("sampling", SamplingModel.ORDERED)
     seeds = [derive_seed(curve["seed"], "ratio-replicate", r) for r in range(curve["replicates"])]
     points = simlab.run_ratio_curve(curve["n1_grid"], _trainer(values), curve["B"], model, seeds)
-    _atomic_write(values["io"]["out_csv"], ratio_csv_text(points))
+    _atomic_write(values["io"]["out_csv"], _records_csv(points))
     for p in points:
         print(
             f"n1={p.n1}: empirical={p.ratio_empirical:.4f} theory={p.ratio_theory:.4f}"
@@ -376,7 +351,7 @@ def cmd_ratio_curve(values: dict, config: RunConfig) -> int:
     return 0
 
 
-def cmd_decompose(values: dict, config: RunConfig) -> int:
+def cmd_decompose(values: dict, text: str) -> int:
     path = Path(values["io"]["input"])
     header, rows = read_csv_rows(path, "pairs")
     if [h.strip() for h in header[:2]] != ["s", "s_hat"]:
@@ -426,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, args.subcommand)
-        return _HANDLERS[args.subcommand](validate_config(config), config)
+        return _HANDLERS[args.subcommand](*load_config(args.config, args.subcommand))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,10 +36,11 @@ Both reference trainers are linear:
 - LDA:           w = (pooled covariance + ridge I)^(-1) (m2 - m1)
 
 with score(x) = w . (x - (m1+m2)/2), so threshold 0 is the natural midpoint.
-Each also implements the ``weighted_scores`` batch hook used by the bootstrap
-estimators: given a matrix of replicate multiplicities it trains every
-replicate's rule and scores all evaluation points in a few vectorized
-operations.
+Each also implements the ``weighted_scores`` batch hook that every estimator
+trains through (:func:`cvlab.estimators.task_scores`): given a (tasks, n)
+matrix of observation weights, 0/1 for a fold task and replicate
+multiplicities for a bootstrap one, it trains every task's rule and scores
+all evaluation points in a few vectorized operations.
 """
 
 from __future__ import annotations

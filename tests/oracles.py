@@ -4,11 +4,13 @@ Each one is written independently of the code under test, as a direct
 transcription of its definition: a scalar rank kernel, sums over the exact
 out-of-bag pmf, the decomposition residual, the documented stream of each
 repeated-CV fold map, the multiset support of the bootstrap by direct
-enumeration (with 0/1 keys that make the sampler's decode walk it), the
-enumerated B -> infinity limits of the leave-one-out bootstrap variants,
-every K-fold map of a small dataset with its per-task losses (complete CV),
-the AUC pair sums from masked float kernel cells, the one-class rule on dense
-task weights, and the one-class redraw replicate by replicate.  Two probes
+enumeration (with 0/1 keys that make the sampler's decode walk it), each
+replicate's weight under a sampling model, the enumerated (weighted, exact)
+B -> infinity limits of the leave-one-out bootstrap variants, every K-fold
+map of a small dataset with its per-task, per-unit losses (complete CV) and
+the pooled variant over a set of those tasks, the AUC pair sums from masked
+float kernel cells, the one-class rule on dense task weights, and the
+one-class redraw replicate by replicate.  Two probes
 measure rather than compute: the peak memory of a script run in a fresh
 interpreter, read from the child's own ``VmHWM``, and the traced
 (``tracemalloc``) peak of a call in this one.  One check looks for child processes left behind.
@@ -110,27 +112,50 @@ def two_class_multisets(labels: np.ndarray) -> np.ndarray:
     return counts[keep]
 
 
-def loob_limits(losses: np.ndarray, oob: np.ndarray) -> tuple[float, float]:
-    """(pooled, partitioned) leave-one-out bootstrap values when every row of
-    ``losses``/``oob`` (replicates x observations) carries equal weight, i.e.
-    their B -> infinity limits over the enumerated replicate distribution.
+def replicate_weights(counts: np.ndarray, ordered: bool) -> np.ndarray:
+    """Integer weight of each row of ``counts`` (replicates x observations)
+    under the bootstrap's sampling model: the number of ordered draws that
+    give it, n! / prod(c_i!), for ORDERED; 1 for UNORDERED_MULTISET, which
+    draws every multiset equally often."""
+    if not ordered:
+        return np.ones(len(counts), dtype=object)
+    orderings = math.factorial(int(counts[0].sum()))
+    return np.array(
+        [orderings // math.prod(map(math.factorial, map(int, row))) for row in counts],
+        dtype=object,
+    )
 
-    Pooled: per observation, out-of-bag loss sum over out-of-bag count, then
-    the mean over observations.  Partitioned: per replicate with a non-empty
-    out-of-bag set, its mean out-of-bag loss, then the mean over those
-    replicates.
+
+def loob_limits(losses: np.ndarray, oob: np.ndarray, weights=None) -> tuple:
+    """(pooled, partitioned) leave-one-out bootstrap values when row b of
+    ``losses``/``oob`` (replicates x observations) is drawn with probability
+    proportional to ``weights[b]`` (every row alike if None), i.e. their
+    B -> infinity limits over the enumerated replicate distribution.
+    Integer (or bool) losses give exact Fractions; float losses give floats.
+
+    Pooled: per observation, the weighted out-of-bag loss sum over the
+    weighted out-of-bag count, then the mean over observations.
+    Partitioned: per replicate with a non-empty out-of-bag set, its mean
+    out-of-bag loss, then the weighted mean over those replicates.
     """
-    oob = oob.astype(float)
-    pooled = float(((losses * oob).sum(axis=0) / oob.sum(axis=0)).mean())
+    exact = losses.dtype.kind in "biu"
+    if weights is None:
+        weights = np.ones(len(oob), dtype=int)
+    if exact:  # Python ints, so every sum is exact and every ratio a Fraction
+        losses, oob, weights = (np.asarray(a).astype(object) for a in (losses, oob, weights))
+    ratio = np.frompyfunc(Fraction, 2, 1) if exact else np.divide
+    held = oob * weights[:, None]
+    pooled = ratio((losses * held).sum(axis=0), held.sum(axis=0)).sum() / oob.shape[1]
     unseen = oob.sum(axis=1)
     usable = unseen > 0
-    partitioned = float(((losses * oob).sum(axis=1)[usable] / unseen[usable]).mean())
+    per_replicate = ratio((losses * oob).sum(axis=1)[usable], unseen[usable])
+    partitioned = (weights[usable] * per_replicate).sum() / weights[usable].sum()
     return pooled, partitioned
 
 
 def complete_cv(dataset, trainer, folds: tuple[int, ...], th: float = 0.0) -> dict:
-    """{fold map: its K-fold CV per-task losses as Fractions} over every
-    distinct fold map of ``dataset``.
+    """{fold map: per task, its per-unit losses} over every distinct fold map
+    of ``dataset``.
 
     ``folds`` holds one fold count per part: (K,) for error, whose one part
     is the pooled observations, class 1 then class 2; (K1, K2) for AUC, whose
@@ -138,11 +163,14 @@ def complete_cv(dataset, trainer, folds: tuple[int, ...], th: float = 0.0) -> di
     arrangements of its fold ids 1..K_c, n_c / K_c of each; a map of the
     dataset is one map per part, keyed as the tuple of the parts' fold-id
     tuples.  Task (k_1, ...) of a map, class-1 fold major, trains on all but
-    fold k_c of each part, and its loss is the mean over what it held out:
-    for error the zero-one loss of each held-out observation (a score >= th
-    predicts class 2), for AUC the kernel of each held-out (class-1, class-2)
-    pair (1 if the class-1 score is below the class-2 one, 1/2 on a tie).
-    The mean over maps of a map's mean task loss is complete CV.
+    fold k_c of each part and tests what it held out.  Its entry maps each
+    unit it tests to that unit's loss as a Fraction: for error, unit i is
+    pooled observation i and its loss is zero-one (a score >= th predicts
+    class 2); for AUC, unit i * n2 + j is the pair of class-1 observation i
+    and class-2 observation j and its loss is the kernel (1 if the class-1
+    score is below the class-2 one, 1/2 on a tie).  A task's CVK loss is the
+    mean over its units (:func:`cvk_loss`); the mean over maps of a map's
+    mean task loss is complete CV.
     """
     auc = len(folds) == 2
     features = np.vstack([dataset.class1, dataset.class2])
@@ -151,7 +179,7 @@ def complete_cv(dataset, trainer, folds: tuple[int, ...], th: float = 0.0) -> di
     losses = {}
 
     def loss(held):
-        """The loss of the task that holds out ``held``, one index tuple per part."""
+        """The unit losses of the task that holds out ``held``, one index tuple per part."""
         if held not in losses:
             out = np.concatenate([np.isin(np.arange(n), h) for n, h in zip(sizes, held)])
             train = [features[~out & (labels == c)] for c in (1, 2)]
@@ -159,10 +187,13 @@ def complete_cv(dataset, trainer, folds: tuple[int, ...], th: float = 0.0) -> di
             tested = labels[out]
             if auc:
                 s1, s2 = scores[tested == 1], scores[tested == 2]
-                twice = [2 * (a < b) + (a == b) for a in s1 for b in s2]
-                losses[held] = Fraction(int(sum(twice)), 2 * len(twice))
+                losses[held] = {
+                    i * dataset.n2 + j: Fraction(2 * int(a < b) + int(a == b), 2)
+                    for i, a in zip(held[0], s1) for j, b in zip(held[1], s2)
+                }
             else:
-                losses[held] = Fraction(int(sum((scores >= th) != (tested == 2))), len(scores))
+                wrong = (scores >= th) != (tested == 2)
+                losses[held] = {i: Fraction(int(w)) for i, w in zip(held[0], wrong)}
         return losses[held]
 
     def part_maps(n, k):
@@ -175,6 +206,23 @@ def complete_cv(dataset, trainer, folds: tuple[int, ...], th: float = 0.0) -> di
             for task in product(*(range(1, k + 1) for k in folds))
         )
     return per_map
+
+
+def cvk_loss(units: dict) -> Fraction:
+    """A ``complete_cv`` task's CVK loss: the mean of its unit losses."""
+    return sum(units.values()) / len(units)
+
+
+def pooled_value(tasks) -> float:
+    """The pooled variant over ``tasks``, an iterable of ``complete_cv`` task
+    entries: per unit tested, float(its exact loss sum) over the number of
+    tasks that test it, then ``np.mean`` over those units in unit order."""
+    sums, hits = {}, {}
+    for units in tasks:
+        for unit, value in units.items():
+            sums[unit] = sums.get(unit, 0) + value
+            hits[unit] = hits.get(unit, 0) + 1
+    return np.mean([float(sums[unit]) / hits[unit] for unit in sorted(sums)])
 
 
 def float_pair_sums(scores: np.ndarray, test: np.ndarray, n1: int, block_cells: int):

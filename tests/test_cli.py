@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -265,14 +266,19 @@ class TestSimulate:
         }
         config_path = write_config(tmp_path, "sim.ini", SIMULATE_TEMPLATE.format(**paths))
         assert cli.main(["simulate", str(config_path)]) == 0
-        original = cli.load_config(config_path, "simulate")
-        # the manifest echoes the config, then adds an [outputs] section
-        manifest = cli.load_config(paths["manifest"], "simulate")
-        echoed = tuple(section for section in manifest.sections if section[0] != "outputs")
-        assert cli.RunConfig("simulate", echoed) == original
-        # the manifest also records content hashes of both outputs
-        manifest_text = paths["manifest"].read_text()
-        assert "table_sha256" in manifest_text and "triples_sha256" in manifest_text
+        _, text = cli.load_config(config_path, "simulate")
+        # the manifest is the config's canonical text, then an [outputs]
+        # section with the content hashes of both outputs
+        echoed, sep, outputs = paths["manifest"].read_text().partition("\n[outputs]\n")
+        assert sep and echoed == text
+
+        def sha256(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        assert outputs == (
+            f"table_sha256 = {sha256(paths['table'])}\n"
+            f"triples_sha256 = {sha256(paths['triples'])}\n"
+        )
 
     def test_estimator_override_section(self, tmp_path):
         paths = {
@@ -556,6 +562,45 @@ class TestRequiredKeys:
         assert not (tmp_path / "out").exists()
 
 
+class TestDefaultSection:
+    """[DEFAULT] is an ordinary section to the config reader, so it is refused
+    as unknown, and none of its keys reaches another section."""
+
+    @pytest.mark.parametrize("subcommand", sorted(cli._SCHEMAS))
+    def test_exits_2_before_any_work(
+        self, tmp_path, dataset_csv, capsys, monkeypatch, subcommand
+    ):
+        def work(*args, **kwargs):
+            raise WorkStarted(subcommand)
+
+        for module, name in [(simlab, "run_weak_correlation"), (simlab, "run_ratio_curve"),
+                             (estimators, "run"), (analysis, "decompose"), (cli, "run_verify")]:
+            monkeypatch.setattr(module, name, work)
+        sections = complete_configs(tmp_path, dataset_csv)[subcommand]
+        text = "[DEFAULT]\nseed = 3\n\n" + "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+            for name, items in sections.items()
+        )
+        assert cli.main([subcommand, str(write_config(tmp_path, "default.ini", text))]) == 2
+        assert capsys.readouterr().err == "error: unknown config section [DEFAULT]\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_decompose_writes_no_default_out_json(self, tmp_path, capsys):
+        pairs, sneaky = tmp_path / "pairs.csv", tmp_path / "sneaky.json"
+        pairs.write_text("s,s_hat\n0.5,0.4\n0.7,0.6\n")
+        text = f"[DEFAULT]\nout_json = {sneaky}\n\n[io]\ninput = {pairs}\n"
+        assert cli.main(["decompose", str(write_config(tmp_path, "d.ini", text))]) == 2
+        assert "error: unknown config section [DEFAULT]" in capsys.readouterr().err
+        assert not sneaky.exists()
+
+    def test_verify_does_not_run_on_a_default_n_max(self, tmp_path, capsys):
+        text = "[DEFAULT]\nn_max = 3\n\n[verify]\n"
+        assert cli.main(["verify", str(write_config(tmp_path, "v.ini", text))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown config section [DEFAULT]\n"
+
+
 def unreadable_case(name, tmp_path, dataset_csv):
     """(subcommand, config path) of a run with a path it cannot read or write."""
     if name == "config-not-utf8":
@@ -814,7 +859,13 @@ class TestConfigParsing:
     def test_missing_file(self):
         assert cli.main(["verify", "/nonexistent/path.ini"]) == 2
 
-    def test_render_parse_round_trip(self):
-        config = cli.parse_config_text("[verify]\nn_max = 5\n", "verify")
-        again = cli.parse_config_text(config.render(), "verify")
-        assert config == again
+    def test_render_parse_round_trip(self, tmp_path):
+        text = "[estimator]\nversion=cvkr\nmetric =  auc \nK1 = 2\nK2 = 2\nM = 3\n" + (
+            "[trainer]\nid = lda\nridge = 1e-3\n[io]\ndataset = d.csv\n"
+        )
+        values, canonical = cli.load_config(write_config(tmp_path, "a.ini", text), "estimate")
+        assert canonical.startswith("[estimator]\nversion = cvkr\nmetric = auc\nK1 = 2\n")
+        assert values["estimator"]["version"] is estimators.Version.CVKR
+        # re-reading a canonical text gives the same text and sections
+        again = cli.load_config(write_config(tmp_path, "b.ini", canonical), "estimate")
+        assert again == (values, canonical)

@@ -24,7 +24,8 @@ POSITIVE_INTS = st.integers(min_value=1, max_value=12)
 JUNK = st.text(st.sampled_from("a1-.,é\x00ß☃ "), max_size=6)
 ODD_PATHS = st.sampled_from(["missing.csv", ".", "o\x00.json", "data.csv", "out"])
 JUNK_LINES = st.sampled_from(
-    ["[junk]", "junk", "= 1", "  cont = 2", "[io]", "# c", "%(x)s = 1", "\x00", "é = 1", "K = 2"]
+    ["[junk]", "junk", "= 1", "  cont = 2", "[io]", "# c", "%(x)s = 1", "\x00", "é = 1", "K = 2",
+     "[DEFAULT]"]
 )
 ENUMS = {
     "version": ["CVN", "CVK", "CVKR", "CVKM", "LOOB", "cvkr"],

@@ -38,9 +38,11 @@ from cvlab.resampling import (
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
 from oracles import (
     complete_cv,
+    cvk_loss,
     float_pair_sums,
     fresh_process_peak,
     mw_kernel,
+    pooled_value,
     random_permutation,
 )
 
@@ -395,8 +397,12 @@ class TestCompleteCV:
     (``oracles.complete_cv``); the lookups read the maps the estimator draws."""
 
     @pytest.fixture(scope="class")
-    def per_map(self):
+    def units(self):
         return complete_cv(FOUR_BY_FOUR, NearestMeanTrainer(), (2, 2))
+
+    @pytest.fixture(scope="class")
+    def per_map(self, units):
+        return {fold_map: tuple(map(cvk_loss, tasks)) for fold_map, tasks in units.items()}
 
     def test_full_grid_reduced_diagonal_and_one_fold_pair_share_the_limit(self, per_map):
         assert len(per_map) == 36  # 4! / (2! 2!) maps per class
@@ -413,6 +419,17 @@ class TestCompleteCV:
         trainer = NearestMeanTrainer()
         for estimator, want in ((auc_cvkr, cvkr), (auc_cvkm, cvkm)):
             report = estimator(FOUR_BY_FOUR, trainer, 2, 2, 1000, seed, Variant.PARTITIONED)
+            assert report.value == want
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_pooled_value_is_the_pair_mean_over_the_drawn_maps(self, units, seed):
+        # each pair sum is a multiple of 1/2, so no order of addition can move it
+        maps = [repeated_partitions(4, 2, 1000, derive_seed(seed, c)) for c in ("class1", "class2")]
+        drawn = [units[tuple(map(tuple, rows))] for rows in zip(*maps)]
+        trainer = NearestMeanTrainer()
+        for estimator, tested in ((auc_cvkr, slice(None)), (auc_cvkm, slice(1))):
+            want = pooled_value(task for tasks in drawn for task in tasks[tested])
+            report = estimator(FOUR_BY_FOUR, trainer, 2, 2, 1000, seed, Variant.POOLED)
             assert report.value == want
 
 

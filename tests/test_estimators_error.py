@@ -7,6 +7,7 @@ scoring path entirely.  The oracles share only the partition / replicate
 definitions with the code under test, since those define the estimand.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -50,11 +51,16 @@ from cvlab.resampling import (
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
 from oracles import (
     complete_cv,
+    cvk_loss,
     fresh_process_peak,
+    loob_limits,
     one_class_tasks,
+    pooled_value,
     random_permutation,
     redraw_one_class_rows,
+    replicate_weights,
     traced_peak,
+    two_class_multisets,
 )
 
 
@@ -1053,8 +1059,12 @@ class TestCompleteCV:
     DATASET = StratifiedDataset(np.array([[-1.0], [0.2], [0.9]]), np.array([[-0.4], [0.5], [1.3]]))
 
     @pytest.fixture(scope="class")
-    def per_map(self):
+    def units(self):
         return complete_cv(self.DATASET, NearestMeanTrainer(), (3,))
+
+    @pytest.fixture(scope="class")
+    def per_map(self, units):
+        return {fold_map: tuple(map(cvk_loss, tasks)) for fold_map, tasks in units.items()}
 
     def test_limit_is_complete_cv(self, per_map):
         # 6! / (2! 2! 2!) labelled maps; CVKR's and CVKM's M -> infinity limits
@@ -1071,6 +1081,69 @@ class TestCompleteCV:
         for estimator, want in ((err_cvkr, cvkr), (err_cvkm, cvkm)):
             report = estimator(self.DATASET, trainer, 0.0, 3, 1000, seed, Variant.PARTITIONED)
             assert report.value == want
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_pooled_value_is_the_unit_mean_over_the_drawn_maps(self, units, seed):
+        # each unit sum is an integer, so no order of addition can move it
+        drawn = [units[(tuple(row),)] for row in repeated_partitions(6, 3, 1000, seed)]
+        trainer = NearestMeanTrainer()
+        for estimator, tested in ((err_cvkr, slice(None)), (err_cvkm, slice(1))):
+            want = pooled_value(task for tasks in drawn for task in tasks[tested])
+            report = estimator(self.DATASET, trainer, 0.0, 3, 1000, seed, Variant.POOLED)
+            assert report.value == want
+
+
+def loob_standard_errors(losses, oob, weights, n_bootstrap):
+    """(pooled, partitioned) standard errors of the leave-one-out bootstrap
+    at B = ``n_bootstrap`` replicates drawn from the enumerated distribution,
+    row b with probability proportional to ``weights[b]``.
+
+    Partitioned is a mean over the usable replicates (those with a non-empty
+    out-of-bag set): its variance is Var(X | usable) / (B Pr[usable]), X
+    being a replicate's mean out-of-bag loss.  Pooled is a mean over
+    observations of ratio estimators; to first order it moves by the mean
+    over replicates of Z = mean_i oob_i (loss_i - r_i) / Pr[oob_i], r_i being
+    observation i's limit, so its variance is E[Z^2] / B.
+    """
+    prob = np.array([float(w) for w in weights]) / float(sum(weights))
+    losses, oob = losses.astype(float), oob.astype(float)
+    unseen = oob.sum(axis=1)
+    usable = unseen > 0
+    x = (losses * oob).sum(axis=1)[usable] / unseen[usable]
+    p_usable = prob[usable].sum()
+    var_x = prob[usable] @ (x - prob[usable] @ x / p_usable) ** 2 / p_usable
+    p_oob = prob @ oob
+    r = (prob @ (losses * oob)) / p_oob
+    z = (oob * (losses - r) / p_oob).mean(axis=1)
+    return math.sqrt(prob @ z**2 / n_bootstrap), math.sqrt(var_x / (n_bootstrap * p_usable))
+
+
+class TestLoobLimits:
+    """The leave-one-out bootstrap against its exact B -> infinity limits,
+    every two-class replicate of a 3 + 3 dataset enumerated and weighted by
+    its probability under the sampling model (``oracles.loob_limits``)."""
+
+    DATASET = StratifiedDataset(
+        np.array([[-0.9, 0.3], [0.4, -0.6], [0.7, 1.2]]),
+        np.array([[-0.2, 0.8], [1.1, 0.1], [0.5, 1.6]]),
+    )
+
+    @pytest.mark.parametrize("model", list(SamplingModel))
+    def test_large_b_lies_within_4_se_of_both_limits(self, model):
+        features, labels = self.DATASET.pooled()
+        counts = two_class_multisets(labels)
+        weights = replicate_weights(counts, model is SamplingModel.ORDERED)
+        trainer = NearestMeanTrainer()
+        scores = trainer.weighted_scores(features, labels, counts, features)
+        losses = np.where(scores >= 0.0, 2, 1) != labels
+        limits = loob_limits(losses, counts == 0, weights)
+        assert all(isinstance(limit, Fraction) for limit in limits)
+        ses = loob_standard_errors(losses, counts == 0, weights, 100_000)
+        cfg = EstimatorConfig(Version.LOOB, Metric.ERROR, n_bootstrap=100_000, sampling=model,
+                              seed=3)
+        values = variant_values(self.DATASET, trainer, cfg)
+        for value, limit, se in zip((values.pooled, values.partitioned), limits, ses):
+            assert abs(value - limit) <= 4 * se
 
 
 class TestReportContract:
