@@ -11,8 +11,13 @@ and missing required keys are thus all rejected before any work, so such a
 config exits 2 with nothing run or written.  A handler then builds its
 estimator config, trainer and campaign before it reads any data or runs any
 trial or unit, and they refuse a key the chosen estimator version or trainer
-does not take and sizes the estimator cannot run on: every input is used or
-refused before any work.  A seed is mandatory for any randomized run.
+does not take (a seed on CVN or CVK among them, and ``strict`` with a
+variant other than pooled) and sizes the estimator cannot run on: every
+input is used or refused before any work.  A seed is mandatory for any
+randomized run.  Both CSV inputs, the ``estimate`` dataset and the
+``decompose`` pairs file, go through one reader,
+:func:`cvlab.core.read_csv_table`: every row must be as wide as the header
+and every field a float, and a pairs file's header is exactly ``s,s_hat``.
 Outputs are written atomically (temp file + rename) so re-running a config
 overwrites rather than appends, and a fixed seed reproduces every output
 byte for byte.
@@ -37,10 +42,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from cvlab import analysis, combinatorics, estimators, simlab
-from cvlab.core import DomainError, read_csv_rows, read_dataset_csv
+from cvlab.core import DomainError, read_csv_table, read_dataset_csv
 from cvlab.estimators import (
     EstimationError,
     EstimatorConfig,
@@ -95,11 +98,12 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
 # an EstimatorConfig field (``estimators._CONFIG_KEYS`` maps the ones spelled
 # differently), and EstimatorConfig checks every estimator rule when the
 # handler builds it, before any data is read or trial run, refusing a key its
-# version does not take; ``estimators.variant_values`` rejects a missing
-# seed.  A campaign derives each trial's estimator seed, so only ``estimate``
-# takes [estimator] seed.  The [trainer] keys other than id are keywords of
-# the trainer class, and ``simlab.trainer_from_id`` refuses one it does not
-# take.
+# version does not take (``_estimator_config`` adds that strict needs the
+# pooled variant); ``estimators.variant_values`` rejects a missing seed.  A
+# campaign derives each trial's estimator seed for the versions that draw, so
+# only ``estimate`` takes [estimator] seed.  The [trainer] keys other than id
+# are keywords of the trainer class, and ``simlab.trainer_from_id`` refuses
+# one it does not take.
 _ESTIMATOR_KEYS = {
     "version": "version", "variant": "variant?", "metric": "metric",
     "th": "float?", "K": "int?", "K1": "int?", "K2": "int?", "M": "int?",
@@ -188,8 +192,13 @@ def load_config(path: str | Path, subcommand: str) -> tuple[dict[str, dict[str, 
 
 
 def _estimator_config(section: dict) -> EstimatorConfig:
+    """The [estimator] section as a checked config.  ``strict`` acts only on
+    the pooled variant, so it is refused with another."""
     field_of = {key: field for field, key in estimators._CONFIG_KEYS.items()}
-    return EstimatorConfig(**{field_of.get(k, k): v for k, v in section.items()})
+    cfg = EstimatorConfig(**{field_of.get(k, k): v for k, v in section.items()})
+    if cfg.strict and cfg.variant is not Variant.POOLED:
+        raise DomainError(f"'strict' needs variant pooled, not {cfg.variant.value}")
+    return cfg
 
 
 def _trainer(values: dict) -> simlab.Trainer:
@@ -299,13 +308,6 @@ def _campaign_from_config(values: dict) -> simlab.WeakCorrConfig:
     )
 
 
-def triples_csv_text(result: simlab.WeakCorrResult) -> str:
-    rows = [
-        [t, row[0], row[1], row[2]] for t, row in enumerate(result.triples)
-    ]
-    return _csv_text(["trial", "S", "Sbar", "Shat"], rows)
-
-
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -319,16 +321,13 @@ def cmd_simulate(values: dict, text: str) -> int:
     campaign = _campaign_from_config(values)
     result = simlab.run_weak_correlation(campaign)
     table = _records_csv(result.rows)
-    triples = triples_csv_text(result)
+    rows = [[t, *row] for t, row in enumerate(result.triples)]
+    triples = _csv_text(["trial", "S", "Sbar", "Shat"], rows)
+    digests = {"table_sha256": _sha256(table), "triples_sha256": _sha256(triples)}
     io_section = values["io"]
     _atomic_write(io_section["out_table"], table)
     _atomic_write(io_section["out_triples"], triples)
-    _atomic_write(
-        io_section["out_manifest"],
-        manifest_text(
-            text, {"table_sha256": _sha256(table), "triples_sha256": _sha256(triples)}
-        ),
-    )
+    _atomic_write(io_section["out_manifest"], manifest_text(text, digests))
     for row in result.rows:
         print(
             f"{row.role}: mean={row.mean:.4f} sigma={row.sigma:.4f} "
@@ -352,22 +351,11 @@ def cmd_ratio_curve(values: dict, text: str) -> int:
 
 
 def cmd_decompose(values: dict, text: str) -> int:
-    path = Path(values["io"]["input"])
-    header, rows = read_csv_rows(path, "pairs")
-    if [h.strip() for h in header[:2]] != ["s", "s_hat"]:
-        raise DomainError(f"{path}: expected header 's,s_hat'")
-    pairs = []
-    for lineno, row in rows:
-        if len(row) < 2:
-            raise DomainError(f"{path}:{lineno}: expected 2 fields")
-        try:
-            pairs.append((float(row[0]), float(row[1])))
-        except ValueError as exc:
-            raise DomainError(f"{path}:{lineno}: {exc}") from None
-    sample = analysis.PairedPerformanceSample(
-        s=np.array([p[0] for p in pairs]), s_hat=np.array([p[1] for p in pairs])
+    _, table = read_csv_table(
+        values["io"]["input"], "pairs",
+        lambda header: None if header == ["s", "s_hat"] else "expected header 's,s_hat'",
     )
-    report = analysis.decompose(sample)
+    report = analysis.decompose(analysis.PairedPerformanceSample(s=table[:, 0], s_hat=table[:, 1]))
     _write_payload(values["io"], report.to_json_dict())
     print(
         f"rms_cond={report.rms_cond!r} rms_mean={report.rms_mean!r} "

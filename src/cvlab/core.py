@@ -19,7 +19,9 @@ Conventions used throughout the package:
 - The empirical AUC of score samples ``s1`` (class 1) and ``s2`` (class 2) is
   the mean of the kernel over all n1*n2 pairs.
 - Every CSV input (a dataset, a ``decompose`` pairs file) is read by
-  :func:`read_csv_rows`; its callers check only their own header and rows.
+  :func:`read_csv_table`, which refuses a row whose width is not the
+  header's and a field that is not a float; its callers check only their
+  own header and, for a dataset, the labels.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -202,14 +205,20 @@ def zero_one_losses(scores: np.ndarray, labels: np.ndarray, th: float) -> np.nda
     return (np.asarray(scores, dtype=float) >= float(th)) != (np.asarray(labels) == 2)
 
 
-def read_csv_rows(path: str | Path, what: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The header and the (line number, fields) of each non-blank row of a
-    UTF-8 CSV file; ``what`` names the file's kind in the error messages.
-    A row's line number is the physical line it ends on, so rows after a
-    quoted field that spans lines keep their own line numbers.
+def read_csv_table(
+    path: str | Path, what: str, check_header: Callable[[list[str]], str | None]
+) -> tuple[list[int], np.ndarray]:
+    """The line numbers and the (rows, columns) float values of the non-blank
+    rows under the header of a UTF-8 CSV file; ``what`` names the file's kind
+    in the error messages.  A row's line number is the physical line it ends
+    on, so rows after a quoted field that spans lines keep their own line
+    numbers.
 
-    A file that cannot be read (missing, a directory, not UTF-8, a path with a
-    NUL byte, an over-long field) or is empty is a :class:`DomainError`.
+    Each a :class:`DomainError`, in this order: a file that cannot be read
+    (missing, a directory, not UTF-8, a path with a NUL byte, an over-long
+    field) or is empty; the problem ``check_header(header)`` names (None when
+    the header suits the caller); then, row by row, a row whose width is not
+    the header's, or a field that is not a float.
     """
     path = Path(path)
     try:
@@ -220,40 +229,44 @@ def read_csv_rows(path: str | Path, what: str) -> tuple[list[str], list[tuple[in
         raise DomainError(f"cannot read {what} {path}: {exc}") from exc
     if not rows:
         raise DomainError(f"{path}: empty {what} file")
-    return rows[0][1], [(lineno, row) for lineno, row in rows[1:] if row]
+    header = rows[0][1]
+    problem = check_header(header)
+    if problem:
+        raise DomainError(f"{path}: {problem}")
+    lines, values = [], []
+    for lineno, row in rows[1:]:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DomainError(f"{path}:{lineno}: expected {len(header)} fields")
+        try:
+            values.append([float(v) for v in row])
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from None
+        lines.append(lineno)
+    return lines, np.array(values, dtype=float).reshape(len(lines), len(header))
+
+
+def _dataset_header_problem(header: list[str]) -> str | None:
+    if not header or header[0] != "class":
+        return "first column must be 'class'"
+    if len(header) < 2:
+        return "no feature columns"
+    expected = ["class"] + [f"f{j}" for j in range(1, len(header))]
+    return None if header == expected else f"header must be {','.join(expected)}"
 
 
 def read_dataset_csv(path: str | Path) -> StratifiedDataset:
-    """Load a dataset CSV with header ``class,f1,...,fp`` and labels in {1,2}."""
-    path = Path(path)
-    header, rows = read_csv_rows(path, "dataset")
-    if not header or header[0] != "class":
-        raise DomainError(f"{path}: first column must be 'class'")
-    p = len(header) - 1
-    if p < 1:
-        raise DomainError(f"{path}: no feature columns")
-    expected = ["class"] + [f"f{j}" for j in range(1, p + 1)]
-    if header != expected:
-        raise DomainError(f"{path}: header must be {','.join(expected)}")
-    rows1: list[list[float]] = []
-    rows2: list[list[float]] = []
-    for lineno, row in rows:
-        if len(row) != p + 1:
-            raise DomainError(f"{path}:{lineno}: expected {p + 1} fields")
-        try:
-            label = int(row[0])
-            feats = [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise DomainError(f"{path}:{lineno}: {exc}") from None
-        if label == 1:
-            rows1.append(feats)
-        elif label == 2:
-            rows2.append(feats)
-        else:
-            raise DomainError(f"{path}:{lineno}: class must be 1 or 2")
-    if not rows1 or not rows2:
-        raise DomainError(f"{path}: both classes must be present")
-    return StratifiedDataset(np.array(rows1), np.array(rows2))
+    """Load a dataset CSV with header ``class,f1,...,fp`` and labels in {1,2}
+    (read as floats, so ``1.0`` is class 1)."""
+    lines, table = read_csv_table(path, "dataset", _dataset_header_problem)
+    labels = table[:, 0]
+    bad = np.flatnonzero((labels != 1) & (labels != 2))
+    if bad.size:
+        raise DomainError(f"{Path(path)}:{lines[bad[0]]}: class must be 1 or 2")
+    if not (labels == 1).any() or not (labels == 2).any():
+        raise DomainError(f"{Path(path)}: both classes must be present")
+    return StratifiedDataset(table[labels == 1, 1:], table[labels == 2, 1:])
 
 
 def write_dataset_csv(dataset: StratifiedDataset, path: str | Path) -> None:

@@ -65,18 +65,18 @@ one SeedSequence per row.
 
 Tasks are trained in tiles of ``max(1, TASK_TILE_CELLS // n)`` consecutive
 tasks, aligned to task 0, each scored in one :func:`task_scores` call:
-batched through a trainer's ``weighted_scores(X, labels, weights, X_eval)``
-hook, or task by task on materialized subsets.  A tile's weights are
-float64, the dtype the batched trainers compute in, so training makes no
-second copy of them; its weights, scores, test mask and losses are built,
-summed and dropped before the next tile's weights are built.  Fold tasks
-build their weights from the fold maps (a repeated-CV map is an (M, n)
-array in the smallest signed integer dtype that holds n: int8 up to
-n = 127, int16 up to 32767); LOOB draws each tile's replicates when the
-tile's turn comes, continuing one bootstrap generator per part, which gives
-the rows of one whole (B, n) draw.  An AUC tile's pairs are scored in
-blocks of its tasks under the same
-bound, ``max(1, TASK_TILE_CELLS // m)`` tasks of m gathered pairs each, and
+batched through a trainer's ``weighted_scores(X, labels, weights)`` hook,
+which scores the rows it trains on, or task by task on materialized
+subsets.  A tile's weights are float64, the dtype the batched trainers
+compute in, so training makes no second copy of them; its weights, scores,
+test mask and losses are built, summed and dropped before the next tile's
+weights are built.  Fold tasks build their weights from the fold maps (a
+repeated-CV map is an (M, n) array in the smallest signed integer dtype
+that holds n: int8 up to n = 127, int16 up to 32767); LOOB draws each
+tile's replicates when the tile's turn comes, continuing one bootstrap
+generator per part, which gives the rows of one whole (B, n) draw.  An AUC
+tile's pairs are scored in blocks of its tasks under the same bound,
+``max(1, TASK_TILE_CELLS // m)`` tasks of m gathered pairs each, and
 streamed to the sums one block at a time.  So beyond the inputs and the
 fold maps, the memory of an estimate is bounded by one tile of about
 TASK_TILE_CELLS cells, whatever the number of tasks (CVN AUC has n1*n2,
@@ -233,7 +233,7 @@ def task_scores(
     weighted = getattr(trainer, "weighted_scores", None)
     if weighted is not None:
         try:
-            scores = np.asarray(weighted(features, labels, weights, features), dtype=float)
+            scores = np.asarray(weighted(features, labels, weights), dtype=float)
         except EstimationError:
             raise
         except Exception as exc:
@@ -482,12 +482,13 @@ class EstimatorConfig:
     with its [estimator] key; a size the version takes (K, or K1 and K2, M,
     B) is set; the bounds K >= 2, M >= 1 and B >= 1 hold; the reduced variant
     has K1 == K2; and reduced is asked only of AUC CVK.  So a config names
-    only what its version uses, with two exceptions.  A field set to its
+    only what its version uses, with one exception: a field set to its
     default passes, as the config cannot tell it from one left out.  The seed
-    is never refused, since a campaign stamps one on every trial whatever the
-    version; it may also be left unset here, and :func:`variant_values`
-    demands it of the versions that take it.  The class sizes are checked by
-    :func:`_checked_parts`.
+    is refused like any other field; a version that takes it may leave it
+    unset here (a campaign stamps one on every trial), and
+    :func:`variant_values` demands it.  ``strict`` acts on the pooled variant
+    only; the CLI refuses it with another variant.  The class sizes are
+    checked by :func:`_checked_parts`.
     """
 
     version: Version
@@ -508,7 +509,7 @@ class EstimatorConfig:
             raise DomainError("th must be finite")
         name, taken = _DISPATCH[self.metric, self.version]
         taken = taken.split()
-        exempt = {"version", "metric", "seed", *taken}
+        exempt = {"version", "metric", *taken}
         for field in fields(self):
             if field.name not in exempt and getattr(self, field.name) != field.default:
                 key = _CONFIG_KEYS.get(field.name, field.name)
@@ -550,8 +551,9 @@ _CONFIG_KEYS = {
 
 # (metric, version) -> (estimator name, the config fields it takes after the
 # trainer, in order).  The fields other than variant and strict are echoed
-# in the report's config.  ``EstimatorConfig`` refuses any other field, the
-# seed aside, that is set to other than its default.
+# in the report's config.  ``EstimatorConfig`` refuses any other field that
+# is set to other than its default, and a campaign stamps its trial seed
+# only on a version that takes ``seed``.
 _DISPATCH = {
     (Metric.ERROR, Version.CVN): ("err_cvn", "th"),
     (Metric.ERROR, Version.CVK): ("err_cvk", "th n_folds variant"),

@@ -40,7 +40,7 @@ Each also implements the ``weighted_scores`` batch hook that every estimator
 trains through (:func:`cvlab.estimators.task_scores`): given a (tasks, n)
 matrix of observation weights, 0/1 for a fold task and replicate
 multiplicities for a bootstrap one, it trains every task's rule and scores
-all evaluation points in a few vectorized operations.
+every observation in a few vectorized operations.
 """
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ def _weighted_class_moments(X, labels, counts):
     return n1, n2, mean1, mean2
 
 
-def _linear_batch_scores(directions, mean1, mean2, X_eval):
+def _linear_batch_scores(directions, mean1, mean2, X):
     mid = 0.5 * (mean1 + mean2)
-    scores = directions @ X_eval.T
+    scores = directions @ X.T
     scores -= (directions * mid).sum(axis=1, keepdims=True)
     return scores
 
@@ -159,9 +159,9 @@ class NearestMeanTrainer(Trainer):
         w = m2 - m1
         return LinearScoringRule(w, -float(w @ (m1 + m2)) / 2.0)
 
-    def weighted_scores(self, X, labels, counts, X_eval) -> np.ndarray:
+    def weighted_scores(self, X, labels, counts) -> np.ndarray:
         _, _, mean1, mean2 = _weighted_class_moments(X, labels, counts)
-        return _linear_batch_scores(mean2 - mean1, mean1, mean2, np.asarray(X_eval, dtype=float))
+        return _linear_batch_scores(mean2 - mean1, mean1, mean2, X)
 
 
 class LdaTrainer(Trainer):
@@ -212,7 +212,7 @@ class LdaTrainer(Trainer):
         w = self._directions(c1.T @ c1 + c2.T @ c2, dataset.n, m2 - m1)
         return LinearScoringRule(w, -float(w @ (m1 + m2)) / 2.0)
 
-    def weighted_scores(self, X, labels, counts, X_eval) -> np.ndarray:
+    def weighted_scores(self, X, labels, counts) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         counts = np.asarray(counts, dtype=float)  # the estimators pass float64: no copy
         n1, n2, mean1, mean2 = _weighted_class_moments(X, labels, counts)
@@ -229,7 +229,7 @@ class LdaTrainer(Trainer):
                 cov[:, i, :] -= scaled[:, i, None] * mean
         directions = self._directions(cov, counts.sum(axis=1), mean2 - mean1)
         del cov
-        return _linear_batch_scores(directions, mean1, mean2, np.asarray(X_eval, dtype=float))
+        return _linear_batch_scores(directions, mean1, mean2, X)
 
 
 _TRAINERS = {"nearest-mean": NearestMeanTrainer, "lda": LdaTrainer}
@@ -460,8 +460,11 @@ def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
     Trial t draws its data, its test set and its estimate from the seeds
     ``derive_seed(config.seed, tag, t)`` of the tags "trial-data",
     "trial-test" and "trial-est", each tag's seeds derived for all trials in
-    one pass.  Trials whose estimator run fails are dropped and counted; the
-    run aborts if more than 1% of trials fail.
+    one pass.  The estimate's seed goes only to a version that draws, one
+    whose ``estimators._DISPATCH`` fields name ``seed``; CVN and CVK run
+    the campaign's estimator config as it is.  Trials whose estimator run
+    fails are dropped and counted; the run aborts if more than 1% of trials
+    fail.
 
     The trials run across the CPUs this process may use, in a fork map
     with OpenBLAS held to one thread per worker (see :func:`_map_units`);
@@ -473,6 +476,7 @@ def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
     spec = config.spec
     metric = config.estimator.metric
     th = config.estimator.th
+    draws = "seed" in estimators._DISPATCH[metric, config.estimator.version][1].split()
     trials = np.arange(config.trials)
     seeds = list(zip(*(
         derive_seeds(config.seed, [tag] * config.trials, trials).tolist()
@@ -488,7 +492,7 @@ def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
             rule, spec, config.test_per_class, test_seed, metric, th,
         )
         s_bar = apparent_performance(rule, dataset, metric, th)
-        est_cfg = replace(config.estimator, seed=est_seed)
+        est_cfg = replace(config.estimator, seed=est_seed) if draws else config.estimator
         try:
             s_hat = estimators.run(dataset, config.trainer, est_cfg).value
         except EstimationError:

@@ -5,10 +5,12 @@ transcription of its definition: a scalar rank kernel, sums over the exact
 out-of-bag pmf, the decomposition residual, the documented stream of each
 repeated-CV fold map, the multiset support of the bootstrap by direct
 enumeration (with 0/1 keys that make the sampler's decode walk it), each
-replicate's weight under a sampling model, the enumerated (weighted, exact)
-B -> infinity limits of the leave-one-out bootstrap variants, every K-fold
-map of a small dataset with its per-task, per-unit losses (complete CV) and
-the pooled variant over a set of those tasks, the AUC pair sums from masked
+replicate's weight under a sampling model (for AUC, of every pair of class
+replicates), the enumerated (weighted, exact) B -> infinity limits of the
+leave-one-out bootstrap variants and their standard errors at a finite B,
+every K-fold map of a small dataset with its per-task, per-unit losses,
+complete CV as the mean over its distinct held-out sets, and the pooled
+variant over a set of those tasks, the AUC pair sums from masked
 float kernel cells, the one-class rule on dense task weights, and the
 one-class redraw replicate by replicate.  Two probes
 measure rather than compute: the peak memory of a script run in a fresh
@@ -153,6 +155,47 @@ def loob_limits(losses: np.ndarray, oob: np.ndarray, weights=None) -> tuple:
     return pooled, partitioned
 
 
+def loob_standard_errors(losses, oob, weights, n_bootstrap):
+    """(pooled, partitioned) standard errors of the leave-one-out bootstrap
+    at B = ``n_bootstrap`` replicates drawn from the enumerated distribution,
+    row b with probability proportional to ``weights[b]``.
+
+    Partitioned is a mean over the usable replicates (those with a non-empty
+    out-of-bag set): its variance is Var(X | usable) / (B Pr[usable]), X
+    being a replicate's mean out-of-bag loss.  Pooled is a mean over
+    observations of ratio estimators; to first order it moves by the mean
+    over replicates of Z = mean_i oob_i (loss_i - r_i) / Pr[oob_i], r_i being
+    observation i's limit, so its variance is E[Z^2] / B.
+    """
+    prob = np.array([float(w) for w in weights]) / float(sum(weights))
+    losses, oob = losses.astype(float), oob.astype(float)
+    unseen = oob.sum(axis=1)
+    usable = unseen > 0
+    x = (losses * oob).sum(axis=1)[usable] / unseen[usable]
+    p_usable = prob[usable].sum()
+    var_x = prob[usable] @ (x - prob[usable] @ x / p_usable) ** 2 / p_usable
+    p_oob = prob @ oob
+    r = (prob @ (losses * oob)) / p_oob
+    z = (oob * (losses - r) / p_oob).mean(axis=1)
+    return math.sqrt(prob @ z**2 / n_bootstrap), math.sqrt(var_x / (n_bootstrap * p_usable))
+
+
+def class_replicates(n1: int, n2: int, ordered: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every AUC bootstrap replicate of classes of n1 and n2 observations,
+    with its integer weight under the sampling model.
+
+    Row i * R2 + j pairs row i of ``enumerate_multiset_counts(n1)`` (R1 rows)
+    with row j of ``enumerate_multiset_counts(n2)`` (R2 rows), as one
+    (R1 R2, n1 + n2) count matrix over the pooled observations; its weight is
+    the product of the two rows' ``replicate_weights``.  Each class resamples
+    itself, so every row keeps both classes and none is conditioned away.
+    """
+    rows1, rows2 = enumerate_multiset_counts(n1), enumerate_multiset_counts(n2)
+    counts = np.hstack([np.repeat(rows1, len(rows2), axis=0), np.tile(rows2, (len(rows1), 1))])
+    weights = np.outer(replicate_weights(rows1, ordered), replicate_weights(rows2, ordered))
+    return counts, weights.ravel()
+
+
 def complete_cv(dataset, trainer, folds: tuple[int, ...], th: float = 0.0) -> dict:
     """{fold map: per task, its per-unit losses} over every distinct fold map
     of ``dataset``.
@@ -211,6 +254,14 @@ def complete_cv(dataset, trainer, folds: tuple[int, ...], th: float = 0.0) -> di
 def cvk_loss(units: dict) -> Fraction:
     """A ``complete_cv`` task's CVK loss: the mean of its unit losses."""
     return sum(units.values()) / len(units)
+
+
+def held_out_mean(per_map: dict) -> tuple[Fraction, int]:
+    """Complete CV read off a ``complete_cv`` result by its definition: the
+    mean CVK loss over every distinct held-out set (for AUC, every pair of
+    class held-out sets), each counted once; with the number of those sets."""
+    losses = {frozenset(units): cvk_loss(units) for tasks in per_map.values() for units in tasks}
+    return sum(losses.values()) / len(losses), len(losses)
 
 
 def pooled_value(tasks) -> float:

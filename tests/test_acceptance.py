@@ -305,7 +305,7 @@ class TestCriterion06RatioCurve:
         counts = two_class_multisets(labels)
         for seed in seeds:
             features, _ = ratio_curve_dataset(5, seed).pooled()
-            scores = trainer.weighted_scores(features, labels, counts, features)
+            scores = trainer.weighted_scores(features, labels, counts)
             losses = (np.where(scores >= 0.0, 2, 1) != labels[None, :]).astype(float)
             pooled, partitioned = loob_limits(losses, counts == 0)
             pooled_sum += pooled

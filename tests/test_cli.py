@@ -777,6 +777,117 @@ class TestReaderMessages:
         assert outs[0] == outs[1]
 
 
+# name -> (file text, the message after "error: ") for a pairs file one
+# column wider than ``s,s_hat``, in its header or in a row.
+WIDE_PAIRS = {
+    "third-header-column": ("s,s_hat,note\n0.5,0.1,1\n0.7,0.6,2\n",
+                            "{path}: expected header 's,s_hat'"),
+    "third-field": ("s,s_hat\n0.5,0.1\n0.7,0.6,0.9\n0.2,0.3\n", "{path}:3: expected 2 fields"),
+}
+
+
+class TestOneTableReader:
+    """Both CSV inputs go through ``core.read_csv_table``: every row as wide
+    as the header and every field a float, before the caller's own rules."""
+
+    @pytest.mark.parametrize("name", sorted(WIDE_PAIRS))
+    def test_a_wider_pairs_file_exits_2_and_writes_nothing(self, tmp_path, capsys, name):
+        text, message = WIDE_PAIRS[name]
+        path = tmp_path / "pairs.csv"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        config = write_config(tmp_path, "dec.ini", f"[io]\ninput = {path}\nout_json = {out}\n")
+        assert cli.main(["decompose", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not out.exists()
+
+    def test_a_label_that_reads_as_a_float_is_its_class(self, tmp_path, dataset_csv):
+        floats = tmp_path / "floats.csv"
+        lines = dataset_csv.read_text().splitlines()
+        floats.write_text("\n".join(lines[:1] + [f"{line[0]}.0{line[1:]}" for line in lines[1:]]))
+        assert floats.read_text().splitlines()[1].startswith("1.0,")
+        outs = []
+        for path in (dataset_csv, floats):
+            out = tmp_path / f"{path.stem}.json"
+            config = estimate_config(tmp_path, path, version="CVN", variant="pooled", out_json=out)
+            assert cli.main(["estimate", str(config)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("text, message", [
+        ("class,f1\n1,0.5\none,1.5\n2,0.1\n", "{path}:3: could not convert string to float: 'one'"),
+        ("class,f1\n3,0.5\n1,0.1\n2,1.5,9\n", "{path}:4: expected 2 fields"),
+        ("class,f1\n3,0.5\n1,0.1\n2,x\n", "{path}:4: could not convert string to float: 'x'"),
+        ("class,f1\n1,0.5\n2.5,0.1\n2,1.5\n", "{path}:3: class must be 1 or 2"),
+    ], ids=["word-label", "bad-label-then-wide-row", "bad-label-then-bad-number",
+            "fractional-label"])
+    def test_labels_are_checked_after_every_row_is_read(self, tmp_path, capsys, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        config = estimate_config(tmp_path, path, version="CVN", variant="pooled", out_json=out)
+        assert cli.main(["estimate", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not out.exists()
+
+
+def estimator_text(tmp_path, dataset_csv, out, metric, lines):
+    return write_config(tmp_path, "est.ini", "\n".join([
+        "[estimator]", f"metric = {metric}", *lines,
+        "[trainer]", "id = nearest-mean",
+        "[io]", f"dataset = {dataset_csv}", f"out_json = {out}",
+    ]) + "\n")
+
+
+class TestUnusedEstimatorKeys:
+    """A seed on a version that does not draw, and ``strict`` with a
+    variant it does not act on, exit 2 before the dataset is read."""
+
+    @pytest.mark.parametrize("name, metric, lines", [
+        ("err_cvn", "error", ["version = CVN"]),
+        ("err_cvk", "error", ["version = CVK", "K = 3"]),
+        ("auc_cvn", "auc", ["version = CVN"]),
+        ("auc_cvk", "auc", ["version = CVK", "K1 = 3", "K2 = 3"]),
+    ])
+    def test_a_seed_its_version_does_not_take(self, tmp_path, dataset_csv, capsys, name,
+                                              metric, lines):
+        out = tmp_path / "out.json"
+        config = estimator_text(tmp_path, dataset_csv, out, metric, lines)
+        assert cli.main(["estimate", str(config)]) == 0
+        config = estimator_text(tmp_path, dataset_csv, out, metric, lines + ["seed = 7"])
+        out.unlink()
+        assert cli.main(["estimate", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {name} does not take 'seed'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metric, lines", [
+        ("error", ["version = CVKM", "K = 3", "M = 4"]),
+        ("error", ["version = LOOB", "B = 8"]),
+        ("auc", ["version = CVKM", "K1 = 3", "K2 = 3", "M = 4"]),
+        ("auc", ["version = LOOB", "B = 8"]),
+    ], ids=["err_cvkm", "err_loob", "auc_cvkm", "auc_lpobs"])
+    def test_strict_needs_the_pooled_variant(self, tmp_path, dataset_csv, capsys, metric,
+                                             lines):
+        out = tmp_path / "out.json"
+        lines = lines + ["seed = 1", "strict = true"]
+        pooled = estimator_text(tmp_path, dataset_csv, out, metric, lines + ["variant = pooled"])
+        assert cli.main(["estimate", str(pooled)]) in (0, 3)  # 3: a pair never tested
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        partitioned = estimator_text(tmp_path, dataset_csv, out, metric,
+                                     lines + ["variant = partitioned"])
+        assert cli.main(["estimate", str(partitioned)]) == 2
+        assert capsys.readouterr().err == "error: 'strict' needs variant pooled, not partitioned\n"
+        assert not out.exists()
+
+    def test_a_cvk_campaign_still_runs(self, tmp_path):
+        paths = {k: tmp_path / f"{k}.csv" for k in ("table", "triples", "manifest")}
+        text = (SIMULATE_TEMPLATE.format(**paths)
+                + "\n[estimator]\nversion = CVK\nmetric = auc\nK1 = 2\nK2 = 2\n")
+        assert cli.main(["simulate", str(write_config(tmp_path, "sim.ini", text))]) == 0
+        assert len(paths["triples"].read_text().splitlines()) == 11
+
+
 class TestBoundMessages:
     """A size bound names its config key."""
 

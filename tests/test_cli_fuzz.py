@@ -72,11 +72,11 @@ FIELD_OF = {key: field for field, key in estimators._CONFIG_KEYS.items()}
 
 def used(section, values, key) -> bool:
     """Whether the run uses ``key`` of a section whose drawn ``values`` are
-    given: an [estimator] key that the drawn version takes (or the version,
-    metric or seed), and ridge only for lda."""
+    given: an [estimator] key that the drawn version takes (or the version or
+    metric; so no seed for CVN or CVK), and ridge only for lda."""
     if section == "trainer":
         return key != "ridge" or values["id"] == "lda"
-    if section != "estimator" or key in ("version", "metric", "seed"):
+    if section != "estimator" or key in ("version", "metric"):
         return True
     version, metric = Version(values["version"].upper()), Metric(values["metric"])
     return FIELD_OF.get(key, key) in estimators._DISPATCH[metric, version][1].split()

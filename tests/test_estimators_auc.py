@@ -5,6 +5,9 @@ replicates that call ``trainer.train`` on materialized subsets and average
 the rank kernel by hand.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from cvlab.core import (
 from cvlab import estimators
 from cvlab.estimators import (
     CoverageError,
+    EstimatorConfig,
     Metric,
     Variant,
     Version,
@@ -37,10 +41,14 @@ from cvlab.resampling import (
 )
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
 from oracles import (
+    class_replicates,
     complete_cv,
     cvk_loss,
     float_pair_sums,
     fresh_process_peak,
+    held_out_mean,
+    loob_limits,
+    loob_standard_errors,
     mw_kernel,
     pooled_value,
     random_permutation,
@@ -404,6 +412,34 @@ class TestCompleteCV:
     def per_map(self, units):
         return {fold_map: tuple(map(cvk_loss, tasks)) for fold_map, tasks in units.items()}
 
+    # integer features under nearest-mean: equal points score equally, so
+    # some pairs' kernels are exact ties (1/2)
+    TIES = StratifiedDataset(np.array([[0.0], [1.0], [1.0], [2.0]]),
+                             np.array([[1.0], [2.0], [2.0], [3.0]]))
+    SIX_POINT = StratifiedDataset(np.array([[-1.0], [0.2], [0.9]]),
+                                  np.array([[-0.4], [0.5], [1.3]]))
+
+    @pytest.mark.parametrize("name, k", [("six-point", 3), ("four-by-four", 2), ("ties", 2)])
+    def test_every_grid_limit_is_complete_cv(self, name, k):
+        """Exactly, in Fractions: complete CV, the mean AUC over every
+        distinct pair of class held-out sets, is the all-maps mean of the full
+        K x K grid (CVKR's limit), of the reduced diagonal and of fold pair
+        (1, 1) (CVKM's)."""
+        dataset = {"six-point": self.SIX_POINT, "four-by-four": FOUR_BY_FOUR,
+                   "ties": self.TIES}[name]
+        units = complete_cv(dataset, NearestMeanTrainer(), (k, k))
+        complete, held_out_sets = held_out_mean(units)
+        assert held_out_sets == math.comb(dataset.n1, dataset.n1 // k) * math.comb(
+            dataset.n2, dataset.n2 // k)
+        if name == "ties":
+            assert Fraction(1, 2) in {v for tasks in units.values() for t in tasks
+                                      for v in t.values()}
+        maps = [tuple(map(cvk_loss, tasks)) for tasks in units.values()]
+        diagonal = [i * k + i for i in range(k)]
+        assert sum(sum(values) / k**2 for values in maps) / len(maps) == complete
+        assert sum(sum(values[d] for d in diagonal) / k for values in maps) / len(maps) == complete
+        assert sum(values[0] for values in maps) / len(maps) == complete
+
     def test_full_grid_reduced_diagonal_and_one_fold_pair_share_the_limit(self, per_map):
         assert len(per_map) == 36  # 4! / (2! 2!) maps per class
         full = sum(sum(values) / 4 for values in per_map.values()) / 36
@@ -431,6 +467,36 @@ class TestCompleteCV:
             want = pooled_value(task for tasks in drawn for task in tasks[tested])
             report = estimator(FOUR_BY_FOUR, trainer, 2, 2, 1000, seed, Variant.POOLED)
             assert report.value == want
+
+
+class TestLoobLimits:
+    """The leave-pair-out bootstrap against its exact B -> infinity limits:
+    every pair of class replicates of a 3 + 3 dataset enumerated and weighted
+    by its probability under the sampling model (``oracles.class_replicates``),
+    the units being the pairs i * n2 + j (``oracles.loob_limits``)."""
+
+    DATASET = StratifiedDataset(
+        np.array([[-0.9, 0.3], [0.4, -0.6], [0.7, 1.2]]),
+        np.array([[-0.2, 0.8], [1.1, 0.1], [0.5, 1.6]]),
+    )
+
+    @pytest.mark.parametrize("model", list(SamplingModel))
+    def test_large_b_lies_within_4_se_of_both_limits(self, model):
+        features, labels = self.DATASET.pooled()
+        counts, weights = class_replicates(3, 3, model is SamplingModel.ORDERED)
+        trainer = NearestMeanTrainer()
+        scores = trainer.weighted_scores(features, labels, counts.astype(float))
+        s1, s2 = scores[:, :3, None], scores[:, None, 3:]
+        twice = (2 * (s1 < s2) + (s1 == s2)).reshape(len(counts), 9)  # doubled kernel, ints
+        oob = ((counts[:, :3] == 0)[:, :, None] & (counts[:, None, 3:] == 0)).reshape(-1, 9)
+        limits = [limit / 2 for limit in loob_limits(twice, oob, weights)]
+        assert all(isinstance(limit, Fraction) for limit in limits)
+        ses = loob_standard_errors(twice / 2, oob, weights, 100_000)
+        cfg = EstimatorConfig(Version.LOOB, Metric.AUC, n_bootstrap=100_000, sampling=model,
+                              seed=3)
+        values = estimators.variant_values(self.DATASET, trainer, cfg)
+        for value, limit, se in zip((values.pooled, values.partitioned), limits, ses):
+            assert abs(value - limit) <= 4 * se
 
 
 class TestPairBlocks:

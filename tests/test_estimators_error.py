@@ -53,7 +53,9 @@ from oracles import (
     complete_cv,
     cvk_loss,
     fresh_process_peak,
+    held_out_mean,
     loob_limits,
+    loob_standard_errors,
     one_class_tasks,
     pooled_value,
     random_permutation,
@@ -559,7 +561,7 @@ class BatchedTrainer(NearestMeanTrainer):
     def __init__(self, hook):
         self.hook = hook
 
-    def weighted_scores(self, X, labels, counts, X_eval):
+    def weighted_scores(self, X, labels, counts):
         return self.hook(counts)
 
 
@@ -878,13 +880,13 @@ RUN_CASES = [
     for (metric, version), (name, fields) in estimators._DISPATCH.items()
     for variant in (tuple(Variant) if "variant" in fields.split() else (Variant.POOLED,))
 ]
-# (metric, version, field) for each field other than the seed that an
-# estimator does not take: 56 of the 90 pairs
+# (metric, version, field) for each field that an estimator does not take:
+# 60 of the 100 pairs
 UNTAKEN_CASES = [
     (metric, version, field)
     for (metric, version), (_, fields) in estimators._DISPATCH.items()
     for field in ("variant", *RUN_FIELDS)
-    if field != "seed" and field not in fields.split()
+    if field not in fields.split()
 ]
 
 
@@ -1072,6 +1074,23 @@ class TestCompleteCV:
         assert sum(sum(losses) / 3 for losses in per_map.values()) / 90 == Fraction(7, 10)
         assert sum(losses[0] for losses in per_map.values()) / 90 == Fraction(7, 10)
 
+    # integer features under nearest-mean: a held-out point can score exactly
+    # on the threshold (x at the training midpoint), which predicts class 2
+    TIES = StratifiedDataset(np.array([[0.0], [1.0], [1.0]]), np.array([[1.0], [2.0], [1.0]]))
+
+    @pytest.mark.parametrize("name, k", [("six-point", 3), ("eight-point", 4), ("ties", 3)])
+    def test_cvkm_and_cvkr_limits_are_complete_cv(self, name, k):
+        """Exactly, in Fractions: complete CV, the mean loss over every
+        distinct held-out set, is the all-maps mean of fold 1's loss (CVKM's
+        M -> infinity limit) and of each map's CVK (CVKR's)."""
+        dataset = {"six-point": self.DATASET, "eight-point": EIGHT_POINT, "ties": self.TIES}[name]
+        units = complete_cv(dataset, NearestMeanTrainer(), (k,))
+        complete, held_out_sets = held_out_mean(units)
+        assert held_out_sets == math.comb(dataset.n, dataset.n // k)
+        maps = [tuple(map(cvk_loss, tasks)) for tasks in units.values()]
+        assert sum(losses[0] for losses in maps) / len(maps) == complete
+        assert sum(sum(losses) / k for losses in maps) / len(maps) == complete
+
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_partitioned_value_is_the_mean_over_the_drawn_maps(self, per_map, seed):
         drawn = [per_map[(tuple(row),)] for row in repeated_partitions(6, 3, 1000, seed)]
@@ -1093,31 +1112,6 @@ class TestCompleteCV:
             assert report.value == want
 
 
-def loob_standard_errors(losses, oob, weights, n_bootstrap):
-    """(pooled, partitioned) standard errors of the leave-one-out bootstrap
-    at B = ``n_bootstrap`` replicates drawn from the enumerated distribution,
-    row b with probability proportional to ``weights[b]``.
-
-    Partitioned is a mean over the usable replicates (those with a non-empty
-    out-of-bag set): its variance is Var(X | usable) / (B Pr[usable]), X
-    being a replicate's mean out-of-bag loss.  Pooled is a mean over
-    observations of ratio estimators; to first order it moves by the mean
-    over replicates of Z = mean_i oob_i (loss_i - r_i) / Pr[oob_i], r_i being
-    observation i's limit, so its variance is E[Z^2] / B.
-    """
-    prob = np.array([float(w) for w in weights]) / float(sum(weights))
-    losses, oob = losses.astype(float), oob.astype(float)
-    unseen = oob.sum(axis=1)
-    usable = unseen > 0
-    x = (losses * oob).sum(axis=1)[usable] / unseen[usable]
-    p_usable = prob[usable].sum()
-    var_x = prob[usable] @ (x - prob[usable] @ x / p_usable) ** 2 / p_usable
-    p_oob = prob @ oob
-    r = (prob @ (losses * oob)) / p_oob
-    z = (oob * (losses - r) / p_oob).mean(axis=1)
-    return math.sqrt(prob @ z**2 / n_bootstrap), math.sqrt(var_x / (n_bootstrap * p_usable))
-
-
 class TestLoobLimits:
     """The leave-one-out bootstrap against its exact B -> infinity limits,
     every two-class replicate of a 3 + 3 dataset enumerated and weighted by
@@ -1134,7 +1128,7 @@ class TestLoobLimits:
         counts = two_class_multisets(labels)
         weights = replicate_weights(counts, model is SamplingModel.ORDERED)
         trainer = NearestMeanTrainer()
-        scores = trainer.weighted_scores(features, labels, counts, features)
+        scores = trainer.weighted_scores(features, labels, counts)
         losses = np.where(scores >= 0.0, 2, 1) != labels
         limits = loob_limits(losses, counts == 0, weights)
         assert all(isinstance(limit, Fraction) for limit in limits)

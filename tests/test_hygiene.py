@@ -16,6 +16,10 @@ justify staying.  Every private top-level name there (a function, a class or
 an assigned name, not a dunder) must be referenced the same way, with no
 exceptions: a private name nothing in ``src/cvlab/`` uses is dead code.
 
+Each input kind has one reader (``READERS``): inside ``src/cvlab/``,
+``csv.reader`` is used only in ``core.read_csv_table`` and ``configparser``
+only in ``cli.load_config``.
+
 The code-line counter, ``tools/code_lines.py``, counts a small source exactly.
 """
 
@@ -240,6 +244,69 @@ class TestUnreferencedPrivateNames:
     )
     def test_checker(self, sources, want):
         assert unreferenced_private_names(sources) == want
+
+
+# Each input kind has one reader: where in src/cvlab its parser may be used.
+READERS = {"csv.reader": "core.read_csv_table", "configparser": "cli.load_config"}
+
+
+def _reader_names(node: ast.AST) -> set[str]:
+    """The readers of ``READERS`` that ``node`` uses: an attribute ``csv.reader``
+    or ``from csv import reader``, and any ``configparser`` name or
+    ``from configparser import``; a plain ``import`` uses neither."""
+    found = set()
+    for part in ast.walk(node):
+        if isinstance(part, ast.Attribute) and isinstance(part.value, ast.Name):
+            if f"{part.value.id}.{part.attr}" == "csv.reader":
+                found.add("csv.reader")
+        elif isinstance(part, ast.Name) and part.id == "configparser":
+            found.add("configparser")
+        elif isinstance(part, ast.ImportFrom) and part.module == "configparser":
+            found.add("configparser")
+        elif isinstance(part, ast.ImportFrom) and part.module == "csv":
+            found.update("csv.reader" for alias in part.names if alias.name == "reader")
+    return found
+
+
+def reader_uses(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(reader, place) of each reader ``sources`` ({module: source}) use,
+    the place being "module.name" of the top-level function or class that
+    uses it, or "module" for a use outside them."""
+    uses = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            place = f"{module}.{node.name}" if isinstance(node, DEFINITIONS) else module
+            uses.update((reader, place) for reader in _reader_names(node))
+    return sorted(uses)
+
+
+class TestOneReaderPerInput:
+    def test_each_reader_is_used_in_its_one_place(self):
+        sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+        assert reader_uses(sources) == sorted(READERS.items())
+
+    @pytest.mark.parametrize(
+        "sources, want",
+        [
+            ({"a": "import csv\ndef f(fh):\n    return csv.reader(fh)\n"}, [("csv.reader", "a.f")]),
+            ({"a": "import csv\nR = csv.reader\n"}, [("csv.reader", "a")]),
+            ({"a": "from csv import reader\n"}, [("csv.reader", "a")]),
+            ({"a": "import csv\ndef f(fh):\n    return csv.writer(fh)\n"}, []),
+            ({"a": "import csv\nclass C:\n    def m(self, fh):\n        csv.reader(fh)\n"},
+             [("csv.reader", "a.C")]),
+            ({"a": "import configparser\n"}, []),
+            ({"a": "import configparser\ndef f():\n    return configparser.ConfigParser()\n"},
+             [("configparser", "a.f")]),
+            ({"a": "from configparser import ConfigParser\n"}, [("configparser", "a")]),
+            ({"a": "import configparser\ndef f():\n    def g():\n        configparser.Error\n"},
+             [("configparser", "a.f")]),
+            ({"a": "import csv\ndef f(fh):\n    csv.reader(fh)\n",
+              "b": "import csv\ndef g(fh):\n    csv.reader(fh)\n"},
+             [("csv.reader", "a.f"), ("csv.reader", "b.g")]),
+        ],
+    )
+    def test_checker(self, sources, want):
+        assert reader_uses(sources) == want
 
 
 COUNTED = '''"""Module docstring,

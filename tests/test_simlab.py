@@ -182,7 +182,7 @@ class TestWeightedBatchHook:
         weights = rng.integers(0, 3, size=(replicates, n))
         weights[:, 0] = np.maximum(weights[:, 0], 1)  # keep class 1 populated
         weights[:, -1] = np.maximum(weights[:, -1], 1)
-        batch = trainer.weighted_scores(X, labels, weights, X)
+        batch = trainer.weighted_scores(X, labels, weights)
         for r in range(replicates):
             reps = np.repeat(np.arange(n), weights[r])
             subset = StratifiedDataset(
@@ -231,15 +231,15 @@ class TestLdaFitRule:
         with pytest.raises(EstimationError, match=self.SINGULAR):
             LdaTrainer().train(ds)
         with pytest.raises(EstimationError, match=self.SINGULAR):
-            LdaTrainer().weighted_scores(X, labels, np.ones((1, ds.n)), X)
+            LdaTrainer().weighted_scores(X, labels, np.ones((1, ds.n)))
         # a ridge lifts the rule on both paths
         LdaTrainer(1e-3).train(ds)
-        LdaTrainer(1e-3).weighted_scores(X, labels, np.ones((1, ds.n)), X)
+        LdaTrainer(1e-3).weighted_scores(X, labels, np.ones((1, ds.n)))
 
     def test_both_paths_fit_at_p_plus_two(self):
         ds = _two_normal(3, 4, 2)  # 6 observations, 6 - 2 == 4
         X, labels = ds.pooled()
-        batch = LdaTrainer().weighted_scores(X, labels, np.ones((1, ds.n)), X)
+        batch = LdaTrainer().weighted_scores(X, labels, np.ones((1, ds.n)))
         np.testing.assert_allclose(batch[0], LdaTrainer().train(ds).score_many(X), atol=1e-9)
         folds = _two_normal(6, 4, 3)  # each K1 = K2 = 2 fold task trains on 6 of 12
         batched = estimators.auc_cvk(folds, LdaTrainer(), 2, 2).value
@@ -398,13 +398,37 @@ class TestWeakCorrelation:
         monkeypatch.setattr(simlab, "gen_multinormal", gen_recorded)
         monkeypatch.setattr(simlab, "true_conditional_performance", true_s_recorded)
         monkeypatch.setattr(estimators, "run", run_recorded)
-        cvk = EstimatorConfig(Version.CVK, Metric.AUC, Variant.POOLED, n_folds1=2, n_folds2=2)
+        cvkr = EstimatorConfig(Version.CVKR, Metric.AUC, Variant.POOLED, n_folds1=2, n_folds2=2,
+                               repetitions=1)
         run_weak_correlation(WeakCorrConfig(
             spec=MultinormalSpec(p=2, delta=1.0, n1=4, n2=4), trials=40, test_per_class=10,
-            trainer=NearestMeanTrainer(), estimator=cvk, seed=12345,
+            trainer=NearestMeanTrainer(), estimator=cvkr, seed=12345,
         ))
         for tag, seeds in seen.items():
             assert seeds == [derive_seed(12345, tag, t) for t in range(40)]
+
+    @pytest.mark.parametrize("version", [Version.CVN, Version.CVK])
+    def test_a_version_that_does_not_draw_gets_no_seed(self, monkeypatch, version):
+        """CVN and CVK take no seed, so each trial runs the campaign's
+        config as it is, which ``EstimatorConfig`` would refuse with one."""
+        seen, run = [], estimators.run
+
+        def run_recorded(dataset, trainer, cfg):
+            seen.append(cfg)
+            return run(dataset, trainer, cfg)
+
+        monkeypatch.setattr(simlab, "_usable_cpus", lambda: 1)  # the spy records in-process
+        monkeypatch.setattr(estimators, "run", run_recorded)
+        folds = {"n_folds1": 2, "n_folds2": 2} if version is Version.CVK else {}
+        cfg = EstimatorConfig(version, Metric.AUC, **folds)
+        result = run_weak_correlation(WeakCorrConfig(
+            spec=MultinormalSpec(p=2, delta=1.0, n1=4, n2=4), trials=5, test_per_class=10,
+            trainer=NearestMeanTrainer(), estimator=cfg, seed=12345,
+        ))
+        assert result.aborted == 0
+        assert seen == [cfg] * 5
+        with pytest.raises(DomainError, match="does not take 'seed'"):
+            replace(cfg, seed=1)
 
     def test_reproducible(self):
         spec = MultinormalSpec(p=2, delta=1.0, n1=6, n2=6)
@@ -460,26 +484,26 @@ class FailOnFourOrFivePerClass(LdaTrainer):
         super().__init__(1e-6)
         self.slow_x0 = slow_x0
 
-    def weighted_scores(self, X, labels, counts, X_eval):
+    def weighted_scores(self, X, labels, counts):
         if len(labels) == 8:
             if X[0, 0] == self.slow_x0:
                 time.sleep(0.3)
             raise EstimationError(f"unit with x0={X[0, 0]!r} failed")
         if len(labels) == 10:
             raise EstimationError("a later unit failed")
-        return super().weighted_scores(X, labels, counts, X_eval)
+        return super().weighted_scores(X, labels, counts)
 
 
 class PerfectOnThreeFailOnFour(LdaTrainer):
     """Scores every ratio-curve point of n1 = 3 on its own side of threshold 0
     (zero error), and fails on every dataset of n1 = 4."""
 
-    def weighted_scores(self, X, labels, counts, X_eval):
+    def weighted_scores(self, X, labels, counts):
         if len(labels) == 6:
             return np.broadcast_to(np.where(labels == 2, 1.0, -1.0), (len(counts), 6))
         if len(labels) == 8:
             raise EstimationError("unit of n1=4 failed")
-        return super().weighted_scores(X, labels, counts, X_eval)
+        return super().weighted_scores(X, labels, counts)
 
 
 class PidRecordingLda(LdaTrainer):
@@ -489,10 +513,10 @@ class PidRecordingLda(LdaTrainer):
         super().__init__(1e-6)
         self.path = path
 
-    def weighted_scores(self, X, labels, counts, X_eval):
+    def weighted_scores(self, X, labels, counts):
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return super().weighted_scores(X, labels, counts, X_eval)
+        return super().weighted_scores(X, labels, counts)
 
     def pids(self) -> set[int]:
         pids = {int(line) for line in self.path.read_text(encoding="utf-8").split()}
@@ -605,10 +629,10 @@ class AbortOnData(NearestMeanTrainer):
     def __init__(self, abort_x0):
         self.abort_x0 = set(abort_x0)
 
-    def weighted_scores(self, X, labels, counts, X_eval):
+    def weighted_scores(self, X, labels, counts):
         if X[0, 0] in self.abort_x0:
             raise EstimationError("aborted on purpose")
-        return super().weighted_scores(X, labels, counts, X_eval)
+        return super().weighted_scores(X, labels, counts)
 
 
 class RaiseOnData(NearestMeanTrainer):
