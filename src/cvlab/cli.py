@@ -11,13 +11,14 @@ and missing required keys are thus all rejected before any work, so such a
 config exits 2 with nothing run or written.  A handler then builds its
 estimator config, trainer and campaign before it reads any data or runs any
 trial or unit, and they refuse a key the chosen estimator version or trainer
-does not take (a seed on CVN or CVK among them, and ``strict`` with a
-variant other than pooled) and sizes the estimator cannot run on: every
-input is used or refused before any work.  A seed is mandatory for any
-randomized run.  Both CSV inputs, the ``estimate`` dataset and the
-``decompose`` pairs file, go through one reader,
-:func:`cvlab.core.read_csv_table`: every row must be as wide as the header
-and every field a float, and a pairs file's header is exactly ``s,s_hat``.
+does not take (a seed on CVN or CVK among them) and sizes the estimator
+cannot run on: every input is used or refused before any work.  A pooled
+estimate drops the units no task tested and reports their number as
+``excluded_count``.  A seed is mandatory for any randomized run.  Both CSV
+inputs, the ``estimate`` dataset and the ``decompose`` pairs file, go
+through one reader, :func:`cvlab.core.read_csv_table`: every row must be as
+wide as the header and every field a float, and a pairs file's header is
+exactly ``s,s_hat``.
 Outputs are written atomically (temp file + rename) so re-running a config
 overwrites rather than appends, and a fixed seed reproduces every output
 byte for byte.
@@ -58,16 +59,6 @@ from cvlab.resampling import SamplingModel, derive_seed
 # Config schemas
 # ---------------------------------------------------------------------------
 
-_BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-def _to_bool(raw: str) -> bool:
-    try:
-        return _BOOLS[raw.lower()]
-    except KeyError:
-        raise DomainError(f"expected a boolean, got '{raw}'") from None
-
-
 def _to_int_list(raw: str) -> list[int]:
     try:
         return [int(tok) for tok in raw.replace(",", " ").split()]
@@ -79,7 +70,6 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
     "int": int,
     "float": float,
     "str": str,
-    "bool": _to_bool,
     "int_list": _to_int_list,
     "version": lambda raw: Version(raw.upper()),
     "variant": lambda raw: Variant(raw.lower()),
@@ -98,16 +88,16 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
 # an EstimatorConfig field (``estimators._CONFIG_KEYS`` maps the ones spelled
 # differently), and EstimatorConfig checks every estimator rule when the
 # handler builds it, before any data is read or trial run, refusing a key its
-# version does not take (``_estimator_config`` adds that strict needs the
-# pooled variant); ``estimators.variant_values`` rejects a missing seed.  A
-# campaign derives each trial's estimator seed for the versions that draw, so
-# only ``estimate`` takes [estimator] seed.  The [trainer] keys other than id
-# are keywords of the trainer class, and ``simlab.trainer_from_id`` refuses
-# one it does not take.
+# version does not take; ``estimators.variant_values`` rejects a missing
+# seed.  A campaign derives each trial's estimator seed for the versions that
+# draw, so only ``estimate`` takes [estimator] seed.  The [trainer] keys other
+# than id are keywords of the trainer class, and ``simlab.trainer_from_id``
+# refuses one it does not take.  Every type name here has a converter in
+# ``_CONVERTERS``, and every converter serves some key.
 _ESTIMATOR_KEYS = {
     "version": "version", "variant": "variant?", "metric": "metric",
     "th": "float?", "K": "int?", "K1": "int?", "K2": "int?", "M": "int?",
-    "B": "int?", "sampling": "sampling?", "strict": "bool?",
+    "B": "int?", "sampling": "sampling?",
 }
 _TRAINER_KEYS = {"id": "str", "ridge": "float?"}
 _SCHEMAS: dict[str, dict[str, dict[str, str]]] = {
@@ -192,13 +182,10 @@ def load_config(path: str | Path, subcommand: str) -> tuple[dict[str, dict[str, 
 
 
 def _estimator_config(section: dict) -> EstimatorConfig:
-    """The [estimator] section as a checked config.  ``strict`` acts only on
-    the pooled variant, so it is refused with another."""
+    """The [estimator] section as a checked config: each key names the
+    ``EstimatorConfig`` field ``estimators._CONFIG_KEYS`` maps it to, or its own."""
     field_of = {key: field for field, key in estimators._CONFIG_KEYS.items()}
-    cfg = EstimatorConfig(**{field_of.get(k, k): v for k, v in section.items()})
-    if cfg.strict and cfg.variant is not Variant.POOLED:
-        raise DomainError(f"'strict' needs variant pooled, not {cfg.variant.value}")
-    return cfg
+    return EstimatorConfig(**{field_of.get(k, k): v for k, v in section.items()})
 
 
 def _trainer(values: dict) -> simlab.Trainer:

@@ -42,8 +42,7 @@ is an :class:`EstimationError` naming the task.
 
 - *Pooled*: per unit, the tested losses summed over tasks over the number of
   tasks testing it; then the mean over units.  Units never tested are dropped
-  and counted in ``EstimatorReport.excluded_count`` (``strict=True`` raises
-  :class:`CoverageError` instead).
+  and counted in ``EstimatorReport.excluded_count``.
 - *Partitioned*: per task, the tested losses summed over units over the
   number of units it tests; then the mean over the tasks of each run (the K
   folds or K1*K2 fold pairs of one repetition), then the mean over runs.
@@ -150,10 +149,6 @@ TASK_TILE_CELLS = 1 << 18
 
 class EstimationError(RuntimeError):
     """A training/testing step failed (bad fold, singular trainer, ...)."""
-
-
-class CoverageError(EstimationError):
-    """Strict mode: some observation or pair had zero test coverage."""
 
 
 class Version(Enum):
@@ -271,13 +266,11 @@ class VariantValues:
     skipped: int
     unit: str
 
-    def pick(self, variant: Variant, strict: bool = False) -> tuple[float, int]:
+    def pick(self, variant: Variant) -> tuple[float, int]:
         """(value, excluded count) of ``variant``: the pooled value, or else the
         partitioned one (the reduced variant is partitioned over its diagonal
         tasks).  Raises where no unit or task was tested."""
         if variant is Variant.POOLED:
-            if strict and self.uncovered:
-                raise CoverageError(f"{self.uncovered} {self.unit}(s) never tested")
             if self.pooled is None:
                 raise EstimationError(f"no {self.unit} was ever tested")
             return self.pooled, self.uncovered
@@ -486,9 +479,8 @@ class EstimatorConfig:
     default passes, as the config cannot tell it from one left out.  The seed
     is refused like any other field; a version that takes it may leave it
     unset here (a campaign stamps one on every trial), and
-    :func:`variant_values` demands it.  ``strict`` acts on the pooled variant
-    only; the CLI refuses it with another variant.  The class sizes are
-    checked by :func:`_checked_parts`.
+    :func:`variant_values` demands it.  The class sizes are checked by
+    :func:`_checked_parts`.
     """
 
     version: Version
@@ -502,7 +494,6 @@ class EstimatorConfig:
     n_bootstrap: int | None = None
     sampling: SamplingModel = SamplingModel.ORDERED
     seed: int | None = None
-    strict: bool = False
 
     def __post_init__(self):
         if not math.isfinite(self.th):
@@ -550,21 +541,21 @@ _CONFIG_KEYS = {
 
 
 # (metric, version) -> (estimator name, the config fields it takes after the
-# trainer, in order).  The fields other than variant and strict are echoed
-# in the report's config.  ``EstimatorConfig`` refuses any other field that
-# is set to other than its default, and a campaign stamps its trial seed
-# only on a version that takes ``seed``.
+# trainer, in order).  The fields other than variant are echoed in the
+# report's config.  ``EstimatorConfig`` refuses any other field that is set
+# to other than its default, and a campaign stamps its trial seed only on a
+# version that takes ``seed``.
 _DISPATCH = {
     (Metric.ERROR, Version.CVN): ("err_cvn", "th"),
     (Metric.ERROR, Version.CVK): ("err_cvk", "th n_folds variant"),
     (Metric.ERROR, Version.CVKR): ("err_cvkr", "th n_folds repetitions seed variant"),
-    (Metric.ERROR, Version.CVKM): ("err_cvkm", "th n_folds repetitions seed variant strict"),
-    (Metric.ERROR, Version.LOOB): ("err_loob", "th n_bootstrap seed sampling variant strict"),
+    (Metric.ERROR, Version.CVKM): ("err_cvkm", "th n_folds repetitions seed variant"),
+    (Metric.ERROR, Version.LOOB): ("err_loob", "th n_bootstrap seed sampling variant"),
     (Metric.AUC, Version.CVN): ("auc_cvn", ""),
     (Metric.AUC, Version.CVK): ("auc_cvk", "n_folds1 n_folds2 variant"),
     (Metric.AUC, Version.CVKR): ("auc_cvkr", "n_folds1 n_folds2 repetitions seed variant"),
-    (Metric.AUC, Version.CVKM): ("auc_cvkm", "n_folds1 n_folds2 repetitions seed variant strict"),
-    (Metric.AUC, Version.LOOB): ("auc_lpobs", "n_bootstrap seed sampling variant strict"),
+    (Metric.AUC, Version.CVKM): ("auc_cvkm", "n_folds1 n_folds2 repetitions seed variant"),
+    (Metric.AUC, Version.LOOB): ("auc_lpobs", "n_bootstrap seed sampling variant"),
 }
 
 
@@ -607,8 +598,9 @@ def variant_values(
 
     ``cfg`` was checked when it was made; what it cannot check is checked
     here, before any resampling: an unset seed the version takes is a
-    :class:`DomainError` naming its config key, and the dataset's class
-    sizes must suit ``cfg`` (see :func:`_checked_parts`).
+    :class:`DomainError` naming its config key, the dataset's class sizes
+    must suit ``cfg`` (see :func:`_checked_parts`), and ``perms`` is refused
+    unless the version is CVK and it has one entry per part.
     The estimator resamples parts: the pooled observations for error; class 1
     and class 2 for AUC, each from the derived seed ``derive_seed(seed,
     "classC")``.  LOOB draws B replicate counts per part, tile by tile from
@@ -623,6 +615,10 @@ def variant_values(
         raise DomainError(f"{cfg.version.value} needs 'seed'")
     auc = cfg.metric is Metric.AUC
     sizes, ks = _checked_parts(cfg, dataset.n1, dataset.n2)
+    if perms is not None and cfg.version is not Version.CVK:
+        raise DomainError(f"perms applies to CVK only, not {cfg.version.value}")
+    if perms is not None and len(perms) != len(sizes):
+        raise DomainError(f"perms needs {len(sizes)} entries, one per part, not {len(perms)}")
 
     def part_seed(c):
         return derive_seed(cfg.seed, f"class{c + 1}") if auc else cfg.seed
@@ -657,13 +653,13 @@ def variant_values(
 
 def _run(dataset, trainer, cfg: EstimatorConfig, perms=None) -> EstimatorReport:
     """The report of ``cfg``'s variant, echoing the dataset sizes, the trainer
-    and the config fields the public function takes, other than variant and
-    strict.  The pooled variant is computed only if it is the one reported."""
+    and the config fields the public function takes, other than variant.  The
+    pooled variant is computed only if it is the one reported."""
     values = variant_values(dataset, trainer, cfg, perms, pooled=cfg.variant is Variant.POOLED)
-    value, excluded = values.pick(cfg.variant, cfg.strict)
+    value, excluded = values.pick(cfg.variant)
     echo = {"n1": dataset.n1, "n2": dataset.n2, "trainer": trainer.name}
     for field in _DISPATCH[cfg.metric, cfg.version][1].split():
-        if field not in ("variant", "strict"):
+        if field != "variant":
             echo[field] = getattr(cfg, field)
     return EstimatorReport(value, cfg.version, cfg.variant, cfg.metric, echo, excluded)
 
@@ -725,19 +721,17 @@ def err_cvkm(
     repetitions: int = 1,
     seed: int = 0,
     variant: Variant = Variant.POOLED,
-    strict: bool = False,
 ) -> EstimatorReport:
     """Monte-Carlo CV: each run trains once and tests on the first fold only.
 
     Pooled: per observation, the out-of-fold losses are summed over runs and
     divided by the number of runs that tested it; observations never tested
-    are dropped and counted (strict mode raises).  Partitioned: the test-fold
-    mean of each run is averaged over runs.  The variants differ for finite
-    run counts.
+    are dropped and counted.  Partitioned: the test-fold mean of each run is
+    averaged over runs.  The variants differ for finite run counts.
     """
     return _run(dataset, trainer, EstimatorConfig(
         Version.CVKM, Metric.ERROR, variant, th, n_folds=n_folds, repetitions=repetitions,
-        seed=seed, strict=strict))
+        seed=seed))
 
 
 def err_loob(
@@ -748,20 +742,19 @@ def err_loob(
     seed: int = 0,
     model: SamplingModel = SamplingModel.ORDERED,
     variant: Variant = Variant.POOLED,
-    strict: bool = False,
 ) -> EstimatorReport:
     """Leave-one-out bootstrap error (pooled) and its replicate-averaged variant.
 
     Pooled: each observation's losses over the replicates that left it out
     are averaged, then averaged across observations; never-left-out
-    observations are dropped and counted (strict mode raises).  Partitioned:
-    each replicate contributes the mean loss over its out-of-bag set;
-    all-in-bag replicates are skipped and counted.  The two variants are not
-    equal, even for many replicates.  ``model`` is echoed as ``sampling``.
+    observations are dropped and counted.  Partitioned: each replicate
+    contributes the mean loss over its out-of-bag set; all-in-bag replicates
+    are skipped and counted.  The two variants are not equal, even for many
+    replicates.  ``model`` is echoed as ``sampling``.
     """
     return _run(dataset, trainer, EstimatorConfig(
         Version.LOOB, Metric.ERROR, variant, th, n_bootstrap=n_bootstrap, sampling=model,
-        seed=seed, strict=strict))
+        seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +809,6 @@ def auc_cvkm(
     repetitions: int = 1,
     seed: int = 0,
     variant: Variant = Variant.POOLED,
-    strict: bool = False,
 ) -> EstimatorReport:
     """Monte-Carlo CV for AUC: one test fold per class per run.
 
@@ -827,7 +819,7 @@ def auc_cvkm(
     """
     return _run(dataset, trainer, EstimatorConfig(
         Version.CVKM, Metric.AUC, variant, n_folds1=n_folds1, n_folds2=n_folds2,
-        repetitions=repetitions, seed=seed, strict=strict))
+        repetitions=repetitions, seed=seed))
 
 
 def auc_lpobs(
@@ -837,7 +829,6 @@ def auc_lpobs(
     seed: int = 0,
     model: SamplingModel = SamplingModel.ORDERED,
     variant: Variant = Variant.POOLED,
-    strict: bool = False,
 ) -> EstimatorReport:
     """Leave-pair-out bootstrap AUC; the classes are resampled independently.
 
@@ -851,7 +842,7 @@ def auc_lpobs(
     """
     return _run(dataset, trainer, EstimatorConfig(
         Version.LOOB, Metric.AUC, variant, n_bootstrap=n_bootstrap, sampling=model,
-        seed=seed, strict=strict))
+        seed=seed))
 
 
 # ---------------------------------------------------------------------------

@@ -106,15 +106,17 @@ def _fold_size(n: int, n_folds: int) -> int:
 def make_partition(n: int, n_folds: int, perm: Sequence[int] | None = None) -> np.ndarray:
     """(n,) fold ids 1..K: contiguous blocks, optionally composed with a permutation.
 
-    ``perm``, when given, lists 1-based images: observation at position i
-    (0-based) is assigned the fold of perm[i] under the canonical map.
+    ``perm``, when given, lists 1-based images, as integers: observation at
+    position i (0-based) is assigned the fold of perm[i] under the canonical
+    map.  Any other ``perm``, one holding 1.5 or "1" among them, is refused.
     """
     size = _fold_size(n, n_folds)
     if perm is None:
         images = np.arange(1, n + 1)
     else:
-        images = np.asarray(perm, dtype=int)
-        if images.shape != (n,) or not np.array_equal(np.sort(images), np.arange(1, n + 1)):
+        images = np.asarray(perm)
+        if images.dtype.kind not in "iu" or images.shape != (n,) or not np.array_equal(
+                np.sort(images), np.arange(1, n + 1)):
             raise DomainError("perm must be a permutation of 1..n")
     return (images - 1) // size + 1
 

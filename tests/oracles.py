@@ -9,7 +9,9 @@ replicate's weight under a sampling model (for AUC, of every pair of class
 replicates), the enumerated (weighted, exact) B -> infinity limits of the
 leave-one-out bootstrap variants and their standard errors at a finite B,
 every K-fold map of a small dataset with its per-task, per-unit losses,
-complete CV as the mean over its distinct held-out sets, and the pooled
+complete CV as the mean over its distinct held-out sets, each map's unit
+losses and test mask as one row (so the leave-one-out bootstrap's standard
+errors serve repeated CV, a map being a replicate), and the pooled
 variant over a set of those tasks, the AUC pair sums from masked
 float kernel cells, the one-class rule on dense task weights, and the
 one-class redraw replicate by replicate.  Two probes
@@ -262,6 +264,25 @@ def held_out_mean(per_map: dict) -> tuple[Fraction, int]:
     class held-out sets), each counted once; with the number of those sets."""
     losses = {frozenset(units): cvk_loss(units) for tasks in per_map.values() for units in tasks}
     return sum(losses.values()) / len(losses), len(losses)
+
+
+def fold_map_rows(per_map: dict, tested: slice, n_units: int) -> tuple[np.ndarray, np.ndarray]:
+    """(losses, test), each (maps, ``n_units``): row r holds, for the r-th map
+    of a ``complete_cv`` result, each unit's loss in the task of
+    ``tasks[tested]`` that tests it (0 where none does) and whether one does.
+    Every unit is tested at most once per map: CVKR's tasks (all of them)
+    hold out disjoint sets, and CVKM has one (``slice(1)``).  Drawn uniformly,
+    as repeated CV draws its maps, these rows are the replicates of
+    :func:`loob_standard_errors`, whose pooled and partitioned variants are
+    CVKR's or CVKM's."""
+    losses = np.zeros((len(per_map), n_units))
+    test = np.zeros((len(per_map), n_units), dtype=bool)
+    for r, tasks in enumerate(per_map.values()):
+        for units in tasks[tested]:
+            assert not test[r, list(units)].any(), "a unit tested twice in one map"
+            for unit, loss in units.items():
+                losses[r, unit], test[r, unit] = loss, True
+    return losses, test
 
 
 def pooled_value(tasks) -> float:

@@ -840,8 +840,8 @@ def estimator_text(tmp_path, dataset_csv, out, metric, lines):
 
 
 class TestUnusedEstimatorKeys:
-    """A seed on a version that does not draw, and ``strict`` with a
-    variant it does not act on, exit 2 before the dataset is read."""
+    """A seed on a version that does not draw, and a ``strict`` key, exit 2
+    before the dataset is read."""
 
     @pytest.mark.parametrize("name, metric, lines", [
         ("err_cvn", "error", ["version = CVN"]),
@@ -860,25 +860,25 @@ class TestUnusedEstimatorKeys:
         assert capsys.readouterr().err == f"error: {name} does not take 'seed'\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("metric, lines", [
-        ("error", ["version = CVKM", "K = 3", "M = 4"]),
-        ("error", ["version = LOOB", "B = 8"]),
-        ("auc", ["version = CVKM", "K1 = 3", "K2 = 3", "M = 4"]),
-        ("auc", ["version = LOOB", "B = 8"]),
-    ], ids=["err_cvkm", "err_loob", "auc_cvkm", "auc_lpobs"])
-    def test_strict_needs_the_pooled_variant(self, tmp_path, dataset_csv, capsys, metric,
-                                             lines):
-        out = tmp_path / "out.json"
-        lines = lines + ["seed = 1", "strict = true"]
-        pooled = estimator_text(tmp_path, dataset_csv, out, metric, lines + ["variant = pooled"])
-        assert cli.main(["estimate", str(pooled)]) in (0, 3)  # 3: a pair never tested
-        out.unlink(missing_ok=True)
-        capsys.readouterr()
-        partitioned = estimator_text(tmp_path, dataset_csv, out, metric,
-                                     lines + ["variant = partitioned"])
-        assert cli.main(["estimate", str(partitioned)]) == 2
-        assert capsys.readouterr().err == "error: 'strict' needs variant pooled, not partitioned\n"
+    @pytest.mark.parametrize("subcommand", ["estimate", "simulate"])
+    def test_strict_is_an_unknown_key(self, tmp_path, dataset_csv, capsys, subcommand):
+        """A pooled estimate always drops the units no task tested and counts
+        them in ``excluded_count``; there is no key to raise instead."""
+        out = tmp_path / "out"
+        lines = ["version = CVKM", "K = 3", "M = 4", "variant = pooled"]
+
+        def config(extra):
+            if subcommand == "estimate":
+                return estimator_text(tmp_path, dataset_csv, out / "est.json", "error",
+                                      lines + ["seed = 1"] + extra)
+            paths = {k: out / f"{k}.csv" for k in ("table", "triples", "manifest")}
+            return write_config(tmp_path, "sim.ini", SIMULATE_TEMPLATE.format(**paths)
+                                + "\n".join(["[estimator]", "metric = error", *lines, *extra]))
+
+        assert cli.main([subcommand, str(config(["strict = true"]))]) == 2
+        assert capsys.readouterr().err == "error: unknown key 'strict' in section [estimator]\n"
         assert not out.exists()
+        assert cli.main([subcommand, str(config([]))]) == 0
 
     def test_a_cvk_campaign_still_runs(self, tmp_path):
         paths = {k: tmp_path / f"{k}.csv" for k in ("table", "triples", "manifest")}

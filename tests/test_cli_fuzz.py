@@ -32,7 +32,6 @@ ENUMS = {
     "variant": ["pooled", "partitioned", "reduced"],
     "metric": ["error", "auc"],
     "sampling": ["ordered", "unordered-multiset"],
-    "bool": ["true", "false", "1", "0", "no"],
     "str": ["lda", "nearest-mean"],
     "float": ["0.5", "1e-3", "0", "1", "2.5"],
 }

@@ -21,7 +21,7 @@ from cvlab.core import (
 )
 from cvlab import estimators
 from cvlab.estimators import (
-    CoverageError,
+    EstimationError,
     EstimatorConfig,
     Metric,
     Variant,
@@ -45,6 +45,7 @@ from oracles import (
     complete_cv,
     cvk_loss,
     float_pair_sums,
+    fold_map_rows,
     fresh_process_peak,
     held_out_mean,
     loob_limits,
@@ -288,6 +289,22 @@ class TestAucCvk:
         with pytest.raises(DomainError):
             auc_cvk(FOUR_BY_FOUR, NearestMeanTrainer(), 3, 2)
 
+    def test_perms_needs_one_entry_per_class(self):
+        with pytest.raises(DomainError, match="^perms needs 2 entries, one per part, not 1$"):
+            auc_cvk(FOUR_BY_FOUR, NearestMeanTrainer(), 2, 2, perms=([4, 3, 2, 1],))
+
+    @pytest.mark.parametrize("cfg", [
+        EstimatorConfig(Version.CVN, Metric.AUC),
+        EstimatorConfig(Version.CVKR, Metric.AUC, n_folds1=2, n_folds2=2, repetitions=3, seed=1),
+        EstimatorConfig(Version.CVKM, Metric.AUC, n_folds1=2, n_folds2=2, repetitions=3, seed=1),
+        EstimatorConfig(Version.LOOB, Metric.AUC, n_bootstrap=5, seed=1),
+    ], ids=["CVN", "CVKR", "CVKM", "LOOB"])
+    def test_perms_is_refused_on_any_version_but_cvk(self, cfg):
+        message = f"^perms applies to CVK only, not {cfg.version.value}$"
+        with pytest.raises(DomainError, match=message):
+            estimators.variant_values(FOUR_BY_FOUR, NearestMeanTrainer(), cfg,
+                                      perms=([4, 3, 2, 1], [4, 3, 2, 1]))
+
 
 class TestAucCvkr:
     def test_single_repetition_equals_cvk_on_same_permutations(self):
@@ -342,9 +359,10 @@ class TestAucCvkm:
         b = auc_cvkm(OVERLAP, trainer, 5, 5, 8, 0, Variant.PARTITIONED).value
         assert abs(a - b) > 1e-6
 
-    def test_strict_mode_raises_on_uncovered_pairs(self):
-        with pytest.raises(CoverageError):
-            auc_cvkm(FOUR_BY_FOUR, NearestMeanTrainer(), 2, 2, 1, 3, Variant.POOLED, strict=True)
+    def test_uncovered_pairs_are_dropped_and_counted(self):
+        # one run tests its fold pair (1, 1): 2 x 2 of the 16 pairs
+        report = auc_cvkm(FOUR_BY_FOUR, NearestMeanTrainer(), 2, 2, 1, 3, Variant.POOLED)
+        assert report.excluded_count == 12
 
 
 class TestAucLpobs:
@@ -387,10 +405,10 @@ class TestAucLpobs:
         report = auc_lpobs(ds, NearestMeanTrainer(), 60, 4, SamplingModel.ORDERED, Variant.PARTITIONED)
         assert report.excluded_count > 0
 
-    def test_strict_mode_on_uncovered_pairs(self):
+    def test_no_pair_ever_tested_raises(self):
         ds = StratifiedDataset(np.array([[0.0], [0.5]]), np.array([[1.0], [1.5]]))
-        with pytest.raises(CoverageError):
-            auc_lpobs(ds, NearestMeanTrainer(), 1, 12, SamplingModel.ORDERED, Variant.POOLED, strict=True)
+        with pytest.raises(EstimationError, match="^no pair was ever tested$"):
+            auc_lpobs(ds, NearestMeanTrainer(), 1, 12, SamplingModel.ORDERED, Variant.POOLED)
 
     def test_deterministic(self):
         trainer = LdaTrainer(1e-6)
@@ -467,6 +485,20 @@ class TestCompleteCV:
             want = pooled_value(task for tasks in drawn for task in tasks[tested])
             report = estimator(FOUR_BY_FOUR, trainer, 2, 2, 1000, seed, Variant.POOLED)
             assert report.value == want
+
+    @pytest.mark.parametrize("estimator, tested", [(auc_cvkr, slice(None)), (auc_cvkm, slice(1))],
+                             ids=["cvkr", "cvkm"])
+    def test_large_m_lies_within_4_se_of_complete_cv(self, units, estimator, tested):
+        """Both variants at M = 20000, against the exact limit; the SE is that
+        of M map pairs drawn uniformly from the 36 (``oracles.fold_map_rows``,
+        the units being the pairs i * n2 + j)."""
+        complete, _ = held_out_mean(units)
+        losses, test = fold_map_rows(units, tested, FOUR_BY_FOUR.n1 * FOUR_BY_FOUR.n2)
+        ses = loob_standard_errors(losses, test, np.ones(len(units), dtype=int), 20_000)
+        trainer = NearestMeanTrainer()
+        for variant, se in zip((Variant.POOLED, Variant.PARTITIONED), ses):
+            value = estimator(FOUR_BY_FOUR, trainer, 2, 2, 20_000, 0, variant).value
+            assert abs(value - complete) <= 4 * se
 
 
 class TestLoobLimits:

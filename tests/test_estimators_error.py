@@ -25,7 +25,6 @@ from cvlab.core import (
     Trainer,
 )
 from cvlab.estimators import (
-    CoverageError,
     EstimationError,
     EstimatorConfig,
     Metric,
@@ -52,6 +51,7 @@ from cvlab.simlab import LdaTrainer, NearestMeanTrainer
 from oracles import (
     complete_cv,
     cvk_loss,
+    fold_map_rows,
     fresh_process_peak,
     held_out_mean,
     loob_limits,
@@ -269,6 +269,14 @@ class TestErrCvk:
         want = oracle_cvk(EIGHT_POINT, trainer, 2, Variant.POOLED, perm=perm)
         assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("first", [1.5, "1"])
+    def test_a_perm_entry_that_is_not_an_integer_is_refused(self, first):
+        # read as integers, either would run as the valid [1, 5, 2, ...]
+        trainer = CountingTrainer()
+        with pytest.raises(DomainError, match=r"^perm must be a permutation of 1\.\.n$"):
+            err_cvk(EIGHT_POINT, trainer, 0.0, 2, perm=[first, 5, 2, 6, 3, 7, 4, 8])
+        assert trainer.tasks == 0
+
     def test_divisibility_error(self):
         with pytest.raises(DivisibilityError):
             err_cvk(SEPARABLE, NearestMeanTrainer(), 0.0, 4)
@@ -342,9 +350,9 @@ class TestErrCvkm:
         b = err_cvkm(ds, trainer, 0.0, 3, 50, 0, Variant.PARTITIONED).value
         assert abs(a - b) > 1e-6
 
-    def test_strict_mode_raises_on_uncovered(self):
-        with pytest.raises(CoverageError):
-            err_cvkm(SIX_POINT, NearestMeanTrainer(), 0.0, 3, 1, 4, Variant.POOLED, strict=True)
+    def test_uncovered_observations_are_dropped_and_counted(self):
+        report = err_cvkm(SIX_POINT, NearestMeanTrainer(), 0.0, 3, 1, 4, Variant.POOLED)
+        assert (report.value, report.excluded_count) == (1.0, 4)
 
 
 class TestErrLoob:
@@ -873,7 +881,7 @@ TWELVE_POINT = StratifiedDataset(rng_twelve.normal(0, 1, (6, 2)), rng_twelve.nor
 # public functions take ``sampling`` as ``model``.
 RUN_FIELDS = {
     "th": 0.25, "n_folds": 4, "n_folds1": 3, "n_folds2": 2, "repetitions": 3, "n_bootstrap": 9,
-    "seed": 7, "sampling": SamplingModel.UNORDERED_MULTISET, "strict": True,
+    "seed": 7, "sampling": SamplingModel.UNORDERED_MULTISET,
 }
 RUN_CASES = [
     (metric, version, name, variant)
@@ -881,7 +889,7 @@ RUN_CASES = [
     for variant in (tuple(Variant) if "variant" in fields.split() else (Variant.POOLED,))
 ]
 # (metric, version, field) for each field that an estimator does not take:
-# 60 of the 100 pairs
+# 54 of the 90 pairs
 UNTAKEN_CASES = [
     (metric, version, field)
     for (metric, version), (_, fields) in estimators._DISPATCH.items()
@@ -1110,6 +1118,19 @@ class TestCompleteCV:
             want = pooled_value(task for tasks in drawn for task in tasks[tested])
             report = estimator(self.DATASET, trainer, 0.0, 3, 1000, seed, Variant.POOLED)
             assert report.value == want
+
+    @pytest.mark.parametrize("estimator, tested", [(err_cvkr, slice(None)), (err_cvkm, slice(1))],
+                             ids=["cvkr", "cvkm"])
+    def test_large_m_lies_within_4_se_of_complete_cv(self, units, estimator, tested):
+        """Both variants at M = 20000, against the exact limit; the SE is that
+        of M maps drawn uniformly from the 90 (``oracles.fold_map_rows``)."""
+        complete, _ = held_out_mean(units)
+        losses, test = fold_map_rows(units, tested, self.DATASET.n)
+        ses = loob_standard_errors(losses, test, np.ones(len(units), dtype=int), 20_000)
+        trainer = NearestMeanTrainer()
+        for variant, se in zip((Variant.POOLED, Variant.PARTITIONED), ses):
+            value = estimator(self.DATASET, trainer, 0.0, 3, 20_000, 0, variant).value
+            assert abs(value - complete) <= 4 * se
 
 
 class TestLoobLimits:

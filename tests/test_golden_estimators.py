@@ -9,8 +9,8 @@ tile.
 
 The grid covers three small datasets (one whose scores tie exactly), the two
 built-in trainers plus one without the batched ``weighted_scores`` hook, and
-several fold counts, repetition counts, bootstrap budgets, sampling models,
-seeds and ``strict`` settings.
+several fold counts, repetition counts, bootstrap budgets, sampling models
+and seeds.
 
 To re-record after a deliberate change of values::
 
@@ -89,16 +89,10 @@ def cases(dataset):
             _grid(n_folds=FOLDS, repetitions=REPETITIONS, seed=SEEDS, variant=VARIANTS)
         ),
         "err_cvkm": list(
-            _grid(
-                n_folds=FOLDS, repetitions=REPETITIONS, seed=SEEDS, variant=VARIANTS,
-                strict=(False, True),
-            )
+            _grid(n_folds=FOLDS, repetitions=REPETITIONS, seed=SEEDS, variant=VARIANTS)
         ),
         "err_loob": list(
-            _grid(
-                n_bootstrap=BUDGETS, seed=SEEDS, model=tuple(SamplingModel),
-                variant=VARIANTS, strict=(False, True),
-            )
+            _grid(n_bootstrap=BUDGETS, seed=SEEDS, model=tuple(SamplingModel), variant=VARIANTS)
         ),
         "auc_cvn": [{}],
         "auc_cvk": [
@@ -111,19 +105,11 @@ def cases(dataset):
             for (k1, k2), m, s, v in itertools.product(FOLD_PAIRS, REPETITIONS, SEEDS, VARIANTS)
         ],
         "auc_cvkm": [
-            {
-                "n_folds1": k1, "n_folds2": k2, "repetitions": m, "seed": s,
-                "variant": v, "strict": strict,
-            }
-            for (k1, k2), m, s, v, strict in itertools.product(
-                FOLD_PAIRS, REPETITIONS, SEEDS, VARIANTS, (False, True)
-            )
+            {"n_folds1": k1, "n_folds2": k2, "repetitions": m, "seed": s, "variant": v}
+            for (k1, k2), m, s, v in itertools.product(FOLD_PAIRS, REPETITIONS, SEEDS, VARIANTS)
         ],
         "auc_lpobs": list(
-            _grid(
-                n_bootstrap=BUDGETS, seed=SEEDS, model=tuple(SamplingModel),
-                variant=VARIANTS, strict=(False, True),
-            )
+            _grid(n_bootstrap=BUDGETS, seed=SEEDS, model=tuple(SamplingModel), variant=VARIANTS)
         ),
     }
 

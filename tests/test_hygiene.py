@@ -1,4 +1,5 @@
-"""Source hygiene checks that need nothing beyond the standard library.
+"""Source hygiene checks; all but the last need nothing beyond the standard
+library.
 
 Every module under ``src/cvlab/``, ``tests/`` and ``tools/`` must use each
 name it imports.  A name counts as used when the module reads it anywhere (an
@@ -21,6 +22,10 @@ Each input kind has one reader (``READERS``): inside ``src/cvlab/``,
 only in ``cli.load_config``.
 
 The code-line counter, ``tools/code_lines.py``, counts a small source exactly.
+
+The CLI has a converter for each type its schemas use and no other: every
+``cli._CONVERTERS`` kind is the type of some ``cli._SCHEMAS`` key, and every
+schema type, less its ``?``, has a converter.
 """
 
 import ast
@@ -344,3 +349,34 @@ class TestCodeLineCounter:
         (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
         assert code_lines.main([str(tmp_path)]) == 0
         assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["8", "1", "9"]
+
+
+def converter_mismatches(converters, schemas) -> list[str]:
+    """Each converter kind no schema key has, and each schema type (less its
+    "?") with no converter; ``schemas`` is {subcommand: {section: {key: type}}}."""
+    types = {kind.rstrip("?") for sections in schemas.values()
+             for keys in sections.values() for kind in keys.values()}
+    return sorted([f"unused converter '{kind}'" for kind in set(converters) - types]
+                  + [f"no converter for '{kind}'" for kind in types - set(converters)])
+
+
+class TestConvertersMatchSchemas:
+    def test_every_converter_serves_a_key_and_every_key_has_one(self):
+        from cvlab import cli
+
+        assert converter_mismatches(cli._CONVERTERS, cli._SCHEMAS) == []
+
+    @pytest.mark.parametrize(
+        "converters, schemas, want",
+        [
+            ({"int": int}, {"run": {"s": {"n": "int"}}}, []),
+            ({"int": int}, {"run": {"s?": {"n": "int?"}}}, []),
+            ({"int": int, "bool": bool}, {"run": {"s": {"n": "int"}}}, ["unused converter 'bool'"]),
+            ({}, {"run": {"s": {"n": "int?"}}}, ["no converter for 'int'"]),
+            ({"int": int}, {"a": {"s": {"n": "int"}}, "b": {"t": {"x": "float"}}},
+             ["no converter for 'float'"]),
+            ({"int": int, "str": str}, {"a": {"s": {"n": "int"}}, "b": {"t": {"x": "str"}}}, []),
+        ],
+    )
+    def test_checker(self, converters, schemas, want):
+        assert converter_mismatches(converters, schemas) == want
