@@ -6,8 +6,9 @@ The package is organized in seven modules:
                     label vector, scoring rules, the zero-one loss, the
                     Mann-Whitney AUC kernel (``pairwise_kernel``, doubled to
                     int8 cells), and the CSV reader.
-- ``resampling``    fold maps as int arrays of fold ids, (n,) or seeded (M, n),
-                    and bootstrap replicate generation under two sampling models.
+- ``resampling``    fold maps as int arrays of fold ids, the canonical (n,) map
+                    or a seeded (M, n) repeated-CV map, and bootstrap replicate
+                    generation under two sampling models.
 - ``combinatorics`` exact rational identities for bootstrap out-of-bag counts.
 - ``estimators``    every cross-validation / bootstrap estimator version and
                     variant, for error rate and AUC: ten public functions over

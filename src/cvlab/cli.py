@@ -11,8 +11,9 @@ and missing required keys are thus all rejected before any work, so such a
 config exits 2 with nothing run or written.  A handler then builds its
 estimator config, trainer and campaign before it reads any data or runs any
 trial or unit, and they refuse a key the chosen estimator version or trainer
-does not take (a seed on CVN or CVK among them) and sizes the estimator
-cannot run on: every input is used or refused before any work.  A pooled
+does not take (a seed on CVN among them) and sizes the estimator cannot
+run on: every input is used or refused before any work.  An empty value is
+refused like any other bad value.  A pooled
 estimate drops the units no task tested and reports their number as
 ``excluded_count``.  A seed is mandatory for any randomized run.  Both CSV
 inputs, the ``estimate`` dataset and the ``decompose`` pairs file, go
@@ -66,10 +67,16 @@ def _to_int_list(raw: str) -> list[int]:
         raise DomainError(f"expected a list of integers, got '{raw}'") from None
 
 
+def _to_str(raw: str) -> str:
+    if not raw:
+        raise ValueError("expected a non-empty value")
+    return raw
+
+
 _CONVERTERS: dict[str, Callable[[str], object]] = {
     "int": int,
     "float": float,
-    "str": str,
+    "str": _to_str,
     "int_list": _to_int_list,
     "version": lambda raw: Version(raw.upper()),
     "variant": lambda raw: Variant(raw.lower()),
@@ -88,9 +95,10 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
 # an EstimatorConfig field (``estimators._CONFIG_KEYS`` maps the ones spelled
 # differently), and EstimatorConfig checks every estimator rule when the
 # handler builds it, before any data is read or trial run, refusing a key its
-# version does not take; ``estimators.variant_values`` rejects a missing
-# seed.  A campaign derives each trial's estimator seed for the versions that
-# draw, so only ``estimate`` takes [estimator] seed.  The [trainer] keys other
+# version does not take (a seed on CVN, the one version that draws nothing);
+# ``estimators.variant_values`` rejects a missing seed on every other one.
+# A campaign derives each trial's estimator seed for the versions that draw,
+# so only ``estimate`` takes [estimator] seed.  The [trainer] keys other
 # than id are keywords of the trainer class, and ``simlab.trainer_from_id``
 # refuses one it does not take.  Every type name here has a converter in
 # ``_CONVERTERS``, and every converter serves some key.

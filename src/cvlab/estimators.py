@@ -9,7 +9,9 @@ version      pooled variant                 partitioned variant
 ===========  =============================  ====================================
 CVN          leave-one-out (leave-pair-out  (identical; single variant)
              for AUC)
-CVK          one-run K-fold, average once   per-fold means, then fold average
+CVK          one shuffled K-fold run: row   per-fold means, then fold average
+             0 of the repeated-CV map, so
+             CVKR at M = 1
 CVKR         M shuffled K-fold runs,        per-run K-fold value, then run
              per-observation average first  average
 CVKM         Monte-Carlo CV: one test fold  per-run test-fold mean, then run
@@ -52,8 +54,9 @@ A caller that needs one variant asks for it: the per-unit sums (for AUC the
 per-pair scatter, the largest part of its aggregation) are built only when
 the pooled variant is asked for.
 
-The estimators differ only in their tasks: CVK has K (CVN is K = n), CVKR
-M*K, CVKM M each testing fold 1, LOOB one per replicate.  An AUC fold task
+The estimators differ only in their tasks: CVK has K, on row 0 of the
+repeated-CV map that CVKR draws its M*K from (CVN is K = n, on the canonical
+map), CVKM M each testing fold 1, LOOB one per replicate.  An AUC fold task
 leaves out one fold of each class (all K1*K2 fold pairs, or the K diagonal
 ones for the reduced variant); an AUC bootstrap task pairs the two classes'
 replicates.  A pooled bootstrap replicate b that lost a class is redrawn,
@@ -102,7 +105,8 @@ before any resampling or training.  ``_run`` hands it to
 :func:`variant_values`, which checks only what a config cannot (an unset
 seed, which campaigns set per trial, and the class sizes, through
 :func:`_checked_parts`, which a campaign also calls once before its first
-trial) and computes both variants, asking for the pooled one only when it is
+trial) and computes both variants from the config and the dataset alone (no
+caller hands in fold maps), asking for the pooled one only when it is
 reported; ``_run`` then picks the requested variant and echoes the config.
 :func:`run` only dispatches: it looks the public name up at call time, so a
 tracer that rebinds an estimator in this module also sees the calls ``run``
@@ -114,7 +118,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -477,9 +481,9 @@ class EstimatorConfig:
     has K1 == K2; and reduced is asked only of AUC CVK.  So a config names
     only what its version uses, with one exception: a field set to its
     default passes, as the config cannot tell it from one left out.  The seed
-    is refused like any other field; a version that takes it may leave it
-    unset here (a campaign stamps one on every trial), and
-    :func:`variant_values` demands it.  The class sizes are checked by
+    is refused like any other field (only CVN, which draws nothing, does not
+    take it); a version that takes it may leave it unset here (a campaign
+    stamps one on every trial), and :func:`variant_values` demands it.  The class sizes are checked by
     :func:`_checked_parts`.
     """
 
@@ -544,15 +548,16 @@ _CONFIG_KEYS = {
 # trainer, in order).  The fields other than variant are echoed in the
 # report's config.  ``EstimatorConfig`` refuses any other field that is set
 # to other than its default, and a campaign stamps its trial seed only on a
-# version that takes ``seed``.
+# version that takes ``seed``: every version that draws, CVK among them, and
+# so all but CVN.
 _DISPATCH = {
     (Metric.ERROR, Version.CVN): ("err_cvn", "th"),
-    (Metric.ERROR, Version.CVK): ("err_cvk", "th n_folds variant"),
+    (Metric.ERROR, Version.CVK): ("err_cvk", "th n_folds variant seed"),
     (Metric.ERROR, Version.CVKR): ("err_cvkr", "th n_folds repetitions seed variant"),
     (Metric.ERROR, Version.CVKM): ("err_cvkm", "th n_folds repetitions seed variant"),
     (Metric.ERROR, Version.LOOB): ("err_loob", "th n_bootstrap seed sampling variant"),
     (Metric.AUC, Version.CVN): ("auc_cvn", ""),
-    (Metric.AUC, Version.CVK): ("auc_cvk", "n_folds1 n_folds2 variant"),
+    (Metric.AUC, Version.CVK): ("auc_cvk", "n_folds1 n_folds2 variant seed"),
     (Metric.AUC, Version.CVKR): ("auc_cvkr", "n_folds1 n_folds2 repetitions seed variant"),
     (Metric.AUC, Version.CVKM): ("auc_cvkm", "n_folds1 n_folds2 repetitions seed variant"),
     (Metric.AUC, Version.LOOB): ("auc_lpobs", "n_bootstrap seed sampling variant"),
@@ -588,7 +593,6 @@ def variant_values(
     dataset: StratifiedDataset,
     trainer: Trainer,
     cfg: EstimatorConfig,
-    perms: Sequence[Sequence[int] | None] | None = None,
     pooled: bool = True,
 ) -> VariantValues:
     """Both variants of the estimator ``cfg`` describes, training each task once.
@@ -599,26 +603,22 @@ def variant_values(
     ``cfg`` was checked when it was made; what it cannot check is checked
     here, before any resampling: an unset seed the version takes is a
     :class:`DomainError` naming its config key, the dataset's class sizes
-    must suit ``cfg`` (see :func:`_checked_parts`), and ``perms`` is refused
-    unless the version is CVK and it has one entry per part.
+    must suit ``cfg`` (see :func:`_checked_parts`).
     The estimator resamples parts: the pooled observations for error; class 1
     and class 2 for AUC, each from the derived seed ``derive_seed(seed,
     "classC")``.  LOOB draws B replicate counts per part, tile by tile from
     the part's one "bootstrap" stream (an error replicate that lost a class is
     redrawn).  The other versions build one fold map per part, per run for
-    CVKR and CVKM (CVN has K = the part size, CVK applies ``perms``, one
-    permutation or None per part), and train one task per fold of the parts'
-    fold grid, class-1 fold major; CVKM tests fold 1 of each part only, and
+    CVKR and CVKM: CVN the canonical map with K = the part size, the others
+    the part's repeated-CV map, one run of it for CVK (so CVK is CVKR at
+    M = 1).  They train one task per fold of the parts' fold grid, class-1
+    fold major; CVKM tests fold 1 of each part only, and
     the reduced CVK AUC variant the diagonal fold pairs.
     """
     if "seed" in _DISPATCH[cfg.metric, cfg.version][1].split() and cfg.seed is None:
         raise DomainError(f"{cfg.version.value} needs 'seed'")
     auc = cfg.metric is Metric.AUC
     sizes, ks = _checked_parts(cfg, dataset.n1, dataset.n2)
-    if perms is not None and cfg.version is not Version.CVK:
-        raise DomainError(f"perms applies to CVK only, not {cfg.version.value}")
-    if perms is not None and len(perms) != len(sizes):
-        raise DomainError(f"perms needs {len(sizes)} entries, one per part, not {len(perms)}")
 
     def part_seed(c):
         return derive_seed(cfg.seed, f"class{c + 1}") if auc else cfg.seed
@@ -638,24 +638,21 @@ def variant_values(
 
         return _estimate(dataset, trainer, cfg.metric, weights, cfg.n_bootstrap,
                          "replicate {}".format, th=cfg.th, pooled=pooled)
-    if cfg.version in (Version.CVN, Version.CVK):
-        perms = (None,) * len(sizes) if perms is None else perms
-        maps = [make_partition(n, k, p) for n, k, p in zip(sizes, ks, perms, strict=True)]
+    if cfg.version is Version.CVN:
+        maps = [make_partition(n, k) for n, k in zip(sizes, ks)]
     else:
-        maps = [
-            repeated_partitions(n, k, cfg.repetitions, part_seed(c))
-            for c, (n, k) in enumerate(zip(sizes, ks))
-        ]
+        maps = [repeated_partitions(n, k, cfg.repetitions or 1, part_seed(c))
+                for c, (n, k) in enumerate(zip(sizes, ks))]
     grid = (1,) * len(ks) if cfg.version is Version.CVKM else ks[:1] if cfg.reduced else ks
     folds = [a.ravel() + 1 for a in np.indices(grid)] * (2 if cfg.reduced else 1)
     return _fold_tasks(dataset, trainer, cfg.metric, maps, folds, cfg.th, pooled)
 
 
-def _run(dataset, trainer, cfg: EstimatorConfig, perms=None) -> EstimatorReport:
+def _run(dataset, trainer, cfg: EstimatorConfig) -> EstimatorReport:
     """The report of ``cfg``'s variant, echoing the dataset sizes, the trainer
     and the config fields the public function takes, other than variant.  The
     pooled variant is computed only if it is the one reported."""
-    values = variant_values(dataset, trainer, cfg, perms, pooled=cfg.variant is Variant.POOLED)
+    values = variant_values(dataset, trainer, cfg, pooled=cfg.variant is Variant.POOLED)
     value, excluded = values.pick(cfg.variant)
     echo = {"n1": dataset.n1, "n2": dataset.n2, "trainer": trainer.name}
     for field in _DISPATCH[cfg.metric, cfg.version][1].split():
@@ -680,17 +677,18 @@ def err_cvk(
     th: float = 0.0,
     n_folds: int = 2,
     variant: Variant = Variant.POOLED,
-    perm: Sequence[int] | None = None,
+    seed: int = 0,
 ) -> EstimatorReport:
-    """One-run K-fold CV over the pooled observations.
+    """One shuffled K-fold CV run over the pooled observations: the fold map
+    is row 0 of ``repeated_partitions(n, n_folds, M, seed)``, so this is
+    ``err_cvkr`` at M = 1, bit for bit.
 
     The pooled variant averages the per-observation losses once; the
     partitioned variant averages within each fold first.  With equal fold
     sizes the two coincide; with ``n_folds == n`` both reduce to ``err_cvn``.
     """
-    return _run(
-        dataset, trainer, EstimatorConfig(Version.CVK, Metric.ERROR, variant, th, n_folds=n_folds),
-        (perm,))
+    return _run(dataset, trainer, EstimatorConfig(
+        Version.CVK, Metric.ERROR, variant, th, n_folds=n_folds, seed=seed))
 
 
 def err_cvkr(
@@ -773,9 +771,11 @@ def auc_cvk(
     n_folds1: int = 2,
     n_folds2: int = 2,
     variant: Variant = Variant.POOLED,
-    perms: tuple[Sequence[int] | None, Sequence[int] | None] | None = None,
+    seed: int = 0,
 ) -> EstimatorReport:
-    """One-run K-fold CV for AUC with per-class fold counts K1, K2.
+    """One shuffled K-fold CV run for AUC with per-class fold counts K1, K2:
+    each class's fold map is row 0 of its repeated-CV map, so the pooled and
+    partitioned variants are ``auc_cvkr`` at M = 1, bit for bit.
 
     Pooled and partitioned variants train K1*K2 times and agree exactly; the
     reduced variant (K1 == K2 required) pairs only same-index folds, training
@@ -783,7 +783,7 @@ def auc_cvk(
     reduces to ``auc_cvn``.
     """
     return _run(dataset, trainer, EstimatorConfig(
-        Version.CVK, Metric.AUC, variant, n_folds1=n_folds1, n_folds2=n_folds2), perms)
+        Version.CVK, Metric.AUC, variant, n_folds1=n_folds1, n_folds2=n_folds2, seed=seed))
 
 
 def auc_cvkr(

@@ -4,9 +4,10 @@ Fold maps
 ---------
 A fold map is an int array of fold ids 1..K: (n,) for one run, (M, n) for M
 runs.  The canonical map over n observations (K divides n, folds of size
-n_K = n/K) puts observation i (1-based) in fold ceil(i / n_K).  A randomized
-map composes it with a uniform permutation; the repeated-CV maps take row m
-from permutation stream m (see Randomness).
+n_K = n/K) puts observation i (1-based) in fold ceil(i / n_K); leave-one-out
+CV uses it.  Every shuffled map is a row of a repeated-CV map, which composes
+the canonical map with the uniform permutation of stream m for row m (see
+Randomness): one-run K-fold CV takes row 0.
 
 Bootstrap sampling models
 -------------------------
@@ -103,22 +104,9 @@ def _fold_size(n: int, n_folds: int) -> int:
     return n // n_folds
 
 
-def make_partition(n: int, n_folds: int, perm: Sequence[int] | None = None) -> np.ndarray:
-    """(n,) fold ids 1..K: contiguous blocks, optionally composed with a permutation.
-
-    ``perm``, when given, lists 1-based images, as integers: observation at
-    position i (0-based) is assigned the fold of perm[i] under the canonical
-    map.  Any other ``perm``, one holding 1.5 or "1" among them, is refused.
-    """
-    size = _fold_size(n, n_folds)
-    if perm is None:
-        images = np.arange(1, n + 1)
-    else:
-        images = np.asarray(perm)
-        if images.dtype.kind not in "iu" or images.shape != (n,) or not np.array_equal(
-                np.sort(images), np.arange(1, n + 1)):
-            raise DomainError("perm must be a permutation of 1..n")
-    return (images - 1) // size + 1
+def make_partition(n: int, n_folds: int) -> np.ndarray:
+    """(n,) fold ids 1..K of the canonical map: K contiguous blocks of n/K."""
+    return np.arange(n) // _fold_size(n, n_folds) + 1
 
 
 # numpy.random.SeedSequence: pool of 4 uint32 words and its hash constants.
@@ -250,8 +238,9 @@ def _rekeyed_streams(keys, wrap) -> Iterator:
 
 
 def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np.ndarray:
-    """(M, n) fold ids; row m is ``make_partition(n, n_folds, perm)`` of the
-    permutation ``perm = derive_rng(seed, "partition", m).permutation(n) + 1``.
+    """(M, n) fold ids; row m is the canonical map composed with the
+    permutation ``p = derive_rng(seed, "partition", m).permutation(n) + 1``:
+    the observation at position i (0-based) gets the canonical fold of p[i].
 
     The map is held in the smallest signed integer dtype that holds n, and
     is the only (M, n) array made: its rows of images less one, 0..n-1, are

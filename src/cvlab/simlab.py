@@ -461,10 +461,10 @@ def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
     ``derive_seed(config.seed, tag, t)`` of the tags "trial-data",
     "trial-test" and "trial-est", each tag's seeds derived for all trials in
     one pass.  The estimate's seed goes only to a version that draws, one
-    whose ``estimators._DISPATCH`` fields name ``seed``; CVN and CVK run
-    the campaign's estimator config as it is.  Trials whose estimator run
-    fails are dropped and counted; the run aborts if more than 1% of trials
-    fail.
+    whose ``estimators._DISPATCH`` fields name ``seed`` (every version but
+    CVN); CVN runs the campaign's estimator config as it is.  Trials whose
+    estimator run fails are dropped and counted; the run aborts if more than
+    1% of trials fail.
 
     The trials run across the CPUs this process may use, in a fork map
     with OpenBLAS held to one thread per worker (see :func:`_map_units`);

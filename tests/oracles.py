@@ -2,10 +2,11 @@
 
 Each one is written independently of the code under test, as a direct
 transcription of its definition: a scalar rank kernel, sums over the exact
-out-of-bag pmf, the decomposition residual, the documented stream of each
-repeated-CV fold map, the multiset support of the bootstrap by direct
-enumeration (with 0/1 keys that make the sampler's decode walk it), each
-replicate's weight under a sampling model (for AUC, of every pair of class
+out-of-bag pmf, the decomposition residual, the canonical fold map composed
+with a permutation, the documented stream of each repeated-CV fold map (row
+0 of which is the one-run K-fold map), the multiset support of the bootstrap
+by direct enumeration (with 0/1 keys that make the sampler's decode walk
+it), each replicate's weight under a sampling model (for AUC, of every pair of class
 replicates), the enumerated (weighted, exact) B -> infinity limits of the
 leave-one-out bootstrap variants and their standard errors at a finite B,
 every K-fold map of a small dataset with its per-task, per-unit losses,
@@ -76,6 +77,15 @@ def inv_one_plus_unseen_by_summation(n: int) -> Fraction:
     return sum(
         (pmf_unseen_count(n, n, k) / (1 + k) for k in range(n)), start=Fraction(0)
     )
+
+
+def canonical_map(perm, k: int) -> np.ndarray:
+    """(n,) fold ids 1..k: the canonical K-fold map composed with ``perm``, a
+    1-based permutation of 1..n (k divides n).  The observation at position i
+    (0-based) gets fold ceil(perm[i] / (n / k)), the canonical fold of perm[i]."""
+    perm = np.asarray(perm)
+    assert perm.size % k == 0 and sorted(perm.tolist()) == list(range(1, perm.size + 1))
+    return (perm - 1) // (perm.size // k) + 1
 
 
 def random_permutation(n: int, seed: int, counter: int = 0) -> np.ndarray:

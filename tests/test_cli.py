@@ -64,7 +64,7 @@ class TestEstimate:
             out = tmp_path / f"{variant}.json"
             config = estimate_config(
                 tmp_path, dataset_csv, version="CVK", variant=variant,
-                out_json=out, extra="K = 3",
+                out_json=out, extra="K = 3\nseed = 1",
             )
             assert cli.main(["estimate", str(config)]) == 0
             values[variant] = json.loads(out.read_text())["value"]
@@ -562,6 +562,80 @@ class TestRequiredKeys:
         assert not (tmp_path / "out").exists()
 
 
+def config_of(tmp_path, sections):
+    """A config file of ``{section: {key: value}}``."""
+    return write_config(tmp_path, "c.ini", "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+        for name, items in sections.items()
+    ))
+
+
+class TestRefusedValues:
+    """Values refused at load time or before any work, each with exit 2 and
+    its message, and nothing written."""
+
+    @pytest.mark.parametrize("subcommand, section, key", [
+        ("estimate", "io", "out_json"), ("simulate", "io", "out_table"),
+        ("estimate", "io", "dataset"), ("estimate", "trainer", "id"),
+    ])
+    def test_an_empty_string_value(self, tmp_path, dataset_csv, capsys, subcommand, section,
+                                   key):
+        sections = complete_configs(tmp_path, dataset_csv)[subcommand]
+        sections[section][key] = ""
+        assert cli.main([subcommand, str(config_of(tmp_path, sections))]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [{section}] {key}: bad value '' (expected a non-empty value)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_an_int_list_with_a_non_integer(self, tmp_path, dataset_csv, capsys):
+        sections = complete_configs(tmp_path, dataset_csv)["ratio-curve"]
+        sections["curve"]["n1_grid"] = "5, x"
+        assert cli.main(["ratio-curve", str(config_of(tmp_path, sections))]) == 2
+        assert capsys.readouterr().err == (
+            "error: [curve] n1_grid: bad value '5, x' (expected a list of integers, got '5, x')\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_line_before_any_section_header(self, tmp_path, capsys):
+        config = write_config(tmp_path, "c.ini", "n_max = 3\n[verify]\nn_max = 3\n")
+        assert cli.main(["verify", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: config parse error: File contains no section headers.\n")
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_an_unreadable_dataset(self, tmp_path, dataset_csv, capsys, kind):
+        sections = complete_configs(tmp_path, dataset_csv)["estimate"]
+        dataset = tmp_path / "data-dir"
+        if kind == "directory":
+            dataset.mkdir()
+            reason = "[Errno 21] Is a directory"
+        else:
+            dataset.write_bytes(b"class,f1\n1,0.5\n1,0.7\xe9\n2,1.5\n")
+            reason = "'utf-8' codec can't decode"
+        sections["io"]["dataset"] = dataset
+        assert cli.main(["estimate", str(config_of(tmp_path, sections))]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read dataset {dataset}: {reason}")
+        assert not (tmp_path / "out").exists()
+
+    def test_an_out_csv_that_is_a_directory(self, tmp_path, dataset_csv, capsys):
+        sections = complete_configs(tmp_path, dataset_csv)["estimate"]
+        out_csv = tmp_path / "out-dir"
+        out_csv.mkdir()
+        sections["io"] = {"dataset": dataset_csv, "out_csv": out_csv}
+        assert cli.main(["estimate", str(config_of(tmp_path, sections))]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out_csv}: ")
+        assert list(tmp_path.glob(f".{out_csv.name}.*.tmp")) == []
+        assert list(out_csv.iterdir()) == []
+
+    def test_zero_test_points_per_class(self, tmp_path, dataset_csv, capsys):
+        sections = complete_configs(tmp_path, dataset_csv)["simulate"]
+        sections["campaign"]["test_per_class"] = 0
+        assert cli.main(["simulate", str(config_of(tmp_path, sections))]) == 2
+        assert capsys.readouterr().err == "error: test_per_class must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestDefaultSection:
     """[DEFAULT] is an ordinary section to the config reader, so it is refused
     as unknown, and none of its keys reaches another section."""
@@ -845,9 +919,7 @@ class TestUnusedEstimatorKeys:
 
     @pytest.mark.parametrize("name, metric, lines", [
         ("err_cvn", "error", ["version = CVN"]),
-        ("err_cvk", "error", ["version = CVK", "K = 3"]),
         ("auc_cvn", "auc", ["version = CVN"]),
-        ("auc_cvk", "auc", ["version = CVK", "K1 = 3", "K2 = 3"]),
     ])
     def test_a_seed_its_version_does_not_take(self, tmp_path, dataset_csv, capsys, name,
                                               metric, lines):
@@ -886,6 +958,43 @@ class TestUnusedEstimatorKeys:
                 + "\n[estimator]\nversion = CVK\nmetric = auc\nK1 = 2\nK2 = 2\n")
         assert cli.main(["simulate", str(write_config(tmp_path, "sim.ini", text))]) == 0
         assert len(paths["triples"].read_text().splitlines()) == 11
+
+
+TWELVE_POINT = StratifiedDataset(
+    np.random.default_rng(6).normal(0, 1, (6, 2)), np.random.default_rng(7).normal(1, 1, (6, 2))
+)
+
+
+class TestCvkSeed:
+    """CVK draws its one run's folds from its seed, as row 0 of the
+    repeated-CV map, so an ``estimate`` config must give one."""
+
+    @pytest.mark.parametrize("metric, lines", [
+        ("error", ["version = CVK", "K = 3"]),
+        ("auc", ["version = CVK", "K1 = 3", "K2 = 3"]),
+    ], ids=["error", "auc"])
+    def test_cvk_needs_a_seed(self, tmp_path, dataset_csv, capsys, metric, lines):
+        out = tmp_path / "out.json"
+        config = estimator_text(tmp_path, dataset_csv, out, metric, lines)
+        assert cli.main(["estimate", str(config)]) == 2
+        assert capsys.readouterr().err == "error: CVK needs 'seed'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_error_k2_runs_on_shuffled_folds(self, tmp_path, seed):
+        """Shuffled K = 2 folds of a 6+6 set keep both classes in every
+        training set, where contiguous blocks of the class-sorted order would
+        each hold one whole class (``estimation error: fold 1 leaves a
+        one-class training set``, exit 3)."""
+        dataset = tmp_path / "twelve.csv"
+        write_dataset_csv(TWELVE_POINT, dataset)
+        out = tmp_path / "out.json"
+        lines = ["version = CVK", "K = 2", f"seed = {seed}"]
+        config = estimator_text(tmp_path, dataset, out, "error", lines)
+        assert cli.main(["estimate", str(config)]) == 0
+        payload = json.loads(out.read_text())
+        want = estimators.err_cvk(TWELVE_POINT, NearestMeanTrainer(), 0.0, 2, seed=seed)
+        assert (payload["value"], payload["seed"]) == (want.value, seed)
 
 
 class TestBoundMessages:

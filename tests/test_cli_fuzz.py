@@ -72,7 +72,7 @@ FIELD_OF = {key: field for field, key in estimators._CONFIG_KEYS.items()}
 def used(section, values, key) -> bool:
     """Whether the run uses ``key`` of a section whose drawn ``values`` are
     given: an [estimator] key that the drawn version takes (or the version or
-    metric; so no seed for CVN or CVK), and ridge only for lda."""
+    metric; so no seed for CVN), and ridge only for lda."""
     if section == "trainer":
         return key != "ridge" or values["id"] == "lda"
     if section != "estimator" or key in ("version", "metric"):

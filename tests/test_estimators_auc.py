@@ -36,11 +36,11 @@ from cvlab.resampling import (
     SamplingModel,
     bootstrap_counts_matrix,
     derive_seed,
-    make_partition,
     repeated_partitions,
 )
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
 from oracles import (
+    canonical_map,
     class_replicates,
     complete_cv,
     cvk_loss,
@@ -103,9 +103,17 @@ def oracle_cell_kernel(dataset, trainer, assign1, assign2, k1, k2):
     return float(np.mean(values)), len(values)
 
 
-def oracle_auc_cvk(dataset, trainer, n_folds1, n_folds2, variant, perms=(None, None)):
-    assign1 = make_partition(dataset.n1, n_folds1, perms[0])
-    assign2 = make_partition(dataset.n2, n_folds2, perms[1])
+def cvk_class_maps(dataset, n_folds1, n_folds2, seed):
+    """CVK's documented maps: per class c, the canonical map composed with the
+    permutation of stream (derive_seed(seed, "classC"), "partition", 0)."""
+    return [
+        canonical_map(random_permutation(n, derive_seed(seed, f"class{c}"), 0), k)
+        for c, n, k in ((1, dataset.n1, n_folds1), (2, dataset.n2, n_folds2))
+    ]
+
+
+def oracle_auc_cvk(dataset, trainer, n_folds1, n_folds2, variant, seed=0):
+    assign1, assign2 = cvk_class_maps(dataset, n_folds1, n_folds2, seed)
     cell_means = []
     pooled_total = 0.0
     for k1 in range(1, n_folds1 + 1):
@@ -255,12 +263,15 @@ class TestAucCvk:
         b = auc_cvk(FOUR_BY_FOUR, trainer, 2, 4, Variant.PARTITIONED).value
         assert abs(a - b) <= 1e-12
 
-    def test_permutations_are_honored(self):
+    def test_seed_draws_row_0_of_each_class_stream(self):
+        # the oracle builds each class's map from its documented stream, not
+        # from repeated_partitions
         trainer = NearestMeanTrainer()
-        perms = (random_permutation(4, 3, 0), random_permutation(4, 3, 1))
-        got = auc_cvk(FOUR_BY_FOUR, trainer, 2, 2, Variant.POOLED, perms=perms).value
-        want = oracle_auc_cvk(FOUR_BY_FOUR, trainer, 2, 2, Variant.POOLED, perms=perms)
-        assert got == pytest.approx(want, abs=1e-12)
+        for seed in (3, 4, 5):
+            for variant in (Variant.POOLED, Variant.PARTITIONED):
+                got = auc_cvk(FOUR_BY_FOUR, trainer, 2, 2, variant, seed).value
+                want = oracle_auc_cvk(FOUR_BY_FOUR, trainer, 2, 2, variant, seed)
+                assert got == pytest.approx(want, abs=1e-12)
 
     def test_reduced_variant_differs_on_witness(self):
         # frozen witness dataset: the same-index pairing changes the value
@@ -272,14 +283,16 @@ class TestAucCvk:
         assert abs(part - reduced) > 1e-6
 
     def test_reduced_matches_matched_fold_oracle(self):
+        # seeds 0 to 3 give three different values
         trainer = NearestMeanTrainer()
-        assign = make_partition(4, 2)
-        cell_means = [
-            oracle_cell_kernel(FOUR_BY_FOUR, trainer, assign, assign, k, k)[0]
-            for k in (1, 2)
-        ]
-        got = auc_cvk(FOUR_BY_FOUR, trainer, 2, 2, Variant.REDUCED).value
-        assert got == pytest.approx(float(np.mean(cell_means)), abs=1e-12)
+        for seed in range(4):
+            assign1, assign2 = cvk_class_maps(FOUR_BY_FOUR, 2, 2, seed)
+            cell_means = [
+                oracle_cell_kernel(FOUR_BY_FOUR, trainer, assign1, assign2, k, k)[0]
+                for k in (1, 2)
+            ]
+            got = auc_cvk(FOUR_BY_FOUR, trainer, 2, 2, Variant.REDUCED, seed).value
+            assert got == pytest.approx(float(np.mean(cell_means)), abs=1e-12)
 
     def test_reduced_requires_matching_fold_counts(self):
         with pytest.raises(DomainError):
@@ -289,34 +302,21 @@ class TestAucCvk:
         with pytest.raises(DomainError):
             auc_cvk(FOUR_BY_FOUR, NearestMeanTrainer(), 3, 2)
 
-    def test_perms_needs_one_entry_per_class(self):
-        with pytest.raises(DomainError, match="^perms needs 2 entries, one per part, not 1$"):
-            auc_cvk(FOUR_BY_FOUR, NearestMeanTrainer(), 2, 2, perms=([4, 3, 2, 1],))
-
-    @pytest.mark.parametrize("cfg", [
-        EstimatorConfig(Version.CVN, Metric.AUC),
-        EstimatorConfig(Version.CVKR, Metric.AUC, n_folds1=2, n_folds2=2, repetitions=3, seed=1),
-        EstimatorConfig(Version.CVKM, Metric.AUC, n_folds1=2, n_folds2=2, repetitions=3, seed=1),
-        EstimatorConfig(Version.LOOB, Metric.AUC, n_bootstrap=5, seed=1),
-    ], ids=["CVN", "CVKR", "CVKM", "LOOB"])
-    def test_perms_is_refused_on_any_version_but_cvk(self, cfg):
-        message = f"^perms applies to CVK only, not {cfg.version.value}$"
-        with pytest.raises(DomainError, match=message):
-            estimators.variant_values(FOUR_BY_FOUR, NearestMeanTrainer(), cfg,
-                                      perms=([4, 3, 2, 1], [4, 3, 2, 1]))
-
 
 class TestAucCvkr:
-    def test_single_repetition_equals_cvk_on_same_permutations(self):
-        trainer = NearestMeanTrainer()
-        seed = 5
-        got = auc_cvkr(FOUR_BY_FOUR, trainer, 2, 2, 1, seed, Variant.POOLED).value
-        perms = (
-            random_permutation(4, derive_seed(seed, "class1"), 0),
-            random_permutation(4, derive_seed(seed, "class2"), 0),
-        )
-        want = auc_cvk(FOUR_BY_FOUR, trainer, 2, 2, Variant.POOLED, perms=perms).value
-        assert got == pytest.approx(want, abs=1e-15)
+    def test_single_repetition_equals_cvk_bit_for_bit(self):
+        # each class's CVK map is row 0 of its repeated-CV map, so CVKR at
+        # M = 1 gives the same value and excluded count to the bit
+        r = np.random.default_rng(0)
+        six_by_six = StratifiedDataset(r.normal(0, 1, (6, 2)), r.normal(0.8, 1, (6, 2)))
+        cases = [(FOUR_BY_FOUR, LdaTrainer(1e-6), 2, 2), (six_by_six, NearestMeanTrainer(), 2, 3)]
+        for dataset, trainer, k1, k2 in cases:
+            for seed in range(5):
+                for variant in (Variant.POOLED, Variant.PARTITIONED):
+                    cvk = auc_cvk(dataset, trainer, k1, k2, variant, seed)
+                    cvkr = auc_cvkr(dataset, trainer, k1, k2, 1, seed, variant)
+                    assert (repr(cvk.value), cvk.excluded_count) == (
+                        repr(cvkr.value), cvkr.excluded_count)
 
     def test_constant_scores_give_half(self):
         assert auc_cvkr(FOUR_BY_FOUR, ConstantScoreTrainer(), 2, 2, 3, 1).value == 0.5

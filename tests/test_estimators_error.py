@@ -44,11 +44,11 @@ from cvlab.resampling import (
     SamplingModel,
     bootstrap_counts_matrix,
     derive_seed,
-    make_partition,
     repeated_partitions,
 )
 from cvlab.simlab import LdaTrainer, NearestMeanTrainer
 from oracles import (
+    canonical_map,
     complete_cv,
     cvk_loss,
     fold_map_rows,
@@ -103,8 +103,10 @@ def oracle_fold_losses(dataset, trainer, assign, th=0.0):
     return losses
 
 
-def oracle_cvk(dataset, trainer, n_folds, variant, th=0.0, perm=None):
-    assign = make_partition(dataset.n, n_folds, perm)
+def oracle_cvk(dataset, trainer, n_folds, variant, th=0.0, seed=0):
+    """CVK on its documented map: the canonical map composed with the
+    permutation of stream (seed, "partition", 0)."""
+    assign = canonical_map(random_permutation(dataset.n, seed, 0), n_folds)
     losses = oracle_fold_losses(dataset, trainer, assign, th)
     if variant is Variant.POOLED:
         return losses.mean()
@@ -242,18 +244,18 @@ class TestErrCvk:
             assert gap <= 1e-12
 
     def test_separable_is_zero_for_any_k(self):
-        # k = 2 would hold all of class 1 in the first contiguous fold
+        # k = 2 folds of 3 points can hold all of class 1, which leaves a
+        # one-class training set
         for k in (3, 6):
             assert err_cvk(SEPARABLE, NearestMeanTrainer(), 0.0, k).value == 0.0
 
     @pytest.mark.parametrize("n_folds", [2, 4])
     def test_matches_fold_enumeration_oracle(self, n_folds):
-        # a permutation mixes the classes so even K=2 folds keep both classes
+        # seed 0's map mixes the classes so even K=2 folds keep both classes
         trainer = LdaTrainer(1e-6)
-        perm = random_permutation(8, seed=0)
         for variant in (Variant.POOLED, Variant.PARTITIONED):
-            got = err_cvk(EIGHT_POINT, trainer, 0.0, n_folds, variant, perm=perm).value
-            want = oracle_cvk(EIGHT_POINT, trainer, n_folds, variant, perm=perm)
+            got = err_cvk(EIGHT_POINT, trainer, 0.0, n_folds, variant, seed=0).value
+            want = oracle_cvk(EIGHT_POINT, trainer, n_folds, variant, seed=0)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_pooled_equals_partitioned(self):
@@ -262,20 +264,15 @@ class TestErrCvk:
         b = err_cvk(EIGHT_POINT, trainer, 0.0, 4, Variant.PARTITIONED).value
         assert abs(a - b) <= 1e-12
 
-    def test_permutation_is_honored(self):
+    def test_seed_draws_row_0_of_its_partition_stream(self):
+        # the oracle builds the map from the documented stream, not from
+        # repeated_partitions; seeds 21, 3 and 9 keep both classes in each fold
         trainer = NearestMeanTrainer()
-        perm = random_permutation(8, seed=21)
-        got = err_cvk(EIGHT_POINT, trainer, 0.0, 2, Variant.POOLED, perm=perm).value
-        want = oracle_cvk(EIGHT_POINT, trainer, 2, Variant.POOLED, perm=perm)
-        assert got == pytest.approx(want, abs=1e-12)
-
-    @pytest.mark.parametrize("first", [1.5, "1"])
-    def test_a_perm_entry_that_is_not_an_integer_is_refused(self, first):
-        # read as integers, either would run as the valid [1, 5, 2, ...]
-        trainer = CountingTrainer()
-        with pytest.raises(DomainError, match=r"^perm must be a permutation of 1\.\.n$"):
-            err_cvk(EIGHT_POINT, trainer, 0.0, 2, perm=[first, 5, 2, 6, 3, 7, 4, 8])
-        assert trainer.tasks == 0
+        for seed in (21, 3, 9):
+            for variant in (Variant.POOLED, Variant.PARTITIONED):
+                got = err_cvk(EIGHT_POINT, trainer, 0.0, 2, variant, seed).value
+                want = oracle_cvk(EIGHT_POINT, trainer, 2, variant, seed=seed)
+                assert got == pytest.approx(want, abs=1e-12)
 
     def test_divisibility_error(self):
         with pytest.raises(DivisibilityError):
@@ -289,13 +286,20 @@ class TestErrCvk:
 
 
 class TestErrCvkr:
-    def test_single_repetition_equals_cvk_with_same_permutation(self):
-        trainer = NearestMeanTrainer()
-        seed = 12
-        got = err_cvkr(SIX_POINT, trainer, 0.0, 3, 1, seed, Variant.POOLED).value
-        perm = random_permutation(6, seed, 0)
-        want = err_cvk(SIX_POINT, trainer, 0.0, 3, Variant.POOLED, perm=perm).value
-        assert got == pytest.approx(want, abs=1e-15)
+    def test_single_repetition_equals_cvk_bit_for_bit(self):
+        # CVK's map is row 0 of the repeated-CV map, so CVKR at M = 1 gives
+        # the same value to the bit, or the same refusal (seed 7 at K = 2
+        # leaves fold 1 holding all of class 1)
+        trainer = LdaTrainer(1e-6)
+        refused = []
+        for dataset, k in ((SIX_POINT, 3), (EIGHT_POINT, 2), (EIGHT_POINT, 4)):
+            for seed in range(8):
+                for variant in (Variant.POOLED, Variant.PARTITIONED):
+                    cvk = report_outcome(lambda: err_cvk(dataset, trainer, 0.0, k, variant, seed))
+                    assert cvk[:2] == report_outcome(
+                        lambda: err_cvkr(dataset, trainer, 0.0, k, 1, seed, variant))[:2]
+                    refused += [seed] if cvk[0] is EstimationError else []
+        assert refused == [7, 7]
 
     def test_separable_is_zero(self):
         assert err_cvkr(SEPARABLE, NearestMeanTrainer(), 0.0, 3, 5, 0).value == 0.0
@@ -738,8 +742,9 @@ class TestTiles:
     @pytest.mark.parametrize("trainer", [RaisingTrainer(), BatchedTrainer(lambda c: 1 / 0)],
                              ids=["unbatched", "batched"])
     @pytest.mark.parametrize("estimate, message", [
-        # the permutation puts both class-1 points in fold 3, the last task
-        (lambda d, t: err_cvk(d, t, 0.0, 3, perm=[5, 6, 1, 2, 3, 4]), "fold 3"),
+        # seed 36: row 0 of the map holds both class-1 points in fold 3, the
+        # last task
+        (lambda d, t: err_cvk(d, t, 0.0, 3, seed=36), "fold 3"),
         # seed 0: run 0 splits class 1; run 1 holds both its points in fold 3
         (lambda d, t: err_cvkr(d, t, 0.0, 3, 2, 0), "run 1 fold 3"),
         # seed 39: only run 1 holds both class-1 points in its test fold 1
@@ -989,13 +994,12 @@ class TestOneClassFoldTasks:
     def dataset(n1, n2):
         return StratifiedDataset(np.arange(n1)[:, None] * 1.0, np.arange(n2)[:, None] + 0.5)
 
-    @given(pooled_fold_case(), st.data())
+    @given(pooled_fold_case(), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_cvk(self, case, data):
+    def test_cvk(self, case, seed):
         n1, n2, k = case
-        perm = data.draw(st.permutations(range(1, n1 + n2 + 1)))
-        maps = [make_partition(n1 + n2, k, perm)]
-        self.expect(lambda: err_cvk(self.dataset(n1, n2), NearestMeanTrainer(), 0.0, k, perm=perm),
+        maps = [canonical_map(random_permutation(n1 + n2, seed, 0), k)]
+        self.expect(lambda: err_cvk(self.dataset(n1, n2), NearestMeanTrainer(), 0.0, k, seed=seed),
                     maps, list(range(1, k + 1)), n1, n2)
 
     @given(pooled_fold_case(), st.integers(1, 5), st.integers(0, 2**32 - 1),

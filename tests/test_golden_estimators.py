@@ -79,12 +79,9 @@ def _grid(**axes):
 
 def cases(dataset):
     """{function name: [kwargs, ...]} for one dataset, in a fixed order."""
-    shuffled = [int(i) for i in np.random.default_rng(dataset.n).permutation(dataset.n) + 1]
-    perms = (list(range(dataset.n1, 0, -1)), list(range(dataset.n2, 0, -1)))
     return {
         "err_cvn": [{}, {"th": 0.5}],
-        "err_cvk": list(_grid(n_folds=FOLDS, variant=VARIANTS))
-        + list(_grid(n_folds=FOLDS, variant=VARIANTS, perm=(shuffled,))),
+        "err_cvk": list(_grid(n_folds=FOLDS, seed=SEEDS, variant=VARIANTS)),
         "err_cvkr": list(
             _grid(n_folds=FOLDS, repetitions=REPETITIONS, seed=SEEDS, variant=VARIANTS)
         ),
@@ -96,10 +93,9 @@ def cases(dataset):
         ),
         "auc_cvn": [{}],
         "auc_cvk": [
-            {"n_folds1": k1, "n_folds2": k2, "variant": v}
-            for (k1, k2), v in itertools.product(FOLD_PAIRS, VARIANTS)
-        ]
-        + [{"n_folds1": 2, "n_folds2": 2, "variant": v, "perms": perms} for v in VARIANTS],
+            {"n_folds1": k1, "n_folds2": k2, "seed": s, "variant": v}
+            for (k1, k2), s, v in itertools.product(FOLD_PAIRS, SEEDS, VARIANTS)
+        ],
         "auc_cvkr": [
             {"n_folds1": k1, "n_folds2": k2, "repetitions": m, "seed": s, "variant": v}
             for (k1, k2), m, s, v in itertools.product(FOLD_PAIRS, REPETITIONS, SEEDS, VARIANTS)

@@ -21,7 +21,10 @@ Each input kind has one reader (``READERS``): inside ``src/cvlab/``,
 ``csv.reader`` is used only in ``core.read_csv_table`` and ``configparser``
 only in ``cli.load_config``.
 
-The code-line counter, ``tools/code_lines.py``, counts a small source exactly.
+The code-line counter, ``tools/code_lines.py``, counts a small source exactly,
+and the golden-file comparer, ``tools/golden_diff.py``, sorts the keys of two
+small files into kept, moved, added and removed, failing on any key moved
+outside its ``--moved`` globs or added or removed.
 
 The CLI has a converter for each type its schemas use and no other: every
 ``cli._CONVERTERS`` kind is the type of some ``cli._SCHEMAS`` key, and every
@@ -349,6 +352,34 @@ class TestCodeLineCounter:
         (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
         assert code_lines.main([str(tmp_path)]) == 0
         assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["8", "1", "9"]
+
+
+class TestGoldenDiff:
+    def test_kept_moved_added_and_removed_keys(self, tmp_path, capsys):
+        path = ROOT / "tools" / "golden_diff.py"
+        spec = importlib.util.spec_from_file_location("golden_diff", path)
+        golden_diff = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(golden_diff)
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text('{"a/x": ["1|0", "!E"], "a/y": ["2|0"], "b/y": ["3|0"]}', encoding="utf-8")
+        # a/x kept; a/y and b/y moved (a reordered list moves)
+        new.write_text('{"a/x": ["1|0", "!E"], "a/y": ["2|1", "4|0"], "b/y": ["3|0", "3|0"]}',
+                       encoding="utf-8")
+        assert golden_diff.main([str(old), str(new), "--moved", "*/y"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "kept    a/x  2 -> 2",
+            "moved   a/y  1 -> 2",
+            "moved   b/y  1 -> 2",
+            "3 keys, 4 -> 6 entries: 1 kept (2 -> 2 entries); 2 moved (2 -> 4 entries); "
+            "0 added (0 -> 0 entries); 0 removed (0 -> 0 entries)",
+        ]
+        assert golden_diff.main([str(old), str(new), "--moved", "a/*"]) == 1
+        assert "moved   b/y  1 -> 2  (not under --moved)" in capsys.readouterr().out
+        new.write_text('{"a/x": ["!E", "1|0"], "c/z": []}', encoding="utf-8")
+        assert golden_diff.main([str(old), str(new), "--moved", "*"]) == 1
+        assert capsys.readouterr().out.splitlines()[:4] == [
+            "moved   a/x  2 -> 2", "removed a/y  1 -> 0", "removed b/y  1 -> 0", "added   c/z  0 -> 0",
+        ]
 
 
 def converter_mismatches(converters, schemas) -> list[str]:

@@ -21,7 +21,9 @@ from cvlab.resampling import (
     make_partition,
     repeated_partitions,
 )
-from oracles import enumerate_multiset_counts, random_permutation, subset_keys, traced_peak
+from oracles import (
+    canonical_map, enumerate_multiset_counts, random_permutation, subset_keys, traced_peak,
+)
 
 
 class TestMakePartition:
@@ -32,25 +34,24 @@ class TestMakePartition:
         assert list(make_partition(4, 4)) == [1, 2, 3, 4]
 
     def test_with_permutation(self):
-        # assign(i) is the canonical fold of perm(i), computed by hand
-        assert list(make_partition(4, 2, [3, 1, 4, 2])) == [2, 1, 2, 1]
+        # the oracle composing the canonical map with a permutation: assign(i)
+        # is the canonical fold of perm(i), computed by hand
+        assert list(canonical_map([3, 1, 4, 2], 2)) == [2, 1, 2, 1]
+        assert list(canonical_map([1, 2, 3, 4], 2)) == list(make_partition(4, 2))
 
     def test_divisibility_enforced(self):
         with pytest.raises(DivisibilityError):
             make_partition(7, 3)
 
-    def test_bad_permutation(self):
-        with pytest.raises(DomainError):
-            make_partition(4, 2, [1, 1, 2, 3])
-        with pytest.raises(DomainError):
-            make_partition(4, 2, [1, 2, 3])
-
     @given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=6))
     def test_preimages_are_equal_blocks(self, folds, size):
+        # the canonical map, and the shuffled one-run map (row 0 of a
+        # repeated-CV map) against its oracle
         n = folds * size
-        rng = np.random.default_rng(n)
-        perm = list(rng.permutation(n) + 1)
-        assign = make_partition(n, folds, perm)
+        identity = np.arange(1, n + 1)
+        np.testing.assert_array_equal(make_partition(n, folds), canonical_map(identity, folds))
+        assign = repeated_partitions(n, folds, 1, seed=n)[0]
+        np.testing.assert_array_equal(assign, canonical_map(random_permutation(n, n, 0), folds))
         seen = []
         for k in range(1, folds + 1):
             members = np.flatnonzero(assign == k)
@@ -91,7 +92,7 @@ class TestRepeatedPartitions:
         rp = repeated_partitions(n, folds, reps, seed)
         assert rp.shape == (reps, n)
         for m in range(reps):
-            want = make_partition(n, folds, random_permutation(n, seed, m))
+            want = canonical_map(random_permutation(n, seed, m), folds)
             np.testing.assert_array_equal(rp[m], want)
 
     def test_validation(self):
@@ -121,7 +122,7 @@ class TestRepeatedPartitionsMemory:
         rp = repeated_partitions(n, folds, reps, seed)
         assert rp.dtype == dtype
         for m in range(0, reps, 97):
-            want = make_partition(n, folds, random_permutation(n, seed, m))
+            want = canonical_map(random_permutation(n, seed, m), folds)
             assert want.dtype == np.int64
             np.testing.assert_array_equal(rp[m], want)
         peak = traced_peak(lambda: repeated_partitions(n, folds, reps, seed))
@@ -137,7 +138,7 @@ class TestRepeatedPartitionsMemory:
         rp = repeated_partitions(n, folds, reps, seed)
         for m in (0, _KEY_BLOCK - 1, _KEY_BLOCK, reps - 1):  # across a block boundary
             np.testing.assert_array_equal(
-                rp[m], make_partition(n, folds, random_permutation(n, seed, m))
+                rp[m], canonical_map(random_permutation(n, seed, m), folds)
             )
         peak = traced_peak(lambda: repeated_partitions(n, folds, reps, seed))
         block = traced_peak(lambda: _philox_keys(

@@ -407,10 +407,10 @@ class TestWeakCorrelation:
         for tag, seeds in seen.items():
             assert seeds == [derive_seed(12345, tag, t) for t in range(40)]
 
-    @pytest.mark.parametrize("version", [Version.CVN, Version.CVK])
+    @pytest.mark.parametrize("version", [Version.CVN])
     def test_a_version_that_does_not_draw_gets_no_seed(self, monkeypatch, version):
-        """CVN and CVK take no seed, so each trial runs the campaign's
-        config as it is, which ``EstimatorConfig`` would refuse with one."""
+        """CVN takes no seed, so each trial runs the campaign's config as it
+        is, which ``EstimatorConfig`` would refuse with one."""
         seen, run = [], estimators.run
 
         def run_recorded(dataset, trainer, cfg):
@@ -419,8 +419,7 @@ class TestWeakCorrelation:
 
         monkeypatch.setattr(simlab, "_usable_cpus", lambda: 1)  # the spy records in-process
         monkeypatch.setattr(estimators, "run", run_recorded)
-        folds = {"n_folds1": 2, "n_folds2": 2} if version is Version.CVK else {}
-        cfg = EstimatorConfig(version, Metric.AUC, **folds)
+        cfg = EstimatorConfig(version, Metric.AUC)
         result = run_weak_correlation(WeakCorrConfig(
             spec=MultinormalSpec(p=2, delta=1.0, n1=4, n2=4), trials=5, test_per_class=10,
             trainer=NearestMeanTrainer(), estimator=cfg, seed=12345,
