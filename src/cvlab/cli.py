@@ -11,9 +11,9 @@ and missing required keys are thus all rejected before any work, so such a
 config exits 2 with nothing run or written.  A handler then builds its
 estimator config, trainer and campaign before it reads any data or runs any
 trial or unit, and they refuse a key the chosen estimator version or trainer
-does not take (a seed on CVN among them) and sizes the estimator cannot
-run on: every input is used or refused before any work.  An empty value is
-refused like any other bad value.  A pooled
+does not take, whatever its value (a seed on CVN among them), and sizes the
+estimator cannot run on: every input is used or refused before any work.  An
+empty value is refused like any other bad value.  A pooled
 estimate drops the units no task tested and reports their number as
 ``excluded_count``.  A seed is mandatory for any randomized run.  Both CSV
 inputs, the ``estimate`` dataset and the ``decompose`` pairs file, go
@@ -92,11 +92,12 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
 # checks and renders the config against this in one pass, before a handler
 # starts, and refuses [DEFAULT] as an unknown section, so an unknown or
 # missing key exits 2 with nothing run or written.  Each [estimator] key names
-# an EstimatorConfig field (``estimators._CONFIG_KEYS`` maps the ones spelled
-# differently), and EstimatorConfig checks every estimator rule when the
-# handler builds it, before any data is read or trial run, refusing a key its
-# version does not take (a seed on CVN, the one version that draws nothing);
-# ``estimators.variant_values`` rejects a missing seed on every other one.
+# an EstimatorConfig field (the sizes by their letters: K is n_folds, M
+# repetitions, B n_bootstrap), and ``EstimatorConfig.from_keys`` checks every
+# estimator rule when the handler builds it, before any data is read or trial
+# run, refusing a key its version does not take, at any value (a seed on CVN,
+# the one version that draws nothing); ``estimators.variant_values`` rejects a
+# missing seed on every other one.
 # A campaign derives each trial's estimator seed for the versions that draw,
 # so only ``estimate`` takes [estimator] seed.  The [trainer] keys other
 # than id are keywords of the trainer class, and ``simlab.trainer_from_id``
@@ -189,13 +190,6 @@ def load_config(path: str | Path, subcommand: str) -> tuple[dict[str, dict[str, 
     return values, "\n".join(lines)
 
 
-def _estimator_config(section: dict) -> EstimatorConfig:
-    """The [estimator] section as a checked config: each key names the
-    ``EstimatorConfig`` field ``estimators._CONFIG_KEYS`` maps it to, or its own."""
-    field_of = {key: field for field, key in estimators._CONFIG_KEYS.items()}
-    return EstimatorConfig(**{field_of.get(k, k): v for k, v in section.items()})
-
-
 def _trainer(values: dict) -> simlab.Trainer:
     return simlab.trainer_from_id(values["trainer"]["id"], values["trainer"])
 
@@ -266,7 +260,7 @@ def _write_payload(io_section: dict, payload: dict) -> None:
 
 
 def cmd_estimate(values: dict, text: str) -> int:
-    est_cfg = _estimator_config(values["estimator"])
+    est_cfg = EstimatorConfig.from_keys(values["estimator"])
     trainer = _trainer(values)
     dataset = read_dataset_csv(values["io"]["dataset"])
     report = estimators.run(dataset, trainer, est_cfg)
@@ -297,7 +291,7 @@ def _campaign_from_config(values: dict) -> simlab.WeakCorrConfig:
     est = values["estimator"]
     return simlab.WeakCorrConfig(
         spec=simlab.MultinormalSpec(**values["data"]),
-        estimator=_estimator_config(est) if est else simlab.DEFAULT_ESTIMATOR,
+        estimator=EstimatorConfig.from_keys(est) if est else simlab.DEFAULT_ESTIMATOR,
         trainer=_trainer(values),
         **values["campaign"],
     )

@@ -98,19 +98,23 @@ bits with the tile size (BLAS picks kernels by shape), which changes a loss
 only when a score sits on the threshold or on another score; that is why the
 tile size is a constant and the tiles are aligned to task 0.
 
-The ten public ``err_*`` / ``auc_*`` functions are thin wrappers: each builds
-an :class:`EstimatorConfig`, which checks every config rule as it is made
-and refuses any field its version does not take, so a bad config is refused
-before any resampling or training.  ``_run`` hands it to
-:func:`variant_values`, which checks only what a config cannot (an unset
-seed, which campaigns set per trial, and the class sizes, through
-:func:`_checked_parts`, which a campaign also calls once before its first
-trial) and computes both variants from the config and the dataset alone (no
-caller hands in fold maps), asking for the pooled one only when it is
-reported; ``_run`` then picks the requested variant and echoes the config.
-:func:`run` only dispatches: it looks the public name up at call time, so a
-tracer that rebinds an estimator in this module also sees the calls ``run``
-makes.
+Each (metric, version) is declared once, as its ``_DISPATCH`` row: the
+estimator's name and the config fields its function takes after the
+trainer, in signature order.  The ten public ``err_*`` / ``auc_*`` functions
+are thin wrappers: each hands its arguments, in row order, to ``_run``,
+which zips them with the row into an :class:`EstimatorConfig`.  The config
+checks every config rule as it is made and refuses any field its version
+does not take, so a bad config is refused before any resampling or
+training.  ``_run`` hands it to :func:`variant_values`, which checks only
+what a config cannot (an unset seed, which campaigns set per trial, and the
+class sizes, through :meth:`EstimatorConfig.parts`, which a campaign also
+calls once before its first trial) and computes both variants from the
+config and the dataset alone (no caller hands in fold maps), asking for the
+pooled one only when it is reported; ``_run`` then picks the requested
+variant and echoes the row's fields.  :func:`run` only dispatches: it calls
+the public function its row names with the config's fields, looking the name
+up at call time, so a tracer that rebinds an estimator in this module also
+sees the calls ``run`` makes.
 """
 
 from __future__ import annotations
@@ -131,12 +135,12 @@ from cvlab.core import (
 )
 from cvlab.resampling import (
     SamplingModel,
-    _fold_size,
     bootstrap_counts_matrix,
     bootstrap_counts_rows,
     derive_rng,
     derive_seed,
     derive_seeds,
+    fold_size,
     make_partition,
     repeated_partitions,
 )
@@ -474,17 +478,19 @@ class EstimatorConfig:
 
     Every config rule is checked here, when the config is made, in this
     order, each a :class:`DomainError`: ``th`` is finite; a field the
-    version's function does not take (see ``_DISPATCH``) is left at its
+    version's function does not take (see :attr:`taken`) is left at its
     default, or else it is refused as ``<function> does not take '<key>'``,
     with its [estimator] key; a size the version takes (K, or K1 and K2, M,
-    B) is set; the bounds K >= 2, M >= 1 and B >= 1 hold; the reduced variant
-    has K1 == K2; and reduced is asked only of AUC CVK.  So a config names
-    only what its version uses, with one exception: a field set to its
-    default passes, as the config cannot tell it from one left out.  The seed
-    is refused like any other field (only CVN, which draws nothing, does not
-    take it); a version that takes it may leave it unset here (a campaign
-    stamps one on every trial), and :func:`variant_values` demands it.  The class sizes are checked by
-    :func:`_checked_parts`.
+    B) is set; each size is at least its least value (``_SIZES``); the
+    reduced variant has K1 == K2; and reduced is asked only of AUC CVK.  So a
+    config names only what its version uses, with one exception for library
+    callers: a field set to its default passes, as the config cannot tell it
+    from one left out (:meth:`from_keys`, which reads the CLI's keys, can,
+    and refuses it).  The seed is refused like any other field (only CVN,
+    which draws nothing, does not take it); a version that takes it may
+    leave it unset here (a campaign stamps one on every trial), and
+    :func:`variant_values` demands it.  The class sizes are checked by
+    :meth:`parts`.
     """
 
     version: Version
@@ -503,28 +509,41 @@ class EstimatorConfig:
         if not math.isfinite(self.th):
             raise DomainError("th must be finite")
         name, taken = _DISPATCH[self.metric, self.version]
-        taken = taken.split()
-        exempt = {"version", "metric", *taken}
-        for field in fields(self):
-            if field.name not in exempt and getattr(self, field.name) != field.default:
-                key = _CONFIG_KEYS.get(field.name, field.name)
-                raise DomainError(f"{name} does not take '{key}'")
-        sizes = [f for f in taken if f in _CONFIG_KEYS and f != "seed"]
-        for field in sizes:
+        for f in fields(self):
+            if f.name not in ("version", "metric", *taken) and getattr(self, f.name) != f.default:
+                raise DomainError(f"{name} does not take '{_SIZES.get(f.name, (f.name,))[0]}'")
+        sizes = {field: _SIZES[field] for field in taken if field in _SIZES}
+        for field, (key, _) in sizes.items():
             if getattr(self, field) is None:
-                raise DomainError(f"{self.version.value} needs '{_CONFIG_KEYS[field]}'")
-        folds = [f for f in sizes if f.startswith("n_folds")]
-        if "n_bootstrap" in sizes and self.n_bootstrap < 1:
-            raise DomainError(f"{name} requires B >= 1")
-        if any(getattr(self, f) < 2 for f in folds):
-            bounds = " and ".join(f"{_CONFIG_KEYS[f]} >= 2" for f in folds)
+                raise DomainError(f"{self.version.value} needs '{key}'")
+        low = [least for field, (_, least) in sizes.items() if getattr(self, field) < least]
+        if low:
+            bounds = " and ".join(f"{key} >= {m}" for key, m in sizes.values() if m == low[0])
             raise DomainError(f"{name} requires {bounds}")
-        if "repetitions" in sizes and self.repetitions < 1:
-            raise DomainError(f"{name} requires M >= 1")
         if self.reduced and self.n_folds1 != self.n_folds2:
             raise DomainError("reduced variant requires K1 == K2")
         if self.variant is Variant.REDUCED and not self.reduced:
             raise DomainError("variant reduced not defined for this estimator")
+
+    @classmethod
+    def from_keys(cls, section: dict) -> EstimatorConfig:
+        """The checked config of an [estimator] section ({key: value}): each
+        key names the field whose [estimator] key it is.  Once the config's
+        own checks pass, a given key its version does not take is refused as
+        ``<function> does not take '<key>'`` whatever its value, its default
+        among them."""
+        field_of = {key: field for field, (key, _) in _SIZES.items()}
+        cfg = cls(**{field_of.get(k, k): v for k, v in section.items()})
+        for key in section:
+            if field_of.get(key, key) not in ("version", "metric", *cfg.taken):
+                raise DomainError(f"{_DISPATCH[cfg.metric, cfg.version][0]} does not take '{key}'")
+        return cfg
+
+    @property
+    def taken(self) -> tuple[str, ...]:
+        """The fields this config's estimator function takes after the
+        trainer, in its signature order: its ``_DISPATCH`` row."""
+        return _DISPATCH[self.metric, self.version][1]
 
     @property
     def reduced(self) -> bool:
@@ -533,60 +552,63 @@ class EstimatorConfig:
             Metric.AUC, Version.CVK, Variant.REDUCED
         )
 
+    def parts(self, n1: int, n2: int) -> tuple[tuple, tuple | None]:
+        """(part sizes, fold counts) of this config on classes of n1 and n2
+        observations, after checking that the sizes suit it.
 
-# Config field -> its [estimator] key, for the sizes that ``EstimatorConfig``
-# and the seed that ``variant_values`` demand of the versions that take them;
-# every other field is its own key.  The messages that name a refused field
-# or an unset size or seed spell it through this map.
-_CONFIG_KEYS = {
-    "n_folds": "K", "n_folds1": "K1", "n_folds2": "K2", "repetitions": "M", "n_bootstrap": "B",
-    "seed": "seed",
+        The parts are class 1 and class 2 for AUC, the n = n1 + n2 pooled
+        observations for error.  Each part's fold count is the part size for
+        CVN, and else the fold count the version takes (K, or K1 and K2 for
+        AUC); LOOB takes none, and its fold counts are None.  Refused, each a
+        :class:`DomainError`: an AUC estimator on n1 < 2 or n2 < 2, and a fold
+        count that does not divide its part, by the partition code's own
+        check.  :func:`variant_values` calls this for each dataset; a campaign
+        calls it once for its spec, before its first trial.
+        """
+        auc = self.metric is Metric.AUC
+        if auc and (n1 < 2 or n2 < 2):
+            raise DomainError("AUC estimators require n1 >= 2 and n2 >= 2")
+        sizes = (n1, n2) if auc else (n1 + n2,)
+        ks = sizes if self.version is Version.CVN else tuple(
+            getattr(self, f) for f in self.taken if f.startswith("n_folds")) or None
+        for n, k in zip(sizes, ks or ()):
+            fold_size(n, k)
+        return sizes, ks
+
+
+# Size field -> (its [estimator] key, its least value).  A version must set
+# each size it takes, and the first one below its least value is refused
+# naming every size it takes with that least value; every field not here is
+# its own key.
+_SIZES = {
+    "n_folds": ("K", 2), "n_folds1": ("K1", 2), "n_folds2": ("K2", 2),
+    "repetitions": ("M", 1), "n_bootstrap": ("B", 1),
 }
-
 
 # (metric, version) -> (estimator name, the config fields it takes after the
-# trainer, in order).  The fields other than variant are echoed in the
-# report's config.  ``EstimatorConfig`` refuses any other field that is set
-# to other than its default, and a campaign stamps its trial seed only on a
-# version that takes ``seed``: every version that draws, CVK among them, and
-# so all but CVN.
+# trainer): the one statement of what each estimator takes.  Each row is its
+# function's parameters after (dataset, trainer), in order, so ``_run``
+# builds the config from a wrapper's arguments and ``run`` calls the wrapper
+# with the config's fields, both positionally.  The fields other than
+# variant are echoed in the report's config.  ``EstimatorConfig`` refuses
+# any other field set to other than its default (``from_keys`` any other
+# key), and a campaign stamps its trial seed only on a version that takes
+# ``seed``: every version that draws, CVK among them, and so all but CVN.
 _DISPATCH = {
-    (Metric.ERROR, Version.CVN): ("err_cvn", "th"),
-    (Metric.ERROR, Version.CVK): ("err_cvk", "th n_folds variant seed"),
-    (Metric.ERROR, Version.CVKR): ("err_cvkr", "th n_folds repetitions seed variant"),
-    (Metric.ERROR, Version.CVKM): ("err_cvkm", "th n_folds repetitions seed variant"),
-    (Metric.ERROR, Version.LOOB): ("err_loob", "th n_bootstrap seed sampling variant"),
-    (Metric.AUC, Version.CVN): ("auc_cvn", ""),
-    (Metric.AUC, Version.CVK): ("auc_cvk", "n_folds1 n_folds2 variant seed"),
-    (Metric.AUC, Version.CVKR): ("auc_cvkr", "n_folds1 n_folds2 repetitions seed variant"),
-    (Metric.AUC, Version.CVKM): ("auc_cvkm", "n_folds1 n_folds2 repetitions seed variant"),
-    (Metric.AUC, Version.LOOB): ("auc_lpobs", "n_bootstrap seed sampling variant"),
+    (Metric.ERROR, Version.CVN): ("err_cvn", ("th",)),
+    (Metric.ERROR, Version.CVK): ("err_cvk", ("th", "n_folds", "variant", "seed")),
+    (Metric.ERROR, Version.CVKR): ("err_cvkr", ("th", "n_folds", "repetitions", "seed", "variant")),
+    (Metric.ERROR, Version.CVKM): ("err_cvkm", ("th", "n_folds", "repetitions", "seed", "variant")),
+    (Metric.ERROR, Version.LOOB): (
+        "err_loob", ("th", "n_bootstrap", "seed", "sampling", "variant")),
+    (Metric.AUC, Version.CVN): ("auc_cvn", ()),
+    (Metric.AUC, Version.CVK): ("auc_cvk", ("n_folds1", "n_folds2", "variant", "seed")),
+    (Metric.AUC, Version.CVKR): (
+        "auc_cvkr", ("n_folds1", "n_folds2", "repetitions", "seed", "variant")),
+    (Metric.AUC, Version.CVKM): (
+        "auc_cvkm", ("n_folds1", "n_folds2", "repetitions", "seed", "variant")),
+    (Metric.AUC, Version.LOOB): ("auc_lpobs", ("n_bootstrap", "seed", "sampling", "variant")),
 }
-
-
-def _checked_parts(cfg: EstimatorConfig, n1: int, n2: int) -> tuple[tuple, tuple | None]:
-    """(part sizes, fold counts) of ``cfg`` on classes of n1 and n2
-    observations, after checking that the sizes suit it.
-
-    The parts are class 1 and class 2 for AUC, the n = n1 + n2 pooled
-    observations for error.  Each part's fold count is K (K1 and K2 for AUC),
-    or the part size for CVN; LOOB has none.  Refused, each a
-    :class:`DomainError`: an AUC estimator on n1 < 2 or n2 < 2, and a fold
-    count that does not divide its part, by the partition code's own check.
-    :func:`variant_values` calls this for each dataset; a campaign calls it
-    once for its spec, before its first trial.
-    """
-    auc = cfg.metric is Metric.AUC
-    if auc and (n1 < 2 or n2 < 2):
-        raise DomainError("AUC estimators require n1 >= 2 and n2 >= 2")
-    sizes = (n1, n2) if auc else (n1 + n2,)
-    if cfg.version is Version.LOOB:
-        return sizes, None
-    ks = sizes if cfg.version is Version.CVN else (
-        (cfg.n_folds1, cfg.n_folds2) if auc else (cfg.n_folds,))
-    for n, k in zip(sizes, ks):
-        _fold_size(n, k)
-    return sizes, ks
 
 
 def variant_values(
@@ -603,7 +625,7 @@ def variant_values(
     ``cfg`` was checked when it was made; what it cannot check is checked
     here, before any resampling: an unset seed the version takes is a
     :class:`DomainError` naming its config key, the dataset's class sizes
-    must suit ``cfg`` (see :func:`_checked_parts`).
+    must suit ``cfg`` (see :meth:`EstimatorConfig.parts`).
     The estimator resamples parts: the pooled observations for error; class 1
     and class 2 for AUC, each from the derived seed ``derive_seed(seed,
     "classC")``.  LOOB draws B replicate counts per part, tile by tile from
@@ -615,10 +637,10 @@ def variant_values(
     fold major; CVKM tests fold 1 of each part only, and
     the reduced CVK AUC variant the diagonal fold pairs.
     """
-    if "seed" in _DISPATCH[cfg.metric, cfg.version][1].split() and cfg.seed is None:
+    if "seed" in cfg.taken and cfg.seed is None:
         raise DomainError(f"{cfg.version.value} needs 'seed'")
     auc = cfg.metric is Metric.AUC
-    sizes, ks = _checked_parts(cfg, dataset.n1, dataset.n2)
+    sizes, ks = cfg.parts(dataset.n1, dataset.n2)
 
     def part_seed(c):
         return derive_seed(cfg.seed, f"class{c + 1}") if auc else cfg.seed
@@ -648,16 +670,18 @@ def variant_values(
     return _fold_tasks(dataset, trainer, cfg.metric, maps, folds, cfg.th, pooled)
 
 
-def _run(dataset, trainer, cfg: EstimatorConfig) -> EstimatorReport:
-    """The report of ``cfg``'s variant, echoing the dataset sizes, the trainer
-    and the config fields the public function takes, other than variant.  The
-    pooled variant is computed only if it is the one reported."""
-    values = variant_values(dataset, trainer, cfg, pooled=cfg.variant is Variant.POOLED)
-    value, excluded = values.pick(cfg.variant)
+def _run(dataset, trainer, metric: Metric, version: Version, *values) -> EstimatorReport:
+    """The report of the (metric, version) estimator whose function was given
+    ``values``, its arguments after the trainer in its ``_DISPATCH`` row's
+    order: the config they make, checked as it is made, runs its variant,
+    echoing the dataset sizes, the trainer and the row's fields other than
+    variant.  The pooled variant is computed only if it is the one reported."""
+    row = _DISPATCH[metric, version][1]
+    cfg = EstimatorConfig(version, metric, **dict(zip(row, values, strict=True)))
+    both = variant_values(dataset, trainer, cfg, pooled=cfg.variant is Variant.POOLED)
+    value, excluded = both.pick(cfg.variant)
     echo = {"n1": dataset.n1, "n2": dataset.n2, "trainer": trainer.name}
-    for field in _DISPATCH[cfg.metric, cfg.version][1].split():
-        if field != "variant":
-            echo[field] = getattr(cfg, field)
+    echo.update((field, getattr(cfg, field)) for field in cfg.taken if field != "variant")
     return EstimatorReport(value, cfg.version, cfg.variant, cfg.metric, echo, excluded)
 
 
@@ -668,7 +692,7 @@ def _run(dataset, trainer, cfg: EstimatorConfig) -> EstimatorReport:
 
 def err_cvn(dataset: StratifiedDataset, trainer: Trainer, th: float = 0.0) -> EstimatorReport:
     """Leave-one-out CV: train n times on n-1 points, test the held-out one."""
-    return _run(dataset, trainer, EstimatorConfig(Version.CVN, Metric.ERROR, th=th))
+    return _run(dataset, trainer, Metric.ERROR, Version.CVN, th)
 
 
 def err_cvk(
@@ -687,8 +711,7 @@ def err_cvk(
     partitioned variant averages within each fold first.  With equal fold
     sizes the two coincide; with ``n_folds == n`` both reduce to ``err_cvn``.
     """
-    return _run(dataset, trainer, EstimatorConfig(
-        Version.CVK, Metric.ERROR, variant, th, n_folds=n_folds, seed=seed))
+    return _run(dataset, trainer, Metric.ERROR, Version.CVK, th, n_folds, variant, seed)
 
 
 def err_cvkr(
@@ -706,9 +729,8 @@ def err_cvkr(
     across observations.  Partitioned: per-run partitioned K-fold values are
     averaged across runs.
     """
-    return _run(dataset, trainer, EstimatorConfig(
-        Version.CVKR, Metric.ERROR, variant, th, n_folds=n_folds, repetitions=repetitions,
-        seed=seed))
+    return _run(dataset, trainer, Metric.ERROR, Version.CVKR,
+                th, n_folds, repetitions, seed, variant)
 
 
 def err_cvkm(
@@ -727,9 +749,8 @@ def err_cvkm(
     are dropped and counted.  Partitioned: the test-fold mean of each run is
     averaged over runs.  The variants differ for finite run counts.
     """
-    return _run(dataset, trainer, EstimatorConfig(
-        Version.CVKM, Metric.ERROR, variant, th, n_folds=n_folds, repetitions=repetitions,
-        seed=seed))
+    return _run(dataset, trainer, Metric.ERROR, Version.CVKM,
+                th, n_folds, repetitions, seed, variant)
 
 
 def err_loob(
@@ -738,7 +759,7 @@ def err_loob(
     th: float = 0.0,
     n_bootstrap: int = 1,
     seed: int = 0,
-    model: SamplingModel = SamplingModel.ORDERED,
+    sampling: SamplingModel = SamplingModel.ORDERED,
     variant: Variant = Variant.POOLED,
 ) -> EstimatorReport:
     """Leave-one-out bootstrap error (pooled) and its replicate-averaged variant.
@@ -748,11 +769,10 @@ def err_loob(
     observations are dropped and counted.  Partitioned: each replicate
     contributes the mean loss over its out-of-bag set; all-in-bag replicates
     are skipped and counted.  The two variants are not equal, even for many
-    replicates.  ``model`` is echoed as ``sampling``.
+    replicates.
     """
-    return _run(dataset, trainer, EstimatorConfig(
-        Version.LOOB, Metric.ERROR, variant, th, n_bootstrap=n_bootstrap, sampling=model,
-        seed=seed))
+    return _run(dataset, trainer, Metric.ERROR, Version.LOOB,
+                th, n_bootstrap, seed, sampling, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +782,7 @@ def err_loob(
 
 def auc_cvn(dataset: StratifiedDataset, trainer: Trainer) -> EstimatorReport:
     """Leave-pair-out CV: n1*n2 trainings, one per held-out pair."""
-    return _run(dataset, trainer, EstimatorConfig(Version.CVN, Metric.AUC))
+    return _run(dataset, trainer, Metric.AUC, Version.CVN)
 
 
 def auc_cvk(
@@ -782,8 +802,7 @@ def auc_cvk(
     K times, and generally differs.  ``n_folds1 == n1`` with ``n_folds2 == n2``
     reduces to ``auc_cvn``.
     """
-    return _run(dataset, trainer, EstimatorConfig(
-        Version.CVK, Metric.AUC, variant, n_folds1=n_folds1, n_folds2=n_folds2, seed=seed))
+    return _run(dataset, trainer, Metric.AUC, Version.CVK, n_folds1, n_folds2, variant, seed)
 
 
 def auc_cvkr(
@@ -796,9 +815,8 @@ def auc_cvkr(
     variant: Variant = Variant.POOLED,
 ) -> EstimatorReport:
     """Repeated K-fold CV for AUC over M independent per-class shuffles."""
-    return _run(dataset, trainer, EstimatorConfig(
-        Version.CVKR, Metric.AUC, variant, n_folds1=n_folds1, n_folds2=n_folds2,
-        repetitions=repetitions, seed=seed))
+    return _run(dataset, trainer, Metric.AUC, Version.CVKR,
+                n_folds1, n_folds2, repetitions, seed, variant)
 
 
 def auc_cvkm(
@@ -817,9 +835,8 @@ def auc_cvkm(
     dropped and counted.  Partitioned: per-run mean over the test-fold pair
     block, averaged over runs.  Not equal for finite run counts.
     """
-    return _run(dataset, trainer, EstimatorConfig(
-        Version.CVKM, Metric.AUC, variant, n_folds1=n_folds1, n_folds2=n_folds2,
-        repetitions=repetitions, seed=seed))
+    return _run(dataset, trainer, Metric.AUC, Version.CVKM,
+                n_folds1, n_folds2, repetitions, seed, variant)
 
 
 def auc_lpobs(
@@ -827,7 +844,7 @@ def auc_lpobs(
     trainer: Trainer,
     n_bootstrap: int = 1,
     seed: int = 0,
-    model: SamplingModel = SamplingModel.ORDERED,
+    sampling: SamplingModel = SamplingModel.ORDERED,
     variant: Variant = Variant.POOLED,
 ) -> EstimatorReport:
     """Leave-pair-out bootstrap AUC; the classes are resampled independently.
@@ -837,12 +854,9 @@ def auc_lpobs(
     are dropped and counted.  Partitioned: per replicate, the mean kernel
     over its out-of-bag pair block, averaged over replicates; replicates with
     an empty out-of-bag set on either class are skipped and counted.  The
-    variants differ even in the many-replicate limit.  ``model`` is echoed as
-    ``sampling``.
+    variants differ even in the many-replicate limit.
     """
-    return _run(dataset, trainer, EstimatorConfig(
-        Version.LOOB, Metric.AUC, variant, n_bootstrap=n_bootstrap, sampling=model,
-        seed=seed))
+    return _run(dataset, trainer, Metric.AUC, Version.LOOB, n_bootstrap, seed, sampling, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -858,5 +872,5 @@ def run(dataset: StratifiedDataset, trainer: Trainer, cfg: EstimatorConfig) -> E
     that rebinding an estimator in this module (as a tracer does) reroutes
     ``run``.
     """
-    name, taken = _DISPATCH[cfg.metric, cfg.version]
-    return globals()[name](dataset, trainer, *(getattr(cfg, f) for f in taken.split()))
+    name = _DISPATCH[cfg.metric, cfg.version][0]
+    return globals()[name](dataset, trainer, *(getattr(cfg, f) for f in cfg.taken))

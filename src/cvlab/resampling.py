@@ -96,7 +96,8 @@ class SamplingModel(Enum):
     UNORDERED_MULTISET = "unordered-multiset"
 
 
-def _fold_size(n: int, n_folds: int) -> int:
+def fold_size(n: int, n_folds: int) -> int:
+    """n / K, the size of each of K equal folds of n; refused unless K divides n."""
     if n < 1 or n_folds < 1:
         raise DomainError("n and K must be positive")
     if n % n_folds != 0:
@@ -106,7 +107,7 @@ def _fold_size(n: int, n_folds: int) -> int:
 
 def make_partition(n: int, n_folds: int) -> np.ndarray:
     """(n,) fold ids 1..K of the canonical map: K contiguous blocks of n/K."""
-    return np.arange(n) // _fold_size(n, n_folds) + 1
+    return np.arange(n) // fold_size(n, n_folds) + 1
 
 
 # numpy.random.SeedSequence: pool of 4 uint32 words and its hash constants.
@@ -255,7 +256,7 @@ def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np
     """
     if repetitions < 1:
         raise DomainError("repetitions must be >= 1")
-    size = _fold_size(n, n_folds)
+    size = fold_size(n, n_folds)
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= n)
     _checked_seed(seed)  # now: the keys below are derived as their rows come
     keys = (

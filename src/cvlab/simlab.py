@@ -299,8 +299,8 @@ class WeakCorrConfig:
 
     Checked when it is made, so a bad campaign is refused before its first
     trial: the trial and test counts, and the spec's class sizes against the
-    estimator (``estimators._checked_parts``: AUC needs two of each class,
-    and a fold count must divide the observations it splits)."""
+    estimator (``EstimatorConfig.parts``: AUC needs two of each class, and a
+    fold count must divide the observations it splits)."""
 
     spec: MultinormalSpec
     trials: int
@@ -314,7 +314,7 @@ class WeakCorrConfig:
             raise DomainError("trials must be >= 2")
         if self.test_per_class < 1:
             raise DomainError("test_per_class must be >= 1")
-        estimators._checked_parts(self.estimator, self.spec.n1, self.spec.n2)
+        self.estimator.parts(self.spec.n1, self.spec.n2)
 
 
 @dataclass(frozen=True)
@@ -461,10 +461,10 @@ def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
     ``derive_seed(config.seed, tag, t)`` of the tags "trial-data",
     "trial-test" and "trial-est", each tag's seeds derived for all trials in
     one pass.  The estimate's seed goes only to a version that draws, one
-    whose ``estimators._DISPATCH`` fields name ``seed`` (every version but
-    CVN); CVN runs the campaign's estimator config as it is.  Trials whose
-    estimator run fails are dropped and counted; the run aborts if more than
-    1% of trials fail.
+    whose taken fields (``EstimatorConfig.taken``) name ``seed`` (every
+    version but CVN); CVN runs the campaign's estimator config as it is.
+    Trials whose estimator run fails are dropped and counted; the run aborts
+    if more than 1% of trials fail.
 
     The trials run across the CPUs this process may use, in a fork map
     with OpenBLAS held to one thread per worker (see :func:`_map_units`);
@@ -476,7 +476,7 @@ def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
     spec = config.spec
     metric = config.estimator.metric
     th = config.estimator.th
-    draws = "seed" in estimators._DISPATCH[metric, config.estimator.version][1].split()
+    draws = "seed" in config.estimator.taken
     trials = np.arange(config.trials)
     seeds = list(zip(*(
         derive_seeds(config.seed, [tag] * config.trials, trials).tolist()

@@ -35,14 +35,17 @@ def write_config(tmp_path, name, text):
     return path
 
 
-def estimate_config(tmp_path, dataset_csv, *, version, variant, out_json, extra=""):
+def estimate_config(tmp_path, dataset_csv, *, version, out_json, variant=None, extra=""):
+    """An error ``estimate`` config; ``variant`` is written only if given, as
+    CVN takes none."""
+    variant_line = "" if variant is None else f"variant = {variant}"
     return write_config(
         tmp_path,
         f"est-{version}-{variant}.ini",
         f"""
 [estimator]
 version = {version}
-variant = {variant}
+{variant_line}
 metric = error
 th = 0.0
 {extra}
@@ -80,7 +83,7 @@ class TestEstimate:
     def test_cvn_matches_library_value(self, tmp_path, dataset_csv):
         out = tmp_path / "cvn.json"
         config = estimate_config(
-            tmp_path, dataset_csv, version="CVN", variant="pooled", out_json=out
+            tmp_path, dataset_csv, version="CVN", out_json=out
         )
         assert cli.main(["estimate", str(config)]) == 0
         payload = json.loads(out.read_text())
@@ -90,7 +93,7 @@ class TestEstimate:
 
     def test_unknown_key_rejected(self, tmp_path, dataset_csv):
         config = estimate_config(
-            tmp_path, dataset_csv, version="CVN", variant="pooled",
+            tmp_path, dataset_csv, version="CVN",
             out_json=tmp_path / "x.json", extra="bogus = 1",
         )
         assert cli.main(["estimate", str(config)]) == 2
@@ -139,7 +142,6 @@ out_json = {out}
             f"""
 [estimator]
 version = CVN
-variant = pooled
 metric = error
 
 [trainer]
@@ -161,7 +163,6 @@ out_json = {tmp_path / 'bad.json'}
             f"""
 [estimator]
 version = CVN
-variant = pooled
 metric = error
 
 [trainer]
@@ -823,7 +824,7 @@ class TestReaderMessages:
         path = tmp_path / "data.csv"
         path.write_text(text)
         out = tmp_path / "out.json"
-        config = estimate_config(tmp_path, path, version="CVN", variant="pooled", out_json=out)
+        config = estimate_config(tmp_path, path, version="CVN", out_json=out)
         assert cli.main(["estimate", str(config)]) == 2
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
         assert not out.exists()
@@ -845,7 +846,7 @@ class TestReaderMessages:
         outs = []
         for path in (dataset_csv, spaced):
             out = tmp_path / f"{path.stem}.json"
-            config = estimate_config(tmp_path, path, version="CVN", variant="pooled", out_json=out)
+            config = estimate_config(tmp_path, path, version="CVN", out_json=out)
             assert cli.main(["estimate", str(config)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -883,7 +884,7 @@ class TestOneTableReader:
         outs = []
         for path in (dataset_csv, floats):
             out = tmp_path / f"{path.stem}.json"
-            config = estimate_config(tmp_path, path, version="CVN", variant="pooled", out_json=out)
+            config = estimate_config(tmp_path, path, version="CVN", out_json=out)
             assert cli.main(["estimate", str(config)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -899,7 +900,7 @@ class TestOneTableReader:
         path = tmp_path / "data.csv"
         path.write_text(text)
         out = tmp_path / "out.json"
-        config = estimate_config(tmp_path, path, version="CVN", variant="pooled", out_json=out)
+        config = estimate_config(tmp_path, path, version="CVN", out_json=out)
         assert cli.main(["estimate", str(config)]) == 2
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
         assert not out.exists()
@@ -914,13 +915,14 @@ def estimator_text(tmp_path, dataset_csv, out, metric, lines):
 
 
 class TestUnusedEstimatorKeys:
-    """A seed on a version that does not draw, and a ``strict`` key, exit 2
-    before the dataset is read."""
+    """A seed on a version that does not draw, any other key a version does
+    not take, at any value, and a ``strict`` key exit 2 before the dataset is
+    read."""
 
     @pytest.mark.parametrize("name, metric, lines", [
         ("err_cvn", "error", ["version = CVN"]),
         ("auc_cvn", "auc", ["version = CVN"]),
-    ])
+    ], ids=["err_cvn", "auc_cvn"])
     def test_a_seed_its_version_does_not_take(self, tmp_path, dataset_csv, capsys, name,
                                               metric, lines):
         out = tmp_path / "out.json"
@@ -949,6 +951,40 @@ class TestUnusedEstimatorKeys:
 
         assert cli.main([subcommand, str(config(["strict = true"]))]) == 2
         assert capsys.readouterr().err == "error: unknown key 'strict' in section [estimator]\n"
+        assert not out.exists()
+        assert cli.main([subcommand, str(config([]))]) == 0
+
+    # case -> (metric, the version's lines, a key it does not take at that
+    # key's default value, the estimator's name)
+    UNTAKEN_AT_DEFAULT = {
+        "variant-on-error-cvn": ("error", ["version = CVN"], "variant = pooled", "err_cvn"),
+        "th-on-auc-cvkr": ("auc", ["version = CVKR", "K1 = 3", "K2 = 3", "M = 2"], "th = 0.0",
+                           "auc_cvkr"),
+        "sampling-on-cvkm": ("error", ["version = CVKM", "K = 3", "M = 2"], "sampling = ordered",
+                             "err_cvkm"),
+    }
+
+    @pytest.mark.parametrize("subcommand", ["estimate", "simulate"])
+    @pytest.mark.parametrize("case", sorted(UNTAKEN_AT_DEFAULT))
+    def test_an_untaken_key_at_its_default_value(self, tmp_path, dataset_csv, capsys,
+                                                 subcommand, case):
+        """The default value is no exception: the key is refused, while the
+        same config without it runs."""
+        metric, lines, extra, name = self.UNTAKEN_AT_DEFAULT[case]
+        out = tmp_path / "out"
+
+        def config(given):
+            if subcommand == "estimate":
+                seed = [] if "version = CVN" in lines else ["seed = 1"]
+                return estimator_text(tmp_path, dataset_csv, out / "est.json", metric,
+                                      lines + seed + given)
+            paths = {k: out / f"{k}.csv" for k in ("table", "triples", "manifest")}
+            return write_config(tmp_path, "sim.ini", SIMULATE_TEMPLATE.format(**paths) + "\n".join(
+                ["[estimator]", f"metric = {metric}", *lines, *given]))
+
+        assert cli.main([subcommand, str(config([extra]))]) == 2
+        key = extra.split(" = ")[0]
+        assert capsys.readouterr().err == f"error: {name} does not take '{key}'\n"
         assert not out.exists()
         assert cli.main([subcommand, str(config([]))]) == 0
 
@@ -1024,9 +1060,10 @@ class TestBoundMessages:
 class TestEstimatorKeys:
     def test_schema_keys_are_the_config_fields(self):
         """The [estimator] keys are the EstimatorConfig fields other than the
-        seed, spelled through ``_CONFIG_KEYS``; ``estimate`` adds only seed."""
+        seed, the sizes spelled through ``_SIZES``; ``estimate`` adds only
+        seed."""
         fields = [f.name for f in dataclasses.fields(estimators.EstimatorConfig)]
-        keys = {estimators._CONFIG_KEYS.get(f, f) for f in fields if f != "seed"}
+        keys = {estimators._SIZES.get(f, (f,))[0] for f in fields if f != "seed"}
         assert set(cli._ESTIMATOR_KEYS) == keys
         assert cli._SCHEMAS["estimate"]["estimator"] == {**cli._ESTIMATOR_KEYS, "seed": "int?"}
 

@@ -66,7 +66,7 @@ def typed_value(draw, section, key, kind, noisy):
     return str(draw(ints))
 
 
-FIELD_OF = {key: field for field, key in estimators._CONFIG_KEYS.items()}
+FIELD_OF = {key: field for field, (key, _) in estimators._SIZES.items()}
 
 
 def used(section, values, key) -> bool:
@@ -78,7 +78,7 @@ def used(section, values, key) -> bool:
     if section != "estimator" or key in ("version", "metric"):
         return True
     version, metric = Version(values["version"].upper()), Metric(values["metric"])
-    return FIELD_OF.get(key, key) in estimators._DISPATCH[metric, version][1].split()
+    return FIELD_OF.get(key, key) in estimators._DISPATCH[metric, version][1]
 
 
 def config_text(draw, subcommand, noisy):

@@ -672,7 +672,7 @@ class TestNonFiniteScores:
 def taken(metric, version, values):
     """The entries of ``values`` whose fields the (metric, version) estimator
     takes: a config may set no other."""
-    fields = estimators._DISPATCH[metric, version][1].split()
+    fields = estimators._DISPATCH[metric, version][1]
     return {field: value for field, value in values.items() if field in fields}
 
 
@@ -688,8 +688,9 @@ SWITCH_CASES = [
 
 
 class TestPooledSwitch:
-    """``_run`` asks for the pooled variant only when it reports it, and reports
-    what ``variant_values`` gives with both variants on."""
+    """``run`` (through ``_run``) asks for the pooled variant only when it
+    reports it, and reports what ``variant_values`` gives with both variants
+    on."""
 
     @pytest.mark.parametrize("metric, version, variant", SWITCH_CASES,
                              ids=[f"{m.value}-{v.value}-{w.value}" for m, v, w in SWITCH_CASES])
@@ -705,7 +706,7 @@ class TestPooledSwitch:
             return variant_values(*args, pooled=pooled)
 
         monkeypatch.setattr(estimators, "variant_values", spy)
-        report = estimators._run(SIX_POINT, NearestMeanTrainer(), cfg)
+        report = estimators.run(SIX_POINT, NearestMeanTrainer(), cfg)
         value, excluded = both.pick(Variant.PARTITIONED if cfg.reduced else variant)
         assert (repr(report.value), report.excluded_count) == (repr(value), excluded)
         assert asked == [variant is Variant.POOLED]
@@ -803,12 +804,17 @@ class TestTiles:
         assert str(caught.value) == f"trainer failed on replicate {call - 1}: no convergence"
 
 
+def config_key(field):
+    """The [estimator] key of config field ``field``: a size's letter, or its own name."""
+    return estimators._SIZES.get(field, (field,))[0]
+
+
 # (metric, version, estimator name, field) for each size or seed an estimator takes
 UNSET_CASES = [
     (metric, version, name, field)
     for (metric, version), (name, fields) in estimators._DISPATCH.items()
-    for field in fields.split()
-    if field in estimators._CONFIG_KEYS
+    for field in fields
+    if field in estimators._SIZES or field == "seed"
 ]
 UNSET_IDS = [f"{name}-{field}" for _, _, name, field in UNSET_CASES]
 
@@ -821,7 +827,7 @@ class TestUnsetParameters:
     def test_public_function(self, metric, version, name, field):
         with pytest.raises(DomainError) as caught:
             getattr(estimators, name)(EIGHT_POINT, NearestMeanTrainer(), **{field: None})
-        assert str(caught.value) == f"{version.value} needs '{estimators._CONFIG_KEYS[field]}'"
+        assert str(caught.value) == f"{version.value} needs '{config_key(field)}'"
 
     @pytest.mark.parametrize("metric, version, name, field", UNSET_CASES, ids=UNSET_IDS)
     def test_variant_values(self, metric, version, name, field):
@@ -831,7 +837,7 @@ class TestUnsetParameters:
         with pytest.raises(DomainError) as caught:
             cfg = EstimatorConfig(version, metric, **{**sizes, field: None})
             variant_values(EIGHT_POINT, NearestMeanTrainer(), cfg)
-        assert str(caught.value) == f"{version.value} needs '{estimators._CONFIG_KEYS[field]}'"
+        assert str(caught.value) == f"{version.value} needs '{config_key(field)}'"
 
 
 class CountingTrainer(Trainer):
@@ -882,8 +888,7 @@ class TestReducedIsAucCvkOnly:
 rng_twelve = np.random.default_rng(12)
 TWELVE_POINT = StratifiedDataset(rng_twelve.normal(0, 1, (6, 2)), rng_twelve.normal(0.7, 1, (6, 2)))
 
-# A value other than the default for each field an estimator takes; the
-# public functions take ``sampling`` as ``model``.
+# A value other than the default for each field an estimator takes.
 RUN_FIELDS = {
     "th": 0.25, "n_folds": 4, "n_folds1": 3, "n_folds2": 2, "repetitions": 3, "n_bootstrap": 9,
     "seed": 7, "sampling": SamplingModel.UNORDERED_MULTISET,
@@ -891,7 +896,7 @@ RUN_FIELDS = {
 RUN_CASES = [
     (metric, version, name, variant)
     for (metric, version), (name, fields) in estimators._DISPATCH.items()
-    for variant in (tuple(Variant) if "variant" in fields.split() else (Variant.POOLED,))
+    for variant in (tuple(Variant) if "variant" in fields else (Variant.POOLED,))
 ]
 # (metric, version, field) for each field that an estimator does not take:
 # 54 of the 90 pairs
@@ -899,7 +904,7 @@ UNTAKEN_CASES = [
     (metric, version, field)
     for (metric, version), (_, fields) in estimators._DISPATCH.items()
     for field in ("variant", *RUN_FIELDS)
-    if field not in fields.split()
+    if field not in fields
 ]
 
 
@@ -920,13 +925,12 @@ class TestRun:
     @pytest.mark.parametrize("metric, version, name, variant", RUN_CASES,
                              ids=[f"{c[2]}-{c[3].value}" for c in RUN_CASES])
     def test_matches_the_public_function(self, metric, version, name, variant):
-        fields = [f for f in estimators._DISPATCH[metric, version][1].split() if f != "variant"]
+        fields = [f for f in estimators._DISPATCH[metric, version][1] if f != "variant"]
         given = {f: RUN_FIELDS[f] for f in fields}
         if variant is not Variant.POOLED:
             given["variant"] = variant
-        kwargs = {"model" if f == "sampling" else f: v for f, v in given.items()}
         trainer = NearestMeanTrainer()
-        want = report_outcome(lambda: getattr(estimators, name)(TWELVE_POINT, trainer, **kwargs))
+        want = report_outcome(lambda: getattr(estimators, name)(TWELVE_POINT, trainer, **given))
         got = report_outcome(
             lambda: estimators.run(TWELVE_POINT, trainer, EstimatorConfig(version, metric, **given)))
         assert got == want
@@ -938,16 +942,15 @@ class TestRun:
         """Refused when the config is made, and by ``cvlab estimate`` before
         it reads the dataset (the file does not exist) or writes a file."""
         name, fields = estimators._DISPATCH[metric, version]
-        given = {f: RUN_FIELDS[f] for f in fields.split() if f != "variant"}
+        given = {f: RUN_FIELDS[f] for f in fields if f != "variant"}
         given[field] = RUN_FIELDS.get(
             field, Variant.PARTITIONED if metric is Metric.ERROR else Variant.REDUCED)
-        message = f"{name} does not take '{estimators._CONFIG_KEYS.get(field, field)}'"
+        message = f"{name} does not take '{config_key(field)}'"
         with pytest.raises(DomainError) as caught:
             EstimatorConfig(version, metric, **given)
         assert str(caught.value) == message
 
-        keys = [f"{estimators._CONFIG_KEYS.get(f, f)} = {getattr(v, 'value', v)}"
-                for f, v in given.items()]
+        keys = [f"{config_key(f)} = {getattr(v, 'value', v)}" for f, v in given.items()]
         out = tmp_path / "out"
         config = tmp_path / "est.ini"
         config.write_text("\n".join([

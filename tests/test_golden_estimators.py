@@ -89,7 +89,7 @@ def cases(dataset):
             _grid(n_folds=FOLDS, repetitions=REPETITIONS, seed=SEEDS, variant=VARIANTS)
         ),
         "err_loob": list(
-            _grid(n_bootstrap=BUDGETS, seed=SEEDS, model=tuple(SamplingModel), variant=VARIANTS)
+            _grid(n_bootstrap=BUDGETS, seed=SEEDS, sampling=tuple(SamplingModel), variant=VARIANTS)
         ),
         "auc_cvn": [{}],
         "auc_cvk": [
@@ -105,7 +105,7 @@ def cases(dataset):
             for (k1, k2), m, s, v in itertools.product(FOLD_PAIRS, REPETITIONS, SEEDS, VARIANTS)
         ],
         "auc_lpobs": list(
-            _grid(n_bootstrap=BUDGETS, seed=SEEDS, model=tuple(SamplingModel), variant=VARIANTS)
+            _grid(n_bootstrap=BUDGETS, seed=SEEDS, sampling=tuple(SamplingModel), variant=VARIANTS)
         ),
     }
 

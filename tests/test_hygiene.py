@@ -17,6 +17,14 @@ justify staying.  Every private top-level name there (a function, a class or
 an assigned name, not a dunder) must be referenced the same way, with no
 exceptions: a private name nothing in ``src/cvlab/`` uses is dead code.
 
+No module in ``src/cvlab/`` imports or reads another's private name (one
+leading underscore, not a dunder): each reads the others through their
+public names only.
+
+Each public estimator's parameters after ``(dataset, trainer)`` are its
+``estimators._DISPATCH`` row, in order: ``run`` and ``_run`` zip the row with
+the arguments positionally.
+
 Each input kind has one reader (``READERS``): inside ``src/cvlab/``,
 ``csv.reader`` is used only in ``core.read_csv_table`` and ``configparser``
 only in ``cli.load_config``.
@@ -252,6 +260,113 @@ class TestUnreferencedPrivateNames:
     )
     def test_checker(self, sources, want):
         assert unreferenced_private_names(sources) == want
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(sources: dict[str, str]) -> list[str]:
+    """"module: other.name" of each private name that a module of ``sources``
+    ({module: source}, the modules of the ``cvlab`` package) imports from
+    another, or reads as an attribute of another it imported."""
+    package = "cvlab"
+    found = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        bound = {}  # name bound to a sibling module -> that module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                parent = package if node.level else ""
+                where = ".".join(filter(None, [parent, node.module]))
+                for alias in node.names:
+                    if where == package:
+                        bound[alias.asname or alias.name] = alias.name
+                    elif where.startswith(f"{package}.") and _private(alias.name):
+                        found.add(f"{module}: {where.split('.', 1)[1]}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith(f"{package}.") and alias.asname:
+                        bound[alias.asname] = alias.name.split(".", 1)[1]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and _private(node.attr)):
+                continue
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id in bound:
+                found.add(f"{module}: {bound[owner.id]}.{node.attr}")
+            elif (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+                  and owner.value.id == package):
+                found.add(f"{module}: {owner.attr}.{node.attr}")
+    return sorted(found)
+
+
+class TestNoPrivateReads:
+    def test_no_module_reads_another_modules_private_name(self):
+        sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+        assert private_reads(sources) == []
+
+    @pytest.mark.parametrize(
+        "source, want",
+        [
+            ("from cvlab.a import _x\n", ["b: a._x"]),
+            ("from cvlab.a import x, __version__\n", []),
+            ("from .a import _x\n", ["b: a._x"]),
+            ("from cvlab import a\na._x\n", ["b: a._x"]),
+            ("from cvlab import a as c\nc._x()\n", ["b: a._x"]),
+            ("from . import a\na._X[0]\n", ["b: a._X"]),
+            ("import cvlab.a as c\nc._x\n", ["b: a._x"]),
+            ("import cvlab.a\ncvlab.a._x\n", ["b: a._x"]),
+            ("from cvlab import a\na.x\nself._x\n", []),
+            ("from other import _x\nimport numpy as np\nnp._x\n", []),
+            ("from cvlab import a\ndef f():\n    return a._x\n", ["b: a._x"]),
+        ],
+    )
+    def test_checker(self, source, want):
+        assert private_reads({"a": "_x = 1\n", "b": source}) == want
+
+
+def signature_mismatches(source: str) -> list[str]:
+    """Each estimator a module's ``_DISPATCH`` rows name ({key: (name,
+    fields)}) that is not a top-level function of the module whose
+    parameters after the first two are the row's fields, in order."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_DISPATCH" for t in node.targets))
+    found = []
+    for row in table.values:
+        name, fields = ast.literal_eval(row)
+        if name not in functions:
+            found.append(f"{name}: no such function")
+            continue
+        args = functions[name].args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        if params[2:] != list(fields):
+            found.append(f"{name}: takes {params[2:]}, row {list(fields)}")
+    return found
+
+
+class TestSignaturesAreRows:
+    def test_each_estimator_takes_its_row(self):
+        source = (SRC / "estimators.py").read_text(encoding="utf-8")
+        assert signature_mismatches(source) == []
+
+    @pytest.mark.parametrize(
+        "source, want",
+        [
+            ("def f(d, t, a, b=1): pass\n_DISPATCH = {1: ('f', ('a', 'b'))}\n", []),
+            ("def f(d, t): pass\n_DISPATCH = {1: ('f', ())}\n", []),
+            ("def f(d, t, b, a): pass\n_DISPATCH = {1: ('f', ('a', 'b'))}\n",
+             ["f: takes ['b', 'a'], row ['a', 'b']"]),
+            ("def f(d, t, a): pass\n_DISPATCH = {1: ('f', ('a', 'b'))}\n",
+             ["f: takes ['a'], row ['a', 'b']"]),
+            ("def f(d, t, a, *, b): pass\n_DISPATCH = {1: ('f', ('a',))}\n",
+             ["f: takes ['a', 'b'], row ['a']"]),
+            ("_DISPATCH = {1: ('g', ('a',))}\n", ["g: no such function"]),
+        ],
+    )
+    def test_checker(self, source, want):
+        assert signature_mismatches(source) == want
 
 
 # Each input kind has one reader: where in src/cvlab its parser may be used.
