@@ -25,7 +25,8 @@ overwrites rather than appends, and a fixed seed reproduces every output
 byte for byte.
 
 Exit codes: 0 success, 1 when ``verify`` finds an identity that fails,
-2 configuration or input error, 3 estimation error.
+2 configuration or input error, 3 estimation error (a run that fails, or
+one whose arrays, a fold map of M rows say, are too large to allocate).
 """
 
 from __future__ import annotations
@@ -382,7 +383,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EstimationError as exc:
+    except (EstimationError, MemoryError) as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return 3
 

@@ -59,11 +59,10 @@ repeated-CV map that CVKR draws its M*K from (CVN is K = n, on the canonical
 map), CVKM M each testing fold 1, LOOB one per replicate.  An AUC fold task
 leaves out one fold of each class (all K1*K2 fold pairs, or the K diagonal
 ones for the reduced variant); an AUC bootstrap task pairs the two classes'
-replicates.  A pooled bootstrap replicate b that lost a class is redrawn,
-attempt a from the derived seed ``derive_seed(seed, f"retry-{b}", a)``, up
-to 100 attempts.  The attempts run in rounds, each redrawing every row still
-one-class with its retry keys derived in one pass; the streams are those of
-one SeedSequence per row.
+replicates.  A pooled bootstrap replicate that lost a class is redrawn, up
+to 100 attempts, from the retry streams that
+:func:`cvlab.resampling.retry_counts` defines; the attempts run in rounds,
+each redrawing every row still one-class in one ``retry_counts`` call.
 
 Tasks are trained in tiles of ``max(1, TASK_TILE_CELLS // n)`` consecutive
 tasks, aligned to task 0, each scored in one :func:`task_scores` call:
@@ -136,13 +135,12 @@ from cvlab.core import (
 from cvlab.resampling import (
     SamplingModel,
     bootstrap_counts_matrix,
-    bootstrap_counts_rows,
     derive_rng,
     derive_seed,
-    derive_seeds,
     fold_size,
     make_partition,
     repeated_partitions,
+    retry_counts,
 )
 
 MAX_ONE_CLASS_RETRIES = 100
@@ -447,16 +445,15 @@ def _redraw_one_class_rows(counts: np.ndarray, labels, model: SamplingModel, see
     """Redraw, in place, each replicate row that lost a class; row 0 is
     replicate ``first``.
 
-    Attempt a redraws replicate b from ``derive_seed(seed, f"retry-{b}", a)``.
     The attempts run in rounds: round a redraws every row still one-class,
-    all from one ``derive_seeds`` and one ``bootstrap_counts_rows`` pass.
+    all from one ``retry_counts`` call at attempt a, which defines their
+    streams.
     """
     rows = _one_class_rows(counts, labels)
     for attempt in range(1, MAX_ONE_CLASS_RETRIES + 1):
         if not rows.size:
             return
-        seeds = derive_seeds(seed, [f"retry-{first + b}" for b in rows], attempt)
-        retry = bootstrap_counts_rows(counts.shape[1], model, seeds)
+        retry = retry_counts(counts.shape[1], model, seed, first + rows, attempt)
         still = np.zeros(rows.size, dtype=bool)
         still[_one_class_rows(retry, labels)] = True
         counts[rows[~still]] = retry[~still]
@@ -482,15 +479,15 @@ class EstimatorConfig:
     default, or else it is refused as ``<function> does not take '<key>'``,
     with its [estimator] key; a size the version takes (K, or K1 and K2, M,
     B) is set; each size is at least its least value (``_SIZES``); the
-    reduced variant has K1 == K2; and reduced is asked only of AUC CVK.  So a
-    config names only what its version uses, with one exception for library
-    callers: a field set to its default passes, as the config cannot tell it
-    from one left out (:meth:`from_keys`, which reads the CLI's keys, can,
-    and refuses it).  The seed is refused like any other field (only CVN,
-    which draws nothing, does not take it); a version that takes it may
-    leave it unset here (a campaign stamps one on every trial), and
-    :func:`variant_values` demands it.  The class sizes are checked by
-    :meth:`parts`.
+    reduced variant has K1 == K2; reduced is asked only of AUC CVK; and a
+    seed, where set, is non-negative.  So a config names only what its
+    version uses, with one exception for library callers: a field set to its
+    default passes, as the config cannot tell it from one left out
+    (:meth:`from_keys`, which reads the CLI's keys, can, and refuses it).
+    The seed is refused like any other field (only CVN, which draws nothing,
+    does not take it); a version that takes it may leave it unset here (a
+    campaign stamps one on every trial), and :func:`variant_values` demands
+    it.  The class sizes are checked by :meth:`parts`.
     """
 
     version: Version
@@ -524,6 +521,8 @@ class EstimatorConfig:
             raise DomainError("reduced variant requires K1 == K2")
         if self.variant is Variant.REDUCED and not self.reduced:
             raise DomainError("variant reduced not defined for this estimator")
+        if self.seed is not None and self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_keys(cls, section: dict) -> EstimatorConfig:

@@ -23,29 +23,27 @@ Bootstrap sampling models
 
 Randomness
 ----------
-Every randomized operation takes an explicit integer master seed.  Stream
-seeds are derived as (master seed, crc32(stream tag), counter) through
-``numpy.random.SeedSequence`` feeding a Philox generator, so independent
-streams can be drawn in any order without interfering.
+Every randomized operation takes an explicit integer master seed, and every
+stream follows one rule: stream (seed, tag, counter) is
+``SeedSequence(entropy=seed, spawn_key=(crc32(tag), counter))`` feeding a
+Philox generator, so independent streams can be drawn in any order without
+interfering.  ``derive_rng`` and ``derive_seed`` build one stream.
+``_stream_keys`` derives many at once: one vectorised pass of SeedSequence's
+mixing gives the words one SeedSequence per stream gives, and so each
+stream's Philox key.  The repeated-CV maps and the one-class redraw rows
+re-key one Philox bit generator per row to the start of its stream
+(``_rekeyed_streams``), so the rows are those of one generator per stream.
 
 Row m of the repeated-CV map of (n, K, seed) composes the canonical map
 with the permutation ``derive_rng(seed, "partition", m).permutation(n) + 1``:
 the 1-based permutation that stream (seed, "partition", m) draws.  It is
-drawn, as below, through a re-keyed Philox bit generator and
-``RandomState.shuffle``, which give the same permutation.
-
-Where many streams are drawn at once, ``_seed_sequence_state`` transcribes
-SeedSequence's mixing over arrays: every stream's words come from one
-vectorised pass, the same words one SeedSequence per stream gives.  The
-repeated-CV maps derive the Philox keys of their M streams in passes of
-``_KEY_BLOCK`` rows, so that the pass never outgrows a compact map.  The
-one-class redraw of the estimators derives, per round of retries, every
-retry seed (``derive_seeds``) in one pass and the Philox keys of those seeds
-(``bootstrap_counts_rows``) in another.  Each row is then drawn through one
-Philox bit generator re-keyed to the start of its stream
-(``_rekeyed_streams``), so the rows are those of one generator per stream:
-a redraw row through a ``Generator``, a map row shuffled through a legacy
-``RandomState``, whose shuffle draws as the ``Generator``'s does.
+drawn through a legacy ``RandomState``, whose shuffle draws as the
+``Generator``'s does, and the keys come in passes of ``_KEY_BLOCK`` rows,
+so that a pass never outgrows a compact map.  The one-class redraw of
+replicate b at attempt a is the first replicate of master seed
+``derive_seed(seed, f"retry-{b}", a)``; ``retry_counts`` draws a round of
+them through a ``Generator``, from one pass for the retry seeds and one for
+their keys.
 
 A bootstrap stream splits: drawn in consecutive row blocks from one
 generator, ``integers(0, n, (B, n))`` (ORDERED) and ``random((B, 2n-1))``
@@ -145,17 +143,32 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> 16)
 
 
-def _seed_sequence_state(entropy: Sequence, n_words: int) -> np.ndarray:
-    """(n_words, m) uint32 ``generate_state`` words of SeedSequences over m streams.
+def _stream_keys(seed: int | np.ndarray, tag_words, counters) -> np.ndarray:
+    """(m, 2) uint64: row i is ``generate_state(2, np.uint64)`` of stream i,
+    ``derive_seed_sequence(seed, tag, counter)`` with crc32(tag) its tag
+    word, and so that stream's Philox key.
 
     A transcription of numpy's SeedSequence mixing, whose output numpy keeps
-    stream-compatible.  ``entropy`` is the assembled entropy, one item per
-    uint32 word: an int shared by every stream, or an (m,) array with one
-    word per stream.  The pool is held as a (4, m) array (m = 1 while every
+    stream-compatible, over m streams in one vectorised pass: ``seed`` (an
+    int or a uint64 array), ``tag_words`` and ``counters`` (ints or arrays
+    below 2^32) broadcast together.  The entropy is the seed's 32-bit words,
+    zero-padded to the pool size, then the tag word and the counter; the
+    padding makes a 1-word and a 2-word seed mix the same, so an array seed
+    is two words.  The pool is held as a (4, m) array (m = 1 while every
     word so far is shared), so each word is mixed into all four pool words
-    in one step.  n_words is at most the pool size.
+    in one step.  The first key word does not depend on how many words are
+    generated: it is ``generate_state(1, np.uint64)``, as ``derive_seed``
+    reads it.
     """
-    words = list(entropy) + [0] * (_POOL_SIZE - len(entropy))
+    if isinstance(seed, np.ndarray):
+        words = [seed & _MASK32, seed >> 32]
+    else:
+        seed = _checked_seed(seed)
+        words = []
+        while seed > 0 or not words:
+            words.append(seed & _MASK32)
+            seed >>= 32
+    words += [0] * (_POOL_SIZE - len(words)) + [tag_words, counters]
     consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(words))
     pool = np.empty((_POOL_SIZE, max(np.size(w) for w in words[:_POOL_SIZE])), dtype=np.uint32)
     for dst, word in enumerate(words[:_POOL_SIZE]):
@@ -167,36 +180,7 @@ def _seed_sequence_state(entropy: Sequence, n_words: int) -> np.ndarray:
     for i, word in enumerate(words[_POOL_SIZE:], start=_POOL_SIZE):  # into all four
         word = np.asarray(word, dtype=np.uint32)
         pool = _mix(pool, _hashmix(word, consts[_POOL_SIZE * i : _POOL_SIZE * (i + 1) + 1]))
-    return _hashmix(pool[:n_words], _OUTPUT_CONSTS[: n_words + 1])
-
-
-def _entropy(seed: int | np.ndarray, tag_word, counter) -> list:
-    """Assembled entropy of ``derive_seed_sequence(seed, tag, counter)``.
-
-    The seed's 32-bit words, zero-padded to the pool size, then crc32(tag)
-    and the counter.  ``seed`` is an int or a uint64 array; the padding makes
-    a 1-word and a 2-word seed mix the same, so an array seed is two words.
-    The tag word and the counter are ints or uint32 arrays, below 2^32.
-    """
-    if isinstance(seed, np.ndarray):
-        words = [seed & _MASK32, seed >> 32]
-    else:
-        seed = _checked_seed(seed)
-        words = []
-        while seed > 0 or not words:
-            words.append(seed & _MASK32)
-            seed >>= 32
-    return words + [0] * (_POOL_SIZE - len(words)) + [tag_word, counter]
-
-
-def _philox_keys(seed: int | np.ndarray, tag: str, counters) -> np.ndarray:
-    """(m, 2) uint64 keys of ``Philox(derive_seed_sequence(seed, tag, c))``.
-
-    One vectorised pass over m streams: ``seed`` (an int or a uint64 array)
-    and ``counters`` (an int or an array in [0, 2^32)) broadcast together.
-    """
-    state = _seed_sequence_state(_entropy(seed, _crc(tag), counters), 4)
-    low0, high0, low1, high1 = state.astype(np.uint64)
+    low0, high0, low1, high1 = _hashmix(pool, _OUTPUT_CONSTS).astype(np.uint64)
     return np.stack([low0 | high0 << 32, low1 | high1 << 32], axis=1)
 
 
@@ -207,8 +191,7 @@ def derive_seeds(seed: int, tags: Sequence[str], counters) -> np.ndarray:
     array in [0, 2^32) with one counter per tag.
     """
     tag_words = np.array([_crc(tag) for tag in tags], dtype=np.uint32)
-    low, high = _seed_sequence_state(_entropy(seed, tag_words, counters), 2).astype(np.uint64)
-    return (low | high << 32) >> 1
+    return _stream_keys(seed, tag_words, counters)[:, 0] >> 1
 
 
 def _rekeyed_streams(keys, wrap) -> Iterator:
@@ -247,7 +230,7 @@ def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np
     is the only (M, n) array made: its rows of images less one, 0..n-1, are
     shuffled and then mapped to fold ids in place.  A shuffle permutes
     positions whatever the values and the itemsize, so the rows are those of
-    the int64 permutations.  The stream keys come from one ``_philox_keys``
+    the int64 permutations.  The stream keys come from one ``_stream_keys``
     pass per ``_KEY_BLOCK`` rows, as those rows' turn comes, and every row is
     shuffled by one re-keyed Philox bit generator through a legacy
     ``RandomState``, whose ``shuffle`` draws as ``Generator.shuffle`` does
@@ -262,9 +245,9 @@ def repeated_partitions(n: int, n_folds: int, repetitions: int, seed: int) -> np
     keys = (
         key
         for start in range(0, repetitions, _KEY_BLOCK)
-        for key in _philox_keys(
-            seed, "partition", np.arange(start, min(start + _KEY_BLOCK, repetitions), dtype=np.uint32)
-        )
+        for key in _stream_keys(seed, _crc("partition"), np.arange(
+            start, min(start + _KEY_BLOCK, repetitions), dtype=np.uint32
+        ))
     )
     images = np.empty((repetitions, n), dtype)
     images[:] = np.arange(n, dtype=dtype)  # the images 1..n, less one
@@ -324,12 +307,16 @@ def bootstrap_counts_matrix(
     return _replicate_counts(n, model, [rng], draws)
 
 
-def bootstrap_counts_rows(n: int, model: SamplingModel, seeds: np.ndarray) -> np.ndarray:
-    """(len(seeds), n): row i is ``bootstrap_counts_matrix(n, 1, model, seeds[i])``.
+def retry_counts(n: int, model: SamplingModel, seed: int, replicates, attempt: int) -> np.ndarray:
+    """The one-class redraw's rows: (len(replicates), n), row i is
+    ``bootstrap_counts_matrix(n, 1, model, derive_seed(seed, f"retry-{b}", attempt))``
+    for b = replicates[i].
 
-    ``seeds`` is a non-empty uint64 array.  The keys of all its "bootstrap"
-    streams come from one ``_philox_keys`` pass, and every row is drawn by
-    one re-keyed Philox generator.
+    ``replicates`` is a non-empty sequence of replicate indices.  Their retry
+    seeds come from one ``derive_seeds`` pass, the keys of those seeds'
+    "bootstrap" streams from one ``_stream_keys`` pass, and every row is
+    drawn by one re-keyed Philox generator.
     """
-    keys = _philox_keys(seeds, "bootstrap", 0)
+    seeds = derive_seeds(seed, [f"retry-{b}" for b in replicates], attempt)
+    keys = _stream_keys(seeds, _crc("bootstrap"), 0)
     return _replicate_counts(n, model, _rekeyed_streams(keys, np.random.Generator), 1)

@@ -387,8 +387,10 @@ out_csv = {out}
         assert out.read_bytes() == first
 
 
+# name -> (subcommand, config).  The dataset of "estimate-missing-dataset"
+# does not exist: the seed is refused before the dataset is read.
 NEGATIVE_SEED_CONFIGS = {
-    "estimate": """
+    "estimate": ("estimate", """
 [estimator]
 version = CVKR
 variant = pooled
@@ -403,9 +405,23 @@ id = nearest-mean
 [io]
 dataset = {dataset}
 out_json = {out}
-""",
-    "simulate": SIMULATE_TEMPLATE.replace("seed = 31", "seed = -5"),
-    "ratio-curve": """
+"""),
+    "estimate-missing-dataset": ("estimate", """
+[estimator]
+version = LOOB
+metric = error
+B = 5
+seed = -1
+
+[trainer]
+id = nearest-mean
+
+[io]
+dataset = {missing}
+out_json = {out}
+"""),
+    "simulate": ("simulate", SIMULATE_TEMPLATE.replace("seed = 31", "seed = -5")),
+    "ratio-curve": ("ratio-curve", """
 [curve]
 n1_grid = 3
 B = 10
@@ -417,7 +433,7 @@ id = nearest-mean
 
 [io]
 out_csv = {out}
-""",
+"""),
 }
 
 
@@ -433,17 +449,64 @@ def run_cli_process(subcommand, config):
 
 
 class TestNegativeSeed:
-    @pytest.mark.parametrize("subcommand", sorted(NEGATIVE_SEED_CONFIGS))
-    def test_exits_2_without_traceback(self, tmp_path, dataset_csv, subcommand):
+    @pytest.mark.parametrize("name", sorted(NEGATIVE_SEED_CONFIGS))
+    def test_exits_2_without_traceback(self, tmp_path, dataset_csv, name):
+        subcommand, text = NEGATIVE_SEED_CONFIGS[name]
         out = tmp_path / "out.txt"
-        text = NEGATIVE_SEED_CONFIGS[subcommand].format(
-            dataset=dataset_csv, out=out, table=out, triples=tmp_path / "t.csv",
-            manifest=tmp_path / "m.ini",
+        text = text.format(
+            dataset=dataset_csv, missing=tmp_path / "missing.csv", out=out, table=out,
+            triples=tmp_path / "t.csv", manifest=tmp_path / "m.ini",
         )
         config = write_config(tmp_path, "negative-seed.ini", text)
         proc = run_cli_process(subcommand, config)
         assert proc.returncode == 2
         assert "error: seed must be non-negative" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+# M = 2^50 rows of 12 one-byte fold ids: about 13.5 PB, above any user
+# address space (2^47 bytes on x86-64, 2^52 on arm64), so the map's
+# allocation fails at once whatever the overcommit setting.
+UNALLOCATABLE_MAP_CONFIGS = {
+    "estimate": f"""
+[estimator]
+version = CVKR
+metric = error
+K = 2
+M = {2**50}
+seed = 1
+
+[trainer]
+id = nearest-mean
+
+[io]
+dataset = {{dataset}}
+out_json = {{out}}/est.json
+""",
+    "simulate": SIMULATE_TEMPLATE + f"""
+[estimator]
+version = CVKM
+metric = error
+K = 2
+M = {2**50}
+""",
+}
+
+
+class TestUnallocatableFoldMap:
+    @pytest.mark.parametrize("subcommand", sorted(UNALLOCATABLE_MAP_CONFIGS))
+    def test_exits_3_without_traceback(self, tmp_path, subcommand):
+        dataset = tmp_path / "data.csv"
+        write_dataset_csv(simlab.gen_multinormal(simlab.MultinormalSpec(2, 1.0, 6, 6), 0), dataset)
+        out = tmp_path / "out"
+        text = UNALLOCATABLE_MAP_CONFIGS[subcommand].format(
+            dataset=dataset, out=out, table=out / "table.csv", triples=out / "triples.csv",
+            manifest=out / "manifest.ini",
+        )
+        proc = run_cli_process(subcommand, write_config(tmp_path, "huge-map.ini", text))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("estimation error: Unable to allocate")
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 

@@ -1039,6 +1039,13 @@ class TestEstimatorConfig:
         with pytest.raises(DomainError):
             EstimatorConfig(Version.CVN, Metric.ERROR, th=th)
 
+    def test_seed_must_be_non_negative(self):
+        """Refused when the config is made, before any data is read; the
+        same text as the stream derivation's own refusal."""
+        with pytest.raises(DomainError, match=r"^seed must be non-negative, got -1$"):
+            EstimatorConfig(Version.LOOB, Metric.ERROR, n_bootstrap=5, seed=-1)
+        assert EstimatorConfig(Version.LOOB, Metric.ERROR, n_bootstrap=5, seed=0).seed == 0
+
 
 class TestAsymptoticBehaviour:
     def test_cvkm_variants_and_cvkr_converge_together(self):

@@ -33,6 +33,9 @@ The code-line counter, ``tools/code_lines.py``, counts a small source exactly,
 and the golden-file comparer, ``tools/golden_diff.py``, sorts the keys of two
 small files into kept, moved, added and removed, failing on any key moved
 outside its ``--moved`` globs or added or removed.
+The output comparer, ``tools/same_outputs.py``, finds no difference between
+this checkout and a copy of its ``src``, and exactly one in a copy with one
+changed output line.
 
 The CLI has a converter for each type its schemas use and no other: every
 ``cli._CONVERTERS`` kind is the type of some ``cli._SCHEMAS`` key, and every
@@ -41,6 +44,7 @@ schema type, less its ``?``, has a converter.
 
 import ast
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -495,6 +499,29 @@ class TestGoldenDiff:
         assert capsys.readouterr().out.splitlines()[:4] == [
             "moved   a/x  2 -> 2", "removed a/y  1 -> 0", "removed b/y  1 -> 0", "added   c/z  0 -> 0",
         ]
+
+
+class TestSameOutputs:
+    def test_a_copy_matches_and_one_changed_line_is_one_difference(self, tmp_path):
+        path = ROOT / "tools" / "same_outputs.py"
+        spec = importlib.util.spec_from_file_location("same_outputs", path)
+        same_outputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(same_outputs)
+        copy = tmp_path / "copy"
+        shutil.copytree(SRC, copy / "src" / "cvlab", ignore=shutil.ignore_patterns("__pycache__"))
+        head = same_outputs.run_cases(ROOT, ["decompose"])
+        assert sorted(head["decompose"]) == [
+            "exit code", "file out.csv", "file out.json", "stderr", "stdout"
+        ]
+        assert same_outputs.differences(head, same_outputs.run_cases(copy, ["decompose"])) == []
+        cli = copy / "src" / "cvlab" / "cli.py"
+        cli.write_text(cli.read_text(encoding="utf-8").replace('f"rms_cond={', 'f"rms-cond={'),
+                       encoding="utf-8")
+        found = same_outputs.differences(head, same_outputs.run_cases(copy, ["decompose"]))
+        assert len(found) == 1
+        header, *diff = found[0].splitlines()
+        assert header == "decompose: stdout differs"
+        assert [line[:10] for line in diff[1:]] == ["-rms_cond=", "+rms-cond="]
 
 
 def converter_mismatches(converters, schemas) -> list[str]:

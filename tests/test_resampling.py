@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -11,15 +12,15 @@ from cvlab.resampling import (
     SamplingModel,
     _KEY_BLOCK,
     _counts_from_uniform_keys,
-    _philox_keys,
+    _stream_keys,
     bootstrap_counts_matrix,
-    bootstrap_counts_rows,
     derive_rng,
     derive_seed,
     derive_seed_sequence,
     derive_seeds,
     make_partition,
     repeated_partitions,
+    retry_counts,
 )
 from oracles import (
     canonical_map, enumerate_multiset_counts, random_permutation, subset_keys, traced_peak,
@@ -129,7 +130,7 @@ class TestRepeatedPartitionsMemory:
         # At most the larger of one key pass over all M rows and the M stream
         # keys (16 bytes each) plus the map, plus a tenth of a map; the blocked
         # key pass (test_key_pass_is_bounded_by_its_block) keeps inside it.
-        keys = traced_peak(lambda: _philox_keys(seed, "partition", np.arange(reps)))
+        keys = traced_peak(lambda: _stream_keys(seed, _crc("partition"), np.arange(reps)))
         assert peak <= max(keys, 16 * reps + rp.nbytes) + 0.1 * rp.nbytes, (peak, keys)
 
     def test_key_pass_is_bounded_by_its_block(self):
@@ -141,27 +142,51 @@ class TestRepeatedPartitionsMemory:
                 rp[m], canonical_map(random_permutation(n, seed, m), folds)
             )
         peak = traced_peak(lambda: repeated_partitions(n, folds, reps, seed))
-        block = traced_peak(lambda: _philox_keys(
-            seed, "partition", np.arange(_KEY_BLOCK, dtype=np.uint32)
+        block = traced_peak(lambda: _stream_keys(
+            seed, _crc("partition"), np.arange(_KEY_BLOCK, dtype=np.uint32)
         ))
         # The last block's keys live on while the next block's are derived;
         # 8 KB covers the bit generator, its state and the loop's objects.
         assert peak <= rp.nbytes + block + 16 * _KEY_BLOCK + 8192, (peak, block)
 
 
+def _crc(tag: str) -> int:
+    """The tag word of a stream: crc32 of the tag's UTF-8 bytes."""
+    return zlib.crc32(tag.encode("utf-8"))
+
+
+def _philox_key(seed: int, tag: str, counter: int) -> list[int]:
+    """The key of ``Philox(derive_seed_sequence(seed, tag, counter))``."""
+    return np.random.Philox(derive_seed_sequence(seed, tag, counter)).state["state"]["key"]
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**130]
+
+
 class TestPhiloxKeys:
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**130])
+    """``_stream_keys`` against one SeedSequence per stream, in each of the
+    ways it is called: a counter per row, a tag per row, a seed per row, and
+    every word shared."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("tag", ["partition", "bootstrap"])
     def test_keys_match_seed_sequence(self, seed, tag):
-        keys = _philox_keys(seed, tag, np.arange(100))
-        want = [
-            np.random.Philox(derive_seed_sequence(seed, tag, c)).state["state"]["key"]
-            for c in range(100)
-        ]
+        keys = _stream_keys(seed, _crc(tag), np.arange(100))
         assert keys.dtype == np.uint64
-        np.testing.assert_array_equal(keys, want)
+        np.testing.assert_array_equal(keys, [_philox_key(seed, tag, c) for c in range(100)])
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**130])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_keys_of_a_tag_per_row_match_seed_sequence(self, seed):
+        tags = [f"retry-{b}" for b in (0, 1, 7, 45, 1999, 10**6, 2**40)]
+        keys = _stream_keys(seed, np.array([_crc(tag) for tag in tags], dtype=np.uint32), 4)
+        np.testing.assert_array_equal(keys, [_philox_key(seed, tag, 4) for tag in tags])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_keys_of_shared_words_match_seed_sequence(self, seed):
+        keys = _stream_keys(seed, _crc("bootstrap"), 5)
+        np.testing.assert_array_equal(keys, [_philox_key(seed, "bootstrap", 5)])
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_derive_seeds_match_derive_seed(self, seed):
         rows = [0, 1, 7, 45, 1999, 10**6, 2**40]
         tags = [f"retry-{b}" for b in rows]
@@ -178,12 +203,8 @@ class TestPhiloxKeys:
             [0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**63 - 1, 2**64 - 1, 123456789012345],
             dtype=np.uint64,
         )
-        keys = _philox_keys(seeds, "bootstrap", 0)
-        want = [
-            np.random.Philox(derive_seed_sequence(int(s), "bootstrap")).state["state"]["key"]
-            for s in seeds
-        ]
-        np.testing.assert_array_equal(keys, want)
+        keys = _stream_keys(seeds, _crc("bootstrap"), 0)
+        np.testing.assert_array_equal(keys, [_philox_key(int(s), "bootstrap", 0) for s in seeds])
 
 
 class TestStarsAndBars:
@@ -221,10 +242,15 @@ class TestBootstrapSampling:
 
     @pytest.mark.parametrize("model", list(SamplingModel))
     def test_rows_match_one_draw_per_seed(self, model):
-        seeds = derive_seeds(3, [f"row-{i}" for i in range(40)], 1)
-        rows = bootstrap_counts_rows(7, model, seeds)
-        want = [bootstrap_counts_matrix(7, 1, model, int(s))[0] for s in seeds]
-        np.testing.assert_array_equal(rows, want)
+        """Row i of a redraw round is one draw from replicate i's retry seed."""
+        replicates = [0, 1, 2, 7, 39, 1999, 10**6]
+        for seed, attempt in [(3, 1), (3, 2), (3, 100), (2**130, 1)]:
+            rows = retry_counts(7, model, seed, np.array(replicates), attempt)
+            want = [
+                bootstrap_counts_matrix(7, 1, model, derive_seed(seed, f"retry-{b}", attempt))[0]
+                for b in replicates
+            ]
+            np.testing.assert_array_equal(rows, want)
 
     @pytest.mark.parametrize("model", list(SamplingModel))
     @pytest.mark.parametrize("n, draws, tile", [(200, 10000, 1310), (20, 200, 7), (7, 1000, 1),
