@@ -8,10 +8,11 @@ estimate of it, with plug-in (divide-by-T) moments, the decomposition
           + sigma_s / sigma_shat
           - 2 * rho(shat, s)
 
-is an exact algebraic identity; :func:`decompose` reports every component and
-the residual of the identity, which must vanish to rounding error.  RMS values
-(square roots of the MSEs) are reported alongside, matching the usual
-experiment-table columns.
+is an exact algebraic identity.  :func:`decompose` takes the two per-trial
+arrays, s and shat, as they are (a campaign's triples columns, or a pairs
+file's), and reports every component and the residual of the identity, which
+must vanish to rounding error.  RMS values (square roots of the MSEs) are
+reported alongside, matching the usual experiment-table columns.
 
 A small weak-correlation rho together with rms_cond being no smaller than
 rms_mean is the signature that the estimator tracks the mean performance
@@ -25,34 +26,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from cvlab.core import DomainError
-
-
-@dataclass(frozen=True, eq=False)
-class PairedPerformanceSample:
-    """Per-trial true performance ``s`` and estimate ``s_hat``, equal lengths."""
-
-    s: np.ndarray
-    s_hat: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float).reshape(-1)
-        s_hat = np.asarray(self.s_hat, dtype=float).reshape(-1)
-        if s.size != s_hat.size:
-            raise DomainError("s and s_hat must have equal lengths")
-        if s.size < 2:
-            raise DomainError("need at least two trials")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(s_hat))):
-            raise DomainError("entries must be finite")
-        s = s.copy()
-        s_hat = s_hat.copy()
-        s.flags.writeable = False
-        s_hat.flags.writeable = False
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "s_hat", s_hat)
-
-    @property
-    def trials(self) -> int:
-        return self.s.size
 
 
 @dataclass(frozen=True)
@@ -83,10 +56,23 @@ class DecompositionReport:
         return {"schema": 1, **asdict(self)}
 
 
-def decompose(sample: PairedPerformanceSample) -> DecompositionReport:
-    """Compute means, sigmas, both MSEs/RMSs, rho and the identity residual."""
-    s, s_hat = sample.s, sample.s_hat
-    t = sample.trials
+def decompose(s, s_hat) -> DecompositionReport:
+    """Means, sigmas, both MSEs/RMSs, rho and the identity residual of the
+    per-trial true performance ``s`` and estimate ``s_hat``.
+
+    Each is read as a flat float array; they must have equal lengths, at least
+    two trials and finite entries, checked in that order.  The moments are
+    taken on contiguous float64 copies, so a strided column (``table[:, 0]``)
+    gives the same bits as a contiguous one.
+    """
+    s = np.array(s, dtype=float).reshape(-1)
+    s_hat = np.array(s_hat, dtype=float).reshape(-1)
+    if s.size != s_hat.size:
+        raise DomainError("s and s_hat must have equal lengths")
+    if s.size < 2:
+        raise DomainError("need at least two trials")
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(s_hat))):
+        raise DomainError("entries must be finite")
     mean_s = float(s.mean())
     mean_s_hat = float(s_hat.mean())
     var_s = float(((s - mean_s) ** 2).mean())
@@ -106,7 +92,7 @@ def decompose(sample: PairedPerformanceSample) -> DecompositionReport:
         rhs = mse_mean / (sigma_s * sigma_s_hat) + sigma_ratio - 2.0 * rho
         residual = lhs - rhs
     return DecompositionReport(
-        trials=t,
+        trials=s.size,
         mean_s=mean_s,
         mean_s_hat=mean_s_hat,
         sigma_s=sigma_s,

@@ -19,10 +19,14 @@ estimate drops the units no task tested and reports their number as
 inputs, the ``estimate`` dataset and the ``decompose`` pairs file, go
 through one reader, :func:`cvlab.core.read_csv_table`: every row must be as
 wide as the header and every field a float, and a pairs file's header is
-exactly ``s,s_hat``.
+exactly ``s,s_hat``.  The ``[io]`` paths of a config must name distinct
+files: two that resolve to one file (``d.csv`` and ``./d.csv``, or a
+symbolic link and its target) are refused at load time, so no output can
+overwrite an input or another output.
 Outputs are written atomically (temp file + rename) so re-running a config
 overwrites rather than appends, and a fixed seed reproduces every output
-byte for byte.
+byte for byte.  Each output gets the mode a plain ``open`` would give it,
+0666 less the umask.
 
 Exit codes: 0 success, 1 when ``verify`` finds an identity that fails,
 2 configuration or input error, 3 estimation error (a run that fails, or
@@ -144,7 +148,8 @@ def load_config(path: str | Path, subcommand: str) -> tuple[dict[str, dict[str, 
     """Read, check and render the config at ``path`` in one pass.
 
     Each section and key is checked against the subcommand's schema and its
-    value converted as it is read; then a missing required key is refused.
+    value converted as it is read; then a missing required key is refused,
+    and so are two ``[io]`` keys whose paths resolve to the same file.
     Returns the converted sections (every schema section is there, empty if
     left out) and the canonical ``[section]`` / ``key = value`` text that the
     simulate manifest echoes."""
@@ -188,6 +193,15 @@ def load_config(path: str | Path, subcommand: str) -> tuple[dict[str, dict[str, 
         for key, kind in keys.items():
             if key not in given and not kind.endswith("?"):
                 raise DomainError(f"missing required key '{key}' in section [{section}]")
+    named: dict[str, str] = {}
+    for key, path in values.get("io", {}).items():
+        try:
+            real = os.path.realpath(path)
+        except ValueError:  # a NUL byte: the reader or writer refuses the path
+            continue
+        if real in named:
+            raise DomainError(f"[io] {named[real]} and {key} name the same file")
+        named[real] = key
     return values, "\n".join(lines)
 
 
@@ -201,14 +215,18 @@ def _trainer(values: dict) -> simlab.Trainer:
 
 
 def _atomic_write(path: str | Path, data: str) -> None:
-    """Write through a temp file and a rename; a path that cannot be written
-    (a directory, or one holding a NUL byte, say) is a :class:`DomainError`."""
+    """Write through a temp file and a rename, with mode 0666 less the umask;
+    a path that cannot be written (a directory, or one holding a NUL byte,
+    say) is a :class:`DomainError`."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                umask = os.umask(0o077)
+                os.umask(umask)
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
                 fh.write(data)
             os.replace(tmp, path)
         except BaseException:
@@ -345,7 +363,7 @@ def cmd_decompose(values: dict, text: str) -> int:
         values["io"]["input"], "pairs",
         lambda header: None if header == ["s", "s_hat"] else "expected header 's,s_hat'",
     )
-    report = analysis.decompose(analysis.PairedPerformanceSample(s=table[:, 0], s_hat=table[:, 1]))
+    report = analysis.decompose(table[:, 0], table[:, 1])
     _write_payload(values["io"], report.to_json_dict())
     print(
         f"rms_cond={report.rms_cond!r} rms_mean={report.rms_mean!r} "

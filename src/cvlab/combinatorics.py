@@ -27,6 +27,9 @@ n-1 from the remaining n-1 observations (whence E 1/(1+a) = 2/n and
 E w_b = n * Pr[I_i = 1] * 2/n = (2n-2)/(2n-1)); it is the quantity quoted as
 the large-B theory for the ratio between the bootstrap estimator variants,
 so both readings are kept available and tested against brute force.
+``identity_checks`` checks ``prob_some_unseen(n)`` against E[w_b] counted
+directly (the multisets that leave out observation i and k - 1 others number
+C(n-1, k-1) C(n-1, n-k-1)), so a wrong pmf fails that line too.
 
 Binomial convention: C(y, x) = 0 whenever x < 0 or x > y.
 """
@@ -98,6 +101,17 @@ def prob_some_unseen(n: int) -> Fraction:
     return 1 - pmf_unseen_count(n, n, 0)
 
 
+def _oob_weight_by_count(n: int) -> Fraction:
+    """E[w_b] = E[n I_i / a_b] by counting multisets, independently of the pmf.
+
+    The multisets that leave out observation i and k - 1 others number
+    C(n-1, k-1) C(n-1, n-k-1), each with weight n / k.
+    """
+    total = binom(2 * n - 1, n)
+    return sum((Fraction(n * binom(n - 1, k - 1) * binom(n - 1, n - k - 1), k * total)
+                for k in range(1, n)), start=Fraction(0))
+
+
 def identity_checks(n: int) -> list[tuple[str, bool]]:
     """Each appendix identity at size n, evaluated exactly: (name, holds)."""
     if n < 1:
@@ -111,5 +125,5 @@ def identity_checks(n: int) -> list[tuple[str, bool]]:
         ("expected-unseen", mean == expected_unseen(n)),
         ("expected-inv-one-plus-unseen", inv_mean == expected_inv_one_plus_unseen(n)),
         ("inclusion-probability", 1 - mean / n == inclusion_probability(n)),
-        ("oob-weight-vs-prob-some-unseen", 1 - pmf[0] == prob_some_unseen(n)),
+        ("oob-weight-vs-prob-some-unseen", _oob_weight_by_count(n) == prob_some_unseen(n)),
     ]

@@ -28,7 +28,10 @@ thread control is found, the units run inline.
 
 Data model: class 1 is N(0, I_p), class 2 is N(c * 1, I_p) with
 c = delta / sqrt(p), so the Mahalanobis separation is delta and the
-population AUC of the Bayes direction is Phi(delta / sqrt(2)).
+population AUC of the Bayes direction is Phi(delta / sqrt(2)).  A linear
+rule w has conditional AUC Phi(w . (mu2 - mu1) / (sqrt(2) |w|)), which by
+Cauchy-Schwarz is at most that value, so the mean S of rules trained on
+finite samples stays below Phi(delta / sqrt(2)).
 
 Both reference trainers are linear:
 
@@ -77,10 +80,6 @@ from cvlab.estimators import (
 from cvlab.resampling import SamplingModel, derive_rng, derive_seed, derive_seeds
 
 
-def normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
 @dataclass(frozen=True)
 class MultinormalSpec:
     """Two-class multinormal model with identity covariances.
@@ -106,16 +105,6 @@ class MultinormalSpec:
     def offset(self) -> float:
         """Per-coordinate mean shift c = delta / sqrt(p) of class 2."""
         return self.delta / math.sqrt(self.p)
-
-    @property
-    def population_auc(self) -> float:
-        """AUC of the optimal direction in the infinite-sample limit.
-
-        A linear rule w has conditional AUC Phi(w . (mu2 - mu1) / (sqrt(2) |w|)),
-        which by Cauchy-Schwarz is at most this value, so the mean S of rules
-        trained on finite samples stays below it.
-        """
-        return normal_cdf(self.delta / math.sqrt(2.0))
 
     def sample(self, n1: int, n2: int, rng: np.random.Generator) -> StratifiedDataset:
         class1 = rng.normal(0.0, 1.0, size=(n1, self.p))
@@ -506,10 +495,7 @@ def run_weak_correlation(config: WeakCorrConfig) -> WeakCorrResult:
             f"{aborted}/{config.trials} trials aborted (more than 1%)"
         )
     arr = np.array(triples, dtype=float)
-    reports = [
-        analysis.decompose(analysis.PairedPerformanceSample(s=arr[:, 0], s_hat=values))
-        for values in arr.T
-    ]
+    reports = [analysis.decompose(arr[:, 0], values) for values in arr.T]
     rows = tuple(
         ExperimentRow(
             role, rep.mean_s_hat, rep.sigma_s_hat, rep.rms_cond, rep.rms_mean,

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 import cvlab
-from cvlab.analysis import PairedPerformanceSample, decompose
+from cvlab.analysis import decompose
 from cvlab.combinatorics import pmf_unseen_count
 from cvlab.core import DomainError, StratifiedDataset
 from cvlab.estimators import EstimationError
@@ -54,9 +54,10 @@ def mw_kernel(a: float, b: float) -> float:
     return 0.5
 
 
-def identity_residual(sample: PairedPerformanceSample) -> float:
-    """|lhs - rhs| of the decomposition identity; raises when degenerate."""
-    report = decompose(sample)
+def identity_residual(s, s_hat) -> float:
+    """|lhs - rhs| of the decomposition identity of ``s`` and ``s_hat``;
+    raises when degenerate."""
+    report = decompose(s, s_hat)
     if report.degenerate:
         raise DomainError("zero variance: identity is undefined")
     return abs(report.residual)

@@ -36,7 +36,7 @@ import numpy as np
 import pytest
 
 from cvlab import cli
-from cvlab.analysis import PairedPerformanceSample, decompose
+from cvlab.analysis import decompose
 from cvlab.combinatorics import (
     expected_inv_one_plus_unseen,
     expected_unseen,
@@ -121,7 +121,7 @@ def mean_se(row, triples: np.ndarray) -> float:
 
 def shat_statistics(triples: np.ndarray) -> np.ndarray:
     """rms_cond, rms_mean, rho and relative RMS gap of Shat against S."""
-    rep = decompose(PairedPerformanceSample(s=triples[:, 0], s_hat=triples[:, 2]))
+    rep = decompose(triples[:, 0], triples[:, 2])
     rel_gap = abs(rep.rms_cond - rep.rms_mean) / rep.rms_mean
     return np.array([rep.rms_cond, rep.rms_mean, rep.rho, rel_gap])
 
@@ -434,7 +434,7 @@ class TestCriterion09DecompositionIdentity:
             t = int(rng.integers(3, 50))
             s = rng.normal(0.0, 1.0, t)
             s_hat = rng.normal(0.0, 1.0, t) + 0.5 * s
-            worst = max(worst, identity_residual(PairedPerformanceSample(s=s, s_hat=s_hat)))
+            worst = max(worst, identity_residual(s, s_hat))
         campaign_worst = 0.0
         for n1 in (10, 20, 50):
             result = campaign(n1)

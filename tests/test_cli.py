@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -437,14 +438,15 @@ out_csv = {out}
 }
 
 
-def run_cli_process(subcommand, config):
-    """``python -m cvlab.cli subcommand config`` in a fresh process."""
+def run_cli_process(subcommand, config, umask=-1):
+    """``python -m cvlab.cli subcommand config`` in a fresh process, under
+    ``umask`` if one is given."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, "-m", "cvlab.cli", subcommand, str(config)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, umask=umask,
     )
 
 
@@ -794,6 +796,61 @@ class TestUnreadablePaths:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: cannot ")
         assert "Traceback" not in proc.stderr
+
+
+class TestSameFilePaths:
+    """Two [io] paths that resolve to one file are refused at load time, so
+    no output overwrites an input or another output."""
+
+    @pytest.mark.parametrize("subcommand, first, second, spelling", [
+        ("estimate", "dataset", "out_json", "same"),
+        ("estimate", "dataset", "out_json", "dot"),
+        ("estimate", "dataset", "out_csv", "link"),
+        ("simulate", "out_table", "out_triples", "same"),
+        ("decompose", "input", "out_csv", "same"),
+    ])
+    def test_exits_2_before_anything_is_read_or_written(
+        self, tmp_path, dataset_csv, capsys, monkeypatch, subcommand, first, second, spelling
+    ):
+        def work(*args, **kwargs):
+            raise WorkStarted(subcommand)
+
+        for module, name in [(simlab, "run_weak_correlation"), (estimators, "run"),
+                             (analysis, "decompose"), (cli, "read_dataset_csv"),
+                             (cli, "read_csv_table")]:
+            monkeypatch.setattr(module, name, work)
+        monkeypatch.chdir(tmp_path)
+        sections = complete_configs(tmp_path, dataset_csv)[subcommand]
+        io_section = sections["io"]
+        if spelling == "dot":
+            io_section[first] = Path(io_section[first]).relative_to(tmp_path)
+            io_section[second] = f"./{io_section[first]}"
+        elif spelling == "link":
+            (tmp_path / "link").symlink_to(io_section[first])
+            io_section[second] = tmp_path / "link"
+        else:
+            io_section[second] = io_section[first]
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+        config = config_of(tmp_path, sections)
+        assert cli.main([subcommand, str(config)]) == 2
+        assert capsys.readouterr().err == f"error: [io] {first} and {second} name the same file\n"
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path != config} == before
+
+
+class TestOutputModes:
+    @pytest.mark.parametrize("subcommand, keys", [
+        ("estimate", ["out_json", "out_csv"]),
+        ("simulate", ["out_table", "out_triples", "out_manifest"]),
+    ])
+    def test_outputs_honour_the_umask(self, tmp_path, dataset_csv, subcommand, keys):
+        for umask in (0o022, 0o077):
+            work = tmp_path / f"umask-{umask:03o}"
+            work.mkdir()
+            sections = complete_configs(work, dataset_csv)[subcommand]
+            proc = run_cli_process(subcommand, config_of(tmp_path, sections), umask=umask)
+            assert proc.returncode == 0, proc.stderr
+            modes = {key: stat.S_IMODE(os.stat(sections["io"][key]).st_mode) for key in keys}
+            assert modes == dict.fromkeys(keys, 0o666 & ~umask)
 
 
 class TestDecompose:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from cvlab import combinatorics
 from cvlab.combinatorics import (
+    _oob_weight_by_count,
     binom,
     expected_inv_one_plus_unseen,
     expected_oob_weight,
@@ -193,3 +194,21 @@ class TestIdentityChecks:
         results = dict(identity_checks(5))
         assert not all(results.values())
         assert not results["pmf-normalization"]
+
+    def test_a_wrong_pmf_fails_the_oob_weight_line(self, monkeypatch):
+        def bad_pmf(n, m, k):
+            value = pmf_unseen_count(n, m, k)  # the real pmf, imported before the patch
+            return value + Fraction(1, 7) if k == 0 else value
+
+        monkeypatch.setattr(combinatorics, "pmf_unseen_count", bad_pmf)
+        for n in range(2, 8):
+            results = dict(identity_checks(n))
+            assert not results["oob-weight-vs-prob-some-unseen"]
+            assert not results["pmf-normalization"]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_oob_weight_count_matches_enumeration(self, n):
+        multisets = list(combinations_with_replacement(range(n), n))
+        weight = sum((Fraction(n, n - len(set(multiset))) for multiset in multisets
+                      if 0 not in multiset), start=Fraction(0))
+        assert _oob_weight_by_count(n) == weight / len(multisets) == prob_some_unseen(n)

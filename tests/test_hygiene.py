@@ -13,9 +13,12 @@ outside its own definition, or be listed in
 ``UNREFERENCED_ALLOWED`` with the reason it stays.  A reference is a name, an
 attribute, an imported name or a string that is exactly the identifier (as
 ``estimators._DISPATCH`` names the estimators); a symbol only tests use has to
-justify staying.  Every private top-level name there (a function, a class or
-an assigned name, not a dunder) must be referenced the same way, with no
-exceptions: a private name nothing in ``src/cvlab/`` uses is dead code.
+justify staying.  So must every public method or property of a top-level
+class there (dunders are exempt), referenced from outside its own definition:
+another statement, another item of its class or its class header.  Every
+private top-level name there (a function, a class or an assigned name, not a
+dunder) must be referenced the same way, with no exceptions: a private name
+nothing in ``src/cvlab/`` uses is dead code.
 
 No module in ``src/cvlab/`` imports or reads another's private name (one
 leading underscore, not a dunder): each reads the others through their
@@ -140,8 +143,8 @@ class TestUnusedImports:
         assert unused_imports(source) == want
 
 
-# "module.name" of each public top-level symbol that src/cvlab never refers
-# to, with the reason it stays.
+# "module.name" of each public top-level symbol (or "module.Class.name" of
+# each public method) that src/cvlab never refers to, with the reason it stays.
 UNREFERENCED_ALLOWED = {
     "core.write_dataset_csv": "writes the dataset CSV that read_dataset_csv reads",
 }
@@ -163,7 +166,8 @@ def _references(node: ast.AST) -> set[str]:
     return found
 
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+METHODS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*METHODS, ast.ClassDef)
 
 
 def _bound_names(node: ast.stmt) -> list[str]:
@@ -194,11 +198,38 @@ def _unreferenced(sources: dict[str, str], wanted) -> list[str]:
     )
 
 
+def unreferenced_methods(sources: dict[str, str]) -> list[str]:
+    """"module.Class.name" of each public method or property (not a dunder) of
+    a top-level class of ``sources`` that nothing outside its own definition
+    refers to: no other top-level statement, no other item of its class and no
+    part of its class header."""
+    definitions, units = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef):
+                units.append((None, _references(node)))
+                continue
+            header = [*node.bases, *node.keywords, *node.decorator_list]
+            units.append((None, set().union(*map(_references, header))))
+            for item in node.body:
+                own = None
+                if isinstance(item, METHODS) and not item.name.startswith("_"):
+                    own = f"{module}.{node.name}.{item.name}"
+                    definitions.append((own, item.name))
+                units.append((own, _references(item)))
+    return sorted({
+        own for own, name in definitions
+        if not any(name in refs for other, refs in units if other != own)
+    })
+
+
 def unreferenced_symbols(sources: dict[str, str]) -> list[str]:
     """"module.name" of each public top-level name of ``sources`` ({module:
     source}), a function, a class or an assigned name, that no top-level
-    statement but its own refers to."""
-    return _unreferenced(sources, lambda node, name: not name.startswith("_"))
+    statement but its own refers to, and "module.Class.name" of each public
+    method or property that nothing outside its definition refers to."""
+    return sorted(_unreferenced(sources, lambda node, name: not name.startswith("_"))
+                  + unreferenced_methods(sources))
 
 
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
@@ -235,6 +266,20 @@ class TestUnreferencedSymbols:
             ({"a": "X = 1\n", "b": "from a import X\n"}, []),
             ({"a": "X = 1\n", "b": "import a\na.X\n"}, []),
             ({"a": "_X = 1\n__all__ = []\n"}, []),
+            ({"a": "class C:\n    def m(self): pass\n", "b": "from a import C\n"}, ["a.C.m"]),
+            ({"a": "class C:\n    def m(self): pass\n", "b": "from a import C\nC().m()\n"}, []),
+            ({"a": "class C:\n    def m(self):\n        return self.m()\n",
+              "b": "from a import C\n"}, ["a.C.m"]),
+            ({"a": "class C:\n    def m(self): pass\n    def n(self):\n        self.m()\n",
+              "b": "from a import C\nC().n()\n"}, []),
+            ({"a": "class C:\n    def m(self): pass\n",
+              "b": "from a import C\ngetattr(C(), 'm')\n"}, []),
+            ({"a": "class C:\n    @property\n    def p(self):\n        return 1\n",
+              "b": "from a import C\n"}, ["a.C.p"]),
+            ({"a": "class C:\n    @property\n    def p(self):\n        return 1\n",
+              "b": "from a import C\nC().p\n"}, []),
+            ({"a": "class C:\n    def __init__(self): pass\n", "b": "from a import C\n"}, []),
+            ({"a": "class C:\n    def _m(self): pass\n", "b": "from a import C\n"}, []),
         ],
     )
     def test_checker(self, sources, want):

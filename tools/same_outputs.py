@@ -7,19 +7,22 @@ per checkout, with ``PYTHONPATH`` set to that checkout's ``src`` alone and
 no bytecode written.  Every path in a config is relative to its directory,
 so the two runs of a correct change match byte for byte.  For each case the
 exit code, stdout, stderr and every file the run left there (its name and
-bytes) are compared; each difference is printed with a diff of its text.
+bytes; an input file only if the run changed it) are compared; each
+difference is printed with a diff of its text.
 
 The cases: every estimator version and variant through ``estimate`` (LOOB
 under both sampling models, the AUC CVK reduced variant included), each
 writing its JSON report and its CSV row; one ``simulate`` per metric;
 ``ratio-curve`` under both sampling models; ``decompose``; ``verify``; and
-three refusals: a negative estimator seed with a dataset that does not
-exist, and a fold map too large to allocate (2^50 rows, above any user
-address space) through ``estimate`` and through ``simulate``.
+five refusals: a negative estimator seed with a dataset that does not
+exist; a fold map too large to allocate (2^50 rows, above any user
+address space) through ``estimate`` and through ``simulate``; and two
+``[io]`` paths that name one file, through ``estimate`` (``out_json`` is the
+dataset) and through ``simulate`` (``out_triples`` is ``out_table``).
 
 Usage: ``python tools/same_outputs.py PARENT HEAD``, each a checkout whose
 ``src`` holds ``cvlab``.  Prints each difference, then one summary line;
-exits 1 if there is any difference, else 0.  It runs 32 cases on each side,
+exits 1 if there is any difference, else 0.  It runs 34 cases on each side,
 one process at a time.
 """
 
@@ -64,19 +67,19 @@ _ESTIMATORS = {
 _SAMPLINGS = ("ordered", "unordered-multiset")
 
 
-def _estimate(lines: list[str], dataset: str = "data.csv") -> str:
+def _estimate(lines: list[str], dataset: str = "data.csv", out_json: str = "out.json") -> str:
     return "\n".join([
         "[estimator]", *lines, "", "[trainer]", "id = nearest-mean", "",
-        "[io]", f"dataset = {dataset}", "out_json = out.json", "out_csv = out.csv", "",
+        "[io]", f"dataset = {dataset}", f"out_json = {out_json}", "out_csv = out.csv", "",
     ])
 
 
-def _simulate(estimator: list[str]) -> str:
+def _simulate(estimator: list[str], out_triples: str = "triples.csv") -> str:
     return "\n".join([
         "[data]", "p = 2", "delta = 1.0", "n1 = 6", "n2 = 6", "",
         "[campaign]", "trials = 4", "test_per_class = 20", "seed = 31", "",
         "[estimator]", *estimator, "", "[trainer]", "id = nearest-mean", "",
-        "[io]", "out_table = table.csv", "out_triples = triples.csv",
+        "[io]", "out_table = table.csv", f"out_triples = {out_triples}",
         "out_manifest = manifest.ini", "",
     ])
 
@@ -113,6 +116,10 @@ def cases() -> dict[str, tuple[str, str, dict[str, str]]]:
         data)
     out["refuse-huge-map-simulate"] = ("simulate", _simulate(
         ["version = CVKM", "metric = error", "K = 2", f"M = {_UNALLOCATABLE_M}"]), {})
+    out["refuse-same-file-estimate"] = ("estimate", _estimate(
+        ["version = CVN", "metric = error"], out_json="data.csv"), data)
+    out["refuse-same-file-simulate"] = ("simulate", _simulate(
+        ["version = CVN", "metric = error"], out_triples="table.csv"), {})
     return out
 
 
@@ -127,15 +134,17 @@ def run_cases(checkout: Path, names: list[str] | None = None) -> dict[str, dict[
             continue
         with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
             work = Path(tmp)
-            for file, text in {**inputs, "config.ini": config}.items():
+            written = {**inputs, "config.ini": config}
+            for file, text in written.items():
                 (work / file).write_text(text, encoding="utf-8")
             proc = subprocess.run([sys.executable, "-m", "cvlab.cli", subcommand, "config.ini"],
                                   cwd=work, env=env, capture_output=True)
             result = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout,
                       "stderr": proc.stderr}
             for path in sorted(work.iterdir()):
-                if path.name not in inputs and path.name != "config.ini":
-                    result[f"file {path.name}"] = path.read_bytes()
+                data = path.read_bytes()
+                if path.name not in written or data != written[path.name].encode():
+                    result[f"file {path.name}"] = data
             results[name] = result
     return results
 
